@@ -274,9 +274,10 @@ pub struct InstanceStats {
 /// predicates XOR to 1.
 fn add_anticommutativity(cnf: &mut Cnf, layout: &VarLayout) {
     let n = layout.num_modes();
+    let mut site_lits = Vec::with_capacity(n);
     for s in 0..layout.num_strings() {
         for t in (s + 1)..layout.num_strings() {
-            let mut site_lits = Vec::with_capacity(n);
+            site_lits.clear();
             for q in 0..n {
                 let a1 = cnf.and_gate(layout.b1(s, q).positive(), layout.b2(t, q).positive());
                 let a2 = cnf.and_gate(layout.b2(s, q).positive(), layout.b1(t, q).positive());
@@ -291,46 +292,50 @@ fn add_anticommutativity(cnf: &mut Cnf, layout: &VarLayout) {
 /// bit-sequence XOR must be non-zero. Depth-first over the subset lattice,
 /// sharing XOR prefixes between sibling subsets.
 fn add_algebraic_independence(cnf: &mut Cnf, layout: &VarLayout) {
-    let n = layout.num_modes();
-    let num_bits = 2 * n;
-    // bit j of string s: (qubit j/2, b1/b2 by parity).
-    let bit_lit = |layout: &VarLayout, s: usize, j: usize| -> Lit {
-        let q = j / 2;
-        if j.is_multiple_of(2) {
-            layout.b1(s, q).positive()
-        } else {
-            layout.b2(s, q).positive()
-        }
-    };
+    let num_bits = 2 * layout.num_modes();
+    // One row of `num_bits` prefix-XOR literals per included string on the
+    // current DFS path, reserved once for the deepest path: the walk visits
+    // 4^N nodes and allocates at none of them.
+    let mut prefixes = Vec::with_capacity(layout.num_strings() * num_bits);
+    walk_subsets(cnf, layout, 0, &mut prefixes);
+    debug_assert!(prefixes.is_empty());
+}
 
-    // Iterative DFS carrying the prefix XOR literals of the included set.
-    fn walk(
-        cnf: &mut Cnf,
-        layout: &VarLayout,
-        bit_lit: &dyn Fn(&VarLayout, usize, usize) -> Lit,
-        s: usize,
-        prefix: Option<&Vec<Lit>>,
-        num_bits: usize,
-    ) {
-        if s == layout.num_strings() {
-            if let Some(bits) = prefix {
-                // Non-empty subset: at least one product bit differs from I.
-                cnf.add_clause(bits.iter().copied());
-            }
-            return;
-        }
-        // Exclude string s.
-        walk(cnf, layout, bit_lit, s + 1, prefix, num_bits);
-        // Include string s: extend the prefix XOR bit-wise.
-        let next: Vec<Lit> = match prefix {
-            None => (0..num_bits).map(|j| bit_lit(layout, s, j)).collect(),
-            Some(bits) => (0..num_bits)
-                .map(|j| cnf.xor_gate(bits[j], bit_lit(layout, s, j)))
-                .collect(),
-        };
-        walk(cnf, layout, bit_lit, s + 1, Some(&next), num_bits);
+/// Bit `j` of string `s`: qubit `j / 2`, `b1` for even `j`, `b2` for odd.
+fn bit_lit(layout: &VarLayout, s: usize, j: usize) -> Lit {
+    let q = j / 2;
+    if j.is_multiple_of(2) {
+        layout.b1(s, q).positive()
+    } else {
+        layout.b2(s, q).positive()
     }
-    walk(cnf, layout, &bit_lit, 0, None, num_bits);
+}
+
+/// Visits every subset of strings `s..` on top of the subset of `0..s`
+/// whose bit-wise XOR is the last row of `prefixes` (none when empty).
+fn walk_subsets(cnf: &mut Cnf, layout: &VarLayout, s: usize, prefixes: &mut Vec<Lit>) {
+    let num_bits = 2 * layout.num_modes();
+    let top = prefixes.len().checked_sub(num_bits);
+    if s == layout.num_strings() {
+        if let Some(top) = top {
+            // Non-empty subset: at least one product bit differs from I.
+            cnf.add_clause(prefixes[top..].iter().copied());
+        }
+        return;
+    }
+    // Exclude string s.
+    walk_subsets(cnf, layout, s + 1, prefixes);
+    // Include string s: extend the prefix XOR bit-wise.
+    for j in 0..num_bits {
+        let bit = bit_lit(layout, s, j);
+        let next = match top {
+            None => bit,
+            Some(top) => cnf.xor_gate(prefixes[top + j], bit),
+        };
+        prefixes.push(next);
+    }
+    walk_subsets(cnf, layout, s + 1, prefixes);
+    prefixes.truncate(prefixes.len() - num_bits);
 }
 
 /// Vacuum condition (Section 3.5): each pair `(M_{2j}, M_{2j+1})` has an

@@ -47,6 +47,12 @@ impl ClauseArena {
         ClauseArena::default()
     }
 
+    /// Reserves room for `clauses` more records holding `literals`
+    /// literals in total, so a bulk load grows the buffer once.
+    pub fn reserve(&mut self, clauses: usize, literals: usize) {
+        self.words.reserve(HEADER_WORDS * clauses + literals);
+    }
+
     /// Appends a record and returns its reference.
     pub fn alloc(&mut self, lits: &[Lit], learnt: bool, imported: bool, lbd: u32) -> CRef {
         debug_assert!(lits.len() >= 2, "unit/empty clauses never hit the arena");

@@ -39,6 +39,14 @@ impl BitSet {
         self.len += 1;
     }
 
+    /// Appends `false` bits until the set holds at least `len` of them.
+    pub fn grow_to(&mut self, len: usize) {
+        if len > self.len {
+            self.words.resize(len.div_ceil(64), 0);
+            self.len = len;
+        }
+    }
+
     #[inline]
     pub fn get(&self, i: usize) -> bool {
         debug_assert!(i < self.len);

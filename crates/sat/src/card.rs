@@ -134,15 +134,9 @@ fn merge(cnf: &mut Cnf, a: &[Lit], b: &[Lit]) -> Vec<Lit> {
             if i + j == 0 {
                 continue;
             }
-            let mut clause = Vec::with_capacity(3);
-            if i > 0 {
-                clause.push(!a[i - 1]);
-            }
-            if j > 0 {
-                clause.push(!b[j - 1]);
-            }
-            clause.push(outputs[i + j - 1]);
-            cnf.add_clause(clause);
+            let from_a = (i > 0).then(|| !a[i - 1]);
+            let from_b = (j > 0).then(|| !b[j - 1]);
+            cnf.add_clause(from_a.into_iter().chain(from_b).chain([outputs[i + j - 1]]));
         }
     }
     // Direction 2 (outputs → inputs): O_{i+j+1} → A_{i+1} ∨ B_{j+1}.
@@ -151,15 +145,13 @@ fn merge(cnf: &mut Cnf, a: &[Lit], b: &[Lit]) -> Vec<Lit> {
             if i == a.len() && j == b.len() {
                 continue;
             }
-            let mut clause = Vec::with_capacity(3);
-            if i < a.len() {
-                clause.push(a[i]);
-            }
-            if j < b.len() {
-                clause.push(b[j]);
-            }
-            clause.push(!outputs[i + j]);
-            cnf.add_clause(clause);
+            cnf.add_clause(
+                a.get(i)
+                    .into_iter()
+                    .chain(b.get(j))
+                    .copied()
+                    .chain([!outputs[i + j]]),
+            );
         }
     }
     outputs

@@ -27,11 +27,41 @@ use crate::types::{Lit, Var};
 /// let ones = bits.iter().filter(|l| model.lit_value(**l)).count();
 /// assert_eq!(ones % 2, 1);
 /// ```
+///
+/// Clauses are stored flat: every literal of every clause sits in one
+/// buffer, and `ends[i]` is the offset one past clause `i`'s last literal.
+/// A formula of a million short clauses is then two allocations, not a
+/// million, and building, walking and dropping it are linear scans.
 #[derive(Debug, Clone, Default)]
 pub struct Cnf {
     num_vars: usize,
-    clauses: Vec<Vec<Lit>>,
+    lits: Vec<Lit>,
+    ends: Vec<u32>,
     true_lit: Option<Lit>,
+}
+
+/// Iterator over the clauses of a [`Cnf`], each a slice of its literals.
+#[derive(Debug, Clone)]
+pub struct Clauses<'a> {
+    lits: &'a [Lit],
+    ends: std::slice::Iter<'a, u32>,
+    start: usize,
+}
+
+impl<'a> Iterator for Clauses<'a> {
+    type Item = &'a [Lit];
+
+    #[inline]
+    fn next(&mut self) -> Option<&'a [Lit]> {
+        let end = *self.ends.next()? as usize;
+        let clause = &self.lits[self.start..end];
+        self.start = end;
+        Some(clause)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.ends.size_hint()
+    }
 }
 
 impl Cnf {
@@ -59,27 +89,31 @@ impl Cnf {
 
     /// Number of clauses added so far.
     pub fn num_clauses(&self) -> usize {
-        self.clauses.len()
+        self.ends.len()
     }
 
     /// Total number of literal occurrences across all clauses.
     pub fn num_literals(&self) -> usize {
-        self.clauses.iter().map(Vec::len).sum()
+        self.lits.len()
     }
 
     /// Average clause length — the paper reports #vars/#clauses ratios in
     /// Table 3; this is the companion diagnostic.
     pub fn avg_clause_len(&self) -> f64 {
-        if self.clauses.is_empty() {
+        if self.ends.is_empty() {
             0.0
         } else {
             self.num_literals() as f64 / self.num_clauses() as f64
         }
     }
 
-    /// The clauses built so far.
-    pub fn clauses(&self) -> &[Vec<Lit>] {
-        &self.clauses
+    /// The clauses built so far, in insertion order.
+    pub fn clauses(&self) -> Clauses<'_> {
+        Clauses {
+            lits: &self.lits,
+            ends: self.ends.iter(),
+            start: 0,
+        }
     }
 
     /// Adds one clause (a disjunction of literals).
@@ -88,16 +122,22 @@ impl Cnf {
     ///
     /// # Panics
     ///
-    /// Panics if a literal references an unallocated variable.
+    /// Panics if a literal references an unallocated variable, or if the
+    /// formula would exceed `u32::MAX` literal occurrences.
     pub fn add_clause(&mut self, lits: impl IntoIterator<Item = Lit>) {
-        let clause: Vec<Lit> = lits.into_iter().collect();
-        for l in &clause {
-            assert!(
-                l.var().index() < self.num_vars,
-                "literal {l} references unallocated variable"
-            );
+        let start = self.lits.len();
+        self.lits.extend(lits);
+        if let Some(&bad) = self.lits[start..]
+            .iter()
+            .find(|l| l.var().index() >= self.num_vars)
+        {
+            self.lits.truncate(start);
+            panic!("literal {bad} references unallocated variable");
         }
-        self.clauses.push(clause);
+        // Kept in release builds: a wrapped offset would silently splice
+        // clauses together.
+        let end = u32::try_from(self.lits.len()).expect("clause-end offsets fit u32");
+        self.ends.push(end);
     }
 
     /// A literal constrained to be true (allocated lazily, one unit clause).
@@ -176,13 +216,10 @@ impl Cnf {
             return Some(lits[0]);
         }
         let g = self.new_var().positive();
-        let mut long = Vec::with_capacity(lits.len() + 1);
-        long.push(!g);
         for &l in lits {
             self.add_clause([g, !l]);
-            long.push(l);
         }
-        self.add_clause(long);
+        self.add_clause(std::iter::once(!g).chain(lits.iter().copied()));
         Some(g)
     }
 
@@ -196,13 +233,10 @@ impl Cnf {
             return Some(lits[0]);
         }
         let g = self.new_var().positive();
-        let mut long = Vec::with_capacity(lits.len() + 1);
-        long.push(g);
         for &l in lits {
             self.add_clause([!g, l]);
-            long.push(!l);
         }
-        self.add_clause(long);
+        self.add_clause(std::iter::once(g).chain(lits.iter().map(|&l| !l)));
         Some(g)
     }
 
@@ -241,8 +275,7 @@ impl Cnf {
     /// Panics if the assignment is shorter than the variable count.
     pub fn eval(&self, assignment: &[bool]) -> bool {
         assert!(assignment.len() >= self.num_vars, "assignment too short");
-        self.clauses
-            .iter()
+        self.clauses()
             .all(|c| c.iter().any(|l| l.eval(assignment[l.var().index()])))
     }
 }

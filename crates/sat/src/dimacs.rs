@@ -63,14 +63,64 @@ impl From<io::Error> for DimacsError {
 /// # Ok::<(), std::io::Error>(())
 /// ```
 pub fn write(cnf: &Cnf, w: &mut impl Write) -> io::Result<()> {
-    writeln!(w, "p cnf {} {}", cnf.num_vars(), cnf.num_clauses())?;
+    // Literals are formatted by hand into a chunk that is handed to the
+    // writer whole: an N=7 full-SAT instance is 3 M literals and 20 MB of
+    // text, and a `write!` per literal costs more in formatting machinery
+    // and small writes than the digits themselves.
+    let mut chunk = vec![0u8; CHUNK_BYTES];
+    let mut header = &mut chunk[..];
+    writeln!(header, "p cnf {} {}", cnf.num_vars(), cnf.num_clauses())?;
+    let mut at = CHUNK_BYTES - header.len();
     for clause in cnf.clauses() {
-        for lit in clause {
-            write!(w, "{} ", lit.to_dimacs())?;
+        for &lit in clause {
+            at = make_room(&chunk, at, w)?;
+            at = put_literal(&mut chunk, at, lit);
         }
-        writeln!(w, "0")?;
+        at = make_room(&chunk, at, w)?;
+        chunk[at..at + 2].copy_from_slice(b"0\n");
+        at += 2;
     }
-    Ok(())
+    w.write_all(&chunk[..at])
+}
+
+/// Hands `chunk[..at]` to the writer when another token might not fit;
+/// returns the offset to continue at.
+#[inline]
+fn make_room(chunk: &[u8], at: usize, w: &mut impl Write) -> io::Result<usize> {
+    if at + MAX_TOKEN_BYTES > CHUNK_BYTES {
+        w.write_all(&chunk[..at])?;
+        Ok(0)
+    } else {
+        Ok(at)
+    }
+}
+
+/// Size of the writer's staging buffer.
+const CHUNK_BYTES: usize = 64 * 1024;
+/// The longest token [`put_literal`] emits: sign, ten digits, space.
+const MAX_TOKEN_BYTES: usize = 12;
+
+/// Writes `lit` in DIMACS form followed by one space at `chunk[at..]`;
+/// returns the offset past the space.
+#[inline]
+fn put_literal(chunk: &mut [u8], mut at: usize, lit: Lit) -> usize {
+    if lit.is_negative() {
+        chunk[at] = b'-';
+        at += 1;
+    }
+    let mut n = lit.var().index() as u32 + 1;
+    let end = at + n.ilog10() as usize + 1;
+    let mut i = end;
+    loop {
+        i -= 1;
+        chunk[i] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    chunk[end] = b' ';
+    end + 1
 }
 
 /// Parses a DIMACS CNF file.
@@ -162,6 +212,19 @@ mod tests {
     }
 
     #[test]
+    fn largest_variable_index_fills_the_token_allowance() {
+        // No formula with 2^31 variables fits a test, so the token writer
+        // is driven directly at the top of the index range.
+        let largest = Var::new(u32::MAX as usize / 2 - 1);
+        for lit in [largest.negative(), largest.positive()] {
+            let mut chunk = [0u8; MAX_TOKEN_BYTES];
+            let end = put_literal(&mut chunk, 0, lit);
+            let expect = format!("{} ", lit.to_dimacs());
+            assert_eq!(&chunk[..end], expect.as_bytes());
+        }
+    }
+
+    #[test]
     fn round_trip_preserves_clauses() {
         let mut cnf = Cnf::new();
         let vars = cnf.new_vars(4);
@@ -169,7 +232,7 @@ mod tests {
         cnf.add_clause([vars[2].positive(), vars[3].positive(), vars[0].negative()]);
         let back = roundtrip(&cnf);
         assert_eq!(back.num_vars(), 4);
-        assert_eq!(back.clauses(), cnf.clauses());
+        assert!(back.clauses().eq(cnf.clauses()));
     }
 
     #[test]
@@ -226,7 +289,7 @@ mod tests {
         cnf.add_clause([]);
         let back = roundtrip(&cnf);
         assert_eq!(back.num_clauses(), 1);
-        assert!(back.clauses()[0].is_empty());
+        assert!(back.clauses().next().unwrap().is_empty());
         assert!(Solver::from_cnf(&back).solve().is_unsat());
     }
 }

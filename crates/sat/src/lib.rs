@@ -51,7 +51,7 @@ pub mod wire;
 
 pub use cancel::CancelToken;
 pub use card::Totalizer;
-pub use cnf::Cnf;
+pub use cnf::{Clauses, Cnf};
 pub use restart::{
     FixedRestarts, GeometricRestarts, LubyRestarts, RestartPolicy, RestartPolicyKind,
 };

@@ -96,7 +96,7 @@ impl Model {
 }
 
 /// Cumulative solver statistics.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolverStats {
     /// Number of conflicts encountered.
     pub conflicts: u64,
@@ -269,11 +269,52 @@ impl Solver {
     }
 
     /// Builds a solver holding all clauses of `cnf`.
+    ///
+    /// The result is in exactly the state a fresh solver reaches when fed
+    /// the same clauses one by one through [`add_clause`](Self::add_clause)
+    /// — arena record order, literal order inside each record, watcher
+    /// order inside each literal's list, trail — so searches repeat
+    /// conflict for conflict whichever way a formula was loaded. What
+    /// differs is the cost: clauses that attach without propagation (all
+    /// of them, in a Tseitin-encoded instance without constants) are
+    /// written into an arena reserved once, their watchers are counted,
+    /// and every watch segment is laid out at its final size before the
+    /// first watcher is pushed. The first clause that simplifies to a unit
+    /// or to the empty clause needs the watches of everything before it,
+    /// so it and the rest of the formula take the incremental path.
     pub fn from_cnf(cnf: &Cnf) -> Solver {
         let mut s = Solver::new();
         s.reserve_vars(cnf.num_vars());
-        for c in cnf.clauses() {
-            s.add_clause(c.iter().copied());
+        s.arena.reserve(cnf.num_clauses(), cnf.num_literals());
+
+        let mut watcher_counts = vec![0u32; 2 * cnf.num_vars()];
+        let mut c = Vec::new();
+        let mut clauses = cnf.clauses();
+        let mut needs_propagation = None;
+        for clause in clauses.by_ref() {
+            c.clear();
+            c.extend_from_slice(clause);
+            if s.simplify_at_root(&mut c) {
+                continue;
+            }
+            if c.len() < 2 {
+                needs_propagation = Some(clause);
+                break;
+            }
+            s.arena.alloc(&c, false, false, 0);
+            s.n_problem_clauses += 1;
+            watcher_counts[(!c[0]).code()] += 1;
+            watcher_counts[(!c[1]).code()] += 1;
+        }
+
+        s.watches.presize(&watcher_counts);
+        for cref in s.arena.iter() {
+            s.watches
+                .watch(cref, s.arena.lit(cref, 0), s.arena.lit(cref, 1));
+        }
+
+        for clause in needs_propagation.into_iter().chain(clauses) {
+            s.add_clause(clause.iter().copied());
         }
         s
     }
@@ -281,22 +322,23 @@ impl Solver {
     /// Allocates a fresh variable.
     pub fn new_var(&mut self) -> Var {
         let v = Var::new(self.assign.len());
-        self.assign.push(LBool::Undef);
-        self.level.push(0);
-        self.reason.push(None);
-        self.activity.push(0.0);
-        self.saved_phase.push(false);
-        self.seen.push(false);
-        self.watches.grow_to(2 * self.assign.len());
-        self.heap.grow(self.assign.len());
+        self.reserve_vars(v.index() + 1);
         v
     }
 
-    /// Ensures variables `0..n` exist.
+    /// Ensures variables `0..n` exist (one resize per side array).
     pub fn reserve_vars(&mut self, n: usize) {
-        while self.assign.len() < n {
-            self.new_var();
+        if n <= self.assign.len() {
+            return;
         }
+        self.assign.resize(n, LBool::Undef);
+        self.level.resize(n, 0);
+        self.reason.resize(n, None);
+        self.activity.resize(n, 0.0);
+        self.saved_phase.grow_to(n);
+        self.seen.grow_to(n);
+        self.watches.grow_to(2 * n);
+        self.heap.grow(n);
     }
 
     /// Number of allocated variables.
@@ -723,11 +765,7 @@ impl Solver {
         if activity != 0.0 {
             self.arena.set_activity(cref, activity);
         }
-        let (w0, w1) = (lits[0], lits[1]);
-        self.watches
-            .push((!w0).code(), Watcher { cref, blocker: w1 });
-        self.watches
-            .push((!w1).code(), Watcher { cref, blocker: w0 });
+        self.watches.watch(cref, lits[0], lits[1]);
         cref
     }
 
@@ -1251,12 +1289,16 @@ impl Solver {
         (problem, learnt)
     }
 
-    /// Test hook: asserts the cross-structure invariants that arena GC
-    /// must preserve — every watcher and reason references a live clause,
-    /// watch lists sit on the negations of the first two literals, and
-    /// every clause is watched exactly twice.
-    #[cfg(test)]
-    fn check_integrity(&self) {
+    /// Test hook: asserts the cross-structure invariants that loading and
+    /// arena GC must preserve — every watcher and reason references a live
+    /// clause, watch lists sit on the negations of the first two literals,
+    /// and every clause is watched exactly twice.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the first violated invariant, or away from the root.
+    #[doc(hidden)]
+    pub fn check_integrity(&self) {
         use std::collections::HashMap;
         assert_eq!(self.decision_level(), 0, "integrity checks run at root");
         let mut live: HashMap<CRef, (Lit, Lit)> = HashMap::new();

@@ -104,7 +104,7 @@ impl Lit {
 
     /// Reconstructs from [`code`](Self::code).
     #[inline]
-    pub fn from_code(code: usize) -> Lit {
+    pub const fn from_code(code: usize) -> Lit {
         Lit(code as u32)
     }
 

@@ -48,6 +48,11 @@ pub(crate) struct WatchLists {
 }
 
 const MIN_CAP: u32 = 4;
+/// Filler for the unused capacity of a segment.
+const VACANT: Watcher = Watcher {
+    cref: 0,
+    blocker: Lit::from_code(0),
+};
 
 impl WatchLists {
     pub fn new() -> WatchLists {
@@ -55,7 +60,6 @@ impl WatchLists {
     }
 
     /// Number of literal slots.
-    #[cfg(test)]
     pub fn num_lits(&self) -> usize {
         self.seg.len()
     }
@@ -65,6 +69,20 @@ impl WatchLists {
         if self.seg.len() < n {
             self.seg.resize(n, Segment::default());
         }
+    }
+
+    /// Lays out empty segments of exactly `counts[code]` entries each, in
+    /// literal order, so the pushes of a bulk load whose watcher counts
+    /// were taken beforehand never relocate a segment. Only valid while
+    /// every list is still empty.
+    pub fn presize(&mut self, counts: &[u32]) {
+        debug_assert!(self.data.is_empty() && counts.len() <= self.seg.len());
+        let mut off = 0u32;
+        for (seg, &cap) in self.seg.iter_mut().zip(counts) {
+            *seg = Segment { off, len: 0, cap };
+            off = off.checked_add(cap).expect("watcher offsets fit u32");
+        }
+        self.data.resize(off as usize, VACANT);
     }
 
     #[inline]
@@ -111,10 +129,7 @@ impl WatchLists {
             // both sit unused in `data` until the next rebuild.
             self.wasted += s.cap as usize;
             for _ in s.len + 1..new_cap {
-                self.data.push(Watcher {
-                    cref: 0,
-                    blocker: Lit::from_code(0),
-                });
+                self.data.push(VACANT);
             }
             self.seg[lit_code] = Segment {
                 off: new_off,
@@ -125,6 +140,14 @@ impl WatchLists {
             self.data[(s.off + s.len) as usize] = w;
             self.seg[lit_code].len += 1;
         }
+    }
+
+    /// Watches clause `cref` on its first two literals `w0` and `w1`: each
+    /// literal's negation lists the clause with the other as blocker.
+    #[inline]
+    pub fn watch(&mut self, cref: CRef, w0: Lit, w1: Lit) {
+        self.push((!w0).code(), Watcher { cref, blocker: w1 });
+        self.push((!w1).code(), Watcher { cref, blocker: w0 });
     }
 
     /// Entries lost to abandoned segments (a rebuild-trigger signal).
@@ -174,8 +197,7 @@ impl WatchLists {
         self.wasted = 0;
     }
 
-    /// Iterates one literal's current watchers (test/diagnostic use).
-    #[cfg(test)]
+    /// Iterates one literal's current watchers (diagnostic use).
     pub fn iter_list(&self, lit_code: usize) -> impl Iterator<Item = Watcher> + '_ {
         let s = self.seg[lit_code];
         self.data[s.off as usize..(s.off + s.len) as usize]

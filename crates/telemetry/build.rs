@@ -27,6 +27,12 @@ fn main() {
     let rustc_version = probe(&rustc, &["--version"]).unwrap_or_else(|| "unknown".into());
     println!("cargo:rustc-env=FERMIHEDRAL_GIT_HASH={git_hash}");
     println!("cargo:rustc-env=FERMIHEDRAL_RUSTC_VERSION={rustc_version}");
-    // Re-run when HEAD moves so the hash stays honest across commits.
-    println!("cargo:rerun-if-changed=../../.git/HEAD");
+    // Re-run when HEAD moves so the hash stays honest across commits. In a
+    // checkout that is not a git repository the file is missing, which
+    // cargo reads as "changed" on every invocation and recompiles this
+    // crate and everything above it; there only the script itself counts.
+    println!("cargo:rerun-if-changed=build.rs");
+    if std::path::Path::new("../../.git/HEAD").exists() {
+        println!("cargo:rerun-if-changed=../../.git/HEAD");
+    }
 }

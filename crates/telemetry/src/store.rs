@@ -6,9 +6,16 @@ use crate::Event;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Mutex;
 
+/// Events retained per key. A hot key (a fingerprint served from cache
+/// hundreds of thousands of times) appends a few events per request
+/// forever; beyond this many the oldest are dropped, so the newest
+/// requests' spans are always the ones retained.
+const MAX_EVENTS_PER_KEY: usize = 2048;
+
 /// Bounded map from key (fingerprint) to recorded events. Insertion
 /// beyond the capacity evicts the oldest-inserted key. Appends to an
-/// existing key never evict.
+/// existing key never evict another key, but drop that key's own oldest
+/// events beyond [`MAX_EVENTS_PER_KEY`].
 #[derive(Debug)]
 pub struct TraceStore {
     inner: Mutex<StoreInner>,
@@ -17,7 +24,7 @@ pub struct TraceStore {
 
 #[derive(Debug, Default)]
 struct StoreInner {
-    traces: BTreeMap<String, Vec<Event>>,
+    traces: BTreeMap<String, VecDeque<Event>>,
     order: VecDeque<String>,
 }
 
@@ -41,10 +48,12 @@ impl TraceStore {
                 }
             }
             inner.order.push_back(key.to_string());
-            inner.traces.insert(key.to_string(), Vec::new());
+            inner.traces.insert(key.to_string(), VecDeque::new());
         }
         if let Some(trace) = inner.traces.get_mut(key) {
             trace.extend(events);
+            let excess = trace.len().saturating_sub(MAX_EVENTS_PER_KEY);
+            trace.drain(..excess);
         }
     }
 
@@ -52,7 +61,7 @@ impl TraceStore {
     pub fn get(&self, key: &str) -> Option<Vec<Event>> {
         let inner = self.inner.lock().unwrap();
         inner.traces.get(key).map(|events| {
-            let mut events = events.clone();
+            let mut events: Vec<Event> = events.iter().cloned().collect();
             events.sort_by_key(|e| e.ts_us);
             events
         })
@@ -94,6 +103,33 @@ mod tests {
         assert_eq!(got.len(), 2);
         assert_eq!(got[0].name, "a");
         assert!(store.get("fp2").is_none());
+    }
+
+    #[test]
+    fn hot_key_retains_only_its_newest_events() {
+        let store = TraceStore::new(4);
+        store.append("cold", [ev("kept", 0)]);
+        for request in 0..10_000u64 {
+            store.append(
+                "hot",
+                [ev("serve.request", 2 * request), ev("hit", 2 * request + 1)],
+            );
+        }
+        let got = store.get("hot").unwrap();
+        assert_eq!(got.len(), MAX_EVENTS_PER_KEY);
+        // The newest request's events survive, the oldest are gone.
+        assert_eq!(got.last().unwrap().ts_us, 19_999);
+        assert_eq!(got[0].ts_us, 20_000 - MAX_EVENTS_PER_KEY as u64);
+        assert_eq!(store.get("cold").unwrap().len(), 1, "other keys untouched");
+
+        // One request larger than the cap keeps its newest events.
+        store.append(
+            "big",
+            (0..3 * MAX_EVENTS_PER_KEY as u64).map(|t| ev("span", t)),
+        );
+        let big = store.get("big").unwrap();
+        assert_eq!(big.len(), MAX_EVENTS_PER_KEY);
+        assert_eq!(big.last().unwrap().ts_us, 3 * MAX_EVENTS_PER_KEY as u64 - 1);
     }
 
     #[test]
