@@ -59,9 +59,9 @@ pub use jsonkit as json;
 pub use cache::{CacheCounters, CacheEntry, SizeIndex, SolutionCache};
 pub use fingerprint::{fingerprint, size_key, Fingerprint};
 pub use portfolio::{
-    compile, compile_bridged, compile_with, cross_size_warm_start, default_portfolio,
-    partition_strategies, BaselineKind, ClauseSharing, EngineConfig, EngineOutcome, RaceBridge,
-    Strategy,
+    check_encoding, compile, compile_bridged, compile_cached, compile_with, cross_size_warm_start,
+    default_portfolio, measure_weight, partition_strategies, race_lanes, BaselineKind,
+    ClauseSharing, EngineConfig, EngineOutcome, RaceBridge, RaceInput, RaceOutcome, Strategy,
 };
 pub use problemio::{problem_from_json, problem_to_json};
 pub use report::{

@@ -28,7 +28,7 @@
 use crate::cache::{CacheCounters, CacheEntry, SizeIndex, SolutionCache};
 use crate::fingerprint::{fingerprint, Fingerprint};
 use crate::report::{
-    CacheStatus, EngineReport, EventKind, WarmStartReport, WorkerEvent, WorkerReport,
+    CacheStatus, EngineReport, EventKind, ShardReport, WarmStartReport, WorkerEvent, WorkerReport,
 };
 use encodings::embed::embed_to;
 use encodings::validate::validate_strings;
@@ -256,7 +256,7 @@ pub struct EngineConfig {
     /// is data: [`compile`] itself always runs in-process; the shard
     /// coordinator (`fermihedral-shard`), the compilation server
     /// (`serve --shards N`), and the benches read it and spawn worker
-    /// processes connected by the [`sat::wire`] clause/bound bridge.
+    /// processes connected by the `shard::wire` clause/bound bridge.
     pub shards: usize,
 }
 
@@ -469,7 +469,8 @@ pub fn compile_bridged(
     config: &EngineConfig,
     on_start: impl FnOnce(RaceBridge) + Send,
 ) -> EngineOutcome {
-    compile_inner(problem, config, None, None, Some(Box::new(on_start)))
+    let race = |input: &RaceInput| race_lanes(input, None, Some(Box::new(on_start)));
+    compile_cached(problem, config, None, "engine.race", race)
 }
 
 /// Splits `strategies` round-robin across `shards` worker processes, so
@@ -524,23 +525,72 @@ pub fn compile_with(
     cache: Option<&SolutionCache>,
     external_cancel: Option<&CancelToken>,
 ) -> EngineOutcome {
-    compile_inner(problem, config, cache, external_cancel, None)
+    let race = |input: &RaceInput| race_lanes(input, external_cancel, None);
+    compile_cached(problem, config, cache, "engine.race", race)
 }
 
-fn compile_inner(
+/// What [`compile_cached`] hands the race it wraps.
+#[derive(Debug, Clone, Copy)]
+pub struct RaceInput<'a> {
+    pub problem: &'a EncodingProblem,
+    /// Budgets and sharing policy (its `strategies` and `warm_hint` are
+    /// superseded by the resolved fields below).
+    pub config: &'a EngineConfig,
+    /// Hex fingerprint of the problem.
+    pub fingerprint: &'a str,
+    /// The lanes to race ([`default_portfolio`] already resolved).
+    pub strategies: &'a [Strategy],
+    /// The checked opening incumbent, if the cache or the caller had
+    /// one: its weight opens the shared bound, its strings seed phases.
+    pub warm_start: Option<&'a CacheEntry>,
+    /// When the compilation started (lane timelines count from here).
+    pub started: Instant,
+}
+
+/// What a race hands back to [`compile_cached`].
+#[derive(Debug, Clone, Default)]
+pub struct RaceOutcome {
+    /// The lightest encoding the race holds, and the lane that found it.
+    pub best: Option<(BestEncoding, String)>,
+    /// Strongest UNSAT floor the race accepts (0 = none).
+    pub floor: usize,
+    /// Per-lane timelines.
+    pub workers: Vec<WorkerReport>,
+    /// Per-shard bridge traffic; empty for an in-process race.
+    pub shards: Vec<ShardReport>,
+}
+
+impl RaceOutcome {
+    /// No encoding below `floor` exists and the race holds one *at* it.
+    pub fn optimal_proved(&self) -> bool {
+        self.floor != 0
+            && self
+                .best
+                .as_ref()
+                .is_some_and(|(b, _)| b.weight == self.floor)
+    }
+}
+
+/// The cache-aware pipeline around *any* race — in-process lanes
+/// ([`compile_with`]) or a sharded one over pipes or TCP
+/// (`fermihedral-shard`): probe the cache (checked optimal hit → early
+/// return; same-size entry, caller hint, or cross-size lift → warm
+/// start), run `race`, keep the warm start if the race never beat it,
+/// and store the winner back. `root` names the span that covers it all.
+pub fn compile_cached(
     problem: &EncodingProblem,
     config: &EngineConfig,
     cache: Option<&SolutionCache>,
-    external_cancel: Option<&CancelToken>,
-    bridge_hook: Option<Box<dyn FnOnce(RaceBridge) + Send + '_>>,
+    root: &'static str,
+    race: impl FnOnce(&RaceInput) -> RaceOutcome,
 ) -> EngineOutcome {
     let started = Instant::now();
     let fp = fingerprint(problem);
-    let mut race_span = telemetry::span("engine.race");
+    let mut race_span = telemetry::span(root);
     race_span.attr("modes", problem.num_modes() as u64);
     race_span.attr("fingerprint", fp.to_hex());
     telemetry::log_debug!(
-        "engine.race",
+        root,
         "race starting",
         modes = problem.num_modes(),
         fingerprint = fp.to_hex(),
@@ -561,7 +611,7 @@ fn compile_inner(
             // torn-but-parsable (or lying) file that understates its
             // weight could otherwise fake an optimality certificate at a
             // weight its strings never had.
-            match validated_hint_entry(problem, Some(&entry.strings), &entry.strategy) {
+            match checked_entry(problem, &entry.strings, &entry.strategy) {
                 // An optimal claim is served only when the strings also
                 // measure at the claimed weight; a weight mismatch means
                 // the file lies, and its (valid, feasible) strings are
@@ -597,8 +647,8 @@ fn compile_inner(
     // same-size miss; the exact entry above, when present, is at least as
     // good.
     if warm_start.is_none() {
-        if let Some(entry) = validated_hint_entry(problem, config.warm_hint.as_deref(), "warm-hint")
-        {
+        let hint = config.warm_hint.as_deref();
+        if let Some(entry) = hint.and_then(|h| checked_entry(problem, h, "warm-hint")) {
             warm_report = Some(WarmStartReport {
                 source: "config".into(),
                 from_modes: None,
@@ -633,6 +683,103 @@ fn compile_inner(
     } else {
         config.strategies.clone()
     };
+    let fp_hex = fp.to_hex();
+    let mut outcome = race(&RaceInput {
+        problem,
+        config,
+        fingerprint: &fp_hex,
+        strategies: &strategies,
+        warm_start: warm_start.as_ref(),
+        started,
+    });
+
+    // ---- Collect ---------------------------------------------------------
+    // A race that never beat the warm start keeps it — and may even have
+    // proved it optimal: its weight opened the shared bound, so lanes that
+    // all went UNSAT proved a floor *at* that weight. (In-process lanes
+    // publish the warm start into their incumbent themselves; a sharded
+    // race only ever sees its weight.)
+    let lightest = outcome.best.as_ref().map_or(usize::MAX, |(b, _)| b.weight);
+    if let Some(entry) = warm_start.filter(|entry| entry.weight < lightest) {
+        let winner = format!("cache[{}]", entry.strategy);
+        outcome.best = Some((entry.into(), winner));
+    }
+    let optimal_proved = outcome.optimal_proved();
+    let (best, winner) = outcome.best.unzip();
+    let shards = outcome.shards;
+    let dead_shards = shards.iter().filter(|s| s.dead).count();
+
+    if race_span.active() {
+        race_span.attr("lanes", strategies.len() as u64);
+        if let Some(b) = &best {
+            race_span.attr("weight", b.weight as u64);
+        }
+        if let Some(w) = &winner {
+            race_span.attr("winner", w.as_str());
+        }
+        race_span.attr("optimal_proved", optimal_proved);
+        if !shards.is_empty() {
+            race_span.attr("shards", shards.len() as u64);
+            race_span.attr("dead_shards", dead_shards as u64);
+        }
+    }
+    telemetry::log_info!(
+        root,
+        "race finished",
+        lanes = strategies.len(),
+        weight = best.as_ref().map(|b| b.weight as u64).unwrap_or(0),
+        winner = winner.clone().unwrap_or_default(),
+        optimal = optimal_proved,
+        floor = outcome.floor,
+        dead_shards = dead_shards,
+        elapsed_ms = started.elapsed().as_millis() as u64,
+    );
+    drop(race_span);
+    telemetry::flush();
+
+    if let (Some(cache), Some(best)) = (&cache, &best) {
+        let entry = CacheEntry {
+            strings: best.strings.clone(),
+            weight: best.weight,
+            optimal: optimal_proved,
+            strategy: winner.clone().unwrap_or_default(),
+        };
+        // Cache write failure must not fail the compilation; the same
+        // goes for the cross-size index (it is a hint layer over the
+        // entries, rebuilt on the next successful record).
+        let _ = cache.store_if_better(&fp, &entry);
+        let _ = SizeIndex::open(cache.dir()).record(problem, &fp);
+    }
+
+    EngineOutcome {
+        best,
+        optimal_proved,
+        from_cache: false,
+        report: EngineReport {
+            fingerprint: fp_hex,
+            total_elapsed: started.elapsed(),
+            cache: cache_status,
+            cache_counters: cache.map(SolutionCache::counters).unwrap_or_default(),
+            winner,
+            warm_start: warm_report,
+            workers: outcome.workers,
+            shards,
+        },
+    }
+}
+
+/// The in-process race: every lane of `input.strategies` as a thread of
+/// this process, against one shared incumbent. `external_cancel` aborts
+/// it from outside; `bridge_hook` attaches a cross-process bridge (see
+/// [`compile_bridged`]). Public because a sharded race that lost every
+/// worker falls back to it.
+pub fn race_lanes(
+    input: &RaceInput,
+    external_cancel: Option<&CancelToken>,
+    bridge_hook: Option<Box<dyn FnOnce(RaceBridge) + Send + '_>>,
+) -> RaceOutcome {
+    let (problem, config, started) = (input.problem, input.config, input.started);
+    let strategies = input.strategies;
     let needs_instance = strategies
         .iter()
         .any(|s| matches!(s, Strategy::SatDescent { .. }));
@@ -687,14 +834,8 @@ fn compile_inner(
         external_cancel.cloned().unwrap_or_default(),
         strategies.len(),
     );
-    if let Some(entry) = &warm_start {
-        incumbent.publish(
-            BestEncoding {
-                strings: entry.strings.clone(),
-                weight: entry.weight,
-            },
-            &format!("cache[{}]", entry.strategy),
-        );
+    if let Some(entry) = input.warm_start {
+        incumbent.publish(entry.clone().into(), &format!("cache[{}]", entry.strategy));
     }
     // The warm incumbent always seeds the shared bound (a feasible
     // solution is a sound upper bound), but its *strings* only displace
@@ -702,8 +843,7 @@ fn compile_inner(
     // the BK bound — at small mode counts BK is itself near-optimal, and
     // swapping its phases for a heavier embedded encoding measurably
     // slows the descent.
-    let warm_hint_strings = warm_start
-        .as_ref()
+    let warm_hint_strings = (input.warm_start)
         .filter(|e| e.weight < bravyi_kitaev_bound(problem))
         .map(|e| e.strings.clone());
 
@@ -823,96 +963,60 @@ fn compile_inner(
         reports
     });
 
-    // ---- Collect ---------------------------------------------------------
-    let (best_slot, floor) = incumbent.snapshot();
-    let (best, winner) = match best_slot {
-        Some((encoding, strategy)) => (Some(encoding), Some(strategy)),
-        None => (None, None),
-    };
-    let optimal_proved = floor != 0 && best.as_ref().is_some_and(|b| b.weight == floor);
-
-    if race_span.active() {
-        race_span.attr("lanes", strategies.len() as u64);
-        if let Some(b) = &best {
-            race_span.attr("weight", b.weight as u64);
-        }
-        if let Some(w) = &winner {
-            race_span.attr("winner", w.as_str());
-        }
-        race_span.attr("optimal_proved", optimal_proved);
-    }
-    telemetry::log_info!(
-        "engine.race",
-        "race finished",
-        lanes = strategies.len(),
-        weight = best.as_ref().map(|b| b.weight as u64).unwrap_or(0),
-        winner = winner.clone().unwrap_or_default(),
-        optimal = optimal_proved,
-        floor = floor,
-        elapsed_ms = started.elapsed().as_millis() as u64,
-    );
-    drop(race_span);
-    telemetry::flush();
-
-    if let (Some(cache), Some(best)) = (&cache, &best) {
-        let entry = CacheEntry {
-            strings: best.strings.clone(),
-            weight: best.weight,
-            optimal: optimal_proved,
-            strategy: winner.clone().unwrap_or_default(),
-        };
-        // Cache write failure must not fail the compilation; the same
-        // goes for the cross-size index (it is a hint layer over the
-        // entries, rebuilt on the next successful record).
-        let _ = cache.store_if_better(&fp, &entry);
-        let _ = SizeIndex::open(cache.dir()).record(problem, &fp);
-    }
-
-    EngineOutcome {
+    let (best, floor) = incumbent.snapshot();
+    RaceOutcome {
         best,
-        optimal_proved,
-        from_cache: false,
-        report: EngineReport {
-            fingerprint: fp.to_hex(),
-            total_elapsed: started.elapsed(),
-            cache: cache_status,
-            cache_counters: cache.map(SolutionCache::counters).unwrap_or_default(),
-            winner,
-            warm_start: warm_report,
-            workers,
-            shards: Vec::new(),
-        },
+        floor,
+        workers,
+        shards: Vec::new(),
     }
 }
 
-/// Wraps warm-start strings (a cache entry's, or a caller-supplied hint
-/// that crossed a process boundary) as a cache-entry-shaped incumbent,
-/// or discards them: only the right shape for *this* problem, satisfying
-/// its enabled constraints, is trusted, and the weight is re-measured
-/// locally — never taken from the source's claim.
-fn validated_hint_entry(
-    problem: &EncodingProblem,
-    hint: Option<&[PauliString]>,
-    strategy: &str,
-) -> Option<CacheEntry> {
-    let strings = hint?;
-    if strings.len() != 2 * problem.num_modes()
-        || strings
-            .iter()
-            .any(|s| s.num_qubits() != problem.num_modes())
-    {
+/// The engine's one trust-boundary check, for every encoding that
+/// arrives from outside this race — a cache entry, a caller-supplied
+/// warm hint, a shard's `Incumbent` or `Result` frame. Only the right
+/// shape for *this* problem (`2N` strings, each `N` qubits wide — the
+/// constraint checks assume equal widths) satisfying its enabled
+/// constraints is trusted, and the weight is re-measured locally, never
+/// taken from the source's claim. Returns that measured weight.
+pub fn check_encoding(problem: &EncodingProblem, strings: &[PauliString]) -> Option<usize> {
+    let n = problem.num_modes();
+    if strings.len() != 2 * n || strings.iter().any(|s| s.num_qubits() != n) {
         return None;
     }
     let phased: Vec<PhasedString> = strings.iter().cloned().map(PhasedString::from).collect();
-    if !satisfies_problem(problem, &phased) {
-        return None;
+    satisfies_problem(problem, &phased).then(|| measure(problem, &phased))
+}
+
+/// A cache entry's encoding, as the incumbent it stands for.
+impl From<CacheEntry> for BestEncoding {
+    fn from(entry: CacheEntry) -> BestEncoding {
+        BestEncoding {
+            strings: entry.strings,
+            weight: entry.weight,
+        }
     }
-    Some(CacheEntry {
+}
+
+/// [`check_encoding`], wrapped as a cache-entry-shaped warm start.
+fn checked_entry(
+    problem: &EncodingProblem,
+    strings: &[PauliString],
+    strategy: &str,
+) -> Option<CacheEntry> {
+    check_encoding(problem, strings).map(|weight| CacheEntry {
         strings: strings.to_vec(),
-        weight: measure(problem, &phased),
+        weight,
         optimal: false,
         strategy: strategy.to_string(),
     })
+}
+
+/// Objective-aware weight of an encoding whose strings all share one
+/// width (what [`check_encoding`] verifies for foreign input).
+pub fn measure_weight(problem: &EncodingProblem, strings: &[PauliString]) -> usize {
+    let phased: Vec<PhasedString> = strings.iter().cloned().map(PhasedString::from).collect();
+    measure(problem, &phased)
 }
 
 /// Probes the cross-size index for the largest cached `M < N` solution of
@@ -922,9 +1026,9 @@ fn validated_hint_entry(
 /// chance. Returns the lifted entry (weight re-measured under the
 /// problem's objective, never marked optimal) and the source mode count.
 ///
-/// [`compile`] runs this automatically on a same-size miss; the shard
-/// coordinator calls it directly because it owns the cache for its
-/// workers and broadcasts the lifted strings in the `Job` frame.
+/// [`compile_cached`] runs this on a same-size miss, for in-process and
+/// sharded races alike (a shard coordinator broadcasts the lifted strings
+/// to its workers in the `Job` frame).
 pub fn cross_size_warm_start(
     cache: &SolutionCache,
     problem: &EncodingProblem,
@@ -988,11 +1092,9 @@ fn serve_from_cache(
     started: Instant,
     cache_counters: CacheCounters,
 ) -> EngineOutcome {
+    let winner = Some(format!("cache[{}]", entry.strategy));
     EngineOutcome {
-        best: Some(BestEncoding {
-            strings: entry.strings,
-            weight: entry.weight,
-        }),
+        best: Some(entry.into()),
         optimal_proved: true,
         from_cache: true,
         report: EngineReport {
@@ -1000,7 +1102,7 @@ fn serve_from_cache(
             total_elapsed: started.elapsed(),
             cache: CacheStatus::HitOptimal,
             cache_counters,
-            winner: Some(format!("cache[{}]", entry.strategy)),
+            winner,
             warm_start: None,
             workers: Vec::new(),
             shards: Vec::new(),

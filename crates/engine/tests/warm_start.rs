@@ -241,56 +241,69 @@ fn cross_size_respects_problem_family_boundaries() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// Encodings that must not get past the engine's trust boundary, from
+/// whichever side they arrive: shape-correct but algebraically invalid
+/// (XX/YY commute); strings of mixed widths (comparing them panics if
+/// nothing checks first); a uniform *wrong* width (these four do
+/// anticommute — on three qubits); and the wrong number of strings.
+fn untrustworthy() -> [(&'static str, Vec<PauliString>); 4] {
+    let text = |t: &[&str]| {
+        t.iter()
+            .map(|s| PauliString::from_str(s).unwrap())
+            .collect()
+    };
+    [
+        ("invalid", text(&["XX", "YY", "ZI", "IZ"])),
+        ("mixed widths", text(&["XX", "Y", "ZX", "ZY"])),
+        ("uniform wrong width", text(&["IIX", "IIY", "IXZ", "IYZ"])),
+        ("wrong count", text(&["IX", "IY", "XZ"])),
+    ]
+}
+
 #[test]
 fn corrupt_warm_entry_is_rejected_at_the_trust_boundary() {
-    // A same-size best-so-far entry whose strings are shape-correct but
-    // algebraically invalid, with a *lying* weight below the true
-    // optimum. Published unchecked, it would poison the shared bound
-    // (descent would go straight to UNSAT at 5 and "certify" an invalid
-    // encoding at a weight its strings never had). The engine must treat
-    // it as a miss and certify the real optimum cold.
-    let dir = tmp_cache("corrupt-warm");
-    let problem = EncodingProblem::full_sat(2, Objective::MajoranaWeight);
-    let cache = engine::SolutionCache::open(&dir).unwrap();
-    let fp = engine::fingerprint(&problem);
-    cache
-        .store(
-            &fp,
-            &engine::CacheEntry {
-                // XX/YY commute: not a valid encoding.
-                strings: ["XX", "YY", "ZI", "IZ"]
-                    .iter()
-                    .map(|s| PauliString::from_str(s).unwrap())
-                    .collect(),
-                weight: 5,
-                optimal: false,
-                strategy: "corrupt".into(),
-            },
-        )
-        .unwrap();
+    // A same-size best-so-far entry whose strings are not an encoding of
+    // this problem, with a *lying* weight below the true optimum.
+    // Published unchecked, it would poison the shared bound (descent
+    // would go straight to UNSAT at 5 and "certify" an invalid encoding
+    // at a weight its strings never had). The engine must treat it as a
+    // miss and certify the real optimum cold.
+    for (what, strings) in untrustworthy() {
+        let dir = tmp_cache("corrupt-warm");
+        let problem = EncodingProblem::full_sat(2, Objective::MajoranaWeight);
+        let cache = engine::SolutionCache::open(&dir).unwrap();
+        let fp = engine::fingerprint(&problem);
+        let poison = engine::CacheEntry {
+            strings,
+            weight: 5,
+            optimal: false,
+            strategy: "corrupt".into(),
+        };
+        cache.store(&fp, &poison).unwrap();
 
-    let outcome = compile(
-        &problem,
-        &EngineConfig {
-            strategies: descent_lanes(),
-            cache_dir: Some(dir.clone()),
-            ..EngineConfig::default()
-        },
-    );
-    assert_eq!(outcome.weight(), Some(6), "optimum survives the bad entry");
-    assert!(outcome.optimal_proved);
-    assert_eq!(
-        outcome.report.cache,
-        CacheStatus::Miss,
-        "an invalid entry is a miss, not a warm start"
-    );
-    assert!(outcome.report.warm_start.is_none());
-    // The poison file was deleted and the genuine result stored in its
-    // place — without the repair, store_if_better would refuse the real
-    // optimum against the lying weight 5 forever.
-    let repaired = cache.lookup(&fp).expect("cache repaired");
-    assert_eq!((repaired.weight, repaired.optimal), (6, true));
-    std::fs::remove_dir_all(&dir).unwrap();
+        let outcome = compile(
+            &problem,
+            &EngineConfig {
+                strategies: descent_lanes(),
+                cache_dir: Some(dir.clone()),
+                ..EngineConfig::default()
+            },
+        );
+        assert_eq!(outcome.weight(), Some(6), "{what}: optimum survives");
+        assert!(outcome.optimal_proved, "{what}");
+        assert_eq!(
+            outcome.report.cache,
+            CacheStatus::Miss,
+            "{what}: an untrustworthy entry is a miss, not a warm start"
+        );
+        assert!(outcome.report.warm_start.is_none(), "{what}");
+        // The poison file was deleted and the genuine result stored in
+        // its place — without the repair, store_if_better would refuse
+        // the real optimum against the lying weight 5 forever.
+        let repaired = cache.lookup(&fp).expect("cache repaired");
+        assert_eq!((repaired.weight, repaired.optimal), (6, true), "{what}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }
 
 #[test]
@@ -344,7 +357,7 @@ fn lying_optimal_entry_is_demoted_and_repaired() {
 fn config_warm_hint_seeds_the_race() {
     // The shard-worker path: no cache, the hint arrives via the config.
     // A valid JW hint must be adopted (source "config") and the race
-    // still certifies; an invalid hint must be ignored entirely.
+    // still certifies; an untrustworthy hint must be ignored entirely.
     let problem = EncodingProblem::full_sat(2, Objective::MajoranaWeight);
     let jw: Vec<PauliString> = ["IX", "IY", "XZ", "YZ"]
         .iter()
@@ -364,21 +377,19 @@ fn config_warm_hint_seeds_the_race() {
     assert_eq!(warm.source, "config");
     assert_eq!(warm.weight, 6, "re-measured, not trusted");
 
-    let invalid: Vec<PauliString> = ["XX", "YY", "ZI", "IZ"]
-        .iter()
-        .map(|s| PauliString::from_str(s).unwrap())
-        .collect();
-    let outcome = compile(
-        &problem,
-        &EngineConfig {
-            strategies: descent_lanes(),
-            warm_hint: Some(invalid),
-            ..EngineConfig::default()
-        },
-    );
-    assert_eq!(outcome.weight(), Some(6));
-    assert!(
-        outcome.report.warm_start.is_none(),
-        "invalid config hint must be discarded"
-    );
+    for (what, hint) in untrustworthy() {
+        let outcome = compile(
+            &problem,
+            &EngineConfig {
+                strategies: descent_lanes(),
+                warm_hint: Some(hint),
+                ..EngineConfig::default()
+            },
+        );
+        assert_eq!(outcome.weight(), Some(6), "{what}");
+        assert!(
+            outcome.report.warm_start.is_none(),
+            "{what}: an untrustworthy config hint must be discarded"
+        );
+    }
 }

@@ -47,7 +47,6 @@ pub mod shared;
 pub mod solver;
 pub mod types;
 mod watch;
-pub mod wire;
 
 pub use cancel::CancelToken;
 pub use card::Totalizer;
@@ -60,4 +59,3 @@ pub use shared::{
 };
 pub use solver::{Model, SolveResult, Solver, SolverStats};
 pub use types::{Lit, Var};
-pub use wire::{Frame, FrameIoError, RemoteClause, WireError};

@@ -1,69 +1,38 @@
-//! Multi-host lane sharding: the TCP transport for the shard protocol.
+//! The TCP transport: a [`FleetServer`] that `fermihedral-shard worker
+//! --connect` processes on any host register with, for as long as it
+//! lives and across any number of races.
 //!
-//! [`crate::coordinator`] races lanes across worker *processes* joined
-//! by pipes — one machine. This module takes the same frame protocol
-//! ([`sat::wire`]) across machines: a [`FleetServer`] listens on a TCP
-//! address, remote `fermihedral-shard worker --connect` processes
-//! register with a `Hello`/`Welcome` handshake, and
-//! [`compile_fleet_with`] races the portfolio across whoever is
-//! registered when the race starts — admitting late joiners, degrading
-//! past dead hosts, and re-arming workers that drop and reconnect.
-//!
-//! What TCP adds over pipes:
+//! What TCP adds under the race ([`crate::link::Link`]):
 //!
 //! * **Registration** — peers come and go; the server assigns shard ids
-//!   at `Hello` time (or honors a reclaimed one: that is a *rejoin*)
-//!   and verifies [`sat::wire::PROTOCOL_VERSION`] on both sides before
-//!   any race traffic flows.
+//!   at `Hello` time (or honors a reclaimed one: that is a *rejoin*) and
+//!   verifies [`PROTOCOL_VERSION`] on both sides before any race traffic
+//!   flows. A race musters whoever is connected when it starts and hears
+//!   of everyone who registers while it runs.
 //! * **Liveness** — workers send `Heartbeat` frames (echoed back, so
-//!   both sides measure silence); a peer silent past
-//!   [`FleetOptions::heartbeat_deadline`] is flagged dead and the race
-//!   degrades to the survivors, exactly like a crashed pipe worker.
-//! * **Rejoin** — a worker that lost its connection mid-race reconnects
-//!   under its shard id and is re-armed: its `Job` is resent, primed
-//!   with the current incumbent bound and a replay of the coordinator's
-//!   learnt-clause digest (the last [`FleetOptions::clause_digest`]
-//!   clauses that crossed the bridge), so it resumes contributing
-//!   instead of restarting cold.
-//! * **Late join** — a worker registering into a *running* race is
-//!   given a job immediately, taking over a dead seat's orphaned lanes
-//!   when there is one.
+//!   both sides measure silence); the link reports each connection's
+//!   silence and [`FleetOptions::heartbeat_deadline`] as its patience —
+//!   for a silent peer and for a dropped one to reconnect alike.
+//! * **Generations** — every (re)connection of a shard id bumps its
+//!   generation, so the race can tell a dying connection's last frames
+//!   from its successor's.
 //!
-//! The cache probe/store, lane partitioning, result validation, and
-//! merge semantics are the pipe coordinator's, shared via
-//! [`coordinator::compile_cached_race`] and [`coordinator::merge_results`]
-//! — the fleet is a transport, not a second engine.
+//! Cutting a peer off is `shutdown(Both)`. A session outlives the race
+//! (the next one may use it) and a remote peer's exit status is
+//! unknowable, so closing a seat does and reports nothing.
 
-use crate::coordinator::{
-    self, compile_cached_race, graft_wire_incumbent, merge_results, record_wire_incumbent,
-    wire_dropped_counter, SeatOutcome, WireIncumbent, WireMeter,
-};
-use crate::proto::{Job, ShardResult};
-use engine::{CacheEntry, EngineConfig, EngineOutcome, ShardReport, SolutionCache, Strategy};
+use crate::link::{read_frames, spawn_writer, Event, Link, Outbox, Sent};
+use crate::race;
+use crate::wire::{write_frame, Frame, FrameRead, FrameReader, HELLO_ANY_SHARD, PROTOCOL_VERSION};
+use engine::{compile_cached, EngineConfig, EngineOutcome, SolutionCache};
 use fermihedral::EncodingProblem;
-use sat::wire::{
-    write_frame, Frame, FrameRead, FrameReader, RemoteClause, HELLO_ANY_SHARD, PROTOCOL_VERSION,
-};
 use sat::CancelToken;
-use std::collections::VecDeque;
 use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
-
-/// Grace between a deadline/decision and the `Cancel` broadcast taking
-/// effect (mirrors the pipe coordinator).
-const CANCEL_GRACE: Duration = Duration::from_millis(500);
-
-/// Grace between `Cancel` and force-disconnecting peers that ignored it.
-const KILL_GRACE: Duration = Duration::from_secs(5);
-
-/// Per-peer outgoing queue depth; frames beyond it are dropped (counted
-/// in `wire_frames_dropped_total` and the seat's report) rather than
-/// letting one slow host head-of-line-block the race.
-const OUTBOX_DEPTH: usize = 1024;
 
 /// How long a connection may sit in the handshake (no `Hello`) before
 /// the server hangs up on it.
@@ -80,9 +49,6 @@ pub struct FleetOptions {
     /// a mid-race disconnect gets the same window to reconnect before
     /// its seat degrades.
     pub heartbeat_deadline: Duration,
-    /// How many recently-forwarded clauses the server retains for
-    /// replay to rejoining and late-joining peers.
-    pub clause_digest: usize,
     /// A race will wait up to `join_timeout` for at least `min_peers`
     /// registered workers before falling back to in-process compilation.
     pub min_peers: usize,
@@ -95,7 +61,6 @@ impl Default for FleetOptions {
     fn default() -> FleetOptions {
         FleetOptions {
             heartbeat_deadline: Duration::from_secs(3),
-            clause_digest: 512,
             min_peers: 1,
             join_timeout: Duration::from_secs(30),
             postmortem_dir: None,
@@ -104,45 +69,27 @@ impl Default for FleetOptions {
 }
 
 /// One registered peer's connection state, owned by the registry. The
-/// race loop reads it under the registry lock; the per-connection
-/// reader/writer threads update it.
+/// race reads it through its [`Link`]; the per-connection reader thread
+/// updates it.
+#[derive(Default)]
 struct PeerSlot {
     /// Outbox into the peer's writer thread; `None` while disconnected.
-    tx: Option<mpsc::SyncSender<Frame>>,
+    tx: Option<Outbox>,
     connected: bool,
     /// Bumped on every (re)connection; events from a previous
-    /// connection's reader carry the old value and are discarded.
+    /// connection's reader carry the old value.
     generation: u64,
     /// Milliseconds since the server's epoch at the last received frame.
     last_rx_ms: Arc<AtomicU64>,
     /// Handle for force-disconnect (liveness kill, server shutdown).
     stream: Option<TcpStream>,
-    dropped: Arc<telemetry::Counter>,
-}
-
-/// What the per-connection threads report into the race loop.
-enum FleetEvent {
-    Joined {
-        shard: usize,
-        rejoin: bool,
-    },
-    Frame {
-        shard: usize,
-        generation: u64,
-        frame: Frame,
-        at: Instant,
-    },
-    Gone {
-        shard: usize,
-        generation: u64,
-    },
 }
 
 struct FleetShared {
     peers: Mutex<Vec<PeerSlot>>,
-    events_tx: mpsc::Sender<FleetEvent>,
-    /// Held by whichever race loop is running; idle between races.
-    events_rx: Mutex<mpsc::Receiver<FleetEvent>>,
+    events_tx: mpsc::Sender<Event>,
+    /// Held by whichever race is running; idle between races.
+    events_rx: Mutex<mpsc::Receiver<Event>>,
     epoch: Instant,
     shutdown: AtomicBool,
     options: FleetOptions,
@@ -151,6 +98,10 @@ struct FleetShared {
 impl FleetShared {
     fn now_ms(&self) -> u64 {
         self.epoch.elapsed().as_millis() as u64
+    }
+
+    fn peers(&self) -> MutexGuard<'_, Vec<PeerSlot>> {
+        self.peers.lock().expect("registry updates never panic")
     }
 }
 
@@ -194,21 +145,15 @@ impl FleetServer {
 
     /// Currently-connected peers.
     pub fn peer_count(&self) -> usize {
-        self.shared
-            .peers
-            .lock()
-            .unwrap()
-            .iter()
-            .filter(|p| p.connected)
-            .count()
+        self.shared.peers().iter().filter(|p| p.connected).count()
     }
 }
 
 impl Drop for FleetServer {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::Relaxed);
-        for peer in self.shared.peers.lock().unwrap().iter() {
-            if let Some(stream) = &peer.stream {
+        if let Ok(peers) = self.shared.peers.lock() {
+            for stream in peers.iter().filter_map(|p| p.stream.as_ref()) {
                 let _ = stream.shutdown(Shutdown::Both);
             }
         }
@@ -235,7 +180,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<FleetShared>) {
 }
 
 /// One worker connection: handshake, register, then pump frames into
-/// the race loop until the peer goes away.
+/// the race until the peer goes away.
 fn serve_connection(stream: TcpStream, peer_addr: SocketAddr, shared: &FleetShared) {
     // ---- Handshake: Hello → Welcome ------------------------------------
     let mut reader = FrameReader::new();
@@ -244,8 +189,7 @@ fn serve_connection(stream: TcpStream, peer_addr: SocketAddr, shared: &FleetShar
         if Instant::now() >= deadline || shared.shutdown.load(Ordering::Relaxed) {
             return;
         }
-        let mut r = &stream;
-        match reader.read(&mut r) {
+        match reader.read(&mut &stream) {
             Ok(FrameRead::Frame {
                 frame: Frame::Hello { shard, protocol },
                 ..
@@ -278,36 +222,30 @@ fn serve_connection(stream: TcpStream, peer_addr: SocketAddr, shared: &FleetShar
     }
 
     // ---- Registration: assign (or restore) a shard id ------------------
-    let (wtx, wrx) = mpsc::sync_channel::<Frame>(OUTBOX_DEPTH);
+    let (Ok(writer), Ok(handle)) = (stream.try_clone(), stream.try_clone()) else {
+        return;
+    };
     let last_rx_ms = Arc::new(AtomicU64::new(shared.now_ms()));
-    let (shard, rejoin, generation) = {
-        let mut peers = shared.peers.lock().unwrap();
+    let (shard, rejoin, generation, outbox) = {
+        let mut peers = shared.peers();
         let reclaimed = (requested != HELLO_ANY_SHARD)
             .then_some(requested as usize)
             .filter(|&s| s < peers.len() && !peers[s].connected);
-        match reclaimed {
-            Some(shard) => {
-                let slot = &mut peers[shard];
-                slot.tx = Some(wtx);
-                slot.connected = true;
-                slot.generation += 1;
-                slot.last_rx_ms = last_rx_ms.clone();
-                slot.stream = stream.try_clone().ok();
-                (shard, true, slot.generation)
-            }
-            None => {
-                let shard = peers.len();
-                peers.push(PeerSlot {
-                    tx: Some(wtx),
-                    connected: true,
-                    generation: 0,
-                    last_rx_ms: last_rx_ms.clone(),
-                    stream: stream.try_clone().ok(),
-                    dropped: wire_dropped_counter("tx", shard),
-                });
-                (shard, false, 0)
-            }
+        let shard = reclaimed.unwrap_or(peers.len());
+        let outbox = spawn_writer(shard, writer, |stream| {
+            let _ = stream.shutdown(Shutdown::Write);
+        });
+        if reclaimed.is_none() {
+            peers.push(PeerSlot::default());
+        } else {
+            peers[shard].generation += 1;
         }
+        let slot = &mut peers[shard];
+        slot.tx = Some(outbox.clone());
+        slot.connected = true;
+        slot.last_rx_ms = last_rx_ms.clone();
+        slot.stream = Some(handle);
+        (shard, reclaimed.is_some(), slot.generation, outbox)
     };
     telemetry::log_info!(
         "shard.fleet",
@@ -316,99 +254,37 @@ fn serve_connection(stream: TcpStream, peer_addr: SocketAddr, shared: &FleetShar
         peer = peer_addr.to_string(),
         rejoin = rejoin,
     );
-
-    // ---- Writer thread: drains the outbox onto the socket --------------
-    {
-        let stream = match stream.try_clone() {
-            Ok(s) => s,
-            Err(_) => return,
-        };
-        std::thread::spawn(move || {
-            let mut stream = stream;
-            let mut meter = WireMeter::new("tx", shard);
-            while let Ok(frame) = wrx.recv() {
-                let bytes = match frame.to_bytes() {
-                    Ok(bytes) => bytes,
-                    Err(e) => {
-                        telemetry::log_warn!(
-                            "shard.fleet",
-                            "dropping unencodable frame",
-                            shard = shard,
-                            kind = frame.kind(),
-                            error = e.to_string(),
-                        );
-                        continue;
-                    }
-                };
-                meter.record(frame.kind(), bytes.len());
-                if stream
-                    .write_all(&bytes)
-                    .and_then(|()| stream.flush())
-                    .is_err()
-                {
-                    return;
-                }
-            }
-            let _ = stream.shutdown(Shutdown::Write);
-        });
-    }
-
-    let outbox = {
-        let peers = shared.peers.lock().unwrap();
-        peers[shard].tx.clone()
-    };
     // Complete the handshake before announcing the peer: the Welcome
-    // must be the first frame out, ahead of any Job the race loop arms.
-    if let Some(tx) = &outbox {
-        let _ = tx.send(Frame::Welcome {
-            shard: shard as u32,
-            protocol: PROTOCOL_VERSION,
-        });
-    }
-    let _ = shared.events_tx.send(FleetEvent::Joined { shard, rejoin });
+    // must be the first frame out, ahead of any Job the race arms.
+    outbox.send(Frame::Welcome {
+        shard: shard as u32,
+        protocol: PROTOCOL_VERSION,
+    });
+    let _ = shared.events_tx.send(Event::Joined { shard, rejoin });
 
-    // ---- Reader loop: socket → race loop -------------------------------
-    let mut meter = WireMeter::new("rx", shard);
-    loop {
-        if shared.shutdown.load(Ordering::Relaxed) {
-            break;
+    // ---- Reader loop: socket → race ------------------------------------
+    read_frames(shard, &stream, reader, Some(&shared.shutdown), |frame| {
+        last_rx_ms.store(shared.now_ms(), Ordering::Relaxed);
+        if let Frame::Heartbeat { seq } = frame {
+            // Echo so the worker can measure *our* liveness too;
+            // best-effort — a full outbox just skips one echo.
+            outbox.send(Frame::Heartbeat { seq });
+            return true;
         }
-        let mut r = &stream;
-        match reader.read(&mut r) {
-            Ok(FrameRead::Frame { frame, wire_bytes }) => {
-                meter.record(frame.kind(), wire_bytes);
-                last_rx_ms.store(shared.now_ms(), Ordering::Relaxed);
-                if let Frame::Heartbeat { seq } = frame {
-                    // Echo so the worker can measure *our* liveness too;
-                    // best-effort — a full outbox just skips one echo.
-                    if let Some(tx) = &outbox {
-                        let _ = tx.try_send(Frame::Heartbeat { seq });
-                    }
-                    continue;
-                }
-                if shared
-                    .events_tx
-                    .send(FleetEvent::Frame {
-                        shard,
-                        generation,
-                        frame,
-                        at: Instant::now(),
-                    })
-                    .is_err()
-                {
-                    break;
-                }
-            }
-            Ok(FrameRead::Idle) => continue,
-            Ok(FrameRead::Eof) | Err(_) => break,
-        }
-    }
+        let event = Event::Frame {
+            shard,
+            generation,
+            frame,
+            at: Instant::now(),
+        };
+        shared.events_tx.send(event).is_ok()
+    });
 
-    // Disconnect: free the slot for a rejoin (the race loop decides
-    // whether/when the seat is *dead* — the liveness deadline gives the
-    // worker a window to come back).
+    // Disconnect: free the slot for a rejoin (the race decides
+    // whether/when the seat is *dead* — its patience gives the worker a
+    // window to come back).
     {
-        let mut peers = shared.peers.lock().unwrap();
+        let mut peers = shared.peers();
         let slot = &mut peers[shard];
         if slot.generation == generation {
             slot.connected = false;
@@ -416,18 +292,15 @@ fn serve_connection(stream: TcpStream, peer_addr: SocketAddr, shared: &FleetShar
             slot.stream = None;
         }
     }
-    let _ = shared
-        .events_tx
-        .send(FleetEvent::Gone { shard, generation });
+    let _ = shared.events_tx.send(Event::Gone { shard, generation });
     telemetry::log_info!("shard.fleet", "worker disconnected", shard = shard);
 }
 
 /// Server form of the fleet race, mirroring
-/// [`coordinator::compile_sharded_with`]: shared cache, external
-/// cancellation, and the registered fleet as the transport. With no
-/// peers registered within the join window the race degrades to the
-/// in-process engine (the same total-loss containment as all-dead pipe
-/// workers).
+/// [`crate::compile_sharded_with`]: shared cache, external cancellation,
+/// and the registered fleet as the transport. With no peers registered
+/// within the join window the race degrades to the in-process engine
+/// (the same total-loss containment as all-dead pipe workers).
 pub fn compile_fleet_with(
     problem: &EncodingProblem,
     config: &EngineConfig,
@@ -435,551 +308,99 @@ pub fn compile_fleet_with(
     external_cancel: Option<&CancelToken>,
     server: &FleetServer,
 ) -> EngineOutcome {
-    compile_cached_race(
-        problem,
-        config,
-        cache,
-        external_cancel,
-        server.peer_count().max(1),
-        |fp_hex, strategies, warm_start, started| {
-            run_fleet_race(
-                server,
-                problem,
-                config,
-                fp_hex,
-                strategies,
-                warm_start,
-                started,
-                external_cancel,
-            )
-        },
-    )
-}
-
-/// One race seat: a shard id's contribution, whichever connections
-/// carried it.
-struct Seat {
-    report: ShardReport,
-    result: Option<ShardResult>,
-    black_box: Option<Vec<u8>>,
-    job: Option<Job>,
-    /// Mid-race disconnect time; cleared on rejoin, promoted to `dead`
-    /// once the liveness deadline passes without one.
-    missing_since: Option<Instant>,
-    /// A late joiner took over this dead seat's lanes.
-    orphan_claimed: bool,
-    /// Disconnected during post-cancel wind-down: resultless by design,
-    /// not a death — and no longer gating the race's completion.
-    wound_down: bool,
-}
-
-impl Seat {
-    fn new(shard: usize) -> Seat {
-        Seat {
-            report: ShardReport {
-                shard,
-                ..ShardReport::default()
-            },
-            result: None,
-            black_box: None,
-            job: None,
-            missing_since: None,
-            orphan_claimed: false,
-            wound_down: false,
-        }
-    }
-
-    /// Accounted seats no longer gate the race's completion.
-    fn accounted(&self) -> bool {
-        self.result.is_some() || self.report.dead || self.job.is_none() || self.wound_down
-    }
-}
-
-/// Queues `frame` for `shard`'s writer; counts drops against the seat.
-fn fleet_send(shared: &FleetShared, seats: &mut [Seat], shard: usize, frame: &Frame) -> bool {
-    let peers = shared.peers.lock().unwrap();
-    let Some(slot) = peers.get(shard) else {
-        return false;
-    };
-    let Some(tx) = slot.tx.as_ref() else {
-        return false;
-    };
-    match tx.try_send(frame.clone()) {
-        Ok(()) => true,
-        Err(mpsc::TrySendError::Full(_)) => {
-            seats[shard].report.frames_dropped += 1;
-            slot.dropped.inc();
-            false
-        }
-        Err(mpsc::TrySendError::Disconnected(_)) => false,
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_fleet_race(
-    server: &FleetServer,
-    problem: &EncodingProblem,
-    config: &EngineConfig,
-    fp_hex: &str,
-    strategies: &[Strategy],
-    warm_start: Option<&CacheEntry>,
-    started: Instant,
-    external_cancel: Option<&CancelToken>,
-) -> (EngineOutcome, usize) {
-    let shared = &server.shared;
-    let opts = &shared.options;
-
-    // ---- Wait for the fleet to muster ----------------------------------
-    let join_deadline = Instant::now() + opts.join_timeout;
-    while server.peer_count() < opts.min_peers {
-        if Instant::now() >= join_deadline || external_cancel.is_some_and(CancelToken::is_cancelled)
-        {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
-
-    let events = shared.events_rx.lock().unwrap();
-    // Flush anything queued before this race (stale results/traces from
-    // a previous race, join/leave churn): the registry snapshot below is
-    // the ground truth for who is connected *now*.
-    while events.try_recv().is_ok() {}
-
-    // ---- Seats and jobs -------------------------------------------------
-    let connected: Vec<usize> = {
-        let peers = shared.peers.lock().unwrap();
-        peers
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.connected)
-            .map(|(i, _)| i)
-            .collect()
-    };
-    let slot_count = shared.peers.lock().unwrap().len();
-    let mut seats: Vec<Seat> = (0..slot_count).map(Seat::new).collect();
-    if connected.is_empty() {
-        telemetry::log_warn!(
-            "shard.fleet",
-            "no workers registered; degrading to in-process race",
-            waited_ms = opts.join_timeout.as_millis() as u64,
-        );
-        // Zero seats → the caller's total-loss containment races
-        // in-process.
-        return merge_results(
-            started,
-            &[],
-            problem,
-            warm_start.map(|e| e.weight),
-            Vec::new(),
-        );
-    }
-    let parts = engine::partition_strategies(strategies, connected.len());
-    telemetry::log_info!(
-        "shard.fleet",
-        "race started",
-        peers = connected.len(),
-        modes = problem.num_modes(),
-        lanes = strategies.len(),
-        fingerprint = fp_hex,
-    );
-
-    let make_job = |shard: usize, lanes: &[Strategy], total: usize| Job {
-        shard,
-        total_shards: total,
-        fingerprint: fp_hex.to_string(),
-        problem: problem.clone(),
-        strategies: lanes.to_vec(),
-        total_timeout: config.total_timeout,
-        conflict_budget_per_call: config.conflict_budget_per_call,
-        persist_on_budget: config.persist_on_budget,
-        clause_sharing: config.clause_sharing,
-        max_concurrency: config.max_concurrency,
-        warm_hint: warm_start.map(|e| e.strings.clone()),
-        trace_id: telemetry::global().is_enabled().then(|| fp_hex.to_string()),
-    };
-
-    let initial_bound = warm_start.map(|e| e.weight);
-    let mut best_bound = initial_bound.unwrap_or(usize::MAX);
-    let mut floor = 0usize;
-    let mut floor_claims: Vec<usize> = Vec::new();
-    // Best encoding shipped over the wire alongside a Bound improvement
-    // — survives its finder's death; grafted into the merge below.
-    let mut wire_best: Option<WireIncumbent> = None;
-    let mut cancel_sent_at: Option<Instant> = None;
-    let mut digest: VecDeque<RemoteClause> = VecDeque::new();
-    let forward_latency = telemetry::global().metrics().histogram(
-        "bridge_forward_latency",
-        &[50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 50_000],
-    );
-
-    // Arm a seat: job, current bound, digest replay. Used for the
-    // starting fleet, late joiners, and rejoins alike.
-    let arm = |seats: &mut Vec<Seat>,
-               digest: &VecDeque<RemoteClause>,
-               best_bound: usize,
-               shard: usize,
-               lanes: &[Strategy]| {
-        let total = seats.len();
-        let job = make_job(shard, lanes, total);
-        fleet_send(shared, seats, shard, &Frame::Job(job.to_bytes()));
-        seats[shard].job = Some(job);
-        seats[shard].report.lanes = lanes.len();
-        if best_bound != usize::MAX {
-            fleet_send(shared, seats, shard, &Frame::Bound(best_bound as u64));
-        }
-        for clause in digest {
-            if clause.shard as usize != shard {
-                fleet_send(shared, seats, shard, &Frame::Clause(clause.clone()));
-            }
-        }
-    };
-
-    for (k, &shard) in connected.iter().enumerate() {
-        arm(
-            &mut seats,
-            &digest,
-            best_bound,
-            shard,
-            &parts[k % parts.len()],
-        );
-    }
-
-    // ---- Event loop ------------------------------------------------------
-    let lag_gauge = |shard: usize| {
-        telemetry::global()
-            .metrics()
-            .gauge(&format!("fleet_heartbeat_lag_ms{{shard=\"{shard}\"}}"))
-    };
-    loop {
-        if !seats.is_empty() && seats.iter().all(Seat::accounted) {
-            break;
-        }
-
-        let now = Instant::now();
-        let overdue = config
-            .total_timeout
-            .is_some_and(|t| now >= started + t + CANCEL_GRACE);
-        let externally_cancelled = external_cancel.is_some_and(CancelToken::is_cancelled);
-        if (overdue || externally_cancelled) && cancel_sent_at.is_none() {
-            for shard in 0..seats.len() {
-                fleet_send(shared, &mut seats, shard, &Frame::Cancel);
-            }
-            cancel_sent_at = Some(now);
-        }
-        if cancel_sent_at.is_some_and(|at| now >= at + KILL_GRACE) {
-            // Peers that ignored Cancel long past grace: disconnect them
-            // and close the race on whatever reports exist.
-            let peers = shared.peers.lock().unwrap();
-            for (shard, seat) in seats.iter_mut().enumerate() {
-                if !seat.accounted() {
-                    seat.report.dead = true;
-                    if let Some(stream) = peers.get(shard).and_then(|p| p.stream.as_ref()) {
-                        let _ = stream.shutdown(Shutdown::Both);
-                    }
-                }
-            }
-            break;
-        }
-
-        // ---- Liveness: heartbeat lag and reconnect windows --------------
-        {
-            let peers = shared.peers.lock().unwrap();
-            let now_ms = shared.now_ms();
-            for (shard, seat) in seats.iter_mut().enumerate() {
-                if seat.accounted() {
-                    continue;
-                }
-                let Some(slot) = peers.get(shard) else {
-                    continue;
-                };
-                if slot.connected {
-                    let lag = now_ms.saturating_sub(slot.last_rx_ms.load(Ordering::Relaxed));
-                    lag_gauge(shard).set(lag as i64);
-                    if lag > opts.heartbeat_deadline.as_millis() as u64 {
-                        telemetry::log_warn!(
-                            "shard.fleet",
-                            "worker silent past deadline; degrading to survivors",
-                            shard = shard,
-                            lag_ms = lag,
-                        );
-                        seat.report.dead = true;
-                        if let Some(stream) = &slot.stream {
-                            let _ = stream.shutdown(Shutdown::Both);
-                        }
-                    }
-                } else if seat
-                    .missing_since
-                    .is_some_and(|since| now >= since + opts.heartbeat_deadline)
-                {
-                    telemetry::log_warn!(
-                        "shard.fleet",
-                        "worker never rejoined; degrading to survivors",
-                        shard = shard,
-                    );
-                    seat.report.dead = true;
-                }
-            }
-        }
-
-        let event = match events.recv_timeout(Duration::from_millis(20)) {
-            Ok(event) => event,
-            Err(mpsc::RecvTimeoutError::Timeout) => continue,
-            Err(mpsc::RecvTimeoutError::Disconnected) => break,
+    let shared = &*server.shared;
+    compile_cached(problem, config, cache, "shard.race", |input| {
+        let mut link = FleetLink {
+            shared,
+            events: shared
+                .events_rx
+                .lock()
+                .expect("a race never panics holding the queue"),
+            external_cancel,
         };
-        // Discard frames from a connection the registry has already
-        // superseded (a rejoin bumped the generation).
-        if let FleetEvent::Frame {
-            shard, generation, ..
-        }
-        | FleetEvent::Gone { shard, generation } = &event
+        let postmortem_dir = shared.options.postmortem_dir.as_deref();
+        race::run_or_race_in_process(&mut link, input, external_cancel, postmortem_dir)
+    })
+}
+
+/// One race's hold on the server's registry and event queue.
+struct FleetLink<'a> {
+    shared: &'a FleetShared,
+    events: MutexGuard<'a, mpsc::Receiver<Event>>,
+    external_cancel: Option<&'a CancelToken>,
+}
+
+impl Link for FleetLink<'_> {
+    fn muster(&mut self) -> Vec<usize> {
+        let opts = &self.shared.options;
+        let connected = || -> Vec<usize> {
+            let peers = self.shared.peers();
+            (0..peers.len()).filter(|&s| peers[s].connected).collect()
+        };
+        let join_deadline = Instant::now() + opts.join_timeout;
+        while connected().len() < opts.min_peers
+            && Instant::now() < join_deadline
+            && !self.external_cancel.is_some_and(CancelToken::is_cancelled)
         {
-            let peers = shared.peers.lock().unwrap();
-            let current = peers.get(*shard).map(|p| p.generation).unwrap_or(0);
-            if *generation != current {
-                // A dying connection's last incumbent is still a
-                // race-global fact (validated on its own evidence) —
-                // rescue it; everything else from a stale link drops.
-                if let FleetEvent::Frame {
-                    shard,
-                    frame: Frame::Incumbent(payload),
-                    ..
-                } = &event
-                {
-                    record_wire_incumbent(&mut wire_best, problem, *shard, payload);
-                }
-                continue;
-            }
+            std::thread::sleep(Duration::from_millis(20));
         }
-        match event {
-            FleetEvent::Joined { shard, rejoin } => {
-                while seats.len() <= shard {
-                    let next = seats.len();
-                    seats.push(Seat::new(next));
-                }
-                let seat = &mut seats[shard];
-                seat.missing_since = None;
-                if rejoin {
-                    seat.report.rejoins += 1;
-                    seat.report.dead = false;
-                }
-                if seat.result.is_some() {
-                    continue; // already contributed; idle until next race
-                }
-                if cancel_sent_at.is_some() {
-                    // Race is winding down; don't arm a seat nobody will
-                    // wait for — and don't let it gate completion either.
-                    fleet_send(shared, &mut seats, shard, &Frame::Cancel);
-                    seats[shard].wound_down = true;
-                    continue;
-                }
-                seats[shard].wound_down = false;
-                let lanes: Vec<Strategy> = if let Some(job) = &seats[shard].job {
-                    // Rejoin: same lanes it had (re-sent — the worker's
-                    // local race died with the connection).
-                    job.strategies.clone()
-                } else if let Some(orphan) = seats.iter().position(|s| {
-                    s.report.dead && !s.orphan_claimed && s.result.is_none() && s.job.is_some()
-                }) {
-                    // Late joiner inherits a dead seat's lanes.
-                    seats[orphan].orphan_claimed = true;
-                    seats[orphan].job.as_ref().unwrap().strategies.clone()
-                } else {
-                    parts[shard % parts.len()].clone()
-                };
-                telemetry::log_info!(
-                    "shard.fleet",
-                    "arming worker",
-                    shard = shard,
-                    rejoin = rejoin,
-                    lanes = lanes.len(),
-                    digest_replay = digest.len(),
-                );
-                arm(&mut seats, &digest, best_bound, shard, &lanes);
-            }
-            FleetEvent::Gone { shard, .. } => {
-                if seats[shard].accounted() {
-                    continue;
-                }
-                if cancel_sent_at.is_some() {
-                    // Post-cancel wind-down: a worker hanging up instead
-                    // of delivering a Result is not a death, and must not
-                    // gate completion.
-                    seats[shard].wound_down = true;
-                    continue;
-                }
-                telemetry::log_warn!(
-                    "shard.fleet",
-                    "worker connection lost mid-race; holding its seat",
-                    shard = shard,
-                    window_ms = opts.heartbeat_deadline.as_millis() as u64,
-                );
-                seats[shard].missing_since = Some(Instant::now());
-            }
-            FleetEvent::Frame {
-                shard, frame, at, ..
-            } => {
-                forward_latency.record(at.elapsed());
-                if shard >= seats.len() {
-                    continue;
-                }
-                match frame {
-                    Frame::Clause(RemoteClause { clause, .. }) => {
-                        seats[shard].report.clauses_sent += 1;
-                        if cancel_sent_at.is_some() {
-                            continue;
-                        }
-                        let remote = RemoteClause {
-                            shard: shard as u32, // trust the connection, not the tag
-                            clause,
-                        };
-                        digest.push_back(remote.clone());
-                        while digest.len() > opts.clause_digest {
-                            digest.pop_front();
-                        }
-                        let forwarded = Frame::Clause(remote);
-                        for target in 0..seats.len() {
-                            if target != shard
-                                && !seats[target].accounted()
-                                && fleet_send(shared, &mut seats, target, &forwarded)
-                            {
-                                seats[target].report.clauses_received += 1;
-                            }
-                        }
-                    }
-                    Frame::Bound(weight) => {
-                        seats[shard].report.bounds_sent += 1;
-                        let weight = weight as usize;
-                        if weight < best_bound {
-                            best_bound = weight;
-                            for target in 0..seats.len() {
-                                if target != shard
-                                    && !seats[target].accounted()
-                                    && cancel_sent_at.is_none()
-                                    && fleet_send(
-                                        shared,
-                                        &mut seats,
-                                        target,
-                                        &Frame::Bound(weight as u64),
-                                    )
-                                {
-                                    seats[target].report.bounds_received += 1;
-                                }
-                            }
-                            if floor != 0 && best_bound <= floor && cancel_sent_at.is_none() {
-                                for target in 0..seats.len() {
-                                    fleet_send(shared, &mut seats, target, &Frame::Cancel);
-                                }
-                                cancel_sent_at = Some(Instant::now());
-                            }
-                        }
-                    }
-                    Frame::Floor(f) => {
-                        floor = floor.max(f as usize);
-                        floor_claims.push(f as usize);
-                        if floor != 0 && best_bound <= floor && cancel_sent_at.is_none() {
-                            for target in 0..seats.len() {
-                                fleet_send(shared, &mut seats, target, &Frame::Cancel);
-                            }
-                            cancel_sent_at = Some(Instant::now());
-                        }
-                    }
-                    Frame::Result(payload) => match ShardResult::from_bytes(&payload) {
-                        Ok(result) => {
-                            if let Some(f) = result.proved_floor {
-                                floor = floor.max(f);
-                                floor_claims.push(f);
-                            }
-                            if let Some(w) = result.weight {
-                                best_bound = best_bound.min(w);
-                            }
-                            let decided = result.optimal || (floor != 0 && best_bound <= floor);
-                            seats[shard].result = Some(result);
-                            if decided && cancel_sent_at.is_none() {
-                                for target in 0..seats.len() {
-                                    fleet_send(shared, &mut seats, target, &Frame::Cancel);
-                                }
-                                cancel_sent_at = Some(Instant::now());
-                            }
-                        }
-                        Err(e) => {
-                            telemetry::log_error!(
-                                "shard.fleet",
-                                "worker sent a bad result; marking it dead",
-                                shard = shard,
-                                error = e,
-                            );
-                            seats[shard].report.dead = true;
-                        }
-                    },
-                    Frame::Trace(payload) => {
-                        let registry = telemetry::global();
-                        match std::str::from_utf8(&payload)
-                            .map_err(|_| "not UTF-8".to_string())
-                            .and_then(telemetry::chrome::TraceBatch::from_json)
-                        {
-                            Ok(mut batch) => {
-                                registry
-                                    .metrics()
-                                    .gauge(&format!("trace_worker_dropped{{shard=\"{shard}\"}}"))
-                                    .set(batch.dropped as i64);
-                                batch.shift_onto(registry.epoch_wall_us());
-                                registry.inject(batch.events);
-                            }
-                            Err(e) => {
-                                telemetry::log_warn!(
-                                    "shard.fleet",
-                                    "worker sent a bad trace batch; dropping it",
-                                    shard = shard,
-                                    error = e,
-                                );
-                            }
-                        }
-                    }
-                    Frame::BlackBox(payload) => {
-                        seats[shard].black_box = Some(payload);
-                    }
-                    Frame::Incumbent(payload) => {
-                        record_wire_incumbent(&mut wire_best, problem, shard, &payload);
-                    }
-                    _ => {} // Hello/Welcome/Job/Cancel from a peer: ignore
-                }
-            }
+        // Flush anything queued before this race (stale results/traces
+        // from a previous race, join/leave churn): the registry snapshot
+        // is the ground truth for who is connected *now*, and each of
+        // them is announced afresh.
+        while self.events.try_recv().is_ok() {}
+        let muster = connected();
+        for &shard in &muster {
+            let _ = self.shared.events_tx.send(Event::Joined {
+                shard,
+                rejoin: false,
+            });
         }
-    }
-    drop(events);
-
-    // ---- Post-mortems for dead seats ------------------------------------
-    let postmortem_dir = opts
-        .postmortem_dir
-        .clone()
-        .or_else(|| std::env::var_os("FERMIHEDRAL_POSTMORTEM_DIR").map(PathBuf::from));
-    if let Some(dir) = postmortem_dir {
-        if seats.iter().any(|s| s.report.dead) && std::fs::create_dir_all(&dir).is_ok() {
-            for seat in &seats {
-                let (true, Some(job)) = (seat.report.dead, seat.job.as_ref()) else {
-                    continue;
-                };
-                coordinator::write_postmortem_bundle(
-                    &dir,
-                    seat.report.shard,
-                    None, // remote peer: exit status unknowable
-                    job,
-                    &seat.report,
-                    seat.black_box.as_deref(),
-                );
-            }
+        if muster.is_empty() {
+            telemetry::log_warn!(
+                "shard.fleet",
+                "no workers registered; degrading to in-process race",
+                waited_ms = opts.join_timeout.as_millis() as u64,
+            );
         }
+        muster
     }
 
-    // ---- Merge (shared with the pipe coordinator) ------------------------
-    let mut outcomes: Vec<SeatOutcome> = seats
-        .into_iter()
-        .filter(|s| s.job.is_some())
-        .map(|s| SeatOutcome {
-            report: s.report,
-            result: s.result,
-        })
-        .collect();
-    graft_wire_incumbent(&mut outcomes, wire_best);
-    merge_results(started, &floor_claims, problem, initial_bound, outcomes)
+    fn poll(&mut self, timeout: Duration) -> Result<Event, mpsc::RecvTimeoutError> {
+        self.events.recv_timeout(timeout)
+    }
+
+    fn send(&mut self, shard: usize, frame: &Frame) -> Sent {
+        let peers = self.shared.peers();
+        let outbox = peers.get(shard).and_then(|slot| slot.tx.as_ref());
+        outbox.map_or(Sent::Closed, |outbox| outbox.send(frame.clone()))
+    }
+
+    fn generation(&self, shard: usize) -> u64 {
+        self.shared.peers().get(shard).map_or(0, |p| p.generation)
+    }
+
+    fn patience(&self) -> Option<Duration> {
+        Some(self.shared.options.heartbeat_deadline)
+    }
+
+    fn silence(&self, shard: usize) -> Option<Duration> {
+        let peers = self.shared.peers();
+        let slot = peers.get(shard).filter(|slot| slot.connected)?;
+        let last_rx_ms = slot.last_rx_ms.load(Ordering::Relaxed);
+        Some(Duration::from_millis(
+            self.shared.now_ms().saturating_sub(last_rx_ms),
+        ))
+    }
+
+    fn disconnect(&mut self, shard: usize) {
+        if let Some(stream) = self
+            .shared
+            .peers()
+            .get(shard)
+            .and_then(|p| p.stream.as_ref())
+        {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
+    }
 }

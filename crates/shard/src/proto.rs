@@ -1,6 +1,6 @@
-//! JSON payloads carried inside [`sat::wire`] `Job` and `Result` frames.
+//! JSON payloads carried inside [`crate::wire`] `Job` and `Result` frames.
 //!
-//! The frame layer ([`sat::wire`]) is deliberately ignorant of what a job
+//! The frame layer ([`crate::wire`]) is deliberately ignorant of what a job
 //! or a result *is*; this module owns those two schemas. Everything is
 //! explicit field-by-field (de)serialization over `jsonkit` — the
 //! container has no serde — and every parser returns `Option`/`Err`
@@ -215,21 +215,7 @@ impl Job {
                 None | Some(Value::Null) => None,
                 Some(v) => Some(v.as_usize().ok_or("\"max_concurrency\" mistyped")?),
             },
-            warm_hint: match doc.get("warm_hint") {
-                None | Some(Value::Null) => None,
-                Some(v) => Some(
-                    v.as_arr()
-                        .ok_or("\"warm_hint\" mistyped")?
-                        .iter()
-                        .map(|s| {
-                            s.as_str()
-                                .ok_or("non-string warm-hint entry")?
-                                .parse::<PauliString>()
-                                .map_err(|_| "unparseable warm-hint Pauli string")
-                        })
-                        .collect::<Result<Vec<_>, _>>()?,
-                ),
-            },
+            warm_hint: strings_from_json(&doc, "warm_hint")?,
             // Tolerant: jobs written before tracing existed mean "off".
             trace_id: doc
                 .get("trace_id")
@@ -297,24 +283,9 @@ impl ShardResult {
     pub fn from_bytes(bytes: &[u8]) -> Result<ShardResult, String> {
         let text = std::str::from_utf8(bytes).map_err(|_| "result is not UTF-8".to_string())?;
         let doc = jsonkit::parse(text).map_err(|e| format!("result: {e}"))?;
-        let strings = match doc.get("strings") {
-            None | Some(Value::Null) => None,
-            Some(v) => Some(
-                v.as_arr()
-                    .ok_or("\"strings\" mistyped")?
-                    .iter()
-                    .map(|s| {
-                        s.as_str()
-                            .ok_or("non-string Pauli entry")?
-                            .parse::<PauliString>()
-                            .map_err(|_| "unparseable Pauli string")
-                    })
-                    .collect::<Result<Vec<_>, _>>()?,
-            ),
-        };
         Ok(ShardResult {
             weight: doc.get("weight").and_then(Value::as_usize),
-            strings,
+            strings: strings_from_json(&doc, "strings")?,
             proved_floor: doc.get("proved_floor").and_then(Value::as_usize),
             optimal: doc
                 .get("optimal")
@@ -454,18 +425,8 @@ impl IncumbentUpdate {
     pub fn from_bytes(bytes: &[u8]) -> Result<IncumbentUpdate, String> {
         let text = std::str::from_utf8(bytes).map_err(|_| "incumbent is not UTF-8".to_string())?;
         let doc = jsonkit::parse(text).map_err(|e| format!("incumbent: {e}"))?;
-        let strings = doc
-            .get("strings")
-            .and_then(Value::as_arr)
-            .ok_or("incumbent field \"strings\" missing or mistyped")?
-            .iter()
-            .map(|s| {
-                s.as_str()
-                    .ok_or("non-string Pauli entry")?
-                    .parse::<PauliString>()
-                    .map_err(|_| "unparseable Pauli string")
-            })
-            .collect::<Result<Vec<_>, _>>()?;
+        let strings =
+            strings_from_json(&doc, "strings")?.ok_or("incumbent field \"strings\" missing")?;
         if strings.is_empty() {
             return Err("incumbent carries no strings".to_string());
         }
@@ -491,6 +452,23 @@ impl IncumbentUpdate {
 // Problem documents use the workspace-wide schema shared with the HTTP
 // API ([`engine::problemio`]); the wire passes no mode cap — the
 // coordinator already built the problem it is shipping.
+
+/// An encoding as it travels in a payload: an array of Pauli-string
+/// texts under `field`, absent or `null` for "none". Syntax only — whether
+/// the strings encode the problem at hand is for `engine::check_encoding`
+/// to say, wherever they are about to be trusted.
+fn strings_from_json(doc: &Value, field: &str) -> Result<Option<Vec<PauliString>>, String> {
+    let Some(value) = doc.get(field).filter(|v| !matches!(v, Value::Null)) else {
+        return Ok(None);
+    };
+    let texts = value.as_arr().ok_or(format!("{field:?} mistyped"))?;
+    let parsed = texts.iter().map(|text| {
+        let text = text.as_str().ok_or(format!("non-string {field:?} entry"))?;
+        text.parse::<PauliString>()
+            .map_err(|_| format!("unparseable Pauli string in {field:?}"))
+    });
+    parsed.collect::<Result<Vec<_>, _>>().map(Some)
+}
 
 /// `u64` values (seeds, budgets) travel as decimal strings: JSON numbers
 /// are `f64` in this workspace's parser, which silently rounds integers

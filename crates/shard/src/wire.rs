@@ -4,12 +4,11 @@
 //! protocol version 4, across hosts (ROADMAP: multi-host sharding); the
 //! coordinator and its workers talk over pipes or TCP in the frame
 //! format defined here. The protocol carries exactly the traffic
-//! [`SharedContext`](crate::shared::SharedContext) moves between
-//! in-process lanes — learnt clauses, incumbent bounds, UNSAT floors,
-//! cancellation — plus opaque job/result payloads whose schema belongs
-//! to the shard crate, not to this one, plus the fleet-membership
-//! frames ([`Frame::Welcome`], [`Frame::Heartbeat`]) that make the TCP
-//! transport elastic.
+//! [`sat::SharedContext`] moves between in-process lanes — learnt
+//! clauses, incumbent bounds, UNSAT floors, cancellation — plus opaque
+//! job/result payloads whose schema belongs to [`crate::proto`], not to
+//! this module, plus the fleet-membership frames ([`Frame::Welcome`],
+//! [`Frame::Heartbeat`]) that make the TCP transport elastic.
 //!
 //! # Frame layout
 //!
@@ -42,8 +41,7 @@
 //! tag is [`WireError::BadTag`]. All structured, so a bridge can log
 //! and drop a bad peer instead of taking the coordinator down with it.
 
-use crate::shared::SharedClause;
-use crate::types::Lit;
+use sat::{Lit, SharedClause};
 use std::io::{self, Read, Write};
 
 /// Protocol version; bump on any incompatible frame change. A peer
@@ -558,50 +556,6 @@ impl Cursor<'_> {
     }
 }
 
-/// Failures of the blocking [`read_frame`] / [`write_frame`] helpers
-/// and of [`FrameReader`].
-#[derive(Debug)]
-pub enum FrameIoError {
-    /// The underlying stream failed.
-    Io(io::Error),
-    /// The stream delivered a malformed frame.
-    Wire(WireError),
-}
-
-impl std::fmt::Display for FrameIoError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FrameIoError::Io(e) => write!(f, "frame I/O: {e}"),
-            FrameIoError::Wire(e) => write!(f, "frame decode: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for FrameIoError {}
-
-impl From<io::Error> for FrameIoError {
-    fn from(e: io::Error) -> Self {
-        FrameIoError::Io(e)
-    }
-}
-
-impl From<WireError> for FrameIoError {
-    fn from(e: WireError) -> Self {
-        FrameIoError::Wire(e)
-    }
-}
-
-/// Is this I/O error a "try the same read again" condition rather than
-/// a dead stream? `Interrupted` is a stray signal; `WouldBlock` /
-/// `TimedOut` are a read timeout expiring on a transport that has one
-/// (every TCP peer here does).
-fn retryable(kind: io::ErrorKind) -> bool {
-    matches!(
-        kind,
-        io::ErrorKind::Interrupted | io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-    )
-}
-
 /// One step of a [`FrameReader`].
 #[derive(Debug)]
 pub enum FrameRead {
@@ -621,19 +575,23 @@ pub enum FrameRead {
     Idle,
 }
 
-/// A buffered, resumable frame reader for streams with read timeouts.
+/// The buffered, resumable frame reader every stream is read through —
+/// blocking pipes and TCP sockets with read timeouts alike.
 ///
-/// The stateless [`read_frame`] helper cannot survive a read timeout at
-/// an arbitrary byte position without either blocking forever or losing
-/// the bytes it already consumed — fatal over TCP, where every peer
-/// sets a timeout to stay responsive to shutdown. `FrameReader` buffers
-/// partial input across calls instead: a timeout surfaces as
-/// [`FrameRead::Idle`] with the partial frame retained, `Interrupted`
-/// is retried internally, and only EOF-inside-a-frame or corruption
-/// surface as errors.
+/// A read timeout can expire at an arbitrary byte position; a reader
+/// that kept no state would either block forever or lose the bytes it
+/// already consumed — fatal over TCP, where every peer sets a timeout to
+/// stay responsive to shutdown. `FrameReader` buffers partial input
+/// across calls instead: a timeout surfaces as [`FrameRead::Idle`] with
+/// the partial frame retained, `Interrupted` is retried internally, and
+/// only EOF-inside-a-frame or corruption surface as errors. On a
+/// blocking stream without a timeout (a pipe) `Idle` simply never
+/// happens.
 ///
-/// The reader owns its buffer, not the stream, so the same reader can
-/// follow a stream wherever the caller moves it.
+/// The reader owns its buffer, not the stream, and one `read` may pull
+/// several frames off the stream at once: whoever takes over the stream
+/// must take the reader with it, or the frames already buffered are
+/// lost.
 #[derive(Debug, Default)]
 pub struct FrameReader {
     buf: Vec<u8>,
@@ -662,8 +620,10 @@ impl FrameReader {
     /// # Errors
     ///
     /// EOF in the middle of a frame ([`io::ErrorKind::UnexpectedEof`]),
-    /// non-retryable stream failures, and corrupt frames.
-    pub fn read(&mut self, stream: &mut impl Read) -> Result<FrameRead, FrameIoError> {
+    /// non-retryable stream failures, and corrupt frames
+    /// ([`io::ErrorKind::InvalidData`] wrapping the [`WireError`]) — to a
+    /// caller they all mean the same thing: this stream is finished.
+    pub fn read(&mut self, stream: &mut impl Read) -> io::Result<FrameRead> {
         loop {
             if self.pending() > 0 {
                 match Frame::decode(&self.buf[self.start..]) {
@@ -682,7 +642,7 @@ impl FrameReader {
                         });
                     }
                     Err(WireError::Truncated { .. }) => {} // need more bytes
-                    Err(e) => return Err(e.into()),
+                    Err(e) => return Err(io::Error::new(io::ErrorKind::InvalidData, e)),
                 }
             }
             let filled = self.buf.len();
@@ -693,10 +653,10 @@ impl FrameReader {
                     if self.pending() == 0 {
                         return Ok(FrameRead::Eof);
                     }
-                    return Err(FrameIoError::Io(io::Error::new(
+                    return Err(io::Error::new(
                         io::ErrorKind::UnexpectedEof,
                         "EOF inside a frame",
-                    )));
+                    ));
                 }
                 Ok(n) => self.buf.truncate(filled + n),
                 Err(e) => {
@@ -706,117 +666,11 @@ impl FrameReader {
                         io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => {
                             return Ok(FrameRead::Idle)
                         }
-                        _ => return Err(e.into()),
+                        _ => return Err(e),
                     }
                 }
             }
         }
-    }
-}
-
-/// Reads one frame from a blocking stream.
-///
-/// Returns `Ok(None)` on a clean EOF *between* frames (the peer closed
-/// its end); EOF in the middle of a frame is an
-/// [`io::ErrorKind::UnexpectedEof`] error. `Interrupted` and
-/// timeout-style errors (`WouldBlock`/`TimedOut`) are retried at the
-/// exact byte position reached, so a read timeout never desyncs the
-/// stream — but a caller that needs to *do something* on a timeout
-/// (check a cancel flag, send a heartbeat) should use [`FrameReader`]
-/// instead, which surfaces timeouts as [`FrameRead::Idle`].
-///
-/// # Errors
-///
-/// Stream failures and malformed frames; see [`FrameIoError`].
-pub fn read_frame(stream: &mut impl Read) -> Result<Option<Frame>, FrameIoError> {
-    Ok(read_frame_counted(stream)?.map(|(frame, _)| frame))
-}
-
-/// Fills `buf` exactly, retrying interrupted and timed-out reads.
-fn read_exact_resumable(stream: &mut impl Read, buf: &mut [u8]) -> io::Result<()> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "EOF inside a frame",
-                ))
-            }
-            Ok(n) => filled += n,
-            Err(e) if retryable(e.kind()) => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(())
-}
-
-/// [`read_frame`], plus the number of wire bytes the frame occupied
-/// (length prefixes included, spanning any chunk run) — the input for
-/// per-direction byte metrics.
-///
-/// # Errors
-///
-/// Same as [`read_frame`].
-pub fn read_frame_counted(stream: &mut impl Read) -> Result<Option<(Frame, usize)>, FrameIoError> {
-    let mut assembled: Option<Vec<u8>> = None;
-    let mut wire = 0usize;
-    loop {
-        let mut prefix = [0u8; 4];
-        let mut filled = 0;
-        while filled < 4 {
-            match stream.read(&mut prefix[filled..]) {
-                Ok(0) if filled == 0 && wire == 0 => return Ok(None),
-                Ok(0) => {
-                    return Err(FrameIoError::Io(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "EOF inside a frame length prefix",
-                    )))
-                }
-                Ok(n) => filled += n,
-                Err(e) if retryable(e.kind()) => {}
-                Err(e) => return Err(e.into()),
-            }
-        }
-        let body_len = u32::from_le_bytes(prefix) as usize;
-        if body_len > MAX_FRAME_LEN {
-            return Err(WireError::Oversized { len: body_len }.into());
-        }
-        if body_len == 0 {
-            return Err(WireError::Malformed("zero-length frame body").into());
-        }
-        let mut body = vec![0u8; body_len];
-        read_exact_resumable(stream, &mut body)?;
-        wire += 4 + body_len;
-        if body[0] == TAG_CHUNK {
-            if body.len() < 3 {
-                return Err(WireError::Malformed("chunk frame without payload").into());
-            }
-            let more = match body[1] {
-                0 => false,
-                CHUNK_MORE => true,
-                _ => return Err(WireError::Malformed("chunk flags out of range").into()),
-            };
-            let acc = assembled.get_or_insert_with(Vec::new);
-            if acc.len() + body.len() - 2 > MAX_MESSAGE_LEN {
-                return Err(WireError::Oversized {
-                    len: acc.len() + body.len() - 2,
-                }
-                .into());
-            }
-            acc.extend_from_slice(&body[2..]);
-            if more {
-                continue;
-            }
-            let acc = assembled.take().expect("chunk accumulator exists");
-            let frame = Frame::decode_body(&acc).map_err(demote_truncation)?;
-            return Ok(Some((frame, wire)));
-        }
-        if assembled.is_some() {
-            return Err(WireError::Malformed("unchunked frame inside a chunk run").into());
-        }
-        let frame = Frame::decode_body(&body).map_err(demote_truncation)?;
-        return Ok(Some((frame, wire)));
     }
 }
 
@@ -1017,29 +871,14 @@ mod tests {
     }
 
     #[test]
-    fn read_frame_handles_eof_positions() {
+    fn frame_reader_handles_eof_positions() {
         let bytes = Frame::Bound(9).to_bytes().expect("encodes");
+        let read = |mut stream: &[u8]| FrameReader::new().read(&mut stream);
         // Clean EOF between frames.
-        let mut empty: &[u8] = &[];
-        assert!(matches!(read_frame(&mut empty), Ok(None)));
+        assert!(matches!(read(&[]), Ok(FrameRead::Eof)));
         // EOF inside a frame.
-        let mut torn: &[u8] = &bytes[..5];
-        assert!(matches!(read_frame(&mut torn), Err(FrameIoError::Io(_))));
-        // A full frame then EOF.
-        let mut whole: &[u8] = &bytes;
-        assert_eq!(read_frame(&mut whole).unwrap(), Some(Frame::Bound(9)));
-        assert!(matches!(read_frame(&mut whole), Ok(None)));
-    }
-
-    #[test]
-    fn counted_reader_reports_wire_bytes() {
-        for frame in sample_frames() {
-            let bytes = frame.to_bytes().expect("encodes");
-            let mut stream: &[u8] = &bytes;
-            let (got, n) = read_frame_counted(&mut stream).unwrap().unwrap();
-            assert_eq!(got, frame);
-            assert_eq!(n, bytes.len(), "counted size covers prefix + body");
-        }
+        let torn = read(&bytes[..5]).expect_err("EOF inside a frame");
+        assert_eq!(torn.kind(), io::ErrorKind::UnexpectedEof);
     }
 
     #[test]

@@ -37,12 +37,12 @@
 //! broken-pipe write) raises the race's cancel token, so an orphaned
 //! worker never burns CPU for a race nobody is waiting on.
 
+use crate::link::read_frames;
 use crate::proto::{BlackBoxCheckpoint, IncumbentUpdate, Job, ShardResult};
-use engine::{compile_bridged, RaceBridge};
-use sat::wire::{
-    read_frame, write_frame, Frame, FrameRead, FrameReader, RemoteClause, HELLO_ANY_SHARD,
-    PROTOCOL_VERSION,
+use crate::wire::{
+    write_frame, Frame, FrameRead, FrameReader, RemoteClause, HELLO_ANY_SHARD, PROTOCOL_VERSION,
 };
+use engine::{compile_bridged, RaceBridge};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -130,35 +130,42 @@ pub fn run_worker(shard: usize, input: impl Read + Send + 'static, mut output: i
     // may confirm the handshake with a Welcome first; pipes need no
     // assignment, so it is informational here).
     let mut input = input;
+    let mut reader = FrameReader::new();
     let job = loop {
-        match read_frame(&mut input) {
-            Ok(Some(Frame::Job(payload))) => match Job::from_bytes(&payload) {
-                Ok(job) => break job,
-                Err(e) => {
-                    telemetry::log_error!("shard.worker", "bad job", shard = shard, error = e);
-                    return 2;
-                }
-            },
-            Ok(Some(Frame::Welcome { .. })) | Ok(Some(Frame::Heartbeat { .. })) => continue,
-            // The race can be decided (or externally cancelled) before
-            // this worker was ever assigned work — a clean no-work exit,
-            // not a protocol violation.
-            Ok(Some(Frame::Cancel)) | Ok(None) => return 0,
-            Ok(Some(other)) => {
-                telemetry::log_error!(
-                    "shard.worker",
-                    "protocol violation: expected Job",
-                    shard = shard,
-                    got = other.kind(),
-                );
-                return 2;
-            }
+        let frame = match reader.read(&mut input) {
+            Ok(FrameRead::Frame { frame, .. }) => frame,
+            Ok(FrameRead::Idle) => continue,
+            // The coordinator went away before assigning any work.
+            Ok(FrameRead::Eof) => return 0,
             Err(e) => {
                 telemetry::log_error!(
                     "shard.worker",
                     "reading job failed",
                     shard = shard,
                     error = e.to_string(),
+                );
+                return 2;
+            }
+        };
+        match frame {
+            Frame::Job(payload) => match Job::from_bytes(&payload) {
+                Ok(job) => break job,
+                Err(e) => {
+                    telemetry::log_error!("shard.worker", "bad job", shard = shard, error = e);
+                    return 2;
+                }
+            },
+            Frame::Welcome { .. } | Frame::Heartbeat { .. } => continue,
+            // The race can be decided (or externally cancelled) before
+            // this worker was ever assigned work — a clean no-work exit,
+            // not a protocol violation.
+            Frame::Cancel => return 0,
+            other => {
+                telemetry::log_error!(
+                    "shard.worker",
+                    "protocol violation: expected Job",
+                    shard = shard,
+                    got = other.kind(),
                 );
                 return 2;
             }
@@ -171,17 +178,21 @@ pub fn run_worker(shard: usize, input: impl Read + Send + 'static, mut output: i
         &mut output,
         |bridge, remote_bound| {
             // ---- Reader thread: coordinator → race ----------------------
-            // Deliberately *detached* (not scoped): it blocks in
-            // read_frame until the coordinator closes our stdin, which
-            // only happens after we send a Result. If the race thread
-            // panics, no Result is ever sent — a scoped reader would then
-            // deadlock the scope join; detached, it simply dies with the
-            // process.
+            // Deliberately *detached* (not scoped): it blocks reading
+            // until the coordinator closes our stdin, which only happens
+            // after we send a Result. If the race thread panics, no
+            // Result is ever sent — a scoped reader would then deadlock
+            // the scope join; detached, it simply dies with the process.
+            //
+            // The reader that parsed the Job travels with the stream: the
+            // coordinator writes the current Bound (and a clause replay)
+            // right behind the Job, and one read may already have pulled
+            // them into its buffer.
             std::thread::spawn(move || {
-                let mut input = input;
-                while let Ok(Some(frame)) = read_frame(&mut input) {
+                read_frames(shard, input, reader, None, |frame| {
                     apply_race_frame(&bridge, &remote_bound, frame);
-                }
+                    true
+                });
                 // Cancellation and coordinator death end the race the
                 // same way: stop promptly, report best-so-far.
                 bridge.cancel.cancel();

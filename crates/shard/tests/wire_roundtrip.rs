@@ -1,12 +1,12 @@
-//! Property tests for the cross-process wire protocol (`sat::wire`):
+//! Property tests for the cross-process wire protocol (`shard::wire`):
 //! arbitrary frames encode→decode identically, and no truncation or byte
 //! corruption can make the decoder panic — it must return structured
 //! [`WireError`]s, because a shard coordinator feeds it bytes produced by
 //! a *different process* that may have died mid-write.
 
 use proptest::prelude::*;
-use sat::wire::{Frame, RemoteClause, WireError};
 use sat::{SharedClause, Var};
+use shard::wire::{Frame, RemoteClause, WireError};
 
 fn round_trip(frame: &Frame) {
     let bytes = frame.to_bytes().expect("well-formed frame encodes");

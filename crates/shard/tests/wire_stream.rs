@@ -1,15 +1,17 @@
-//! Property tests for the *streaming* half of `sat::wire`: the
-//! resumable [`FrameReader`] and the retrying [`read_frame`] must
-//! deliver exactly the frames that were written no matter how the
-//! transport slices the bytes — one at a time, in bursts, or
-//! interleaved with the retryable errors (`Interrupted`, `WouldBlock`,
-//! `TimedOut`) a TCP socket with a read timeout produces constantly.
-//! A shard link that desyncs on a partial read poisons every frame
-//! after it, so this is the contract the whole fleet stands on.
+//! Property tests for the *streaming* half of `shard::wire`: the one
+//! [`FrameReader`] every stream is read through must deliver exactly the
+//! frames that were written no matter how the transport slices the
+//! bytes — one at a time, in bursts, or interleaved with the retryable
+//! errors a stream produces: `Interrupted` anywhere, plus the
+//! `WouldBlock` / `TimedOut` a TCP socket with a read timeout raises
+//! constantly. A blocking pipe has no timeout, so there the reader must
+//! never report `Idle`. A shard link that desyncs on a partial read
+//! poisons every frame after it, so this is the contract the whole
+//! fleet stands on.
 
 use proptest::prelude::*;
-use sat::wire::{read_frame, Frame, FrameRead, FrameReader, RemoteClause};
 use sat::{SharedClause, Var};
+use shard::wire::{Frame, FrameRead, FrameReader, RemoteClause, MAX_FRAME_LEN};
 use std::io::{self, Read};
 
 /// One scripted behavior of the underlying transport.
@@ -107,7 +109,8 @@ fn encode_all(frames: &[Frame]) -> Vec<u8> {
 
 /// Decodes a proptest-generated `(kind, n)` pair into a schedule step —
 /// the vendored proptest has no `prop_oneof`, so enum variants are
-/// picked by integer tag.
+/// picked by integer tag. Tags 0 and 1 are what a blocking stream can
+/// do; 2 and 3 need a read timeout.
 fn steps(raw: &[(u8, usize)]) -> Vec<Step> {
     raw.iter()
         .map(|&(kind, n)| match kind % 4 {
@@ -117,6 +120,19 @@ fn steps(raw: &[(u8, usize)]) -> Vec<Step> {
             _ => Step::Fail(io::ErrorKind::TimedOut),
         })
         .collect()
+}
+
+/// Reads a blocking stream (one that never times out) to its clean EOF.
+fn read_blocking(stream: &mut ScriptedStream) -> Vec<Frame> {
+    let mut reader = FrameReader::new();
+    let mut got = Vec::new();
+    loop {
+        match reader.read(stream).expect("no corruption in this stream") {
+            FrameRead::Frame { frame, .. } => got.push(frame),
+            FrameRead::Idle => panic!("Idle on a stream that never timed out"),
+            FrameRead::Eof => return got,
+        }
+    }
 }
 
 proptest! {
@@ -169,23 +185,18 @@ proptest! {
         prop_assert_eq!(counted, total);
     }
 
-    // The stateless `read_frame` retries transient errors at the exact
-    // byte position instead of desyncing — even when the error lands in
-    // the middle of a length prefix or body.
+    // A blocking stream with no read timeout — what a pipe is: short
+    // reads and stray `Interrupted`s only. Every frame arrives, and the
+    // reader never reports `Idle`, which no caller of a pipe handles as
+    // anything but a spin.
     #[test]
-    fn read_frame_resumes_across_transient_errors(
+    fn frame_reader_on_a_blocking_stream_never_idles(
         seed in proptest::collection::vec(0u64..1_000_000, 1..16),
-        script in proptest::collection::vec((0u8..4, 1usize..64), 0..64),
+        script in proptest::collection::vec((0u8..2, 1usize..64), 0..64),
     ) {
         let frames = sample_frames(&seed);
         let mut stream = ScriptedStream::new(encode_all(&frames), steps(&script));
-        let mut got = Vec::new();
-        while let Some(frame) =
-            read_frame(&mut stream).unwrap_or_else(|e| panic!("read_frame error: {e}"))
-        {
-            got.push(frame);
-        }
-        prop_assert_eq!(got, frames);
+        prop_assert_eq!(read_blocking(&mut stream), frames);
     }
 
     // EOF inside a frame is an error, never a silent truncation — no
@@ -250,4 +261,88 @@ fn frame_reader_survives_byte_at_a_time_with_timeouts() {
     }
     assert_eq!(got, frames);
     assert!(idles > 0, "the schedule must actually have exercised Idle");
+}
+
+/// The blocking stream at its slowest: one byte per read, a stray signal
+/// before every byte.
+#[test]
+fn frame_reader_survives_byte_at_a_time_on_a_blocking_stream() {
+    let frames = sample_frames(&[3, 10, 5, 1, 0, 4, 2, 9]);
+    let encoded = encode_all(&frames);
+    let script: Vec<Step> = encoded
+        .iter()
+        .flat_map(|_| [Step::Fail(io::ErrorKind::Interrupted), Step::Give(1)])
+        .collect();
+    let mut stream = ScriptedStream::new(encoded, script);
+    assert_eq!(read_blocking(&mut stream), frames);
+}
+
+/// A logical frame too big for one physical frame crosses a blocking
+/// stream as a chunk run. The bytes arrive one at a time — each after a
+/// stray signal — around every physical frame boundary (where the length
+/// prefixes and chunk headers sit) and in 4 KiB reads in between.
+#[test]
+fn frame_reader_reassembles_a_chunk_run_off_a_blocking_stream() {
+    let big: Vec<u8> = (0..MAX_FRAME_LEN + 3000).map(|i| (i % 251) as u8).collect();
+    let frames = vec![Frame::Bound(7), Frame::Trace(big), Frame::Floor(5)];
+    let encoded = encode_all(&frames);
+    // Physical frame boundaries: follow the length prefixes.
+    let mut boundaries = vec![0usize];
+    while *boundaries.last().unwrap() < encoded.len() {
+        let at = *boundaries.last().unwrap();
+        let len = u32::from_le_bytes(encoded[at..at + 4].try_into().unwrap()) as usize;
+        boundaries.push(at + 4 + len);
+    }
+    assert_eq!(boundaries.len(), 5, "Bound, two chunks, Floor");
+    let near = |pos: usize| boundaries.iter().any(|&b| pos + 8 >= b && pos < b + 8);
+    let mut script = Vec::new();
+    let mut pos = 0;
+    while pos < encoded.len() {
+        if near(pos) {
+            script.extend([Step::Fail(io::ErrorKind::Interrupted), Step::Give(1)]);
+            pos += 1;
+        } else {
+            let next = boundaries.iter().find(|&&b| b > pos + 8).unwrap() - 8;
+            let n = (next - pos).min(4096);
+            script.push(Step::Give(n));
+            pos += n;
+        }
+    }
+    let mut stream = ScriptedStream::new(encoded, script);
+    assert_eq!(read_blocking(&mut stream), frames);
+}
+
+/// The worker's `Job`-then-`Bound` hand-off: the coordinator writes the
+/// current bound right behind the job, so both can arrive in one `read`.
+/// The thread that parsed the `Job` hands the stream to a reader thread;
+/// the `FrameReader` must travel with it, because the `Bound` is already
+/// in its buffer and no longer in the stream.
+#[test]
+fn frame_reader_moved_between_two_frames_of_one_read_loses_nothing() {
+    let frames = vec![Frame::Job(b"{\"modes\":4}".to_vec()), Frame::Bound(16)];
+    let mut stream = ScriptedStream::new(encode_all(&frames), vec![Step::Give(usize::MAX)]);
+    let mut reader = FrameReader::new();
+    match reader.read(&mut stream).expect("reads") {
+        FrameRead::Frame { frame, .. } => assert_eq!(frame, frames[0]),
+        other => panic!("expected the Job, got {other:?}"),
+    }
+    assert!(reader.pending() > 0, "the Bound came in with the same read");
+    assert_eq!(
+        stream.pos,
+        stream.data.len(),
+        "nothing is left in the stream"
+    );
+
+    let rest = std::thread::spawn(move || read_rest(reader, stream))
+        .join()
+        .expect("reader thread");
+    assert_eq!(rest, frames[1..]);
+
+    fn read_rest(mut reader: FrameReader, mut stream: ScriptedStream) -> Vec<Frame> {
+        let mut got = Vec::new();
+        while let FrameRead::Frame { frame, .. } = reader.read(&mut stream).expect("reads") {
+            got.push(frame);
+        }
+        got
+    }
 }

@@ -8,7 +8,7 @@
 //! record: a span opened inside another on the same thread closes first.
 //!
 //! [`TraceBatch`] is the wire form a shard worker ships to its coordinator
-//! (inside a `sat::wire` `Trace` frame): the same event JSON plus the
+//! (inside a `shard::wire` `Trace` frame): the same event JSON plus the
 //! worker's pid, shard index, and the wall clock of its monotonic epoch,
 //! which [`TraceBatch::shift_onto`] uses to land worker events on the
 //! coordinator's timeline.

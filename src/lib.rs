@@ -15,8 +15,9 @@
 //! * [`fermihedral`] — the paper's contribution: SAT-optimal encodings.
 //! * [`engine`] — the parallel portfolio compilation engine with incumbent
 //!   sharing and a persistent solution cache.
-//! * [`shard`] — multi-process lane sharding: a coordinator and worker
-//!   processes bridged by the `sat::wire` clause/bound protocol.
+//! * [`shard`] — lane sharding across processes and hosts: one race loop
+//!   over pipe and TCP links to worker processes, speaking the
+//!   `shard::wire` clause/bound protocol.
 //! * [`serve`] — the long-running compilation server: HTTP endpoints,
 //!   request queueing and coalescing, deadlines, graceful shutdown.
 //! * [`telemetry`] — structured tracing and metrics: span recorders, the
