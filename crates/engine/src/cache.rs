@@ -19,11 +19,11 @@
 
 use crate::fingerprint::Fingerprint;
 use crate::json::{self, obj, Value};
+use crate::problemio::{strings_from_json, strings_to_json};
 use pauli::PauliString;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::str::FromStr;
 use std::sync::Arc;
 use std::time::SystemTime;
 
@@ -170,12 +170,7 @@ impl SolutionCache {
         let weight = doc.get("weight")?.as_usize()?;
         let optimal = doc.get("optimal")?.as_bool()?;
         let strategy = doc.get("strategy")?.as_str()?.to_string();
-        let strings = doc
-            .get("strings")?
-            .as_arr()?
-            .iter()
-            .map(|v| PauliString::from_str(v.as_str()?).ok())
-            .collect::<Option<Vec<_>>>()?;
+        let strings = strings_from_json(&doc, "strings").ok()??;
         if strings.is_empty() {
             return None;
         }
@@ -203,16 +198,7 @@ impl SolutionCache {
             ("weight", Value::Num(entry.weight as f64)),
             ("optimal", Value::Bool(entry.optimal)),
             ("strategy", Value::Str(entry.strategy.clone())),
-            (
-                "strings",
-                Value::Arr(
-                    entry
-                        .strings
-                        .iter()
-                        .map(|s| Value::Str(s.to_string()))
-                        .collect(),
-                ),
-            ),
+            ("strings", strings_to_json(&entry.strings)),
         ]);
         // Writer-unique temp name: two concurrent writers of the same
         // fingerprint must never interleave writes into one file.
@@ -593,6 +579,7 @@ mod tests {
     use super::*;
     use crate::fingerprint::fingerprint;
     use fermihedral::{EncodingProblem, Objective};
+    use std::str::FromStr;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(

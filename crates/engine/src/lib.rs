@@ -63,7 +63,7 @@ pub use portfolio::{
     default_portfolio, measure_weight, partition_strategies, race_lanes, BaselineKind,
     ClauseSharing, EngineConfig, EngineOutcome, RaceBridge, RaceInput, RaceOutcome, Strategy,
 };
-pub use problemio::{problem_from_json, problem_to_json};
+pub use problemio::{problem_from_json, problem_to_json, strings_from_json, strings_to_json};
 pub use report::{
     CacheStatus, EngineReport, EventKind, ShardReport, WarmStartReport, WorkerEvent, WorkerReport,
 };

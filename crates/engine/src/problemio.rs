@@ -19,6 +19,7 @@
 use fermihedral::{EncodingProblem, Objective};
 use fermion::MajoranaMonomial;
 use jsonkit::{obj, Value};
+use pauli::PauliString;
 
 /// The JSON form of a problem (the exact schema [`problem_from_json`]
 /// parses).
@@ -140,6 +141,34 @@ pub fn problem_from_json(doc: &Value, max_modes: Option<usize>) -> Result<Encodi
         problem = problem.with_vacuum_condition(on);
     }
     Ok(problem)
+}
+
+/// An encoding as it travels in every JSON document of the workspace
+/// (compile responses, cache entries, shard payloads): an array of
+/// Pauli-string texts.
+pub fn strings_to_json(strings: &[PauliString]) -> Value {
+    Value::Arr(strings.iter().map(|s| Value::Str(s.to_string())).collect())
+}
+
+/// Parses the encoding under `field` (the [`strings_to_json`] form);
+/// absent or `null` is "none". Syntax only — whether the strings encode
+/// the problem at hand is for [`check_encoding`](crate::check_encoding) to
+/// say, wherever they are about to be trusted.
+///
+/// # Errors
+///
+/// A human-readable message naming `field`.
+pub fn strings_from_json(doc: &Value, field: &str) -> Result<Option<Vec<PauliString>>, String> {
+    let Some(value) = doc.get(field).filter(|v| !matches!(v, Value::Null)) else {
+        return Ok(None);
+    };
+    let texts = value.as_arr().ok_or(format!("{field:?} mistyped"))?;
+    let parsed = texts.iter().map(|text| {
+        let text = text.as_str().ok_or(format!("non-string {field:?} entry"))?;
+        text.parse::<PauliString>()
+            .map_err(|_| format!("unparseable Pauli string in {field:?}"))
+    });
+    parsed.collect::<Result<Vec<_>, _>>().map(Some)
 }
 
 #[cfg(test)]

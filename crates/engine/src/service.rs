@@ -9,11 +9,11 @@
 //! * one [`SolutionCache`] handle held open for the `Engine`'s lifetime —
 //!   its hit/miss/store counters accumulate across requests, which is what
 //!   a `/metrics` endpoint wants to export;
-//! * [`Engine::compile_with_deadline`] maps a per-request deadline onto
-//!   [`EngineConfig::total_timeout`] and threads an external
-//!   [`CancelToken`] into the race, so a shutdown (or an abandoned
-//!   request) cancels in-flight solver lanes promptly and still gets the
-//!   best-so-far encoding back;
+//! * [`Engine::request_config`] maps a per-request deadline onto
+//!   [`EngineConfig::total_timeout`], and [`Engine::compile_with_deadline`]
+//!   threads an external [`CancelToken`] into the race it configures, so a
+//!   shutdown (or an abandoned request) cancels in-flight solver lanes
+//!   promptly and still gets the best-so-far encoding back;
 //! * [`Engine::lookup`] exposes the cache read path directly (the server's
 //!   `GET /v1/solution/<fingerprint>`).
 //!
@@ -85,15 +85,37 @@ impl Engine {
         self.cache.as_ref().and_then(|c| c.peek(fp))
     }
 
-    /// Compiles with the engine's default budgets.
-    pub fn compile(&self, problem: &EncodingProblem) -> EngineOutcome {
-        compile_with(problem, &self.config, self.cache.as_ref(), None)
+    /// The configuration one request races under: the template with
+    /// `deadline` tightening (never loosening) its `total_timeout`, and
+    /// `warm_hint` — a validated encoding for this problem's size, e.g.
+    /// the lifted optimum of the previous entry in a batch — set when
+    /// present. Every race takes the result: the in-process one below, and
+    /// the sharded and fleet ones the compilation server dispatches to.
+    ///
+    /// Note the engine's warm-start precedence: a same-size cache entry
+    /// wins over the hint, and the hint wins over the cache's own
+    /// cross-size probe — so on a cache-backed engine callers chasing
+    /// `HitCrossSize` provenance should pass `None` and let the
+    /// [`SizeIndex`](crate::cache::SizeIndex) path run.
+    pub fn request_config(
+        &self,
+        deadline: Option<Duration>,
+        warm_hint: Option<Vec<pauli::PauliString>>,
+    ) -> EngineConfig {
+        let mut config = self.config.clone();
+        config.total_timeout = match (config.total_timeout, deadline) {
+            (Some(t), Some(d)) => Some(t.min(d)),
+            (t, d) => t.or(d),
+        };
+        if warm_hint.is_some() {
+            config.warm_hint = warm_hint;
+        }
+        config
     }
 
     /// Compiles under a per-request deadline and cancellation token.
     ///
-    /// `deadline` tightens (never loosens) the config's `total_timeout`;
-    /// the run returns its best-so-far encoding when the deadline fires.
+    /// The run returns its best-so-far encoding when the deadline fires.
     /// `cancel` aborts the run from outside — e.g. server shutdown — with
     /// the same best-so-far semantics. Pass a token dedicated to this call:
     /// the engine raises it itself once the race is decided.
@@ -103,45 +125,8 @@ impl Engine {
         deadline: Option<Duration>,
         cancel: Option<&CancelToken>,
     ) -> EngineOutcome {
-        self.compile_with_deadline_hinted(problem, deadline, cancel, None)
-    }
-
-    /// [`compile_with_deadline`](Self::compile_with_deadline) with an
-    /// explicit warm-start hint (a validated encoding for this problem's
-    /// size, e.g. the lifted optimum of the previous entry in a batch).
-    ///
-    /// Note the engine's warm-start precedence: a same-size cache entry
-    /// wins over the hint, and the hint wins over the cache's own
-    /// cross-size probe — so on a cache-backed engine callers chasing
-    /// `HitCrossSize` provenance should pass `None` and let the
-    /// [`SizeIndex`](crate::cache::SizeIndex) path run.
-    pub fn compile_with_deadline_hinted(
-        &self,
-        problem: &EncodingProblem,
-        deadline: Option<Duration>,
-        cancel: Option<&CancelToken>,
-        warm_hint: Option<Vec<pauli::PauliString>>,
-    ) -> EngineOutcome {
-        let mut config = self.config.clone();
-        config.total_timeout = match (config.total_timeout, deadline) {
-            (Some(t), Some(d)) => Some(t.min(d)),
-            (t, d) => t.or(d),
-        };
-        if warm_hint.is_some() {
-            config.warm_hint = warm_hint;
-        }
+        let config = self.request_config(deadline, None);
         compile_with(problem, &config, self.cache.as_ref(), cancel)
-    }
-
-    /// Cached smaller same-family relatives of `problem`, largest first —
-    /// the [`SizeIndex`](crate::cache::SizeIndex) read path, exposed so a
-    /// batch scheduler can see which sizes already have warm-start
-    /// material before choosing a solve order. Empty without a cache.
-    pub fn size_relatives(&self, problem: &EncodingProblem) -> Vec<(usize, Fingerprint)> {
-        match &self.cache {
-            Some(cache) => crate::cache::SizeIndex::open(cache.dir()).fingerprints_below(problem),
-            None => Vec::new(),
-        }
     }
 }
 
@@ -173,12 +158,12 @@ mod tests {
         .unwrap();
         let problem = EncodingProblem::full_sat(2, Objective::MajoranaWeight);
 
-        let first = engine.compile(&problem);
+        let first = engine.compile_with_deadline(&problem, None, None);
         assert_eq!(first.weight(), Some(6));
         assert!(first.optimal_proved);
         assert!(!first.from_cache);
 
-        let second = engine.compile(&problem);
+        let second = engine.compile_with_deadline(&problem, None, None);
         assert!(second.from_cache, "second request must hit the cache");
         assert_eq!(second.weight(), Some(6));
 

@@ -18,11 +18,13 @@
 //! are rejected: a typo'd knob silently ignored would compile the wrong
 //! problem.
 //!
-//! Response: see [`compile_response`].
+//! Response: see [`compile_document`].
 
-use engine::{CacheEntry, EngineOutcome};
+use engine::{strings_to_json, CacheEntry, EngineOutcome};
 use fermihedral::EncodingProblem;
 use jsonkit::{obj, Value};
+use std::collections::BTreeMap;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// A parsed compile request.
@@ -43,15 +45,11 @@ const KNOWN_FIELDS: [&str; 5] = [
     "deadline_ms",
 ];
 
-/// Parses and validates a compile request body.
-///
-/// # Errors
-///
-/// A human-readable message (answered as 400) naming the offending field.
-pub fn parse_compile_request(body: &[u8], max_modes: usize) -> Result<CompileRequest, String> {
+/// The fields of a request body: a JSON object naming only known fields
+/// — the part of the schema `/v1/compile` and `/v1/compile-batch` share.
+fn parse_fields(body: &[u8]) -> Result<BTreeMap<String, Value>, String> {
     let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_string())?;
-    let doc = jsonkit::parse(text).map_err(|e| e.to_string())?;
-    let Value::Obj(fields) = &doc else {
+    let Value::Obj(fields) = jsonkit::parse(text).map_err(|e| e.to_string())? else {
         return Err("body must be a JSON object".into());
     };
     for key in fields.keys() {
@@ -59,23 +57,33 @@ pub fn parse_compile_request(body: &[u8], max_modes: usize) -> Result<CompileReq
             return Err(format!("unknown field {key:?}"));
         }
     }
+    Ok(fields)
+}
 
+/// The request's `deadline_ms` field, when it names one.
+fn parse_deadline(field: Option<&Value>) -> Result<Option<Duration>, String> {
+    let Some(v) = field else {
+        return Ok(None);
+    };
+    let ms = v
+        .as_usize()
+        .filter(|&ms| ms > 0)
+        .ok_or("\"deadline_ms\" must be a positive integer")?;
+    Ok(Some(Duration::from_millis(ms as u64)))
+}
+
+/// Parses and validates a compile request body.
+///
+/// # Errors
+///
+/// A human-readable message (answered as 400) naming the offending field.
+pub fn parse_compile_request(body: &[u8], max_modes: usize) -> Result<CompileRequest, String> {
+    let doc = Value::Obj(parse_fields(body)?);
     // The problem itself parses through the schema shared with the shard
     // wire ([`engine::problemio`]), so the HTTP surface and the worker
     // protocol accept exactly the same documents.
     let problem = engine::problem_from_json(&doc, Some(max_modes))?;
-
-    let deadline = match doc.get("deadline_ms") {
-        None => None,
-        Some(v) => {
-            let ms = v
-                .as_usize()
-                .filter(|&ms| ms > 0)
-                .ok_or("\"deadline_ms\" must be a positive integer")?;
-            Some(Duration::from_millis(ms as u64))
-        }
-    };
-
+    let deadline = parse_deadline(doc.get("deadline_ms"))?;
     Ok(CompileRequest { problem, deadline })
 }
 
@@ -100,17 +108,8 @@ pub struct BatchRequest {
 ///
 /// A human-readable message (answered as 400) naming the offending field.
 pub fn parse_batch_request(body: &[u8], max_modes: usize) -> Result<BatchRequest, String> {
-    let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_string())?;
-    let doc = jsonkit::parse(text).map_err(|e| e.to_string())?;
-    let Value::Obj(fields) = &doc else {
-        return Err("body must be a JSON object".into());
-    };
-    for key in fields.keys() {
-        if !KNOWN_FIELDS.contains(&key.as_str()) {
-            return Err(format!("unknown field {key:?}"));
-        }
-    }
-    let Some(Value::Arr(raw_sizes)) = doc.get("modes") else {
+    let fields = parse_fields(body)?;
+    let Some(Value::Arr(raw_sizes)) = fields.get("modes") else {
         return Err("\"modes\" must be an array of sizes in a batch request".into());
     };
     if raw_sizes.is_empty() {
@@ -143,21 +142,12 @@ pub fn parse_batch_request(body: &[u8], max_modes: usize) -> Result<BatchRequest
         )?);
     }
 
-    let deadline = match doc.get("deadline_ms") {
-        None => None,
-        Some(v) => {
-            let ms = v
-                .as_usize()
-                .filter(|&ms| ms > 0)
-                .ok_or("\"deadline_ms\" must be a positive integer")?;
-            Some(Duration::from_millis(ms as u64))
-        }
-    };
-
+    let deadline = parse_deadline(fields.get("deadline_ms"))?;
     Ok(BatchRequest { problems, deadline })
 }
 
-/// Terminal status of a compile request, serialized into the response.
+/// Terminal status of a compile request or batch entry, serialized into
+/// the response.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CompileStatus {
     /// An UNSAT certificate proves the returned encoding optimal.
@@ -168,6 +158,10 @@ pub enum CompileStatus {
     Cancelled,
     /// The engine finished its budgets without a certificate.
     BestEffort,
+    /// The job never ran (queue or quota overflow, shutdown).
+    Shed,
+    /// The batch deadline passed before this entry's turn.
+    Skipped,
 }
 
 impl CompileStatus {
@@ -178,59 +172,125 @@ impl CompileStatus {
             CompileStatus::DeadlineExceeded => "deadline-exceeded",
             CompileStatus::Cancelled => "cancelled",
             CompileStatus::BestEffort => "best-effort",
+            CompileStatus::Shed => "shed",
+            CompileStatus::Skipped => "skipped",
         }
     }
 }
 
-/// The `POST /v1/compile` response body.
-pub fn compile_response(
-    fingerprint_hex: &str,
-    status: CompileStatus,
-    outcome: Option<&EngineOutcome>,
-    coalesced: bool,
-    elapsed: Duration,
-) -> Value {
-    let (weight, strings, winner, from_cache, warm_start) = match outcome {
-        Some(o) => (
-            o.weight().map_or(Value::Null, |w| Value::Num(w as f64)),
-            o.best.as_ref().map_or(Value::Null, |b| {
-                Value::Arr(
-                    b.strings
-                        .iter()
-                        .map(|s| Value::Str(s.to_string()))
-                        .collect(),
-                )
-            }),
-            o.report.winner.clone().map_or(Value::Null, Value::Str),
-            o.from_cache,
-            o.report
-                .warm_start
-                .as_ref()
-                .map_or(Value::Null, |w| w.to_json()),
+/// How one admission ended — what the request path hands to
+/// [`compile_document`], for a solo compile and a batch entry alike. A
+/// solve's coalescing cell completes with one, shared by every request
+/// attached to it.
+#[derive(Debug, Clone)]
+pub struct Settled {
+    /// The status the document reports.
+    pub status: CompileStatus,
+    /// True when this request attached to a solve another request led.
+    pub coalesced: bool,
+    /// What there is to report.
+    pub answer: Answer,
+}
+
+impl Settled {
+    /// An uncoalesced outcome; a request that attached to another's solve
+    /// marks its own copy.
+    pub fn new(status: CompileStatus, answer: Answer) -> Settled {
+        Settled {
+            status,
+            coalesced: false,
+            answer,
+        }
+    }
+
+    /// The outcome of a job that never ran.
+    pub fn shed(http_status: u16, reason: impl Into<String>) -> Settled {
+        Settled::new(
+            CompileStatus::Shed,
+            Answer::Refused(http_status, reason.into()),
+        )
+    }
+}
+
+/// The substance of a [`Settled`].
+#[derive(Debug, Clone)]
+pub enum Answer {
+    /// A cache entry, no solve of this request's own: the proven optimum
+    /// on the fast path, or best-so-far when the request's deadline passed
+    /// while a longer-deadlined solve was still running.
+    Cached(CacheEntry),
+    /// The outcome of the solve this request led or attached to.
+    Raced(Arc<EngineOutcome>),
+    /// The job never ran: the HTTP status a solo request is answered with
+    /// (429 or 503), and why.
+    Refused(u16, String),
+    /// Nothing: the deadline passed empty-handed, or (in a batch) before
+    /// this entry's turn.
+    Nothing,
+}
+
+/// The compile document: the `POST /v1/compile` response body and (with
+/// `modes` added) every `POST /v1/compile-batch` entry. Always the same
+/// ten keys, `null` where the outcome has nothing to report; a refused
+/// job adds `error` and `http_status`.
+pub fn compile_document(fingerprint_hex: &str, settled: &Settled, elapsed: Duration) -> Value {
+    // A cache entry records the lane that found it as its `strategy`, and
+    // has always been served under that name; a race reports its `winner`.
+    let (weight, strings, (lane_key, lane), from_cache, warm_start) = match &settled.answer {
+        Answer::Cached(entry) => (
+            Some(entry.weight),
+            Some(&entry.strings),
+            ("strategy", Some(entry.strategy.clone())),
+            true,
+            // No race ran, so no warm start.
+            None,
         ),
-        None => (Value::Null, Value::Null, Value::Null, false, Value::Null),
+        Answer::Raced(outcome) => (
+            outcome.weight(),
+            outcome.best.as_ref().map(|b| &b.strings),
+            ("winner", outcome.report.winner.clone()),
+            outcome.from_cache,
+            outcome.report.warm_start.as_ref(),
+        ),
+        Answer::Refused(..) | Answer::Nothing => (None, None, ("winner", None), false, None),
     };
-    obj([
+    let mut doc = obj([
         ("fingerprint", Value::Str(fingerprint_hex.to_string())),
-        ("status", Value::Str(status.as_str().to_string())),
+        ("status", Value::Str(settled.status.as_str().to_string())),
         (
             "optimal",
-            Value::Bool(matches!(status, CompileStatus::Optimal)),
+            Value::Bool(settled.status == CompileStatus::Optimal),
         ),
-        ("weight", weight),
-        ("strings", strings),
-        ("winner", winner),
+        (
+            "weight",
+            weight.map_or(Value::Null, |w| Value::Num(w as f64)),
+        ),
+        (
+            "strings",
+            strings.map_or(Value::Null, |s| strings_to_json(s)),
+        ),
+        (lane_key, lane.map_or(Value::Null, Value::Str)),
         ("from_cache", Value::Bool(from_cache)),
         // How the race was warm-started (`null` for cold runs): source
         // ("cache-entry" | "cross-size" | "config"), the source's mode
         // count for cross-size transfer, and the opening incumbent weight.
-        ("warm_start", warm_start),
-        ("coalesced", Value::Bool(coalesced)),
         (
-            "elapsed_ms",
-            Value::Num((elapsed.as_micros() as f64) / 1_000.0),
+            "warm_start",
+            warm_start.map_or(Value::Null, |w| w.to_json()),
         ),
-    ])
+        ("coalesced", Value::Bool(settled.coalesced)),
+        ("elapsed_ms", Value::Num(millis(elapsed))),
+    ]);
+    if let (Answer::Refused(status, reason), Value::Obj(fields)) = (&settled.answer, &mut doc) {
+        fields.insert("error".into(), Value::Str(reason.clone()));
+        fields.insert("http_status".into(), Value::Num(*status as f64));
+    }
+    doc
+}
+
+/// A duration as the fractional milliseconds every `elapsed_ms` reports.
+pub(crate) fn millis(duration: Duration) -> f64 {
+    (duration.as_micros() as f64) / 1_000.0
 }
 
 /// The `GET /v1/solution/<fingerprint>` response body.
@@ -239,16 +299,7 @@ pub fn solution_response(fingerprint_hex: &str, entry: &CacheEntry) -> Value {
         ("fingerprint", Value::Str(fingerprint_hex.to_string())),
         ("weight", Value::Num(entry.weight as f64)),
         ("optimal", Value::Bool(entry.optimal)),
-        (
-            "strings",
-            Value::Arr(
-                entry
-                    .strings
-                    .iter()
-                    .map(|s| Value::Str(s.to_string()))
-                    .collect(),
-            ),
-        ),
+        ("strings", strings_to_json(&entry.strings)),
         ("strategy", Value::Str(entry.strategy.clone())),
     ])
 }
@@ -341,11 +392,12 @@ mod tests {
 
     #[test]
     fn responses_serialize_and_parse() {
-        let doc = compile_response(
+        let doc = compile_document(
             &"ab".repeat(32),
-            CompileStatus::DeadlineExceeded,
-            None,
-            true,
+            &Settled {
+                coalesced: true,
+                ..Settled::new(CompileStatus::DeadlineExceeded, Answer::Nothing)
+            },
             Duration::from_millis(1250),
         );
         let parsed = jsonkit::parse(&doc.to_json()).unwrap();

@@ -9,33 +9,11 @@
 //! serves them all — and each cell carries the [`CancelToken`] the engine
 //! run is bound to, so shutdown can cancel every in-flight solve at once.
 
-use engine::EngineOutcome;
+use crate::api::Settled;
 use sat::CancelToken;
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
-
-/// Terminal state of one coalesced solve.
-#[derive(Debug, Clone)]
-pub enum SolveResult {
-    /// The engine ran (or was cancelled) and produced an outcome.
-    Done {
-        /// The engine's outcome, shared by every attached request.
-        outcome: Arc<EngineOutcome>,
-        /// True when the solve hit its request deadline before proving
-        /// optimality — the response carries best-so-far.
-        timed_out: bool,
-        /// True when the solve was cut short by server shutdown.
-        cancelled: bool,
-    },
-    /// The job never ran (queue overflow, shutdown drain).
-    Shed {
-        /// HTTP status to answer with (429 or 503).
-        status: u16,
-        /// Human-readable reason for the error body.
-        reason: String,
-    },
-}
 
 /// One in-flight coalesced solve.
 #[derive(Debug)]
@@ -46,7 +24,7 @@ pub struct InFlight {
     /// longer deadline than the leader extends the solve budget (as long
     /// as it attaches before a worker starts the engine run).
     deadline: Mutex<Instant>,
-    state: Mutex<Option<SolveResult>>,
+    state: Mutex<Option<Settled>>,
     done: Condvar,
 }
 
@@ -75,7 +53,7 @@ impl InFlight {
 
     /// Publishes the terminal state and wakes every waiter. First write
     /// wins; later writes are ignored (a shed racing a completion).
-    pub fn complete(&self, result: SolveResult) {
+    pub fn complete(&self, result: Settled) {
         let mut state = self.state.lock().unwrap();
         if state.is_none() {
             *state = Some(result);
@@ -84,7 +62,7 @@ impl InFlight {
     }
 
     /// Blocks until completion or `deadline`, whichever first.
-    pub fn wait_until(&self, deadline: Instant) -> Option<SolveResult> {
+    pub fn wait_until(&self, deadline: Instant) -> Option<Settled> {
         let mut state = self.state.lock().unwrap();
         loop {
             if let Some(result) = state.as_ref() {
@@ -129,7 +107,7 @@ impl Coalescer {
     /// Completes `key`'s solve: unregisters the cell (new arrivals start a
     /// fresh solve — by then the cache answers instantly) and publishes the
     /// result to every attached waiter.
-    pub fn finish(&self, key: &str, result: SolveResult) {
+    pub fn finish(&self, key: &str, result: Settled) {
         let cell = self.inflight.lock().unwrap().remove(key);
         if let Some(cell) = cell {
             cell.complete(result);
@@ -157,10 +135,15 @@ impl Coalescer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::Answer;
     use std::time::Duration;
 
     fn soon() -> Instant {
         Instant::now() + Duration::from_secs(1)
+    }
+
+    fn is_shed(got: &Option<Settled>, status: u16) -> bool {
+        matches!(got, Some(Settled { answer: Answer::Refused(s, _), .. }) if *s == status)
     }
 
     #[test]
@@ -176,19 +159,11 @@ mod tests {
         // A waiter with an expired deadline gets None without blocking.
         assert!(cell_b.wait_until(Instant::now()).is_none());
 
-        c.finish(
-            "fp",
-            SolveResult::Shed {
-                status: 429,
-                reason: "test".into(),
-            },
-        );
+        c.finish("fp", Settled::shed(429, "test"));
         assert!(c.is_empty());
         // Post-completion waits resolve immediately.
-        match cell_a.wait_until(Instant::now() + Duration::from_secs(5)) {
-            Some(SolveResult::Shed { status: 429, .. }) => {}
-            other => panic!("unexpected {other:?}"),
-        }
+        let got = cell_a.wait_until(Instant::now() + Duration::from_secs(5));
+        assert!(is_shed(&got, 429), "unexpected {got:?}");
         // A later join starts a fresh solve.
         let (_, leader_again) = c.join("fp", soon());
         assert!(leader_again);
@@ -211,18 +186,10 @@ mod tests {
     #[test]
     fn first_completion_wins() {
         let cell = InFlight::new(soon());
-        cell.complete(SolveResult::Shed {
-            status: 503,
-            reason: "first".into(),
-        });
-        cell.complete(SolveResult::Shed {
-            status: 429,
-            reason: "second".into(),
-        });
-        match cell.wait_until(Instant::now() + Duration::from_millis(10)) {
-            Some(SolveResult::Shed { status: 503, .. }) => {}
-            other => panic!("unexpected {other:?}"),
-        }
+        cell.complete(Settled::shed(503, "test"));
+        cell.complete(Settled::shed(429, "test"));
+        let got = cell.wait_until(Instant::now() + Duration::from_millis(10));
+        assert!(is_shed(&got, 503), "unexpected {got:?}");
     }
 
     #[test]
@@ -242,16 +209,10 @@ mod tests {
         let waker = c.clone();
         let t = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(30));
-            waker.finish(
-                "fp",
-                SolveResult::Shed {
-                    status: 503,
-                    reason: "done".into(),
-                },
-            );
+            waker.finish("fp", Settled::shed(503, "test"));
         });
         let got = cell.wait_until(Instant::now() + Duration::from_secs(10));
         t.join().unwrap();
-        assert!(matches!(got, Some(SolveResult::Shed { status: 503, .. })));
+        assert!(is_shed(&got, 503), "unexpected {got:?}");
     }
 }

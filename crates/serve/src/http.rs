@@ -383,13 +383,6 @@ impl Response {
         self.allow = Some(allow);
         self
     }
-
-    /// Appends an extra response header (builder style).
-    pub fn with_header(mut self, name: &str, value: &str) -> Response {
-        self.extra_headers
-            .push((name.to_string(), value.to_string()));
-        self
-    }
 }
 
 /// Reason phrase for the status codes this server emits.

@@ -6,25 +6,61 @@
 //! cancellation, the content-addressed solution cache); this crate is the
 //! service half — a dependency-free HTTP/1.1 server (std `TcpListener` +
 //! worker threads; the container offers no async runtime) that turns
-//! [`engine::Engine`] into shared infrastructure:
+//! [`engine::Engine`] into shared infrastructure.
 //!
-//! * **Admission queue with load shedding** — compile jobs flow through a
-//!   bounded [`queue::JobQueue`]; a full queue answers `429` immediately
-//!   instead of building unbounded backlog ([`metrics`] exports the depth).
-//! * **Per-request deadlines** — `deadline_ms` maps onto
-//!   [`engine::EngineConfig::total_timeout`] via
-//!   [`engine::Engine::compile_with_deadline`]; a request whose deadline
-//!   fires still gets the best-so-far encoding, marked
-//!   `"status": "deadline-exceeded"`.
-//! * **Request coalescing** — concurrent identical problems (same
-//!   fingerprint) attach to one in-flight solve ([`coalesce::Coalescer`]);
-//!   one SAT race answers them all, and finished solves land in the cache
-//!   so repeats are served in microseconds.
+//! # The life of a compile request
+//!
+//! There is one request path, and every compile takes it:
+//!
+//! 1. **Parse.** [`api`] turns the body into a problem and a deadline
+//!    (`deadline_ms`, defaulted and capped by [`ServeConfig`]); anything
+//!    else is a `400` naming the offending field.
+//! 2. **Authenticate.** With [`tenant`]s configured, the API key picks the
+//!    tenant the job is accounted to (`401` without one); open mode maps
+//!    everyone to the anonymous tenant.
+//! 3. **Admit.** A proven-optimal cache entry answers on the spot — repeat
+//!    traffic never queues. Otherwise the request joins the one in-flight
+//!    solve per fingerprint ([`coalesce::Coalescer`]): the first arrival
+//!    leads, journals an admit record when a [`journal`] is configured, and
+//!    pushes the one job; later arrivals attach to its cell.
+//! 4. **Queue.** The job waits in the [`queue::FairQueue`]: per-tenant
+//!    quotas and deficit-round-robin dispatch in front of a bounded global
+//!    capacity. A refused push answers `429` (or `503` on shutdown)
+//!    immediately instead of building unbounded backlog.
+//! 5. **Solve.** A worker thread builds the request's engine config once
+//!    ([`engine::Engine::request_config`]: the deadline tightens
+//!    [`engine::EngineConfig::total_timeout`], a chained warm hint rides
+//!    along) and hands it to the race the server was configured with — the
+//!    in-process engine, `--shards N` worker processes, or the `--fleet`
+//!    of TCP workers. It journals the completion, then completes the cell.
+//! 6. **Settle.** Every attached request wakes with the same
+//!    [`api::Settled`]: optimal, best-so-far with
+//!    `"status": "deadline-exceeded"` when the deadline fired first, shed,
+//!    or — when its own deadline passed before the solve's — whatever the
+//!    cache holds.
+//! 7. **Document.** [`api::compile_document`] renders the `Settled` as the
+//!    ten-key compile document, the same for every outcome.
+//!
+//! `POST /v1/compile-batch` is that path once per size, small→large, plus
+//! what only a batch has: every entry journaled up front (a crash mid-batch
+//! replays exactly the unfinished tail), one deadline for the whole batch
+//! (entries it starves are `"skipped"`, the batch `"partial"`), the
+//! warm-start chain (each entry's best encoding lifted to the next size
+//! when there is no cache to carry it), and the tallies. A restarted server
+//! re-admits its predecessor's journaled-but-unfinished jobs through step
+//! 3 before it accepts traffic.
+//!
+//! Around the path:
+//!
+//! * **Tenancy** — per-tenant API keys, admission quotas (`max_queued`,
+//!   `max_in_flight`) and fair-share scheduling; see [`tenant`] and
+//!   [`queue`].
+//! * **Journal** — an append-only admit/done log replayed on startup, so a
+//!   SIGKILLed server finishes what it had admitted; see [`journal`].
 //! * **Graceful shutdown** — [`ServerHandle::shutdown`] stops accepting,
 //!   cancels every in-flight solve through its [`sat::CancelToken`], drains
 //!   the queue (shedding unstarted jobs with `503`), and joins every
 //!   thread.
-//!
 //! * **Observability** — every compile request records a `serve.request`
 //!   root span with queue-wait/solve/serialization child spans beneath the
 //!   engine's own race/lane spans; the last trace per fingerprint is
@@ -38,28 +74,33 @@
 //!   `serve.access` log line; those Info events also land in the always-on
 //!   flight recorder, served live via `GET /v1/flightrecorder`.
 //!
-//! Endpoints: `POST /v1/compile`, `GET /v1/solution/<fingerprint>`,
-//! `GET /v1/trace/<fingerprint>`, `GET /v1/flightrecorder`, `GET /healthz`,
-//! `GET /metrics`. See [`api`] for the JSON schema and the README for
-//! `curl` examples.
+//! Endpoints: `POST /v1/compile`, `POST /v1/compile-batch`,
+//! `GET /v1/solution/<fingerprint>`, `GET /v1/trace/<fingerprint>`,
+//! `GET /v1/flightrecorder`, `GET /healthz`, `GET /metrics`. See [`api`]
+//! for the JSON schema and the README for `curl` examples.
+//!
+//! This file is the server's frame: configuration, [`start`], the accept
+//! and connection loops, routing, and the read-only endpoints. The request
+//! path above lives in `flow.rs`, the solve worker in `worker.rs`.
 
 pub mod api;
 pub mod client;
 pub mod coalesce;
+mod flow;
 pub mod http;
 pub mod journal;
 pub mod metrics;
 pub mod queue;
 pub mod tenant;
+mod worker;
 
-use crate::api::{CompileRequest, CompileStatus};
-use crate::coalesce::{Coalescer, SolveResult};
+use crate::coalesce::Coalescer;
 use crate::http::{HttpConn, ReadError, Request, Response};
-use crate::journal::{Journal, PendingJob, Record};
+use crate::journal::Journal;
 use crate::metrics::Metrics;
-use crate::queue::{FairQueue, Job, PushError};
+use crate::queue::FairQueue;
 use crate::tenant::{Tenant, TenantConfig, TenantRegistry};
-use engine::{fingerprint, Engine, EngineConfig, Fingerprint};
+use engine::{Engine, EngineConfig, Fingerprint};
 use jsonkit::{obj, Value};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -69,10 +110,6 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use telemetry::TraceStore;
-
-/// Extra wall-clock a connection thread waits beyond its request deadline
-/// for the solve worker to hand back the (deadline-bounded) outcome.
-const RESULT_GRACE: Duration = Duration::from_millis(500);
 
 /// Poll interval of the non-blocking accept loop and of idle keep-alive
 /// connections (both check the shutdown flag at this cadence).
@@ -192,6 +229,13 @@ impl Shared {
     fn is_shutdown(&self) -> bool {
         self.shutdown.load(Ordering::Relaxed)
     }
+
+    /// The deadline a request runs under: what it asked for (the default
+    /// when it named none), capped at the server's ceiling.
+    fn deadline(&self, requested: Option<Duration>) -> Duration {
+        let requested = requested.unwrap_or(self.config.default_deadline);
+        requested.min(self.config.max_deadline)
+    }
 }
 
 /// A running server. Dropping the handle does *not* stop the server; call
@@ -245,12 +289,10 @@ pub fn start(config: ServeConfig) -> io::Result<ServerHandle> {
     let tenants = TenantRegistry::new(&config.tenants)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
     let (journal, replay) = match &config.journal_dir {
-        Some(dir) => {
-            let (journal, report) = Journal::open(dir)?;
-            (Some(journal), Some(report))
-        }
-        None => (None, None),
-    };
+        Some(dir) => Some(Journal::open(dir)?),
+        None => None,
+    }
+    .unzip();
     let engine = Engine::new(config.engine.clone())?;
     let listener = TcpListener::bind(&config.addr)?;
     listener.set_nonblocking(true)?;
@@ -298,7 +340,7 @@ pub fn start(config: ServeConfig) -> io::Result<ServerHandle> {
     // the restarted server finishes what its predecessor was killed
     // holding, and the coalescing map covers those fingerprints again.
     if let Some(report) = replay {
-        replay_pending(&shared, report);
+        flow::replay_pending(&shared, report);
     }
 
     let mut threads = Vec::new();
@@ -307,7 +349,7 @@ pub fn start(config: ServeConfig) -> io::Result<ServerHandle> {
         threads.push(
             std::thread::Builder::new()
                 .name(format!("serve-worker-{worker}"))
-                .spawn(move || worker_loop(&shared))?,
+                .spawn(move || worker::worker_loop(&shared))?,
         );
     }
     {
@@ -403,7 +445,7 @@ fn connection_loop(shared: &Arc<Shared>, stream: TcpStream) {
                     method = request.method.clone(),
                     path = request.path.clone(),
                     status = response.status as u64,
-                    elapsed_ms = (t0.elapsed().as_micros() as f64) / 1_000.0,
+                    elapsed_ms = api::millis(t0.elapsed()),
                     request_id = rid,
                 );
                 if conn.write_response(&response).is_err() || !response.keep_alive {
@@ -440,11 +482,11 @@ fn handle_request(shared: &Arc<Shared>, request: &Request, rid: &str) -> Respons
         ("GET", "/metrics") => handle_metrics(shared, request),
         ("GET", "/v1/flightrecorder") => handle_flightrecorder(),
         ("POST", "/v1/compile") => match authenticate(shared, request) {
-            Ok(tenant) => handle_compile(shared, &request.body, rid, &tenant),
+            Ok(tenant) => flow::handle_compile(shared, &request.body, rid, tenant),
             Err(response) => response,
         },
         ("POST", "/v1/compile-batch") => match authenticate(shared, request) {
-            Ok(tenant) => handle_batch(shared, &request.body, rid, &tenant),
+            Ok(tenant) => flow::handle_batch(shared, &request.body, rid, tenant),
             Err(response) => response,
         },
         ("GET", path) if path.starts_with("/v1/solution/") => {
@@ -481,115 +523,13 @@ fn request_api_key(request: &Request) -> Option<&str> {
 
 /// Maps a compile/batch request to its tenant, or to the 401 that refuses
 /// it. Open mode (no configured tenants) always succeeds.
-fn authenticate(shared: &Arc<Shared>, request: &Request) -> Result<Arc<Tenant>, Response> {
-    match shared.tenants.authenticate(request_api_key(request)) {
-        Ok(tenant) => Ok(tenant.clone()),
-        Err(e) => {
-            shared.metrics.auth_failures.inc();
-            shared.metrics.bump();
-            Err(Response::error(401, e.message()))
-        }
-    }
-}
-
-/// Appends one record to the journal when one is configured. An append
-/// failure degrades that record to journal-less (logged), never panics.
-fn journal_append(shared: &Shared, record: &Record) {
-    if let Some(journal) = &shared.journal {
-        match journal.append(record) {
-            Ok(()) => shared.metrics.journal_appends.inc(),
-            Err(e) => telemetry::log_warn!(
-                "serve.journal",
-                "journal append failed",
-                error = e.to_string(),
-            ),
-        }
-    }
-}
-
-/// Re-admits journaled-but-unfinished jobs through the normal queue +
-/// coalescer (so their fingerprints coalesce exactly like live traffic).
-/// Runs before the workers start; jobs solve as soon as they spawn.
-fn replay_pending(shared: &Arc<Shared>, report: journal::ReplayReport) {
-    let metrics = &shared.metrics;
-    metrics.journal_skipped.add(report.skipped as u64);
-    let pending = report.pending.len();
-    for job in report.pending {
-        let Ok(problem) = engine::problem_from_json(&job.problem, Some(shared.config.max_modes))
-        else {
-            // A record from a newer schema (or hand-edited): retire it so
-            // it does not replay forever.
-            journal_append(
-                shared,
-                &Record::Done {
-                    key: job.key.clone(),
-                },
-            );
-            continue;
-        };
-        let fp = fingerprint(&problem);
-        let key = fp.to_hex();
-        if key != job.key {
-            journal_append(
-                shared,
-                &Record::Done {
-                    key: job.key.clone(),
-                },
-            );
-            continue;
-        }
-        // Already solved to optimality (the crash happened after the
-        // store but before the completion record): just retire it.
-        if shared.engine.peek(&fp).is_some_and(|e| e.optimal) {
-            journal_append(shared, &Record::Done { key });
-            continue;
-        }
-        let deadline = Duration::from_millis(job.deadline_ms).min(shared.config.max_deadline);
-        let deadline_at = Instant::now() + deadline;
-        let (cell, leader) = shared.coalescer.join(&key, deadline_at);
-        if !leader {
-            continue; // duplicate pending key, already re-admitted
-        }
-        let tenant = shared.tenants.by_name(&job.tenant).clone();
-        let push = shared.queue.try_push(Job {
-            key: key.clone(),
-            problem,
-            deadline_at,
-            enqueued_at: Instant::now(),
-            cell,
-            tenant,
-            warm_hint: None,
-            journaled: true,
-        });
-        match push {
-            Ok(()) => {
-                metrics.journal_replayed.inc();
-                metrics.jobs_enqueued.inc();
-            }
-            Err(_) => {
-                // Queue or quota full at startup: leave the record pending
-                // for the *next* restart rather than losing it.
-                shared.coalescer.finish(
-                    &key,
-                    SolveResult::Shed {
-                        status: 503,
-                        reason: "journal replay deferred".into(),
-                    },
-                );
-            }
-        }
-    }
-    if pending > 0 || report.skipped > 0 {
-        telemetry::log_info!(
-            "serve.journal",
-            "journal replayed",
-            pending = pending as u64,
-            re_admitted = metrics.journal_replayed.get(),
-            skipped_lines = report.skipped as u64,
-            segments = report.segments as u64,
-        );
-    }
-    metrics.bump();
+fn authenticate<'a>(shared: &'a Shared, request: &Request) -> Result<&'a Arc<Tenant>, Response> {
+    let authenticated = shared.tenants.authenticate(request_api_key(request));
+    authenticated.map_err(|e| {
+        shared.metrics.auth_failures.inc();
+        shared.metrics.bump();
+        Response::error(401, e.message())
+    })
 }
 
 fn handle_healthz(shared: &Arc<Shared>) -> Response {
@@ -677,698 +617,4 @@ fn handle_solution(shared: &Arc<Shared>, fingerprint_hex: &str) -> Response {
     };
     shared.metrics.lookup_latency.record(t0.elapsed());
     response
-}
-
-// ---------------------------------------------------------------------------
-// The compile flow
-// ---------------------------------------------------------------------------
-
-fn handle_compile(shared: &Arc<Shared>, body: &[u8], rid: &str, tenant: &Arc<Tenant>) -> Response {
-    let t0 = Instant::now();
-    let parsed = match api::parse_compile_request(body, shared.config.max_modes) {
-        Ok(parsed) => parsed,
-        Err(message) => return Response::error(400, &message),
-    };
-    let CompileRequest { problem, deadline } = parsed;
-    let deadline = deadline
-        .unwrap_or(shared.config.default_deadline)
-        .min(shared.config.max_deadline);
-    let deadline_at = t0 + deadline;
-    let fp = fingerprint(&problem);
-    let key = fp.to_hex();
-
-    // Root span for this request; the queue-wait and solve spans the
-    // worker records nest under it by timestamp containment. The
-    // request id rides both the span and the compile log event, so a
-    // trace, the access log, and the flight recorder all correlate.
-    let mut request_span = telemetry::span("serve.request");
-    request_span.attr("fingerprint", key.clone());
-    request_span.attr("request_id", rid);
-    telemetry::log_info!(
-        "serve.compile",
-        "compile admitted",
-        fingerprint = key.clone(),
-        modes = problem.num_modes(),
-        deadline_ms = deadline.as_millis() as u64,
-        request_id = rid,
-    );
-    let response = compile_flow(
-        shared,
-        problem,
-        &fp,
-        &key,
-        deadline_at,
-        t0,
-        tenant,
-        None,
-        &mut request_span,
-    );
-    if request_span.active() {
-        request_span.attr("status", response.status as u64);
-    }
-    drop(request_span);
-    // Everything this request's solve recorded is in the registry by now
-    // (the worker flushes before completing the cell); file it under this
-    // fingerprint for GET /v1/trace.
-    capture_trace(shared, &key);
-    response
-}
-
-// ---------------------------------------------------------------------------
-// The batch compile flow
-// ---------------------------------------------------------------------------
-
-/// `POST /v1/compile-batch`: one problem family at many sizes, solved
-/// small→large so every entry warm-starts from its smaller sibling — on a
-/// cache-backed engine through the [`engine::SizeIndex`] (cross-size
-/// provenance in each entry's `warm_start` field), on a cache-less engine
-/// through an explicitly chained, [`encodings::embed`]-lifted hint from
-/// the previous entry's best encoding.
-///
-/// The whole batch runs under one deadline; entries the deadline starves
-/// are reported `"status": "skipped"` and the batch answers
-/// `"status": "partial"`. Every entry is journaled at admission, so a
-/// crash mid-batch replays exactly the unfinished tail.
-fn handle_batch(shared: &Arc<Shared>, body: &[u8], rid: &str, tenant: &Arc<Tenant>) -> Response {
-    let t0 = Instant::now();
-    let parsed = match api::parse_batch_request(body, shared.config.max_modes) {
-        Ok(parsed) => parsed,
-        Err(message) => return Response::error(400, &message),
-    };
-    if shared.is_shutdown() {
-        return Response::error(503, "shutting down").with_retry_after(1);
-    }
-    let deadline = parsed
-        .deadline
-        .unwrap_or(shared.config.default_deadline)
-        .min(shared.config.max_deadline);
-    let deadline_at = t0 + deadline;
-    let batch_id = format!("batch-{rid}");
-    let metrics = &shared.metrics;
-    metrics.batches.inc();
-
-    let mut batch_span = telemetry::span("serve.batch");
-    batch_span.attr("batch", batch_id.clone());
-    batch_span.attr("request_id", rid);
-    batch_span.attr("entries", parsed.problems.len() as u64);
-    batch_span.attr("tenant", tenant.name.clone());
-
-    // Fingerprint everything up front, then journal every entry before
-    // the first solve: a SIGKILL anywhere in the loop leaves admit
-    // records for exactly the entries that still owe a completion.
-    let entries: Vec<(fermihedral::EncodingProblem, Fingerprint, String)> = parsed
-        .problems
-        .into_iter()
-        .map(|p| {
-            let fp = fingerprint(&p);
-            let key = fp.to_hex();
-            (p, fp, key)
-        })
-        .collect();
-    for (problem, _fp, key) in &entries {
-        journal_append(
-            shared,
-            &Record::Admit(PendingJob {
-                key: key.clone(),
-                tenant: tenant.name.clone(),
-                problem: engine::problem_to_json(problem),
-                deadline_ms: deadline.as_millis() as u64,
-                batch: Some(batch_id.clone()),
-            }),
-        );
-    }
-    telemetry::log_info!(
-        "serve.batch",
-        "batch admitted",
-        batch = batch_id.clone(),
-        entries = entries.len() as u64,
-        tenant = tenant.name.clone(),
-        deadline_ms = deadline.as_millis() as u64,
-        request_id = rid,
-    );
-
-    let mut results: Vec<Value> = Vec::with_capacity(entries.len());
-    let mut warm_starts = 0u64;
-    let mut cross_size = 0u64;
-    let mut complete = true;
-    // The chain link for cache-less engines: the previous (smaller)
-    // entry's best strings, lifted to the next size at use.
-    let mut prev_best: Option<Vec<pauli::PauliString>> = None;
-    for (problem, fp, key) in entries {
-        let modes = problem.num_modes();
-        let entry_t0 = Instant::now();
-        let annotate = |mut doc: Value| -> Value {
-            if let Value::Obj(fields) = &mut doc {
-                fields.insert("modes".into(), Value::Num(modes as f64));
-            }
-            doc
-        };
-        if entry_t0 >= deadline_at {
-            // Deadline starved this entry; it was *answered* (as
-            // skipped), so retire its journal record — replaying it
-            // after a restart would resurrect work the client was
-            // already told did not happen.
-            complete = false;
-            journal_append(shared, &Record::Done { key: key.clone() });
-            results.push(annotate(skipped_entry_response(&key)));
-            continue;
-        }
-        metrics.batch_entries.inc();
-
-        // Cache fast path, mirroring the solo flow.
-        if let Some(entry) = shared.engine.peek(&fp) {
-            if entry.optimal {
-                metrics.cache_fast_path.inc();
-                journal_append(shared, &Record::Done { key: key.clone() });
-                prev_best = Some(entry.strings.clone());
-                let doc =
-                    cache_entry_response(&key, &entry, CompileStatus::Optimal, entry_t0.elapsed());
-                results.push(annotate(doc));
-                continue;
-            }
-        }
-
-        // Cache-less chaining: lift the previous best to this size and
-        // hand it to the engine as a config hint. With a cache, the
-        // engine's own SizeIndex probe supplies the (provenance-carrying)
-        // cross-size warm start, and a hint would mask it.
-        let warm_hint = if shared.engine.cache().is_none() {
-            prev_best
-                .take()
-                .and_then(|strings| encodings::embed::embed_to(&strings, modes).ok())
-        } else {
-            None
-        };
-
-        let (cell, leader) = shared.coalescer.join(&key, deadline_at);
-        if leader {
-            let job = Job {
-                key: key.clone(),
-                problem,
-                deadline_at,
-                enqueued_at: Instant::now(),
-                cell: cell.clone(),
-                tenant: tenant.clone(),
-                warm_hint,
-                journaled: shared.journal.is_some(),
-            };
-            match shared.queue.try_push(job) {
-                Ok(()) => {
-                    metrics.jobs_enqueued.inc();
-                    metrics.bump();
-                }
-                Err(error) => {
-                    journal_append(shared, &Record::Done { key: key.clone() });
-                    let (status, reason) = match error {
-                        PushError::TenantFull(_) => {
-                            tenant.quota_rejections.inc();
-                            metrics.tenant_rejections.inc();
-                            (
-                                429,
-                                format!(
-                                    "tenant {:?} queue quota ({}) exhausted",
-                                    tenant.name, tenant.max_queued
-                                ),
-                            )
-                        }
-                        PushError::Full(_) => {
-                            metrics.queue_rejections.inc();
-                            (429, "compile queue full".to_string())
-                        }
-                        PushError::Closed(_) => (503, "shutting down".to_string()),
-                    };
-                    metrics.bump();
-                    shared
-                        .coalescer
-                        .finish(&key, SolveResult::Shed { status, reason });
-                }
-            }
-        } else {
-            metrics.coalesced_requests.inc();
-        }
-
-        match cell.wait_until(deadline_at + RESULT_GRACE) {
-            Some(SolveResult::Done {
-                outcome,
-                timed_out,
-                cancelled,
-            }) => {
-                let status = if outcome.optimal_proved {
-                    CompileStatus::Optimal
-                } else if cancelled {
-                    CompileStatus::Cancelled
-                } else if timed_out {
-                    CompileStatus::DeadlineExceeded
-                } else {
-                    CompileStatus::BestEffort
-                };
-                if !matches!(status, CompileStatus::Optimal | CompileStatus::BestEffort) {
-                    complete = false;
-                }
-                if let Some(ws) = &outcome.report.warm_start {
-                    warm_starts += 1;
-                    if ws.source == "cross-size" {
-                        cross_size += 1;
-                        metrics.batch_warm_starts.inc();
-                    }
-                }
-                prev_best = outcome.best.as_ref().map(|b| b.strings.clone());
-                let doc = api::compile_response(
-                    &key,
-                    status,
-                    Some(&outcome),
-                    !leader,
-                    entry_t0.elapsed(),
-                );
-                results.push(annotate(doc));
-            }
-            Some(SolveResult::Shed { status, reason }) => {
-                complete = false;
-                prev_best = None;
-                let doc = obj([
-                    ("fingerprint", Value::Str(key.clone())),
-                    ("status", Value::Str("shed".into())),
-                    ("error", Value::Str(reason)),
-                    ("http_status", Value::Num(status as f64)),
-                ]);
-                results.push(annotate(doc));
-            }
-            None => {
-                complete = false;
-                prev_best = None;
-                let doc = match shared.engine.peek(&fp) {
-                    Some(entry) => cache_entry_response(
-                        &key,
-                        &entry,
-                        CompileStatus::DeadlineExceeded,
-                        entry_t0.elapsed(),
-                    ),
-                    None => api::compile_response(
-                        &key,
-                        CompileStatus::DeadlineExceeded,
-                        None,
-                        !leader,
-                        entry_t0.elapsed(),
-                    ),
-                };
-                results.push(annotate(doc));
-            }
-        }
-        capture_trace(shared, &key);
-    }
-
-    batch_span.attr("complete", complete);
-    batch_span.attr("warm_starts", warm_starts);
-    batch_span.attr("cross_size_warm_starts", cross_size);
-    drop(batch_span);
-    metrics.bump();
-    Response::json(
-        200,
-        &obj([
-            ("batch", Value::Str(batch_id)),
-            (
-                "status",
-                Value::Str(if complete { "complete" } else { "partial" }.into()),
-            ),
-            ("entries", Value::Arr(results)),
-            ("warm_starts", Value::Num(warm_starts as f64)),
-            ("cross_size_warm_starts", Value::Num(cross_size as f64)),
-            (
-                "elapsed_ms",
-                Value::Num((t0.elapsed().as_micros() as f64) / 1_000.0),
-            ),
-        ]),
-    )
-}
-
-/// Batch-entry body for an entry the batch deadline starved before its
-/// solve could even be enqueued.
-fn skipped_entry_response(key: &str) -> Value {
-    obj([
-        ("fingerprint", Value::Str(key.to_string())),
-        ("status", Value::Str("skipped".into())),
-        ("optimal", Value::Bool(false)),
-        ("weight", Value::Null),
-        ("strings", Value::Null),
-        ("winner", Value::Null),
-        ("from_cache", Value::Bool(false)),
-        ("warm_start", Value::Null),
-        ("coalesced", Value::Bool(false)),
-        ("elapsed_ms", Value::Num(0.0)),
-    ])
-}
-
-/// Moves the registry's drained events into the per-fingerprint trace
-/// store (and the trace directory, when configured). Completed spans of
-/// an *overlapping* solve land in whichever request drains first — traces
-/// are diagnostics, not accounting.
-fn capture_trace(shared: &Arc<Shared>, key: &str) {
-    telemetry::flush();
-    let registry = telemetry::global();
-    let events = registry.drain();
-    if events.is_empty() {
-        return;
-    }
-    shared.trace_store.append(key, events);
-    if let Some(dir) = &shared.config.trace_dir {
-        if let Some(stored) = shared.trace_store.get(key) {
-            let json = telemetry::chrome::trace_json(&stored, registry.dropped());
-            let _ = std::fs::write(dir.join(format!("{key}.trace.json")), json);
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn compile_flow(
-    shared: &Arc<Shared>,
-    problem: fermihedral::EncodingProblem,
-    fp: &Fingerprint,
-    key: &str,
-    deadline_at: Instant,
-    t0: Instant,
-    tenant: &Arc<Tenant>,
-    warm_hint: Option<Vec<pauli::PauliString>>,
-    request_span: &mut telemetry::SpanGuard,
-) -> Response {
-    let fp = *fp;
-    let key = key.to_string();
-    let metrics = &shared.metrics;
-
-    // Fast path: a proven-optimal cache entry answers without queueing —
-    // this is what keeps repeat traffic in the sub-millisecond range even
-    // while every solve worker is busy. `peek` (not `lookup`): the cache
-    // traffic counters track the engine's own probes, and counting this
-    // pre-probe too would double-count every request that goes on to
-    // solve. Fast-path hits are surfaced as `solves.cache_fast_path`.
-    if let Some(entry) = shared.engine.peek(&fp) {
-        if entry.optimal {
-            metrics.cache_fast_path.inc();
-            let doc = cache_entry_response(&key, &entry, CompileStatus::Optimal, t0.elapsed());
-            metrics.compile_latency.record(t0.elapsed());
-            return Response::json(200, &doc);
-        }
-    }
-    if shared.is_shutdown() {
-        return Response::error(503, "shutting down").with_retry_after(1);
-    }
-
-    // Coalesce: one in-flight solve per fingerprint. The leader enqueues;
-    // followers just wait on the cell (extending its deadline to cover
-    // their own).
-    let (cell, leader) = shared.coalescer.join(&key, deadline_at);
-    request_span.attr("coalesced", !leader);
-    if leader {
-        // The admit record is journaled *before* the push: a crash in
-        // the window between them replays a job the queue never held,
-        // which the replay's cache probe and coalescing de-duplicate.
-        let admit = shared.journal.as_ref().map(|_| {
-            Record::Admit(PendingJob {
-                key: key.clone(),
-                tenant: tenant.name.clone(),
-                problem: engine::problem_to_json(&problem),
-                deadline_ms: deadline_at.saturating_duration_since(t0).as_millis() as u64,
-                batch: None,
-            })
-        });
-        let journaled = admit.is_some();
-        if let Some(record) = &admit {
-            journal_append(shared, record);
-        }
-        let job = Job {
-            key: key.clone(),
-            problem,
-            deadline_at,
-            enqueued_at: Instant::now(),
-            cell: cell.clone(),
-            tenant: tenant.clone(),
-            warm_hint,
-            journaled,
-        };
-        match shared.queue.try_push(job) {
-            Ok(()) => {
-                metrics.jobs_enqueued.inc();
-                metrics.bump();
-            }
-            Err(error) => {
-                // The job never ran: retire its admit record right away.
-                if journaled {
-                    journal_append(shared, &Record::Done { key: key.clone() });
-                }
-                match error {
-                    PushError::TenantFull(_) => {
-                        tenant.quota_rejections.inc();
-                        metrics.tenant_rejections.inc();
-                        metrics.bump();
-                        shared.coalescer.finish(
-                            &key,
-                            SolveResult::Shed {
-                                status: 429,
-                                reason: format!(
-                                    "tenant {:?} queue quota ({}) exhausted",
-                                    tenant.name, tenant.max_queued
-                                ),
-                            },
-                        );
-                    }
-                    PushError::Full(_) => {
-                        metrics.queue_rejections.inc();
-                        metrics.bump();
-                        // Unregister and fail any follower that joined the
-                        // cell in the window — they asked for the same
-                        // overloaded queue.
-                        shared.coalescer.finish(
-                            &key,
-                            SolveResult::Shed {
-                                status: 429,
-                                reason: "compile queue full".into(),
-                            },
-                        );
-                    }
-                    PushError::Closed(_) => {
-                        shared.coalescer.finish(
-                            &key,
-                            SolveResult::Shed {
-                                status: 503,
-                                reason: "shutting down".into(),
-                            },
-                        );
-                    }
-                }
-            }
-        }
-    } else {
-        metrics.coalesced_requests.inc();
-    }
-
-    let response = match cell.wait_until(deadline_at + RESULT_GRACE) {
-        Some(SolveResult::Done {
-            outcome,
-            timed_out,
-            cancelled,
-        }) => {
-            let status = if outcome.optimal_proved {
-                CompileStatus::Optimal
-            } else if cancelled {
-                CompileStatus::Cancelled
-            } else if timed_out {
-                CompileStatus::DeadlineExceeded
-            } else {
-                CompileStatus::BestEffort
-            };
-            let serialize_span = telemetry::span("serve.serialize");
-            let doc = api::compile_response(&key, status, Some(&outcome), !leader, t0.elapsed());
-            let response = Response::json(200, &doc);
-            drop(serialize_span);
-            response
-        }
-        Some(SolveResult::Shed { status, reason }) => {
-            Response::error(status, &reason).with_retry_after(1)
-        }
-        None => {
-            // Own deadline passed while the (longer-deadlined) solve is
-            // still running: answer timeout now with whatever the cache
-            // holds as best-so-far.
-            let doc = match shared.engine.peek(&fp) {
-                Some(entry) => cache_entry_response(
-                    &key,
-                    &entry,
-                    CompileStatus::DeadlineExceeded,
-                    t0.elapsed(),
-                ),
-                None => api::compile_response(
-                    &key,
-                    CompileStatus::DeadlineExceeded,
-                    None,
-                    !leader,
-                    t0.elapsed(),
-                ),
-            };
-            Response::json(200, &doc)
-        }
-    };
-    metrics.compile_latency.record(t0.elapsed());
-    response
-}
-
-/// Compile-response body built from a cache entry instead of a live
-/// engine outcome (the optimal fast path, or best-so-far on a timed-out
-/// wait).
-fn cache_entry_response(
-    key: &str,
-    entry: &engine::CacheEntry,
-    status: CompileStatus,
-    elapsed: Duration,
-) -> Value {
-    let mut doc = api::solution_response(key, entry);
-    if let Value::Obj(fields) = &mut doc {
-        fields.insert("status".into(), Value::Str(status.as_str().into()));
-        fields.insert(
-            "optimal".into(),
-            Value::Bool(entry.optimal && matches!(status, CompileStatus::Optimal)),
-        );
-        fields.insert("from_cache".into(), Value::Bool(true));
-        // Cache-entry responses never ran a race, so no warm start.
-        fields.insert("warm_start".into(), Value::Null);
-        fields.insert("coalesced".into(), Value::Bool(false));
-        fields.insert(
-            "elapsed_ms".into(),
-            Value::Num((elapsed.as_micros() as f64) / 1_000.0),
-        );
-    }
-    doc
-}
-
-// ---------------------------------------------------------------------------
-// Solve workers
-// ---------------------------------------------------------------------------
-
-fn worker_loop(shared: &Arc<Shared>) {
-    let metrics = &shared.metrics;
-    while let Some(job) = shared.queue.pop() {
-        if shared.is_shutdown() {
-            metrics.solves_shed.inc();
-            metrics.bump();
-            shared.coalescer.finish(
-                &job.key,
-                SolveResult::Shed {
-                    status: 503,
-                    reason: "shutting down".into(),
-                },
-            );
-            // No completion record: a journaled job shed by shutdown
-            // stays pending and replays when the server comes back.
-            shared.queue.job_finished(&job.tenant);
-            continue;
-        }
-        metrics.solves_started.inc();
-        metrics.active_solves.add(1);
-        metrics.bump();
-        // Queue-wait breakdown: the histogram always, plus a span whose
-        // start is back-dated to admission time so it lines up under the
-        // request's root span in the trace.
-        let wait = job.enqueued_at.elapsed();
-        metrics.queue_wait.record(wait);
-        let registry = telemetry::global();
-        if registry.is_enabled() {
-            let wait_us = wait.as_micros() as u64;
-            registry.push_batch(vec![telemetry::Event {
-                name: "serve.queue_wait".into(),
-                kind: telemetry::EventKind::Complete { dur_us: wait_us },
-                ts_us: registry.now_us().saturating_sub(wait_us),
-                pid: std::process::id(),
-                tid: telemetry::current_tid(),
-                attrs: vec![telemetry::attr("fingerprint", job.key.clone())],
-            }]);
-        }
-        let mut solve_span = telemetry::span("serve.solve");
-        solve_span.attr("fingerprint", job.key.clone());
-        // Followers that attached before this point may have extended the
-        // cell's deadline beyond the admitting request's. A job that sat
-        // in the queue past its deadline still runs, but with the minimum
-        // budget: the engine's baseline lanes produce a feasible
-        // best-so-far in microseconds, which is exactly what the waiting
-        // client should get back.
-        let deadline_at = job.cell.deadline_at().max(job.deadline_at);
-        let remaining = deadline_at
-            .saturating_duration_since(Instant::now())
-            .max(Duration::from_millis(1));
-        let outcome = if let Some(fleet) = &shared.fleet {
-            // Multi-host compilation: the race runs over whatever TCP
-            // workers are registered with the fleet server right now
-            // (none → in-process fallback inside the fleet coordinator).
-            let mut config = shared.engine.config().clone();
-            config.total_timeout =
-                Some(config.total_timeout.map_or(remaining, |t| t.min(remaining)));
-            shard::compile_fleet_with(
-                &job.problem,
-                &config,
-                shared.engine.cache(),
-                Some(&job.cell.cancel),
-                fleet,
-            )
-        } else if shared.config.engine.shards >= 2 {
-            // Sharded compilation: the same deadline and cancellation
-            // semantics, but lanes race in `fermihedral-shard worker`
-            // processes bridged by the coordinator (see crates/shard).
-            let mut config = shared.engine.config().clone();
-            config.total_timeout =
-                Some(config.total_timeout.map_or(remaining, |t| t.min(remaining)));
-            shard::compile_sharded_with(
-                &job.problem,
-                &config,
-                shared.engine.cache(),
-                Some(&job.cell.cancel),
-                &shard::ShardOptions::default(),
-            )
-        } else {
-            // The chained warm hint only reaches the in-process path: the
-            // fleet/shard coordinators run their own cache-backed warm
-            // start, and a batch on a cache-backed engine relies on the
-            // SizeIndex for provenance anyway (see Engine docs).
-            shared.engine.compile_with_deadline_hinted(
-                &job.problem,
-                Some(remaining),
-                Some(&job.cell.cancel),
-                job.warm_hint.clone(),
-            )
-        };
-        let timed_out = !outcome.optimal_proved && Instant::now() >= deadline_at;
-        let cancelled = !outcome.optimal_proved && shared.is_shutdown();
-        if solve_span.active() {
-            solve_span.attr("sharded", shared.config.engine.shards >= 2);
-            solve_span.attr("fleet", shared.fleet.is_some());
-            solve_span.attr("optimal", outcome.optimal_proved);
-            solve_span.attr("timed_out", timed_out);
-            solve_span.attr("cancelled", cancelled);
-        }
-        drop(solve_span);
-        // Hand this worker's spans to the registry *before* completing the
-        // cell, so the waiting request's trace capture sees them.
-        telemetry::flush();
-        if timed_out {
-            metrics.solves_timed_out.inc();
-        }
-        metrics.solves_completed.inc();
-        metrics.active_solves.add(-1);
-        metrics.bump();
-        // Completion record first: once the cell is finished a client can
-        // observe the result, and an observed result must never replay.
-        if job.journaled && !cancelled {
-            journal_append(
-                shared,
-                &Record::Done {
-                    key: job.key.clone(),
-                },
-            );
-        }
-        shared.coalescer.finish(
-            &job.key,
-            SolveResult::Done {
-                outcome: Arc::new(outcome),
-                timed_out,
-                cancelled,
-            },
-        );
-        shared.queue.job_finished(&job.tenant);
-    }
 }

@@ -57,9 +57,6 @@ pub struct Job {
     /// engine's own cache/SizeIndex path find its warm start — which is
     /// preferred when a cache exists, because it carries provenance.
     pub warm_hint: Option<Vec<PauliString>>,
-    /// True when this job must append a `done` record to the request
-    /// journal on completion (it was journaled at admission).
-    pub journaled: bool,
 }
 
 impl Job {
@@ -329,7 +326,6 @@ mod tests {
                 .0,
             tenant: tenant.clone(),
             warm_hint: None,
-            journaled: false,
         }
     }
 

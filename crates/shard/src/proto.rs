@@ -12,7 +12,9 @@
 //! frames are only sound between processes solving the *identical* CNF,
 //! so any schema drift must fail loudly before a single clause moves.
 
-use engine::{ClauseSharing, EngineConfig, Strategy, WorkerReport};
+use engine::{
+    strings_from_json, strings_to_json, ClauseSharing, EngineConfig, Strategy, WorkerReport,
+};
 use fermihedral::{AnnealConfig, EncodingProblem};
 use jsonkit::{obj, Value};
 use pauli::PauliString;
@@ -128,9 +130,9 @@ impl Job {
             ),
             (
                 "warm_hint",
-                self.warm_hint.as_ref().map_or(Value::Null, |strings| {
-                    Value::Arr(strings.iter().map(|s| Value::Str(s.to_string())).collect())
-                }),
+                self.warm_hint
+                    .as_deref()
+                    .map_or(Value::Null, strings_to_json),
             ),
             (
                 "trace_id",
@@ -252,9 +254,7 @@ impl ShardResult {
             ),
             (
                 "strings",
-                self.strings.as_ref().map_or(Value::Null, |strings| {
-                    Value::Arr(strings.iter().map(|s| Value::Str(s.to_string())).collect())
-                }),
+                self.strings.as_deref().map_or(Value::Null, strings_to_json),
             ),
             (
                 "proved_floor",
@@ -402,15 +402,7 @@ impl IncumbentUpdate {
     pub fn to_bytes(&self) -> Vec<u8> {
         obj([
             ("weight", Value::Num(self.weight as f64)),
-            (
-                "strings",
-                Value::Arr(
-                    self.strings
-                        .iter()
-                        .map(|s| Value::Str(s.to_string()))
-                        .collect(),
-                ),
-            ),
+            ("strings", strings_to_json(&self.strings)),
             ("winner", Value::Str(self.winner.clone())),
         ])
         .to_json_compact()
@@ -452,23 +444,6 @@ impl IncumbentUpdate {
 // Problem documents use the workspace-wide schema shared with the HTTP
 // API ([`engine::problemio`]); the wire passes no mode cap — the
 // coordinator already built the problem it is shipping.
-
-/// An encoding as it travels in a payload: an array of Pauli-string
-/// texts under `field`, absent or `null` for "none". Syntax only — whether
-/// the strings encode the problem at hand is for `engine::check_encoding`
-/// to say, wherever they are about to be trusted.
-fn strings_from_json(doc: &Value, field: &str) -> Result<Option<Vec<PauliString>>, String> {
-    let Some(value) = doc.get(field).filter(|v| !matches!(v, Value::Null)) else {
-        return Ok(None);
-    };
-    let texts = value.as_arr().ok_or(format!("{field:?} mistyped"))?;
-    let parsed = texts.iter().map(|text| {
-        let text = text.as_str().ok_or(format!("non-string {field:?} entry"))?;
-        text.parse::<PauliString>()
-            .map_err(|_| format!("unparseable Pauli string in {field:?}"))
-    });
-    parsed.collect::<Result<Vec<_>, _>>().map(Some)
-}
 
 /// `u64` values (seeds, budgets) travel as decimal strings: JSON numbers
 /// are `f64` in this workspace's parser, which silently rounds integers
