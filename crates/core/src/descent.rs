@@ -15,6 +15,7 @@
 //! persist across descent steps.
 
 use crate::instance::{EncodingInstance, EncodingProblem, Objective};
+use crate::symmetry::canonical_qubit_order;
 use encodings::weight::{majorana_weight, structure_weight};
 use encodings::{Encoding, LinearEncoding, MajoranaEncoding};
 use pauli::{PauliString, PhasedString};
@@ -298,18 +299,40 @@ fn hint_usable(instance: &EncodingInstance, strings: &[PauliString]) -> bool {
         && encodings::validate::algebraically_independent(&phased)
 }
 
+/// Whether this descent solves the instance's *search* formula. The
+/// qubit-order block shrinks refutations and makes models harder to find
+/// (both measured in [`crate::symmetry`]), so it pays only when the run
+/// goes on to its floor proof. A descent that ends at the first call to
+/// exhaust a conflict budget is an anytime run — what it returns is the
+/// best-so-far — and stays on the paper formula.
+fn searches_ordered(instance: &EncodingInstance, config: &DescentConfig) -> bool {
+    let gives_up = config.conflict_budget.is_some() && !config.persist_on_budget;
+    instance.orders_qubits() && !gives_up
+}
+
 /// Seeds the solver's saved phases with an encoding's primary-variable
-/// assignment (paper Eq. 7 bits).
+/// assignment (paper Eq. 7 bits). A solver that orders the qubit columns
+/// gets the hint in that order: the textbook orientation contradicts the
+/// ordering clauses, and a hint no model agrees with is worse than none
+/// (see [`crate::symmetry`]).
 fn apply_phase_hint(
     solver: &mut sat::Solver,
     instance: &EncodingInstance,
-    strings: &[PhasedString],
+    hint: &[PauliString],
+    ordered: bool,
 ) {
     let layout = instance.layout();
-    debug_assert_eq!(strings.len(), layout.num_strings());
+    debug_assert_eq!(hint.len(), layout.num_strings());
+    let canonical;
+    let strings = if ordered {
+        canonical = canonical_qubit_order(hint);
+        &canonical
+    } else {
+        hint
+    };
     for (s, string) in strings.iter().enumerate() {
         for q in 0..layout.num_modes() {
-            let (b1, b2) = pauli::encoding::op_to_bits(string.string().get(q));
+            let (b1, b2) = pauli::encoding::op_to_bits(string.get(q));
             solver.set_phase(layout.b1(s, q), b1);
             solver.set_phase(layout.b2(s, q), b2);
             // Decide primaries before Tseitin auxiliaries: once all
@@ -357,7 +380,12 @@ pub fn solve_optimal_instance(
     config: &DescentConfig,
 ) -> DescentOutcome {
     let started = Instant::now();
-    let mut solver = instance.solver();
+    let ordered = searches_ordered(instance, config);
+    let mut solver = if ordered {
+        instance.search_solver()
+    } else {
+        instance.solver()
+    };
     solver.set_conflict_budget(config.conflict_budget);
     if let Some(cancel) = &config.cancel {
         solver.set_stop_flag(Some(cancel.flag()));
@@ -389,14 +417,12 @@ pub fn solve_optimal_instance(
         usable
     });
     if let Some(hint) = explicit_hint {
-        let phased: Vec<PhasedString> = hint.iter().cloned().map(PhasedString::from).collect();
-        apply_phase_hint(&mut solver, instance, &phased);
+        apply_phase_hint(&mut solver, instance, hint, ordered);
     } else if config.bk_phase_hint {
-        apply_phase_hint(
-            &mut solver,
-            instance,
-            &LinearEncoding::bravyi_kitaev(instance.problem().num_modes()).majoranas(),
-        );
+        let bk = LinearEncoding::bravyi_kitaev(instance.problem().num_modes());
+        let strings: Vec<PauliString> =
+            (bk.majoranas().iter().map(|m| m.string().clone())).collect();
+        apply_phase_hint(&mut solver, instance, &strings, ordered);
     }
 
     let mut best: Option<BestEncoding> = None;
@@ -636,6 +662,28 @@ mod tests {
         let outcome = solve_optimal(&EncodingProblem::new(4, Objective::MajoranaWeight), &config);
         assert!(!outcome.optimal_proved);
         assert!(!outcome.steps.is_empty());
+    }
+
+    #[test]
+    fn only_runs_to_the_certificate_search_the_ordered_formula() {
+        let config = |conflict_budget, persist_on_budget| DescentConfig {
+            conflict_budget,
+            persist_on_budget,
+            ..DescentConfig::default()
+        };
+        let exact = EncodingProblem::full_sat(4, Objective::MajoranaWeight).build();
+        assert!(searches_ordered(&exact, &config(None, false)));
+        assert!(searches_ordered(&exact, &config(Some(1 << 20), true)));
+        assert!(!searches_ordered(&exact, &config(Some(1 << 20), false)));
+        let approximate = EncodingProblem::new(4, Objective::MajoranaWeight).build();
+        assert!(!searches_ordered(&approximate, &config(None, false)));
+        // Either formula has the same optimum, and a give-up budget large
+        // enough still ends in the certificate.
+        for run in [config(None, false), config(Some(1 << 20), false)] {
+            let outcome = solve_optimal_instance(&exact, &run);
+            assert_eq!(outcome.weight(), Some(16));
+            assert!(outcome.optimal_proved);
+        }
     }
 
     #[test]

@@ -18,6 +18,7 @@
 //!   (Section 3.7).
 
 use crate::layout::VarLayout;
+use crate::symmetry;
 use encodings::weight::structure_weight;
 use fermion::MajoranaMonomial;
 use pauli::{PauliString, PhasedString};
@@ -150,21 +151,46 @@ impl EncodingProblem {
             }
         };
         let totalizer = Totalizer::new(&mut cnf, &weight_inputs);
+        // Exact Majorana-weight instances are searched up to qubit
+        // relabelling; the selector and the measurements that narrowed it
+        // are in the `symmetry` module docs.
+        let ordered =
+            self.algebraic_independence && matches!(self.objective, Objective::MajoranaWeight);
+        let search_block = if ordered {
+            symmetry::qubit_order_block(&layout, cnf.num_vars())
+        } else {
+            Cnf::new()
+        };
         EncodingInstance {
             problem: self.clone(),
             layout,
             cnf,
+            search_block,
             totalizer,
         }
     }
 }
 
 /// A generated CNF instance with its weight counter.
+///
+/// It holds two formulas. The *paper formula* ([`cnf`](Self::cnf),
+/// [`stats`](Self::stats), [`write_dimacs`](Self::write_dimacs),
+/// [`solver`](Self::solver)) is Sections 3.3–3.7 and nothing else: the
+/// Table 3 reproduction and the reference every other path is tested
+/// against. The *search formula* ([`search_solver`](Self::search_solver))
+/// is what Algorithm 1 solves when it runs to the certificate: the paper
+/// formula plus, for exact `MajoranaWeight` instances, the qubit-order
+/// block of [`crate::symmetry`].
 #[derive(Debug, Clone)]
 pub struct EncodingInstance {
     problem: EncodingProblem,
     layout: VarLayout,
     cnf: Cnf,
+    /// Clauses the search formula adds to `cnf`, over `cnf`'s variables
+    /// plus auxiliaries numbered after them. No clauses (and no
+    /// variables) unless the problem has algebraic independence and the
+    /// `MajoranaWeight` objective.
+    search_block: Cnf,
     totalizer: Totalizer,
 }
 
@@ -184,9 +210,35 @@ impl EncodingInstance {
         &self.cnf
     }
 
-    /// A fresh solver loaded with the instance.
+    /// A fresh solver loaded with the paper formula.
     pub fn solver(&self) -> Solver {
         Solver::from_cnf(&self.cnf)
+    }
+
+    /// A fresh solver loaded with the search formula: equisatisfiable
+    /// with [`solver`](Self::solver) under every weight bound, with one
+    /// model per qubit-relabelling orbit when
+    /// [`orders_qubits`](Self::orders_qubits).
+    pub fn search_solver(&self) -> Solver {
+        let mut solver = self.solver();
+        for clause in self.search_block.clauses() {
+            solver.add_clause(clause.iter().copied());
+        }
+        solver
+    }
+
+    /// Variables of the search formula — the bound on every literal a
+    /// clause learnt by a [`search_solver`](Self::search_solver) can
+    /// mention. Equals `cnf().num_vars()` when the block is empty.
+    pub fn num_search_vars(&self) -> usize {
+        self.cnf.num_vars().max(self.search_block.num_vars())
+    }
+
+    /// Whether the search formula admits only encodings whose qubit
+    /// columns are sorted ([`crate::symmetry::canonical_qubit_order`]);
+    /// phase hints for it must be in that form.
+    pub fn orders_qubits(&self) -> bool {
+        self.search_block.num_clauses() > 0
     }
 
     /// Maximum representable weight (number of totalizer inputs).

@@ -10,6 +10,10 @@
 //!   subset lattice with shared prefixes, the vacuum-state XY-pair
 //!   condition, and either the Hamiltonian-independent or the
 //!   Hamiltonian-dependent Pauli-weight objective through a totalizer.
+//! * [`symmetry`] — the qubit-order lex-leader block that the *search*
+//!   formula of exact `MajoranaWeight` instances adds to the paper's
+//!   formula, its soundness argument, and the canonical form of warm-start
+//!   hints.
 //! * [`descent`] — Algorithm 1: iteratively tightening the weight bound via
 //!   solver assumptions until UNSAT proves optimality (or a budget stops
 //!   the search with the best-so-far encoding).
@@ -39,6 +43,7 @@ pub mod descent;
 pub mod enumerate;
 pub mod instance;
 pub mod layout;
+pub mod symmetry;
 
 pub use anneal::{anneal_pairing, AnnealConfig, AnnealOutcome};
 pub use descent::{solve_optimal, DescentConfig, DescentOutcome};

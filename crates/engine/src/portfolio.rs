@@ -11,8 +11,8 @@
 //!   objective only — pair permutations cannot change the
 //!   Hamiltonian-independent weight);
 //! * **classical baselines** (Jordan-Wigner / Bravyi-Kitaev / ternary
-//!   tree), which are instant and give the SAT workers a feasible bound to
-//!   beat.
+//!   tree), which are instant, run before any lane thread starts, and
+//!   give the SAT workers a feasible bound to beat.
 //!
 //! Every worker publishes improvements to a [`SharedBound`], so any
 //! worker's find immediately tightens every other worker's next
@@ -804,9 +804,10 @@ pub fn race_lanes(
             let (ctx, remote) =
                 SharedContext::with_bridge(descent_lanes, config.clause_sharing.exchange);
             if let Some(instance) = &instance {
-                // The CNF's variable count (totalizer included) bounds
+                // Lanes learn over the search formula; its variable count
+                // (totalizer and symmetry auxiliaries included) bounds
                 // every literal a remote clause may legally reference.
-                remote.set_var_limit(instance.cnf().num_vars());
+                remote.set_var_limit(instance.num_search_vars());
             }
             remote_exchange = Some(remote);
             ctx
@@ -862,8 +863,84 @@ pub fn race_lanes(
             .max_concurrency
             .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get())),
     );
+    let run_lane = |strategy: &Strategy, lane_handle: Option<LaneHandle>| -> WorkerReport {
+        let mut lane_span = telemetry::span("engine.lane");
+        let report = match strategy {
+            Strategy::SatDescent {
+                seed,
+                random_branch,
+                bk_phase_hint,
+                restart,
+                export_lbd,
+            } => {
+                if !slots.acquire(&incumbent.cancel) {
+                    incumbent.active_lanes.fetch_sub(1, Ordering::Relaxed);
+                    return skipped_lane(strategy.name(), started);
+                }
+                let report = run_descent_lane(
+                    instance.as_ref().expect("instance built for descent lanes"),
+                    config,
+                    DescentLaneSpec {
+                        seed: *seed,
+                        random_branch: *random_branch,
+                        bk_phase_hint: *bk_phase_hint,
+                        restart: *restart,
+                        export_lbd: *export_lbd,
+                        clause_exchange: lane_handle,
+                    },
+                    warm_hint_strings.clone(),
+                    &incumbent,
+                    started,
+                    strategy.name(),
+                );
+                slots.release();
+                report
+            }
+            Strategy::Anneal { base, schedule } => run_anneal_lane(
+                problem,
+                *base,
+                schedule.clone(),
+                &incumbent,
+                &slots,
+                config.total_timeout.map(|t| started + t),
+                started,
+                strategy.name(),
+            ),
+            Strategy::Baseline(kind) => {
+                run_baseline_lane(problem, *kind, &incumbent, started, strategy.name())
+            }
+        };
+        incumbent.active_lanes.fetch_sub(1, Ordering::Relaxed);
+        if lane_span.active() {
+            lane_span.attr("strategy", report.strategy.as_str());
+            if let Some(w) = report.final_weight {
+                lane_span.attr("final_weight", w as u64);
+            }
+            if let Some(f) = report.proved_floor {
+                lane_span.attr("proved_floor", f as u64);
+            }
+            lane_span.attr("cancelled", report.cancelled);
+            lane_span.attr("conflicts", report.conflicts);
+            lane_span.attr("imported_reasons", report.imported_reasons);
+        }
+        drop(lane_span);
+        // Lane threads end here; hand their buffered spans to the
+        // registry while the thread is still alive.
+        telemetry::flush();
+        report
+    };
+
+    // Baselines are instant and everything after them depends on what
+    // they publish — a descent lane's first bound, whether the annealer
+    // finds an incumbent to adopt. Run them here, in order, before any
+    // lane thread exists, so neither is left to the scheduler.
+    let mut reports: Vec<Option<WorkerReport>> = strategies
+        .iter()
+        .map(|s| matches!(s, Strategy::Baseline(_)).then(|| run_lane(s, None)))
+        .collect();
+
     let deadline_cancel = incumbent.cancel.clone();
-    let workers: Vec<WorkerReport> = std::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         // Watchdog enforcing the total timeout even on lanes that poll
         // nothing else (it also exits early once the race is decided).
         if let Some(total) = config.total_timeout {
@@ -877,91 +954,20 @@ pub fn race_lanes(
             });
         }
 
-        let handles: Vec<_> = strategies
-            .iter()
-            .zip(&lane_handles)
-            .map(|(strategy, lane_handle)| {
-                let incumbent = &incumbent;
-                let instance = instance.as_ref();
-                let slots = &slots;
-                let warm = warm_hint_strings.clone();
-                let lane_handle = lane_handle.clone();
-                scope.spawn(move || {
-                    let mut lane_span = telemetry::span("engine.lane");
-                    let report = match strategy {
-                        Strategy::SatDescent {
-                            seed,
-                            random_branch,
-                            bk_phase_hint,
-                            restart,
-                            export_lbd,
-                        } => {
-                            if !slots.acquire(&incumbent.cancel) {
-                                incumbent.active_lanes.fetch_sub(1, Ordering::Relaxed);
-                                return skipped_lane(strategy.name(), started);
-                            }
-                            let report = run_descent_lane(
-                                instance.expect("instance built for descent lanes"),
-                                config,
-                                DescentLaneSpec {
-                                    seed: *seed,
-                                    random_branch: *random_branch,
-                                    bk_phase_hint: *bk_phase_hint,
-                                    restart: *restart,
-                                    export_lbd: *export_lbd,
-                                    clause_exchange: lane_handle,
-                                },
-                                warm,
-                                incumbent,
-                                started,
-                                strategy.name(),
-                            );
-                            slots.release();
-                            report
-                        }
-                        Strategy::Anneal { base, schedule } => run_anneal_lane(
-                            problem,
-                            *base,
-                            schedule.clone(),
-                            incumbent,
-                            slots,
-                            config.total_timeout.map(|t| started + t),
-                            started,
-                            strategy.name(),
-                        ),
-                        Strategy::Baseline(kind) => {
-                            run_baseline_lane(problem, *kind, incumbent, started, strategy.name())
-                        }
-                    };
-                    incumbent.active_lanes.fetch_sub(1, Ordering::Relaxed);
-                    if lane_span.active() {
-                        lane_span.attr("strategy", report.strategy.as_str());
-                        if let Some(w) = report.final_weight {
-                            lane_span.attr("final_weight", w as u64);
-                        }
-                        if let Some(f) = report.proved_floor {
-                            lane_span.attr("proved_floor", f as u64);
-                        }
-                        lane_span.attr("cancelled", report.cancelled);
-                        lane_span.attr("conflicts", report.conflicts);
-                        lane_span.attr("imported_reasons", report.imported_reasons);
-                    }
-                    drop(lane_span);
-                    // Lane threads end here; hand their buffered spans to
-                    // the registry while the thread is still alive.
-                    telemetry::flush();
-                    report
-                })
+        let run_lane = &run_lane;
+        let handles: Vec<_> = (strategies.iter().zip(lane_handles).zip(&mut reports))
+            .filter(|(_, report)| report.is_none())
+            .map(|((strategy, lane_handle), report)| {
+                (scope.spawn(move || run_lane(strategy, lane_handle)), report)
             })
             .collect();
-        let reports = handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect();
+        for (handle, report) in handles {
+            *report = Some(handle.join().expect("worker panicked"));
+        }
         // Release the watchdog (if the timeout never fired).
         deadline_cancel.cancel();
-        reports
     });
+    let workers = reports.into_iter().flatten().collect();
 
     let (best, floor) = incumbent.snapshot();
     RaceOutcome {

@@ -52,8 +52,11 @@ use std::io::{self, Read, Write};
 /// Version 4 added the TCP fleet frames ([`Frame::Welcome`],
 /// [`Frame::Heartbeat`]), chunked continuation frames for oversized
 /// bodies, the [`HELLO_ANY_SHARD`] registration sentinel, and the
-/// [`Frame::Incumbent`] encoding-bearing bound improvement.
-pub const PROTOCOL_VERSION: u32 = 4;
+/// [`Frame::Incumbent`] encoding-bearing bound improvement. Version 5
+/// changed no frame: peers now exchange clauses learnt over the *search*
+/// formula (`fermihedral::symmetry`), so a binary without the block must
+/// be refused at `Hello`, not raced.
+pub const PROTOCOL_VERSION: u32 = 5;
 
 /// Upper bound on a *physical* frame body (tag + payload), chosen to
 /// keep a corrupt length prefix harmless. Logical frames larger than
