@@ -6,13 +6,49 @@
 //! final UNSAT optimality proof (the paper excludes it too, as it usually
 //! hits the timeout).
 //!
+//! Both solve columns run a plain descent over the *paper* formula of their
+//! mode (`instance.solver()`): the library's descent searches an exact
+//! instance without the `4^N` clauses, so through it the two columns would
+//! time nearly the same formula.
+//!
 //! Usage: `fig11_solve_time [--max-modes 5] [--timeout 20] [--csv]`
 
-use fermihedral::descent::{solve_optimal_instance, DescentConfig};
-use fermihedral::{EncodingProblem, Objective};
+use fermihedral::descent::bravyi_kitaev_bound;
+use fermihedral::{EncodingInstance, EncodingProblem, Objective};
 use fermihedral_bench::args::Args;
 use fermihedral_bench::report::Table;
-use std::time::Instant;
+use sat::SolveResult;
+use std::time::{Duration, Instant};
+
+/// Algorithm 1 on the instance's paper formula, from Bravyi-Kitaev's
+/// weight down: seconds spent in the improving steps, i.e. up to the call
+/// that proves the floor or runs out of `timeout`.
+fn improving_steps_s(instance: &EncodingInstance, timeout: Duration) -> f64 {
+    let started = Instant::now();
+    let mut solver = instance.solver();
+    let mut bound =
+        (bravyi_kitaev_bound(instance.problem()) + 1).min(instance.weight_upper_bound() + 1);
+    let mut improving = Duration::ZERO;
+    loop {
+        let left = timeout.saturating_sub(started.elapsed());
+        if left.is_zero() {
+            break;
+        }
+        solver.set_timeout(Some(left));
+        let assumptions: Vec<_> = instance
+            .assume_weight_less_than(bound)
+            .into_iter()
+            .collect();
+        match solver.solve_with_assumptions(&assumptions) {
+            SolveResult::Sat(model) => {
+                bound = instance.measure_weight(&instance.decode(&model));
+                improving = started.elapsed();
+            }
+            _ => break,
+        }
+    }
+    improving.as_secs_f64()
+}
 
 fn main() {
     let args = Args::parse(&["max-modes", "timeout", "csv"]);
@@ -41,25 +77,7 @@ fn main() {
             let instance = problem.build();
             construct[i] = t0.elapsed().as_secs_f64();
 
-            let config = DescentConfig {
-                solve_timeout: Some(timeout),
-                total_timeout: Some(timeout),
-                ..DescentConfig::default()
-            };
-            let t1 = Instant::now();
-            let outcome = solve_optimal_instance(&instance, &config);
-            // Exclude the UNSAT proof step, as the paper does.
-            let mut elapsed = t1.elapsed();
-            if let Some(last) = outcome.steps.last() {
-                if matches!(
-                    last.result,
-                    fermihedral::descent::StepResult::Exhausted
-                        | fermihedral::descent::StepResult::BudgetExceeded
-                ) {
-                    elapsed = elapsed.saturating_sub(last.elapsed);
-                }
-            }
-            solve[i] = elapsed.as_secs_f64().max(1e-6);
+            solve[i] = improving_steps_s(&instance, timeout).max(1e-6);
         }
         table.row(&[
             n.to_string(),

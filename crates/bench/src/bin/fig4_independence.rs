@@ -2,12 +2,17 @@
 //! (`A_k`, Eq. 15) hold simultaneously, over sampled optimal encodings.
 //!
 //! The paper's argument for dropping the algebraic-independence clauses: a
-//! random subset of Majorana strings multiplies to identity at one index
-//! with probability ≈ 1/4, and indices behave independently, so a full
-//! dependence costs `4^{-N}`. This binary reproduces the numerical
-//! evidence: enumerate up to 50 optimal encodings per size (with the
-//! constraint set *on*, as the paper does), sample random subsets, and
-//! estimate `P(A_1 ∧ … ∧ A_n)` for `n = 1…5`.
+//! random *subset* of Majorana strings multiplies to identity at one index
+//! with probability ≈ 1/4, and indices behave independently, so a given
+//! subset vanishes everywhere with probability `4^{-N}`. This binary
+//! reproduces that numerical evidence: enumerate up to 50 optimal
+//! encodings per size (with the constraint set *on*, as the paper does),
+//! sample random subsets, and estimate `P(A_1 ∧ … ∧ A_n)` for `n = 1…5`.
+//!
+//! What it measures is per-index identity events of subsets, not the
+//! failure rate of whole solutions: `2N` pairwise-anticommuting strings
+//! are *always* independent (the lemma in `fermihedral::instance`), so a
+//! model of the formula without the clauses never fails the rank check.
 //!
 //! Usage: `fig4_independence [--max-modes 4] [--encodings 50] [--subsets 4000] [--seed 7] [--csv]`
 

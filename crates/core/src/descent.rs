@@ -14,7 +14,7 @@
 //! Bounds are solver *assumptions* over one totalizer, so learnt clauses
 //! persist across descent steps.
 
-use crate::instance::{EncodingInstance, EncodingProblem, Objective};
+use crate::instance::{EncodingInstance, EncodingProblem, Objective, SearchFormula};
 use crate::symmetry::canonical_qubit_order;
 use encodings::weight::{majorana_weight, structure_weight};
 use encodings::{Encoding, LinearEncoding, MajoranaEncoding};
@@ -103,11 +103,13 @@ pub struct DescentConfig {
     /// Fraction of solver decisions made on a random variable
     /// ([`sat::Solver::set_random_branch`]). Ignored without effect when 0.
     pub random_branch: f64,
-    /// Check GF(2) algebraic independence of every model and reject
-    /// dependent ones with a blocking clause. This is the safety net for
-    /// the *SAT w/o Alg.* mode (Section 4.1): invalid models occur with
-    /// probability `4^{-N}`, and one cheap rank check filters them without
-    /// the `4^N` clauses.
+    /// Check GF(2) algebraic independence of every model and reject a
+    /// dependent one with a blocking clause. On a problem *with*
+    /// algebraic independence the check runs whatever this says: the
+    /// search formula leaves the `4^N` clauses out, so the check is what
+    /// states the condition. It is not expected to fire in either mode —
+    /// `2N` pairwise-anticommuting strings are always independent (the
+    /// lemma in [`crate::instance`]) — and a hit is logged as a warning.
     pub validate_independence: bool,
     /// Seed the solver's phase saving with the Bravyi-Kitaev assignment so
     /// the first solver call walks straight to a known-feasible model. At
@@ -299,15 +301,15 @@ fn hint_usable(instance: &EncodingInstance, strings: &[PauliString]) -> bool {
         && encodings::validate::algebraically_independent(&phased)
 }
 
-/// Whether this descent solves the instance's *search* formula. The
-/// qubit-order block shrinks refutations and makes models harder to find
-/// (both measured in [`crate::symmetry`]), so it pays only when the run
-/// goes on to its floor proof. A descent that ends at the first call to
-/// exhaust a conflict budget is an anytime run — what it returns is the
-/// best-so-far — and stays on the paper formula.
-fn searches_ordered(instance: &EncodingInstance, config: &DescentConfig) -> bool {
+/// Whether this descent loads the search formula's qubit-order block. The
+/// block shrinks refutations and makes models harder to find (both
+/// measured in [`crate::symmetry`]), so it pays only when the run goes on
+/// to its floor proof. A descent that ends at the first call to exhaust a
+/// conflict budget is an anytime run — what it returns is the
+/// best-so-far — and searches without it.
+fn searches_ordered(search: &SearchFormula, config: &DescentConfig) -> bool {
     let gives_up = config.conflict_budget.is_some() && !config.persist_on_budget;
-    instance.orders_qubits() && !gives_up
+    search.has_order_block() && !gives_up
 }
 
 /// Seeds the solver's saved phases with an encoding's primary-variable
@@ -380,12 +382,13 @@ pub fn solve_optimal_instance(
     config: &DescentConfig,
 ) -> DescentOutcome {
     let started = Instant::now();
-    let ordered = searches_ordered(instance, config);
-    let mut solver = if ordered {
-        instance.search_solver()
-    } else {
-        instance.solver()
-    };
+    // Solver and bound assumptions both come from the search formula;
+    // `instance` is consulted only for what every formula shares.
+    let search = instance.search();
+    let ordered = searches_ordered(&search, config);
+    let mut solver = search.solver(ordered);
+    let check_independence =
+        config.validate_independence || instance.problem().has_algebraic_independence();
     solver.set_conflict_budget(config.conflict_budget);
     if let Some(cancel) = &config.cancel {
         solver.set_stop_flag(Some(cancel.flag()));
@@ -468,10 +471,8 @@ pub fn solve_optimal_instance(
         }
         solver.set_timeout(per_call);
 
-        let assumptions: Vec<sat::Lit> = instance
-            .assume_weight_less_than(bound)
-            .into_iter()
-            .collect();
+        let assumptions: Vec<sat::Lit> =
+            search.assume_weight_less_than(bound).into_iter().collect();
         // Tag this call's clause exports with the bound it assumes (no
         // assumption literal — a bound beyond the totalizer — exports
         // unconditionally valid clauses).
@@ -514,10 +515,21 @@ pub fn solve_optimal_instance(
         match result {
             sat::SolveResult::Sat(model) => {
                 let strings = instance.decode(&model);
-                if config.validate_independence && !independent(&strings) {
-                    // Accidentally dependent model (probability 4^{-N} when
-                    // the clause set was dropped): block it and retry the
-                    // same bound.
+                if check_independence && !independent(&strings) {
+                    // No formula solved here states independence; block
+                    // the model and retry the same bound. The lemma in
+                    // `crate::instance` says an anticommuting model cannot
+                    // land here, so the encoder or the solver is broken.
+                    telemetry::log_warn!(
+                        "core.descent",
+                        "pairwise-anticommuting model is GF(2)-dependent; blocked",
+                        bound = bound,
+                        strings = strings
+                            .iter()
+                            .map(ToString::to_string)
+                            .collect::<Vec<_>>()
+                            .join(" "),
+                    );
                     let layout = *instance.layout();
                     let mut blocking = Vec::with_capacity(layout.num_primary_vars());
                     for s in 0..layout.num_strings() {
@@ -672,13 +684,17 @@ mod tests {
             ..DescentConfig::default()
         };
         let exact = EncodingProblem::full_sat(4, Objective::MajoranaWeight).build();
-        assert!(searches_ordered(&exact, &config(None, false)));
-        assert!(searches_ordered(&exact, &config(Some(1 << 20), true)));
-        assert!(!searches_ordered(&exact, &config(Some(1 << 20), false)));
+        let search = exact.search();
+        assert!(searches_ordered(&search, &config(None, false)));
+        assert!(searches_ordered(&search, &config(Some(1 << 20), true)));
+        assert!(!searches_ordered(&search, &config(Some(1 << 20), false)));
         let approximate = EncodingProblem::new(4, Objective::MajoranaWeight).build();
-        assert!(!searches_ordered(&approximate, &config(None, false)));
-        // Either formula has the same optimum, and a give-up budget large
-        // enough still ends in the certificate.
+        assert!(!searches_ordered(
+            &approximate.search(),
+            &config(None, false)
+        ));
+        // With or without the block the optimum is the same, and a give-up
+        // budget large enough still ends in the certificate.
         for run in [config(None, false), config(Some(1 << 20), false)] {
             let outcome = solve_optimal_instance(&exact, &run);
             assert_eq!(outcome.weight(), Some(16));

@@ -16,6 +16,49 @@
 //!   totalizer ([`sat::Totalizer`]); Hamiltonian-dependent weight instead
 //!   counts the sites of every Majorana-monomial product via XOR networks
 //!   (Section 3.7).
+//!
+//! # Paper formula and search formula
+//!
+//! An [`EncodingInstance`] holds the *paper formula* — the four families
+//! above and nothing else: Table 3, the DIMACS artefact, the reference every
+//! other path is tested against — and hands out the *search formula*
+//! ([`EncodingInstance::search`]), which is what Algorithm 1 solves. For a
+//! problem with the algebraic-independence clauses the search formula is
+//! the paper formula **without that family** (its own [`Cnf`], its own
+//! totalizer, the same primaries), plus the qubit-order block of
+//! [`crate::symmetry`] where that module's selector applies. Independence
+//! is then stated by the rank check the descent runs on every model, and
+//! never fails:
+//!
+//! **Lemma.** An even number of pairwise-anticommuting Pauli strings is
+//! GF(2)-independent.
+//!
+//! *Proof.* Suppose a non-empty subset `S` multiplies to a multiple of the
+//! identity. Every `m ∈ S` commutes with that product; `m` commutes with
+//! itself and anticommutes with the other `|S| − 1` members, so `|S| − 1`
+//! is even and `|S|` is odd. Every `m′ ∉ S` anticommutes with all `|S|`
+//! members, hence (odd `|S|`) with their product — impossible for a
+//! multiple of the identity — so nothing lies outside `S`: `S` is the whole
+//! set, whose size is even. Contradiction. ∎
+//!
+//! Every instance built here has `2N` strings, so anticommutativity
+//! (§3.3) already implies independence (§3.4): the paper's §4.1 / Fig. 4
+//! argument that the `4^N` clauses can *probably* be dropped holds exactly.
+//! (An odd set can be dependent — `X, Y, Z` — and any `2N + 1` anticommuting
+//! strings on `N` qubits are; `encodings/tests/anticommuting_sets.rs`
+//! checks the lemma exhaustively at `N ≤ 3`, sampled to `N = 8`, with both
+//! controls.)
+//!
+//! Soundness does not rest on the lemma. UNSAT of the search formula
+//! without the block is UNSAT of the paper formula, which has every one of
+//! its clauses; a model is returned only after the rank check passed; a
+//! model that failed it would be blocked and the bound retried, which is
+//! finite and complete. The lemma only says why that path is never taken.
+//! One default lane to the certificate, conflicts / propagations: `N = 4`
+//! 988 / 303,629 with the §3.4 clauses in the solver, 1,219 / 166,428
+//! without; `N = 5` 43,546 / 27,233,641 against 56,005 / 12,129,380 — more
+//! conflicts at under half the price each, since the long subset clauses
+//! were what propagation spent its time on.
 
 use crate::layout::VarLayout;
 use crate::symmetry;
@@ -26,7 +69,8 @@ use sat::{Cnf, Lit, Model, Solver, Totalizer};
 
 /// Hard cap on modes when algebraic-independence clauses are enabled: the
 /// subset lattice has `2^{2N}` elements (the paper also stops at 8,
-/// Table 3).
+/// Table 3). It guards the eager build of the *paper* formula only; the
+/// search formula of such a problem has no exponential family.
 const MAX_FULL_SAT_MODES: usize = 8;
 
 /// The optimization objective (paper Section 3.1).
@@ -66,7 +110,8 @@ pub struct EncodingProblem {
 impl EncodingProblem {
     /// A problem with the paper's default optional constraints: vacuum
     /// condition on, algebraic-independence clauses off (the Section 4.1
-    /// configuration, safe for every `N` with failure probability `4^{-N}`).
+    /// configuration, which scales; its models are independent anyway, see
+    /// the lemma in the [module docs](self)).
     pub fn new(num_modes: usize, objective: Objective) -> EncodingProblem {
         assert!(num_modes > 0, "need at least one mode");
         EncodingProblem {
@@ -134,64 +179,141 @@ impl EncodingProblem {
             );
         }
         let layout = VarLayout::new(n);
-        let mut cnf = Cnf::new();
-        cnf.new_vars(layout.num_primary_vars());
-
-        add_anticommutativity(&mut cnf, &layout);
-        if self.algebraic_independence {
-            add_algebraic_independence(&mut cnf, &layout);
-        }
-        if self.vacuum {
-            add_vacuum_condition(&mut cnf, &layout);
-        }
-        let weight_inputs = match &self.objective {
-            Objective::MajoranaWeight => majorana_weight_literals(&mut cnf, &layout),
-            Objective::HamiltonianWeight(monomials) => {
-                hamiltonian_weight_literals(&mut cnf, &layout, monomials)
+        let (cnf, totalizer) = self.generate(&layout, self.algebraic_independence);
+        // An exact instance is searched without the §3.4 family (the
+        // lemma in the module docs) and, under `MajoranaWeight`, up to
+        // qubit relabelling; that selector and the measurements that
+        // narrowed it are in the `symmetry` module docs.
+        let search = self.algebraic_independence.then(|| {
+            let (cnf, totalizer) = self.generate(&layout, false);
+            let order_block = matches!(self.objective, Objective::MajoranaWeight)
+                .then(|| symmetry::qubit_order_block(&layout, cnf.num_vars()));
+            SearchSide {
+                cnf,
+                totalizer,
+                order_block,
             }
-        };
-        let totalizer = Totalizer::new(&mut cnf, &weight_inputs);
-        // Exact Majorana-weight instances are searched up to qubit
-        // relabelling; the selector and the measurements that narrowed it
-        // are in the `symmetry` module docs.
-        let ordered =
-            self.algebraic_independence && matches!(self.objective, Objective::MajoranaWeight);
-        let search_block = if ordered {
-            symmetry::qubit_order_block(&layout, cnf.num_vars())
-        } else {
-            Cnf::new()
-        };
+        });
         EncodingInstance {
             problem: self.clone(),
             layout,
             cnf,
-            search_block,
             totalizer,
+            search,
         }
+    }
+
+    /// The constraint families in their fixed order — anticommutation,
+    /// independence (when asked for), vacuum, weight literals, totalizer —
+    /// over the primaries of `layout`, which come first in every formula.
+    fn generate(&self, layout: &VarLayout, independence: bool) -> (Cnf, Totalizer) {
+        let mut cnf = Cnf::new();
+        cnf.new_vars(layout.num_primary_vars());
+        add_anticommutativity(&mut cnf, layout);
+        if independence {
+            add_algebraic_independence(&mut cnf, layout);
+        }
+        if self.vacuum {
+            add_vacuum_condition(&mut cnf, layout);
+        }
+        let weight_inputs = match &self.objective {
+            Objective::MajoranaWeight => majorana_weight_literals(&mut cnf, layout),
+            Objective::HamiltonianWeight(monomials) => {
+                hamiltonian_weight_literals(&mut cnf, layout, monomials)
+            }
+        };
+        let totalizer = Totalizer::new(&mut cnf, &weight_inputs);
+        (cnf, totalizer)
     }
 }
 
 /// A generated CNF instance with its weight counter.
 ///
-/// It holds two formulas. The *paper formula* ([`cnf`](Self::cnf),
-/// [`stats`](Self::stats), [`write_dimacs`](Self::write_dimacs),
-/// [`solver`](Self::solver)) is Sections 3.3–3.7 and nothing else: the
-/// Table 3 reproduction and the reference every other path is tested
-/// against. The *search formula* ([`search_solver`](Self::search_solver))
-/// is what Algorithm 1 solves when it runs to the certificate: the paper
-/// formula plus, for exact `MajoranaWeight` instances, the qubit-order
-/// block of [`crate::symmetry`].
+/// [`cnf`](Self::cnf), [`stats`](Self::stats),
+/// [`write_dimacs`](Self::write_dimacs), [`solver`](Self::solver) and
+/// [`assume_weight_less_than`](Self::assume_weight_less_than) are the
+/// *paper formula*; [`search`](Self::search) is the formula Algorithm 1
+/// solves (see the [module docs](self)). [`layout`](Self::layout),
+/// [`decode`](Self::decode) and [`measure_weight`](Self::measure_weight)
+/// serve both: the primaries are numbered first in each.
 #[derive(Debug, Clone)]
 pub struct EncodingInstance {
     problem: EncodingProblem,
     layout: VarLayout,
     cnf: Cnf,
-    /// Clauses the search formula adds to `cnf`, over `cnf`'s variables
-    /// plus auxiliaries numbered after them. No clauses (and no
-    /// variables) unless the problem has algebraic independence and the
-    /// `MajoranaWeight` objective.
-    search_block: Cnf,
     totalizer: Totalizer,
+    /// `None` when the problem has no algebraic-independence clauses: the
+    /// paper formula is then the search formula.
+    search: Option<SearchSide>,
+}
+
+/// The search formula of an exact instance, where it differs from the
+/// paper's.
+#[derive(Debug, Clone)]
+struct SearchSide {
+    /// The paper formula without the §3.4 family.
+    cnf: Cnf,
+    /// The weight counter inside `cnf` (numbered differently from the
+    /// paper formula's).
+    totalizer: Totalizer,
+    /// [`symmetry::qubit_order_block`] over `cnf`'s variables, auxiliaries
+    /// numbered after them; `MajoranaWeight` only.
+    order_block: Option<Cnf>,
+}
+
+/// The formula Algorithm 1 solves, with the weight counter that belongs to
+/// it. The solver, the bound assumptions and the variable count all come
+/// from here because they must come from the same place: the search and
+/// paper formulas number their totalizers differently, and a solver of one
+/// given an assumption literal of the other answers a question nobody
+/// asked.
+#[derive(Debug, Clone, Copy)]
+pub struct SearchFormula<'a> {
+    cnf: &'a Cnf,
+    totalizer: &'a Totalizer,
+    order_block: Option<&'a Cnf>,
+}
+
+impl SearchFormula<'_> {
+    /// Whether there is a qubit-order block to load
+    /// ([`crate::symmetry`]): exact `MajoranaWeight` instances only.
+    pub fn has_order_block(&self) -> bool {
+        self.order_block.is_some()
+    }
+
+    /// A fresh solver loaded with the search formula; with `ordered` (which
+    /// needs [`has_order_block`](Self::has_order_block)) the block is
+    /// appended, leaving one model per qubit-relabelling orbit, and phase
+    /// hints must be in [`crate::symmetry::canonical_qubit_order`].
+    /// Satisfiable under exactly the bounds the paper formula is.
+    pub fn solver(&self, ordered: bool) -> Solver {
+        let mut solver = Solver::from_cnf(self.cnf);
+        if ordered {
+            let block = self.order_block.expect("this instance has no order block");
+            for clause in block.clauses() {
+                solver.add_clause(clause.iter().copied());
+            }
+        }
+        solver
+    }
+
+    /// Assumption literal enforcing `objective weight < w` in a
+    /// [`solver`](Self::solver) of this formula; `None` when the bound is
+    /// trivially true.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `w == 0`.
+    pub fn assume_weight_less_than(&self, w: usize) -> Option<Lit> {
+        self.totalizer.less_than(w)
+    }
+
+    /// Variables of the formula, block auxiliaries included — the bound on
+    /// every literal a clause learnt by a [`solver`](Self::solver) can
+    /// mention.
+    pub fn num_vars(&self) -> usize {
+        self.order_block.map_or(self.cnf.num_vars(), Cnf::num_vars)
+    }
 }
 
 impl EncodingInstance {
@@ -205,7 +327,7 @@ impl EncodingInstance {
         &self.layout
     }
 
-    /// The generated CNF.
+    /// The generated CNF (the paper formula).
     pub fn cnf(&self) -> &Cnf {
         &self.cnf
     }
@@ -215,30 +337,20 @@ impl EncodingInstance {
         Solver::from_cnf(&self.cnf)
     }
 
-    /// A fresh solver loaded with the search formula: equisatisfiable
-    /// with [`solver`](Self::solver) under every weight bound, with one
-    /// model per qubit-relabelling orbit when
-    /// [`orders_qubits`](Self::orders_qubits).
-    pub fn search_solver(&self) -> Solver {
-        let mut solver = self.solver();
-        for clause in self.search_block.clauses() {
-            solver.add_clause(clause.iter().copied());
+    /// The formula Algorithm 1 solves.
+    pub fn search(&self) -> SearchFormula<'_> {
+        match &self.search {
+            Some(side) => SearchFormula {
+                cnf: &side.cnf,
+                totalizer: &side.totalizer,
+                order_block: side.order_block.as_ref(),
+            },
+            None => SearchFormula {
+                cnf: &self.cnf,
+                totalizer: &self.totalizer,
+                order_block: None,
+            },
         }
-        solver
-    }
-
-    /// Variables of the search formula — the bound on every literal a
-    /// clause learnt by a [`search_solver`](Self::search_solver) can
-    /// mention. Equals `cnf().num_vars()` when the block is empty.
-    pub fn num_search_vars(&self) -> usize {
-        self.cnf.num_vars().max(self.search_block.num_vars())
-    }
-
-    /// Whether the search formula admits only encodings whose qubit
-    /// columns are sorted ([`crate::symmetry::canonical_qubit_order`]);
-    /// phase hints for it must be in that form.
-    pub fn orders_qubits(&self) -> bool {
-        self.search_block.num_clauses() > 0
     }
 
     /// Maximum representable weight (number of totalizer inputs).
@@ -246,8 +358,9 @@ impl EncodingInstance {
         self.totalizer.len()
     }
 
-    /// Assumption literal enforcing `objective weight < w` (Algorithm 1's
-    /// bound). `None` when the bound is trivially true.
+    /// Assumption literal enforcing `objective weight < w` in the *paper*
+    /// formula ([`solver`](Self::solver)). `None` when the bound is
+    /// trivially true.
     ///
     /// # Panics
     ///
@@ -527,14 +640,14 @@ mod tests {
 
     #[test]
     fn without_algebraic_independence_may_still_validate() {
-        // At N=3 the failure probability is 1/64; check the solver output
-        // explicitly and accept either, but the anticommutativity and
-        // vacuum conditions must always hold.
+        // Six anticommuting strings are independent whether or not the
+        // formula says so (the lemma in the module docs).
         let instance = EncodingProblem::new(3, Objective::MajoranaWeight).build();
         let strings = solve_instance(&instance, None).expect("satisfiable");
         let phased: Vec<PhasedString> = strings.iter().cloned().map(PhasedString::from).collect();
         let report = validate_strings(&phased);
         assert!(report.anticommuting);
+        assert!(report.algebraically_independent);
         assert!(report.xy_pair_condition);
     }
 

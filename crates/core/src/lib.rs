@@ -9,11 +9,12 @@
 //!   anticommutativity as XOR chains, algebraic independence over the
 //!   subset lattice with shared prefixes, the vacuum-state XY-pair
 //!   condition, and either the Hamiltonian-independent or the
-//!   Hamiltonian-dependent Pauli-weight objective through a totalizer.
-//! * [`symmetry`] — the qubit-order lex-leader block that the *search*
-//!   formula of exact `MajoranaWeight` instances adds to the paper's
-//!   formula, its soundness argument, and the canonical form of warm-start
-//!   hints.
+//!   Hamiltonian-dependent Pauli-weight objective through a totalizer;
+//!   and the *search* formula Algorithm 1 solves, which leaves the
+//!   independence family out because anticommutation implies it.
+//! * [`symmetry`] — the qubit-order lex-leader block that the search
+//!   formula of exact `MajoranaWeight` instances carries, its soundness
+//!   argument, and the canonical form of warm-start hints.
 //! * [`descent`] — Algorithm 1: iteratively tightening the weight bound via
 //!   solver assumptions until UNSAT proves optimality (or a budget stops
 //!   the search with the best-so-far encoding).
@@ -47,5 +48,5 @@ pub mod symmetry;
 
 pub use anneal::{anneal_pairing, AnnealConfig, AnnealOutcome};
 pub use descent::{solve_optimal, DescentConfig, DescentOutcome};
-pub use instance::{EncodingInstance, EncodingProblem, InstanceStats, Objective};
+pub use instance::{EncodingInstance, EncodingProblem, InstanceStats, Objective, SearchFormula};
 pub use layout::VarLayout;

@@ -1,12 +1,14 @@
 //! Qubit-order symmetry breaking for the *search* formula of exact
 //! `MajoranaWeight` instances.
 //!
-//! The paper's formula ([`EncodingInstance::cnf`]) has `N!` copies of every
-//! encoding: relabel the qubits and nothing it talks about changes. A
-//! solver refuting `weight < w*` — the floor proof that dominates every
-//! exact compile — refutes each candidate once per relabelling. This
-//! module builds the clauses that keep one representative per orbit, and
-//! the matching canonical form for warm-start hints.
+//! The paper's formula ([`EncodingInstance::cnf`]) — and the search formula
+//! an exact instance derives from it by leaving the §3.4 family out, see
+//! [`crate::instance`] — has `N!` copies of every encoding: relabel the
+//! qubits and nothing it talks about changes. A solver refuting
+//! `weight < w*` — the floor proof that dominates every exact compile —
+//! refutes each candidate once per relabelling. This module builds the
+//! clauses that keep one representative per orbit, and the matching
+//! canonical form for warm-start hints.
 //!
 //! # The block
 //!
@@ -47,7 +49,7 @@
 //!    the formula without it is: every SAT/UNSAT answer of the descent,
 //!    the optimum and the proved floor are unchanged. The chain
 //!    auxiliaries are functionally forced or free, so any sorted model of
-//!    the paper's formula extends to one of the search formula.
+//!    the formula without the block extends to one of the formula with it.
 //!
 //! The one assumption: **no constraint or objective depends on which
 //! qubit is which.** A connectivity- or depth-aware objective (ROADMAP,
@@ -63,16 +65,19 @@
 //! 12–98 ms (median 31) without. So the block is applied only where a
 //! measured run ends in the refutation and wins overall:
 //!
-//! * [`EncodingProblem::build`] attaches it to instances **with
-//!   algebraic-independence clauses and the `MajoranaWeight` objective** —
-//!   the paper's Full SAT mode (capped at `N ≤ 8`), whose product is the
-//!   optimality certificate. Every other instance gets an empty block.
+//! * [`EncodingProblem::build`] attaches it to the search formula of
+//!   problems **with algebraic independence and the `MajoranaWeight`
+//!   objective** — the paper's Full SAT mode (capped at `N ≤ 8`), whose
+//!   product is the optimality certificate. No other instance has one.
 //! * The descent loads it unless the run **gives up at its first exhausted
 //!   conflict budget** (`conflict_budget` set, `persist_on_budget` off):
 //!   such a run returns the best-so-far, not the certificate.
 //!
 //! The selector is a property of the problem and of what the run is for,
-//! not an option. What was measured on the sides left out:
+//! not an option. What was measured on the sides left out — all of it
+//! while the solver still carried the §3.4 clauses (PR 19); the selector
+//! has not moved since, and what those sides solve *now* (the search
+//! formula without the block) is measured in the README:
 //!
 //! * *No independence clauses* (§4.1, the approximate mode that scales).
 //!   `N = 8`, one default lane, 60,000 conflicts per call: weight 56
@@ -84,7 +89,7 @@
 //!   conflicts; 9.1–23.7 s under the other column keys below) and 6 → 45 s
 //!   through the default race; four seeded five-monomial structures go
 //!   11.0 → 0.54, 10.1 → 0.92, 3.2 → 1.3 and 1.7 → 2.8 s. Large on average,
-//!   4× slower on the repository's own example: left on the paper formula
+//!   4× slower on the repository's own example: left without the block
 //!   until a benchmark workload covers it.
 //! * *Give-up budgets*, exact `MajoranaWeight`, 20,000 conflicts per call,
 //!   six seeded lanes. `N = 5`, conflicts spent reaching weight 22 (the
@@ -94,36 +99,41 @@
 //!   without the block, two of them at 32 with it.
 //!
 //! Wall-clock budgets do not switch the block off: with it a 30 s run
-//! certifies `N = 5`, without it none does. A guard literal (`g → block`,
-//! assumed only by calls or lanes that are proving the floor) is the
-//! recorded follow-up that could give every run both halves.
+//! certifies `N = 5`, without it none does (86 s on today's search
+//! formula). A guard literal (`g → block`, assumed only by calls or lanes
+//! that are proving the floor) is the recorded follow-up that could give
+//! every run both halves.
 //!
 //! Lanes that exchange clauses make the same choice — one `EngineConfig`
 //! per race, in-process or sharded. Were they ever mixed it would still be
-//! sound: what a search-formula lane learns follows from paper ∧ block, so
-//! a paper-formula lane that imports it solves something between two
-//! formulas that are satisfiable at exactly the same bounds.
+//! sound: what a lane with the block learns follows from formula ∧ block,
+//! so a lane without it that imports the clause solves something between
+//! two formulas that are satisfiable at exactly the same bounds.
 //!
 //! # Measured
 //!
 //! One default lane (Bravyi-Kitaev hint, Luby-128, no random branching),
-//! full SAT to the certificate, conflicts / propagations:
+//! full SAT to the certificate, conflicts / propagations. Left pair: the
+//! §3.4 clauses in the solver (PR 19, when the key was chosen); right
+//! pair: the search formula as it is now, without them.
 //!
-//! | column key | `N = 4` (weight 16) | `N = 5` (weight 22) |
-//! |---|---|---|
-//! | no block | 3,376 / 1,171,529 | hours-scale, never finished |
-//! | string `2N−1` most significant, `b1` before `b2` (**committed**) | 988 / 303,629 | 43,546 / 27,233,641 |
-//! | string `0` most significant, `b1` before `b2` | 2,347 / 778,863 | 40,184 / 26,961,188 |
-//! | string `2N−1` most significant, `b2` before `b1` | 1,477 / 432,789 | 38,156 / 23,155,115 |
-//! | string `0` most significant, `b2` before `b1` | 2,962 / 980,288 | 40,859 / 24,365,257 |
+//! | column key | `N = 4`, with §3.4 | `N = 5`, with §3.4 | `N = 4` | `N = 5` |
+//! |---|---|---|---|---|
+//! | no block | 3,376 / 1,171,529 | hours-scale, never finished | 4,111 / 615,086 | 585,115 / 127,338,030 (86 s) |
+//! | string `2N−1` most significant, `b1` before `b2` (**committed**) | 988 / 303,629 | 43,546 / 27,233,641 | 1,219 / 166,428 | 56,005 / 12,129,380 |
+//! | string `0` most significant, `b1` before `b2` | 2,347 / 778,863 | 40,184 / 26,961,188 | 3,264 / 415,157 | 57,464 / 12,078,233 |
+//! | string `2N−1` most significant, `b2` before `b1` | 1,477 / 432,789 | 38,156 / 23,155,115 | 1,209 / 167,485 | 50,996 / 11,137,385 |
+//! | string `0` most significant, `b2` before `b1` | 2,962 / 980,288 | 40,859 / 24,365,257 | 767 / 113,377 | 65,082 / 13,483,647 |
 //!
 //! The `N = 5` counts are within one another's noise (a chaotic quantity:
-//! any clause-order change moves them by this much); `N = 4` separates the
-//! keys by 2.4×, so it decides.
+//! any clause-order change moves them by this much); with the §3.4 clauses
+//! `N = 4` separated the keys by 2.4×, so it decided. Without them the
+//! committed key is no longer the best at `N = 4` and the best one there
+//! is the worst at `N = 5`: nothing to move the key on.
 //!
 //! Hints matter as much as the clauses. A Bravyi-Kitaev hint left in its
-//! textbook qubit order contradicts the block: `N = 4` then needs 2,035
-//! conflicts instead of 988, and with the block forced onto the `N = 8`
+//! textbook qubit order contradicts the block: `N = 4` then needed 2,035
+//! conflicts instead of 988 (PR 19), and with the block forced onto the `N = 8`
 //! approximate instance the un-canonicalised hint finds *no* model in
 //! 60,000 conflicts. [`canonical_qubit_order`] is therefore applied to
 //! every hint a descent that loads the block receives.

@@ -1,8 +1,9 @@
-//! The qubit-order block of the search formula (`fermihedral::symmetry`)
-//! against the paper's formula, which stays the reference implementation:
-//! same optima with and without it, a canonical form that is one per
-//! orbit and that the block admits, and no block outside exact
-//! `MajoranaWeight` problems.
+//! The search formula (the paper's without its §3.4 family, plus the
+//! qubit-order block of `fermihedral::symmetry` on exact `MajoranaWeight`
+//! instances) against the paper's formula, which stays the reference
+//! implementation: same optima from both, exact counts pinned, a canonical
+//! form that is one per orbit and that the block admits, and one formula
+//! only where the problem states no independence.
 
 use encodings::validate::validate_strings;
 use encodings::weight::{majorana_weight, structure_weight};
@@ -46,8 +47,8 @@ fn reference_optimum(instance: &EncodingInstance) -> usize {
 fn assert_same_optimum(problem: &EncodingProblem, label: &str) {
     let instance = problem.build();
     assert!(
-        instance.orders_qubits() || problem.num_modes() == 1,
-        "{label}"
+        instance.search().num_vars() < instance.cnf().num_vars(),
+        "{label}: the search formula still carries the independence clauses"
     );
     let outcome = solve_optimal_instance(&instance, &DescentConfig::default());
     assert!(outcome.optimal_proved, "{label}: no certificate");
@@ -69,40 +70,65 @@ fn search_formula_optimum_equals_paper_formula_optimum() {
     }
 }
 
-/// `HamiltonianWeight` instances carry no block (measured slower at
-/// `N = 4`, see the module docs), but the soundness argument covers them:
-/// the block, added by hand, leaves their optimum where it was.
-#[test]
-fn block_is_sound_for_hamiltonian_objectives_and_not_applied_to_them() {
-    // Three distinct Majorana pairs M_a·M_b over the six strings of N=3,
-    // drawn from a fixed xorshift stream.
+/// Distinct Majorana pairs `M_a·M_b` over the `2N` strings, drawn from a
+/// fixed xorshift stream: `cases` problems of `pairs` monomials each.
+fn seeded_pair_structures(modes: usize, pairs: usize, cases: usize) -> Vec<Vec<MajoranaMonomial>> {
     let mut state = 0x9e37_79b9_7f4a_7c15u64;
-    let mut next = move |below: u64| {
+    let strings = 2 * modes as u64;
+    let mut next = move || {
         state ^= state << 13;
         state ^= state >> 7;
         state ^= state << 17;
-        (state % below) as u32
+        (state % strings) as u32
     };
-    for case in 0..5 {
-        let mut pairs = std::collections::BTreeSet::new();
-        while pairs.len() < 3 {
-            let (a, b) = (next(6), next(6));
-            if a != b {
-                pairs.insert((a.min(b), a.max(b)));
+    (0..cases)
+        .map(|_| {
+            let mut chosen = std::collections::BTreeSet::new();
+            while chosen.len() < pairs {
+                let (a, b) = (next(), next());
+                if a != b {
+                    chosen.insert((a.min(b), a.max(b)));
+                }
+            }
+            chosen
+                .iter()
+                .map(|&(a, b)| MajoranaMonomial::from_sorted(vec![a, b]))
+                .collect()
+        })
+        .collect()
+}
+
+/// Exact `HamiltonianWeight` instances are searched without the §3.4
+/// family and without the block (measured slower at `N = 4`, see the
+/// module docs); the paper formula agrees on every optimum.
+#[test]
+fn hamiltonian_search_formula_optimum_equals_paper_formula_optimum() {
+    for (modes, pairs, cases) in [(3, 3, 5), (4, 2, 2)] {
+        for monomials in seeded_pair_structures(modes, pairs, cases) {
+            for vacuum in [true, false] {
+                let label = format!("N={modes} {monomials:?} vacuum={vacuum}");
+                let objective = Objective::HamiltonianWeight(monomials.clone());
+                let problem =
+                    EncodingProblem::full_sat(modes, objective).with_vacuum_condition(vacuum);
+                assert_same_optimum(&problem, &label);
             }
         }
-        let monomials: Vec<MajoranaMonomial> = pairs
-            .iter()
-            .map(|&(a, b)| MajoranaMonomial::from_sorted(vec![a, b]))
-            .collect();
+    }
+}
+
+/// `HamiltonianWeight` instances carry no block, but its soundness
+/// argument covers them: added by hand to the paper formula, it leaves the
+/// optimum where it was.
+#[test]
+fn block_is_sound_for_hamiltonian_objectives_and_not_applied_to_them() {
+    for monomials in seeded_pair_structures(3, 3, 5) {
         for vacuum in [true, false] {
-            let label = format!("case {case} {pairs:?} vacuum={vacuum}");
+            let label = format!("{monomials:?} vacuum={vacuum}");
             let instance =
                 EncodingProblem::full_sat(3, Objective::HamiltonianWeight(monomials.clone()))
                     .with_vacuum_condition(vacuum)
                     .build();
-            assert!(!instance.orders_qubits(), "{label}");
-            assert_eq!(instance.num_search_vars(), instance.cnf().num_vars());
+            assert!(!instance.search().has_order_block(), "{label}");
             let mut ordered = instance.solver();
             let block = qubit_order_block(instance.layout(), instance.cnf().num_vars());
             for clause in block.clauses() {
@@ -117,6 +143,19 @@ fn block_is_sound_for_hamiltonian_objectives_and_not_applied_to_them() {
     }
 }
 
+/// One default lane to the certificate is bit-reproducible; these are the
+/// counts the README, the ROADMAP and the ledger's `certify_n4` quote (the
+/// `N = 5` pair is pinned by the next test).
+#[test]
+fn default_lane_counts_are_pinned_at_four_modes() {
+    let problem = EncodingProblem::full_sat(4, Objective::MajoranaWeight);
+    let outcome = solve_optimal_instance(&problem.build(), &DescentConfig::default());
+    assert_eq!(outcome.weight(), Some(16));
+    assert!(outcome.optimal_proved);
+    let stats = outcome.solver_stats;
+    assert_eq!((stats.conflicts, stats.propagations), (1_219, 166_428));
+}
+
 #[test]
 fn one_default_lane_certifies_five_modes_at_weight_22() {
     let problem = EncodingProblem::full_sat(5, Objective::MajoranaWeight);
@@ -124,6 +163,8 @@ fn one_default_lane_certifies_five_modes_at_weight_22() {
     assert_eq!(outcome.weight(), Some(22));
     assert!(outcome.optimal_proved);
     assert_eq!(outcome.proved_floor, Some(22));
+    let stats = outcome.solver_stats;
+    assert_eq!((stats.conflicts, stats.propagations), (56_005, 12_129_380));
     let best = outcome.best.unwrap();
     assert!(validate_strings(&phased(&best.strings)).is_valid());
     assert_eq!(
@@ -140,19 +181,36 @@ fn non_exact_instances_have_no_block() {
             let instance = EncodingProblem::new(modes, Objective::MajoranaWeight)
                 .with_vacuum_condition(vacuum)
                 .build();
-            assert!(!instance.orders_qubits());
-            assert_eq!(instance.num_search_vars(), instance.cnf().num_vars());
-            let (search, paper) = (instance.search_solver(), instance.solver());
-            assert_eq!(search.num_vars(), paper.num_vars());
-            assert_eq!(search.num_clauses(), paper.num_clauses());
+            let search = instance.search();
+            assert!(!search.has_order_block());
+            assert_eq!(search.num_vars(), instance.cnf().num_vars());
+            let (searched, paper) = (search.solver(false), instance.solver());
+            assert_eq!(searched.num_vars(), paper.num_vars());
+            assert_eq!(searched.num_clauses(), paper.num_clauses());
+            for w in 1..=instance.weight_upper_bound() + 1 {
+                assert_eq!(
+                    search.assume_weight_less_than(w),
+                    instance.assume_weight_less_than(w)
+                );
+            }
         }
     }
-    // And exact ones do, numbered after the paper formula's variables.
+    // An exact instance's search formula is the size of the approximate
+    // instance's paper formula, plus the block under `MajoranaWeight`.
     let exact = EncodingProblem::full_sat(4, Objective::MajoranaWeight).build();
-    assert!(exact.orders_qubits());
-    assert_eq!(exact.num_search_vars(), exact.cnf().num_vars() + 45);
-    assert_eq!(exact.search_solver().num_vars(), exact.num_search_vars());
-    assert_eq!(exact.solver().num_vars(), exact.cnf().num_vars());
+    let approximate = EncodingProblem::new(4, Objective::MajoranaWeight).build();
+    let search = exact.search();
+    assert!(search.has_order_block());
+    assert_eq!(search.num_vars(), approximate.cnf().num_vars() + 45);
+    assert_eq!(search.solver(true).num_vars(), search.num_vars());
+    let unordered = search.solver(false);
+    assert_eq!(unordered.num_vars(), approximate.cnf().num_vars());
+    assert_eq!(unordered.num_clauses(), approximate.solver().num_clauses());
+    assert_ne!(
+        search.assume_weight_less_than(16),
+        exact.assume_weight_less_than(16),
+        "the two totalizers sit at different variable numbers"
+    );
 }
 
 fn phased(strings: &[PauliString]) -> Vec<PhasedString> {

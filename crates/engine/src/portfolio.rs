@@ -807,7 +807,7 @@ pub fn race_lanes(
                 // Lanes learn over the search formula; its variable count
                 // (totalizer and symmetry auxiliaries included) bounds
                 // every literal a remote clause may legally reference.
-                remote.set_var_limit(instance.num_search_vars());
+                remote.set_var_limit(instance.search().num_vars());
             }
             remote_exchange = Some(remote);
             ctx

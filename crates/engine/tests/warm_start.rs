@@ -154,8 +154,8 @@ fn differential(small: usize, large: usize, timeout: Duration) {
     // lane, which starts from the Bravyi-Kitaev bound. Total conflicts get
     // a loose guard only — a warm start must not double the work — because
     // the floor proof dominates them and is the same proof either way
-    // (N=3 → N=4: 1,483 warm against 988 cold; N=4 → N=5, where the
-    // embedded N=4 optimum already is the optimum: 37,923 against 43,546).
+    // (N=3 → N=4: 1,458 warm against 1,219 cold; N=4 → N=5, where the
+    // embedded N=4 optimum already is the optimum: 50,421 against 56,005).
     let single_dir = tmp_cache(&format!("diff-single-{small}-{large}"));
     let single_lane = |problem: &EncodingProblem, cache: bool| {
         compile(

@@ -55,8 +55,10 @@ use std::io::{self, Read, Write};
 /// [`Frame::Incumbent`] encoding-bearing bound improvement. Version 5
 /// changed no frame: peers now exchange clauses learnt over the *search*
 /// formula (`fermihedral::symmetry`), so a binary without the block must
-/// be refused at `Hello`, not raced.
-pub const PROTOCOL_VERSION: u32 = 5;
+/// be refused at `Hello`, not raced. Version 6 changed no frame either:
+/// the search formula of exact instances lost the `4^N` independence
+/// family, which renumbered every auxiliary the exchanged clauses mention.
+pub const PROTOCOL_VERSION: u32 = 6;
 
 /// Upper bound on a *physical* frame body (tag + payload), chosen to
 /// keep a corrupt length prefix harmless. Logical frames larger than
