@@ -24,6 +24,14 @@
 //! the machine's available parallelism), so oversubscribing a small host
 //! never makes the race slower than a single lane: excess lanes queue,
 //! and a queued lane whose race was decided exits without work.
+//!
+//! Nothing in the race polls a clock. One signal — a mutex and condvar
+//! owned by the race — is notified when a lane exits, a heavy slot is
+//! released, a lane publishes a new incumbent, or the race is decided.
+//! Queued lanes, the re-seeding annealer, and the waiter that enforces
+//! [`EngineConfig::total_timeout`] all sleep on it; the waiter raises the
+//! cancel flag only if the deadline passes first. A race therefore
+//! returns as soon as its last lane does.
 
 use crate::cache::{CacheCounters, CacheEntry, SizeIndex, SolutionCache};
 use crate::fingerprint::{fingerprint, Fingerprint};
@@ -247,9 +255,10 @@ pub struct EngineConfig {
     /// Maximum *heavy* lanes (SAT descent, annealing) running
     /// concurrently; `None` sizes to [`std::thread::available_parallelism`].
     /// Instant lanes (baselines) always run immediately. Excess heavy
-    /// lanes queue, and a queued lane whose race was decided while it
-    /// waited exits without doing any work — so on a single-core host the
-    /// portfolio costs one lane's wall time, not the sum of all lanes.
+    /// lanes queue until a slot is released, and every queued lane wakes
+    /// the moment the race is decided and exits without doing any work —
+    /// so on a single-core host the portfolio costs one lane's wall time,
+    /// not the sum of all lanes.
     pub max_concurrency: Option<usize>,
     /// Worker *processes* to shard the lanes across (ROADMAP multi-process
     /// sharding). `0` or `1` races every lane in this process. This field
@@ -260,45 +269,68 @@ pub struct EngineConfig {
     pub shards: usize,
 }
 
-/// Counting semaphore bounding concurrent heavy lanes.
-struct Slots {
-    available: Mutex<usize>,
-    freed: Condvar,
+/// The race's one wake-up signal, whose mutex also guards the counting
+/// semaphore bounding concurrent heavy lanes. Every waiter re-tests its
+/// condition under the lock, and every notifier changes what waiters test
+/// *before* taking the lock, so no wake-up is lost between a test and
+/// the wait that follows it.
+struct RaceSignal {
+    free_slots: Mutex<usize>,
+    changed: Condvar,
 }
 
-impl Slots {
-    fn new(n: usize) -> Slots {
-        Slots {
-            available: Mutex::new(n.max(1)),
-            freed: Condvar::new(),
+impl RaceSignal {
+    fn new(slots: usize) -> RaceSignal {
+        RaceSignal {
+            free_slots: Mutex::new(slots.max(1)),
+            changed: Condvar::new(),
         }
     }
 
-    /// Waits for a slot. Returns `false` (without acquiring) when the race
-    /// was decided first.
-    fn acquire(&self, cancel: &CancelToken) -> bool {
-        let mut avail = self.available.lock().unwrap();
-        loop {
-            if cancel.is_cancelled() {
-                return false;
-            }
-            if *avail > 0 {
-                *avail -= 1;
-                return true;
-            }
-            // Bounded wait so cancellation is polled even if a release
-            // signal is missed.
-            let (guard, _) = self
-                .freed
-                .wait_timeout(avail, Duration::from_millis(10))
-                .unwrap();
-            avail = guard;
+    /// Wakes every waiter to re-test its condition.
+    fn notify(&self) {
+        drop(self.free_slots.lock().unwrap());
+        self.changed.notify_all();
+    }
+
+    /// Blocks until `done` (shown the free-slot count) holds or `deadline`
+    /// passes; `None` waits without a deadline. A deadline already past
+    /// tests `done` once.
+    fn wait_until(&self, deadline: Option<Instant>, mut done: impl FnMut(&mut usize) -> bool) {
+        let mut free = self.free_slots.lock().unwrap();
+        while !done(&mut free) {
+            free = match deadline {
+                None => self.changed.wait(free).unwrap(),
+                Some(deadline) => {
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        return;
+                    }
+                    self.changed.wait_timeout(free, left).unwrap().0
+                }
+            };
         }
+    }
+
+    /// Waits for a heavy slot. Returns `false` (without acquiring) when the
+    /// race was decided or aborted first.
+    fn acquire(&self, cancel: &CancelToken) -> bool {
+        let mut acquired = false;
+        self.wait_until(None, |free| {
+            if !cancel.is_cancelled() && *free > 0 {
+                *free -= 1;
+                acquired = true;
+            }
+            acquired || cancel.is_cancelled()
+        });
+        acquired
     }
 
     fn release(&self) {
-        *self.available.lock().unwrap() += 1;
-        self.freed.notify_one();
+        *self.free_slots.lock().unwrap() += 1;
+        // Every waiter, not one: a woken lane that finds the race decided
+        // returns without passing the wake-up on.
+        self.changed.notify_all();
     }
 }
 
@@ -342,19 +374,34 @@ struct Incumbent {
     /// re-seeding annealer) stop waiting once it is the last one standing,
     /// instead of idling out the whole timeout.
     active_lanes: Arc<AtomicUsize>,
+    /// Notified on every lane exit, slot release, new incumbent, and when
+    /// the race is decided.
+    signal: Arc<RaceSignal>,
 }
 
 impl Incumbent {
     /// A fresh incumbent racing on `cancel` (the engine raises it when the
-    /// race is decided; an external holder may raise it to abort the run).
-    fn new(cancel: CancelToken, lanes: usize) -> Incumbent {
+    /// race is decided; an external holder may raise it to abort the run)
+    /// with `heavy_slots` heavy lanes allowed to run at once.
+    fn new(cancel: CancelToken, lanes: usize, heavy_slots: usize) -> Incumbent {
         Incumbent {
             bound: SharedBound::new(),
             best: Arc::new(Mutex::new(None)),
             floor: Arc::new(AtomicUsize::new(0)),
             cancel,
             active_lanes: Arc::new(AtomicUsize::new(lanes)),
+            signal: Arc::new(RaceSignal::new(heavy_slots)),
         }
+    }
+
+    /// Raises the cancel flag and wakes every waiter.
+    fn abort(&self) {
+        self.cancel.cancel();
+        self.signal.notify();
+    }
+
+    fn lanes_done(&self) -> bool {
+        self.active_lanes.load(Ordering::Relaxed) == 0
     }
 
     /// Publishes an encoding; keeps the lightest. Ties keep the first
@@ -379,7 +426,10 @@ impl Incumbent {
                 ],
             );
         }
-        self.check_optimal();
+        // Only a new incumbent or a decided race can end a wait.
+        if self.check_optimal() || better {
+            self.signal.notify();
+        }
     }
 
     /// Records an UNSAT floor and cancels the race when it pins the
@@ -389,29 +439,35 @@ impl Incumbent {
         if telemetry::global().is_enabled() {
             telemetry::instant("engine.floor", vec![telemetry::attr("floor", floor as u64)]);
         }
-        self.check_optimal();
+        if self.check_optimal() {
+            self.signal.notify();
+        }
     }
 
-    fn check_optimal(&self) {
+    /// Cancels the race once the floor pins the incumbent. True when this
+    /// call decided it; the caller then wakes the waiters, outside the
+    /// incumbent's lock (a waiter tests the incumbent holding the
+    /// signal's).
+    fn check_optimal(&self) -> bool {
         let floor = self.floor.load(Ordering::Relaxed);
         if floor == 0 {
-            return;
+            return false;
         }
         let slot = self.best.lock().unwrap();
-        if let Some((best, _)) = slot.as_ref() {
-            // No encoding below `floor` exists, and we hold one *at* it:
-            // the race is decided.
-            if best.weight == floor {
-                let decided = !self.cancel.is_cancelled();
-                self.cancel.cancel();
-                if decided && telemetry::global().is_enabled() {
-                    telemetry::instant(
-                        "engine.race_decided",
-                        vec![telemetry::attr("weight", floor as u64)],
-                    );
-                }
-            }
+        // No encoding below `floor` exists, and we hold one *at* it: the
+        // race is decided.
+        let pinned = slot.as_ref().is_some_and(|(best, _)| best.weight == floor);
+        let decided = pinned && !self.cancel.is_cancelled();
+        if pinned {
+            self.cancel.cancel();
         }
+        if decided && telemetry::global().is_enabled() {
+            telemetry::instant(
+                "engine.race_decided",
+                vec![telemetry::attr("weight", floor as u64)],
+            );
+        }
+        decided
     }
 
     fn snapshot(&self) -> (Option<(BestEncoding, String)>, usize) {
@@ -419,6 +475,17 @@ impl Incumbent {
             self.best.lock().unwrap().clone(),
             self.floor.load(Ordering::Relaxed),
         )
+    }
+}
+
+/// Counts one lane out of the race when dropped — on a panic too, so no
+/// waiter is left waiting on a lane that is gone.
+struct LaneExit<'a>(&'a Incumbent);
+
+impl Drop for LaneExit<'_> {
+    fn drop(&mut self) {
+        self.0.active_lanes.fetch_sub(1, Ordering::Relaxed);
+        self.0.signal.notify();
     }
 }
 
@@ -834,7 +901,11 @@ pub fn race_lanes(
     let incumbent = Incumbent::new(
         external_cancel.cloned().unwrap_or_default(),
         strategies.len(),
+        config
+            .max_concurrency
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get())),
     );
+    let deadline = config.total_timeout.and_then(|t| started.checked_add(t));
     if let Some(entry) = input.warm_start {
         incumbent.publish(entry.clone().into(), &format!("cache[{}]", entry.strategy));
     }
@@ -858,13 +929,10 @@ pub fn race_lanes(
         });
     }
 
-    let slots = Slots::new(
-        config
-            .max_concurrency
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get())),
-    );
+    let slots = &incumbent.signal;
     let run_lane = |strategy: &Strategy, lane_handle: Option<LaneHandle>| -> WorkerReport {
         let mut lane_span = telemetry::span("engine.lane");
+        let exit = LaneExit(&incumbent);
         let report = match strategy {
             Strategy::SatDescent {
                 seed,
@@ -874,7 +942,6 @@ pub fn race_lanes(
                 export_lbd,
             } => {
                 if !slots.acquire(&incumbent.cancel) {
-                    incumbent.active_lanes.fetch_sub(1, Ordering::Relaxed);
                     return skipped_lane(strategy.name(), started);
                 }
                 let report = run_descent_lane(
@@ -901,8 +968,7 @@ pub fn race_lanes(
                 *base,
                 schedule.clone(),
                 &incumbent,
-                &slots,
-                config.total_timeout.map(|t| started + t),
+                deadline,
                 started,
                 strategy.name(),
             ),
@@ -910,7 +976,7 @@ pub fn race_lanes(
                 run_baseline_lane(problem, *kind, &incumbent, started, strategy.name())
             }
         };
-        incumbent.active_lanes.fetch_sub(1, Ordering::Relaxed);
+        drop(exit);
         if lane_span.active() {
             lane_span.attr("strategy", report.strategy.as_str());
             if let Some(w) = report.final_weight {
@@ -939,21 +1005,24 @@ pub fn race_lanes(
         .map(|s| matches!(s, Strategy::Baseline(_)).then(|| run_lane(s, None)))
         .collect();
 
-    let deadline_cancel = incumbent.cancel.clone();
     std::thread::scope(|scope| {
-        // Watchdog enforcing the total timeout even on lanes that poll
-        // nothing else (it also exits early once the race is decided).
-        if let Some(total) = config.total_timeout {
-            let cancel = deadline_cancel.clone();
+        // The total timeout: a waiter sleeps on the race signal until the
+        // race is decided, its last lane exits, or the deadline passes,
+        // and then raises the cancel flag — which stops even lanes that
+        // check nothing else, and changes nothing if the race is over.
+        // It is spawned ahead of the lanes on purpose: on a two-core host
+        // that start-up order staggers the first two descent lanes, and
+        // lanes started in lockstep cost `race_n4` ~20% more conflicts
+        // and CPU (lane 1's first exports slow lane 0's certificate).
+        if let Some(deadline) = deadline {
+            let incumbent = &incumbent;
             scope.spawn(move || {
-                let step = Duration::from_millis(10);
-                while started.elapsed() < total && !cancel.is_cancelled() {
-                    std::thread::sleep(step.min(total.saturating_sub(started.elapsed())));
-                }
-                cancel.cancel();
+                incumbent.signal.wait_until(Some(deadline), |_| {
+                    incumbent.cancel.is_cancelled() || incumbent.lanes_done()
+                });
+                incumbent.abort();
             });
         }
-
         let run_lane = &run_lane;
         let handles: Vec<_> = (strategies.iter().zip(lane_handles).zip(&mut reports))
             .filter(|(_, report)| report.is_none())
@@ -964,8 +1033,8 @@ pub fn race_lanes(
         for (handle, report) in handles {
             *report = Some(handle.join().expect("worker panicked"));
         }
-        // Release the watchdog (if the timeout never fired).
-        deadline_cancel.cancel();
+        // Raised whatever ended the race: bridge holders read it as over.
+        incumbent.cancel.cancel();
     });
     let workers = reports.into_iter().flatten().collect();
 
@@ -1276,7 +1345,7 @@ fn run_baseline_lane(
     }
 }
 
-/// Polls the shared incumbent for an encoding strictly better than
+/// Waits on the race signal for an encoding strictly better than
 /// `my_best` to re-anneal from. Waits until `deadline` (the race's absolute
 /// end) when one is set; without a deadline only an *already available*
 /// improvement is taken. Either way the wait ends as soon as no *other*
@@ -1288,41 +1357,38 @@ fn wait_for_better_incumbent(
     my_best: usize,
     deadline: Option<Instant>,
 ) -> Option<(Vec<PauliString>, usize)> {
-    loop {
+    let mut better = None;
+    // A deadline of now tests once.
+    let deadline = deadline.unwrap_or_else(Instant::now);
+    incumbent.signal.wait_until(Some(deadline), |_| {
         if incumbent.cancel.is_cancelled() {
-            return None;
+            return true;
         }
         // Cheap atomic pre-check before cloning the encoding.
         if incumbent.bound.get() < my_best {
-            let (slot, _) = incumbent.snapshot();
-            if let Some((best, _)) = slot {
+            if let (Some((best, _)), _) = incumbent.snapshot() {
                 if best.weight < my_best {
-                    return Some((best.strings, best.weight));
+                    better = Some((best.strings, best.weight));
+                    return true;
                 }
             }
         }
-        if incumbent.active_lanes.load(Ordering::Relaxed) <= 1 {
-            return None; // only this lane is left — nothing to wait for
-        }
-        match deadline {
-            None => return None,
-            Some(d) if Instant::now() >= d => return None,
-            Some(_) => std::thread::sleep(Duration::from_millis(2)),
-        }
-    }
+        // Only this lane is left — nothing to wait for.
+        incumbent.active_lanes.load(Ordering::Relaxed) <= 1
+    });
+    better
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_anneal_lane(
     problem: &EncodingProblem,
     base: BaselineKind,
     mut schedule: AnnealConfig,
     incumbent: &Incumbent,
-    slots: &Slots,
     deadline: Option<Instant>,
     engine_start: Instant,
     name: String,
 ) -> WorkerReport {
+    let slots = &incumbent.signal;
     // Pair permutation cannot change the summed Majorana weight, so under
     // that objective the lane degenerates to its base encoding — instant
     // work that does not occupy a heavy slot.
@@ -1441,7 +1507,7 @@ mod tests {
         // descent (BK fallback applies) and logged as a worker event.
         let problem = EncodingProblem::full_sat(2, Objective::MajoranaWeight);
         let instance = problem.build();
-        let incumbent = Incumbent::new(CancelToken::new(), 1);
+        let incumbent = Incumbent::new(CancelToken::new(), 1, 1);
         let bad: Vec<PauliString> = ["XX", "YY", "ZI", "IZ"]
             .iter()
             .map(|s| s.parse().unwrap())

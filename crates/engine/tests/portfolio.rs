@@ -400,6 +400,63 @@ fn anneal_lane_respects_cancellation() {
     assert!(worker.cancelled, "the lane must report its cancellation");
 }
 
+/// Compiles on a helper thread and fails the test, instead of hanging it,
+/// when the race has not returned within a minute.
+fn compile_within_a_minute(problem: EncodingProblem, config: EngineConfig) -> EngineOutcome {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(compile(&problem, &config));
+    });
+    rx.recv_timeout(Duration::from_secs(60))
+        .expect("the race did not return within 60 s")
+}
+
+#[test]
+fn queued_lanes_all_wake_when_the_race_is_decided() {
+    // One heavy slot and four heavy lanes: one descent runs to the
+    // certificate while three queue for its slot. Every queued lane must
+    // wake, find the race decided and exit without running — a wake-up
+    // that reaches only one of them would leave the others, and the race,
+    // waiting forever. N=4 takes the running lane some 20 ms, long enough
+    // for the other three to be queued when it finishes.
+    let problem = EncodingProblem::full_sat(4, Objective::MajoranaWeight);
+    let mut strategies = three_descent_lanes();
+    strategies.push(strategies[0].clone());
+    let config = EngineConfig {
+        strategies,
+        max_concurrency: Some(1),
+        ..EngineConfig::default()
+    };
+    let outcome = compile_within_a_minute(problem, config);
+    assert!(outcome.optimal_proved);
+    let (skipped, ran): (Vec<_>, Vec<_>) = outcome
+        .report
+        .workers
+        .iter()
+        .partition(|w| w.started_at == w.finished_at);
+    assert_eq!(ran.len(), 1, "one slot, one lane that ran: {ran:?}");
+    assert_eq!(skipped.len(), 3);
+    assert!(
+        skipped.iter().all(|w| w.cancelled),
+        "queued lanes report their cancellation: {skipped:?}"
+    );
+}
+
+#[test]
+fn a_decided_race_returns_long_before_its_timeout() {
+    // The total timeout is enforced by a wait on the race signal; it must
+    // end when the lanes exit, not when the hour is up.
+    let config = EngineConfig {
+        total_timeout: Some(Duration::from_secs(3600)),
+        ..EngineConfig::default()
+    };
+    let outcome = compile_within_a_minute(
+        EncodingProblem::full_sat(3, Objective::MajoranaWeight),
+        config,
+    );
+    assert!(outcome.optimal_proved);
+}
+
 #[test]
 fn clause_sharing_off_reproduces_incumbent_only_racing() {
     // The off-path must behave like the pre-clause-sharing engine: same

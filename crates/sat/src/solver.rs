@@ -609,7 +609,9 @@ impl Solver {
                         break SolveResult::Unknown;
                     }
                 }
-                if self.stats.conflicts.is_multiple_of(64) && self.stop_requested() {
+                // Every conflict: one relaxed load against a conflict's
+                // analysis, and a losing portfolio lane stops at once.
+                if self.stop_requested() {
                     break SolveResult::Interrupted;
                 }
                 if self.stats.conflicts.is_multiple_of(256) {

@@ -225,11 +225,15 @@ impl Link for PipeLink {
         self.outboxes[shard] = None; // EOF lets a lingering worker exit
         let child = self.children[shard].as_mut()?;
         let deadline = Instant::now() + REAP_GRACE;
+        // Poll from 0.5 ms, doubling up to 10 ms: a worker that exits
+        // promptly is reaped promptly, not on the next 10 ms step.
+        let mut backoff = Duration::from_micros(500);
         let status = loop {
             match child.try_wait() {
                 Ok(Some(status)) => break Some(status),
                 Ok(None) if Instant::now() < deadline => {
-                    std::thread::sleep(Duration::from_millis(10))
+                    std::thread::sleep(backoff);
+                    backoff = (backoff * 2).min(Duration::from_millis(10));
                 }
                 _ => {
                     let _ = child.kill();
