@@ -24,9 +24,7 @@ use sat::{card, Cnf, Totalizer};
 use std::time::{Duration, Instant};
 
 fn descent_time(n: usize, vacuum: bool, hint: bool, timeout: Duration) -> (Option<usize>, f64) {
-    let problem = EncodingProblem::new(n, Objective::MajoranaWeight)
-        .with_algebraic_independence(n <= 4)
-        .with_vacuum_condition(vacuum);
+    let problem = EncodingProblem::new(n, Objective::MajoranaWeight).with_vacuum_condition(vacuum);
     let config = DescentConfig {
         solve_timeout: Some(timeout),
         total_timeout: Some(timeout),

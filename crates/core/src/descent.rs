@@ -104,12 +104,12 @@ pub struct DescentConfig {
     /// ([`sat::Solver::set_random_branch`]). Ignored without effect when 0.
     pub random_branch: f64,
     /// Check GF(2) algebraic independence of every model and reject a
-    /// dependent one with a blocking clause. On a problem *with*
-    /// algebraic independence the check runs whatever this says: the
-    /// search formula leaves the `4^N` clauses out, so the check is what
-    /// states the condition. It is not expected to fire in either mode —
-    /// `2N` pairwise-anticommuting strings are always independent (the
-    /// lemma in [`crate::instance`]) — and a hit is logged as a warning.
+    /// dependent one with a blocking clause. No search formula carries the
+    /// `4^N` clauses, so this check is the only place the condition is
+    /// stated; a problem whose paper formula includes them runs it whatever
+    /// this says. It never fires — `2N` pairwise-anticommuting strings are
+    /// always independent (the lemma in [`crate::instance`]) — and a hit
+    /// would be logged as a warning.
     pub validate_independence: bool,
     /// Seed the solver's phase saving with the Bravyi-Kitaev assignment so
     /// the first solver call walks straight to a known-feasible model. At
@@ -304,9 +304,10 @@ fn hint_usable(instance: &EncodingInstance, strings: &[PauliString]) -> bool {
 /// Whether this descent loads the search formula's qubit-order block. The
 /// block shrinks refutations and makes models harder to find (both
 /// measured in [`crate::symmetry`]), so it pays only when the run goes on
-/// to its floor proof. A descent that ends at the first call to exhaust a
-/// conflict budget is an anytime run — what it returns is the
-/// best-so-far — and searches without it.
+/// to its floor proof. Only problems small enough to reach it have a
+/// block ([`crate::symmetry::MAX_ORDERED_MODES`]). A descent that ends at
+/// the first call to exhaust a conflict budget is an anytime run — what it
+/// returns is the best-so-far — and searches without it.
 fn searches_ordered(search: &SearchFormula, config: &DescentConfig) -> bool {
     let gives_up = config.conflict_budget.is_some() && !config.persist_on_budget;
     search.has_order_block() && !gives_up
@@ -683,23 +684,59 @@ mod tests {
             persist_on_budget,
             ..DescentConfig::default()
         };
-        let exact = EncodingProblem::full_sat(4, Objective::MajoranaWeight).build();
-        let search = exact.search();
-        assert!(searches_ordered(&search, &config(None, false)));
-        assert!(searches_ordered(&search, &config(Some(1 << 20), true)));
-        assert!(!searches_ordered(&search, &config(Some(1 << 20), false)));
-        let approximate = EncodingProblem::new(4, Objective::MajoranaWeight).build();
-        assert!(!searches_ordered(
-            &approximate.search(),
-            &config(None, false)
-        ));
+        // The selector is the input and what the run is for; the
+        // algebraic-independence flag plays no part.
+        for alg in [true, false] {
+            let instance = EncodingProblem::new(4, Objective::MajoranaWeight)
+                .with_algebraic_independence(alg)
+                .build();
+            let search = instance.search();
+            assert!(searches_ordered(&search, &config(None, false)));
+            assert!(searches_ordered(&search, &config(Some(1 << 20), true)));
+            assert!(!searches_ordered(&search, &config(Some(1 << 20), false)));
+            let hamiltonian = EncodingProblem::new(
+                4,
+                Objective::HamiltonianWeight(vec![MajoranaMonomial::from_sorted(vec![0, 1])]),
+            )
+            .with_algebraic_independence(alg)
+            .build();
+            assert!(!searches_ordered(
+                &hamiltonian.search(),
+                &config(None, false)
+            ));
+            // Above the cap no run reaches its floor: a deadline-bound run
+            // without a budget is an anytime run too.
+            let large = EncodingProblem::new(
+                crate::symmetry::MAX_ORDERED_MODES + 1,
+                Objective::MajoranaWeight,
+            )
+            .with_algebraic_independence(alg)
+            .build();
+            assert!(!searches_ordered(&large.search(), &config(None, false)));
+        }
         // With or without the block the optimum is the same, and a give-up
         // budget large enough still ends in the certificate.
+        let instance = EncodingProblem::new(4, Objective::MajoranaWeight).build();
         for run in [config(None, false), config(Some(1 << 20), false)] {
-            let outcome = solve_optimal_instance(&exact, &run);
+            let outcome = solve_optimal_instance(&instance, &run);
             assert_eq!(outcome.weight(), Some(16));
             assert!(outcome.optimal_proved);
         }
+    }
+
+    #[test]
+    fn full_sat_beyond_the_paper_cap_is_searched() {
+        // Nothing a descent reads needs the `4^N` paper formula, so the
+        // mode cap does not apply to it.
+        let problem = EncodingProblem::full_sat(10, Objective::MajoranaWeight);
+        let config = DescentConfig {
+            conflict_budget: Some(2_000),
+            ..DescentConfig::default()
+        };
+        let outcome = solve_optimal(&problem, &config);
+        let best = outcome.best.expect("the Bravyi-Kitaev hint is a model");
+        assert!(independent(&best.strings));
+        assert!(best.weight <= bravyi_kitaev_bound(&problem));
     }
 
     #[test]

@@ -17,18 +17,15 @@
 //!   counts the sites of every Majorana-monomial product via XOR networks
 //!   (Section 3.7).
 //!
-//! # Paper formula and search formula
+//! # One search formula, the paper formula on demand
 //!
-//! An [`EncodingInstance`] holds the *paper formula* — the four families
-//! above and nothing else: Table 3, the DIMACS artefact, the reference every
-//! other path is tested against — and hands out the *search formula*
-//! ([`EncodingInstance::search`]), which is what Algorithm 1 solves. For a
-//! problem with the algebraic-independence clauses the search formula is
-//! the paper formula **without that family** (its own [`Cnf`], its own
-//! totalizer, the same primaries), plus the qubit-order block of
-//! [`crate::symmetry`] where that module's selector applies. Independence
-//! is then stated by the rank check the descent runs on every model, and
-//! never fails:
+//! A problem is its mode count, objective and vacuum flag, and it has one
+//! *search formula* — what Algorithm 1 solves
+//! ([`EncodingInstance::search`]): the families above **without** the
+//! `4^N` independence set, plus, under `MajoranaWeight` up to five modes,
+//! the qubit-order block of [`crate::symmetry`]. [`EncodingProblem::build`]
+//! generates it once for every problem. Independence is stated by the rank
+//! check the descent runs on every model, and never fails:
 //!
 //! **Lemma.** An even number of pairwise-anticommuting Pauli strings is
 //! GF(2)-independent.
@@ -49,6 +46,13 @@
 //! checks the lemma exhaustively at `N ≤ 3`, sampled to `N = 8`, with both
 //! controls.)
 //!
+//! So `new(n)` and [`EncodingProblem::full_sat`] search the same formula.
+//! The flag names only the *paper formula* ([`EncodingInstance::cnf`] and
+//! its siblings: Table 3, the DIMACS artefact, the reference every other
+//! path is tested against) — without it, the search formula minus the
+//! block; with it, §3.4 on top, generated on first read with its own
+//! totalizer over the same primaries.
+//!
 //! Soundness does not rest on the lemma. UNSAT of the search formula
 //! without the block is UNSAT of the paper formula, which has every one of
 //! its clauses; a model is returned only after the rank check passed; a
@@ -66,12 +70,12 @@ use encodings::weight::structure_weight;
 use fermion::MajoranaMonomial;
 use pauli::{PauliString, PhasedString};
 use sat::{Cnf, Lit, Model, Solver, Totalizer};
+use std::sync::OnceLock;
 
-/// Hard cap on modes when algebraic-independence clauses are enabled: the
-/// subset lattice has `2^{2N}` elements (the paper also stops at 8,
-/// Table 3). It guards the eager build of the *paper* formula only; the
-/// search formula of such a problem has no exponential family.
-const MAX_FULL_SAT_MODES: usize = 8;
+/// Hard cap on modes for a paper formula with the algebraic-independence
+/// clauses (`2^{2N}` subsets; the paper also stops at 8, Table 3). No
+/// search formula has an exponential family.
+pub const MAX_FULL_SAT_MODES: usize = 8;
 
 /// The optimization objective (paper Section 3.1).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -122,16 +126,15 @@ impl EncodingProblem {
         }
     }
 
-    /// The paper's **Full SAT** configuration: every constraint enabled.
+    /// The paper's **Full SAT** configuration: every constraint enabled
+    /// in the paper formula; it searches as [`new`](Self::new) does.
     pub fn full_sat(num_modes: usize, objective: Objective) -> EncodingProblem {
         EncodingProblem::new(num_modes, objective).with_algebraic_independence(true)
     }
 
-    /// Enables/disables the exponential algebraic-independence clause set.
-    ///
-    /// # Panics (deferred to [`build`](Self::build))
-    ///
-    /// Building panics when enabled with more than 8 modes.
+    /// Whether the paper formula includes the exponential
+    /// algebraic-independence clause set; no search formula does. Reading
+    /// that formula panics above [`MAX_FULL_SAT_MODES`] modes.
     pub fn with_algebraic_independence(mut self, on: bool) -> EncodingProblem {
         self.algebraic_independence = on;
         self
@@ -153,7 +156,7 @@ impl EncodingProblem {
         &self.objective
     }
 
-    /// Whether algebraic-independence clauses are enabled.
+    /// Whether the paper formula includes the independence clauses.
     pub fn has_algebraic_independence(&self) -> bool {
         self.algebraic_independence
     }
@@ -163,51 +166,30 @@ impl EncodingProblem {
         self.vacuum
     }
 
-    /// Generates the CNF instance.
-    ///
-    /// # Panics
-    ///
-    /// Panics if algebraic independence is enabled with more than
-    /// 8 modes (`2^{2N}` subsets — the paper's own cut-off in Table 3).
+    /// Generates the search formula; the paper formula of a problem with
+    /// algebraic independence waits for its first read.
     pub fn build(&self) -> EncodingInstance {
-        let n = self.num_modes;
-        if self.algebraic_independence {
-            assert!(
-                n <= MAX_FULL_SAT_MODES,
-                "algebraic independence needs 2^{{2N}} clauses; {n} modes exceeds the \
-                 {MAX_FULL_SAT_MODES}-mode cap (use with_algebraic_independence(false))"
-            );
-        }
-        let layout = VarLayout::new(n);
-        let (cnf, totalizer) = self.generate(&layout, self.algebraic_independence);
-        // An exact instance is searched without the §3.4 family (the
-        // lemma in the module docs) and, under `MajoranaWeight`, up to
-        // qubit relabelling; that selector and the measurements that
-        // narrowed it are in the `symmetry` module docs.
-        let search = self.algebraic_independence.then(|| {
-            let (cnf, totalizer) = self.generate(&layout, false);
-            let order_block = matches!(self.objective, Objective::MajoranaWeight)
-                .then(|| symmetry::qubit_order_block(&layout, cnf.num_vars()));
-            SearchSide {
-                cnf,
-                totalizer,
-                order_block,
-            }
-        });
+        let layout = VarLayout::new(self.num_modes);
+        let (cnf, totalizer) = self.generate(&layout, false, Cnf::new());
+        // The block's selector and the measurements that narrowed it are
+        // in the `symmetry` module docs.
+        let ordered = matches!(self.objective, Objective::MajoranaWeight)
+            && self.num_modes <= symmetry::MAX_ORDERED_MODES;
+        let order_block = ordered.then(|| symmetry::qubit_order_block(&layout, cnf.num_vars()));
         EncodingInstance {
             problem: self.clone(),
             layout,
             cnf,
             totalizer,
-            search,
+            order_block,
+            paper: OnceLock::new(),
         }
     }
 
     /// The constraint families in their fixed order — anticommutation,
     /// independence (when asked for), vacuum, weight literals, totalizer —
-    /// over the primaries of `layout`, which come first in every formula.
-    fn generate(&self, layout: &VarLayout, independence: bool) -> (Cnf, Totalizer) {
-        let mut cnf = Cnf::new();
+    /// into the empty `cnf`; `layout`'s primaries come first in every formula.
+    fn generate(&self, layout: &VarLayout, independence: bool, mut cnf: Cnf) -> (Cnf, Totalizer) {
         cnf.new_vars(layout.num_primary_vars());
         add_anticommutativity(&mut cnf, layout);
         if independence {
@@ -229,36 +211,29 @@ impl EncodingProblem {
 
 /// A generated CNF instance with its weight counter.
 ///
+/// [`search`](Self::search) is the formula Algorithm 1 solves;
 /// [`cnf`](Self::cnf), [`stats`](Self::stats),
 /// [`write_dimacs`](Self::write_dimacs), [`solver`](Self::solver) and
 /// [`assume_weight_less_than`](Self::assume_weight_less_than) are the
-/// *paper formula*; [`search`](Self::search) is the formula Algorithm 1
-/// solves (see the [module docs](self)). [`layout`](Self::layout),
-/// [`decode`](Self::decode) and [`measure_weight`](Self::measure_weight)
-/// serve both: the primaries are numbered first in each.
+/// *paper formula* (see the [module docs](self)).
+/// [`layout`](Self::layout), [`decode`](Self::decode),
+/// [`measure_weight`](Self::measure_weight) and
+/// [`weight_upper_bound`](Self::weight_upper_bound) serve both: the
+/// primaries are numbered first in each, and both count the same inputs.
 #[derive(Debug, Clone)]
 pub struct EncodingInstance {
     problem: EncodingProblem,
     layout: VarLayout,
+    /// The search formula, without the §3.4 family.
     cnf: Cnf,
-    totalizer: Totalizer,
-    /// `None` when the problem has no algebraic-independence clauses: the
-    /// paper formula is then the search formula.
-    search: Option<SearchSide>,
-}
-
-/// The search formula of an exact instance, where it differs from the
-/// paper's.
-#[derive(Debug, Clone)]
-struct SearchSide {
-    /// The paper formula without the §3.4 family.
-    cnf: Cnf,
-    /// The weight counter inside `cnf` (numbered differently from the
-    /// paper formula's).
+    /// The weight counter inside `cnf`.
     totalizer: Totalizer,
     /// [`symmetry::qubit_order_block`] over `cnf`'s variables, auxiliaries
-    /// numbered after them; `MajoranaWeight` only.
+    /// numbered after them; `MajoranaWeight` up to `MAX_ORDERED_MODES` only.
     order_block: Option<Cnf>,
+    /// The paper formula with the §3.4 family, generated on first read;
+    /// unused without algebraic independence.
+    paper: OnceLock<(Cnf, Totalizer)>,
 }
 
 /// The formula Algorithm 1 solves, with the weight counter that belongs to
@@ -276,7 +251,7 @@ pub struct SearchFormula<'a> {
 
 impl SearchFormula<'_> {
     /// Whether there is a qubit-order block to load
-    /// ([`crate::symmetry`]): exact `MajoranaWeight` instances only.
+    /// ([`crate::symmetry`]): `MajoranaWeight` up to `MAX_ORDERED_MODES` only.
     pub fn has_order_block(&self) -> bool {
         self.order_block.is_some()
     }
@@ -327,29 +302,43 @@ impl EncodingInstance {
         &self.layout
     }
 
+    /// The paper formula and its weight counter; one with the §3.4 family
+    /// is generated on first read, and panics above [`MAX_FULL_SAT_MODES`].
+    fn paper(&self) -> (&Cnf, &Totalizer) {
+        if !self.problem.algebraic_independence {
+            return (&self.cnf, &self.totalizer);
+        }
+        let (cnf, totalizer) = self.paper.get_or_init(|| {
+            let n = self.problem.num_modes;
+            assert!(
+                n <= MAX_FULL_SAT_MODES,
+                "algebraic independence needs 2^{{2N}} clauses; {n} modes exceeds the \
+                 {MAX_FULL_SAT_MODES}-mode cap (use with_algebraic_independence(false))"
+            );
+            // Presized: a doubling `Vec` this large takes fresh pages.
+            let (clauses, literals) = paper_size(&self.layout, &self.cnf);
+            let cnf = Cnf::with_capacity(clauses, literals);
+            self.problem.generate(&self.layout, true, cnf)
+        });
+        (cnf, totalizer)
+    }
+
     /// The generated CNF (the paper formula).
     pub fn cnf(&self) -> &Cnf {
-        &self.cnf
+        self.paper().0
     }
 
     /// A fresh solver loaded with the paper formula.
     pub fn solver(&self) -> Solver {
-        Solver::from_cnf(&self.cnf)
+        Solver::from_cnf(self.cnf())
     }
 
     /// The formula Algorithm 1 solves.
     pub fn search(&self) -> SearchFormula<'_> {
-        match &self.search {
-            Some(side) => SearchFormula {
-                cnf: &side.cnf,
-                totalizer: &side.totalizer,
-                order_block: side.order_block.as_ref(),
-            },
-            None => SearchFormula {
-                cnf: &self.cnf,
-                totalizer: &self.totalizer,
-                order_block: None,
-            },
+        SearchFormula {
+            cnf: &self.cnf,
+            totalizer: &self.totalizer,
+            order_block: self.order_block.as_ref(),
         }
     }
 
@@ -366,7 +355,7 @@ impl EncodingInstance {
     ///
     /// Panics if `w == 0`.
     pub fn assume_weight_less_than(&self, w: usize) -> Option<Lit> {
-        self.totalizer.less_than(w)
+        self.paper().1.less_than(w)
     }
 
     /// Decodes a model into the `2N` Majorana strings.
@@ -398,18 +387,19 @@ impl EncodingInstance {
     ///
     /// Propagates I/O errors from the writer.
     pub fn write_dimacs(&self, w: &mut impl std::io::Write) -> std::io::Result<()> {
-        sat::dimacs::write(&self.cnf, w)
+        sat::dimacs::write(self.cnf(), w)
     }
 
     /// Size statistics (paper Table 3).
     pub fn stats(&self) -> InstanceStats {
+        let cnf = self.cnf();
         InstanceStats {
             num_modes: self.problem.num_modes,
             algebraic_independence: self.problem.algebraic_independence,
-            num_vars: self.cnf.num_vars(),
-            num_clauses: self.cnf.num_clauses(),
-            num_literals: self.cnf.num_literals(),
-            avg_clause_len: self.cnf.avg_clause_len(),
+            num_vars: cnf.num_vars(),
+            num_clauses: cnf.num_clauses(),
+            num_literals: cnf.num_literals(),
+            avg_clause_len: cnf.avg_clause_len(),
         }
     }
 }
@@ -464,6 +454,20 @@ fn add_algebraic_independence(cnf: &mut Cnf, layout: &VarLayout) {
     let mut prefixes = Vec::with_capacity(layout.num_strings() * num_bits);
     walk_subsets(cnf, layout, 0, &mut prefixes);
     debug_assert!(prefixes.is_empty());
+}
+
+/// Clauses and literals of the paper formula with §3.4: the `search`
+/// formula's, plus what [`add_algebraic_independence`] adds — a clause of
+/// `2N` literals per non-empty subset, and an XOR gate (4 clauses, 12
+/// literals) per bit wherever a string extends a non-empty prefix.
+fn paper_size(layout: &VarLayout, search: &Cnf) -> (usize, usize) {
+    let (strings, bits) = (layout.num_strings(), 2 * layout.num_modes());
+    let subsets = (1 << strings) - 1;
+    let gates = bits * (subsets - strings);
+    (
+        search.num_clauses() + subsets + 4 * gates,
+        search.num_literals() + bits * subsets + 12 * gates,
+    )
 }
 
 /// Bit `j` of string `s`: qubit `j / 2`, `b1` for even `j`, `b2` for odd.
@@ -683,9 +687,27 @@ mod tests {
     }
 
     #[test]
+    fn paper_formula_is_presized_exactly() {
+        for modes in 1..=5 {
+            for objective in [
+                Objective::MajoranaWeight,
+                Objective::HamiltonianWeight(vec![MajoranaMonomial::from_sorted(vec![0, 1])]),
+            ] {
+                let instance = EncodingProblem::full_sat(modes, objective).build();
+                let paper = instance.cnf();
+                let size = paper_size(instance.layout(), &instance.cnf);
+                assert_eq!(size, (paper.num_clauses(), paper.num_literals()));
+            }
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "exceeds")]
     fn full_sat_mode_cap() {
-        let _ = EncodingProblem::full_sat(9, Objective::MajoranaWeight).build();
+        // The cap guards the paper formula only: the search formula builds.
+        let problem = EncodingProblem::full_sat(MAX_FULL_SAT_MODES + 1, Objective::MajoranaWeight);
+        let instance = std::panic::catch_unwind(|| problem.build()).expect("build() is uncapped");
+        let _ = instance.cnf();
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   and the *search* formula Algorithm 1 solves, which leaves the
 //!   independence family out because anticommutation implies it.
 //! * [`symmetry`] — the qubit-order lex-leader block that the search
-//!   formula of exact `MajoranaWeight` instances carries, its soundness
+//!   formula of `MajoranaWeight` instances carries, its soundness
 //!   argument, and the canonical form of warm-start hints.
 //! * [`descent`] — Algorithm 1: iteratively tightening the weight bound via
 //!   solver assumptions until UNSAT proves optimality (or a budget stops
@@ -48,5 +48,7 @@ pub mod symmetry;
 
 pub use anneal::{anneal_pairing, AnnealConfig, AnnealOutcome};
 pub use descent::{solve_optimal, DescentConfig, DescentOutcome};
-pub use instance::{EncodingInstance, EncodingProblem, InstanceStats, Objective, SearchFormula};
+pub use instance::{
+    EncodingInstance, EncodingProblem, InstanceStats, Objective, SearchFormula, MAX_FULL_SAT_MODES,
+};
 pub use layout::VarLayout;

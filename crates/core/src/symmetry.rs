@@ -1,9 +1,9 @@
-//! Qubit-order symmetry breaking for the *search* formula of exact
+//! Qubit-order symmetry breaking for the *search* formula of
 //! `MajoranaWeight` instances.
 //!
-//! The paper's formula ([`EncodingInstance::cnf`]) — and the search formula
-//! an exact instance derives from it by leaving the §3.4 family out, see
-//! [`crate::instance`] — has `N!` copies of every encoding: relabel the
+//! The paper's formula ([`EncodingInstance::cnf`]) — and the search formula,
+//! which leaves its §3.4 family out, see [`crate::instance`] — has `N!`
+//! copies of every encoding: relabel the
 //! qubits and nothing it talks about changes. A solver refuting
 //! `weight < w*` — the floor proof that dominates every exact compile —
 //! refutes each candidate once per relabelling. This module builds the
@@ -66,43 +66,57 @@
 //! measured run ends in the refutation and wins overall:
 //!
 //! * [`EncodingProblem::build`] attaches it to the search formula of
-//!   problems **with algebraic independence and the `MajoranaWeight`
-//!   objective** — the paper's Full SAT mode (capped at `N ≤ 8`), whose
-//!   product is the optimality certificate. No other instance has one.
+//!   **`MajoranaWeight`** problems of at most [`MAX_ORDERED_MODES`] modes
+//!   — the sizes whose floor proof a run reaches. The
+//!   algebraic-independence flag plays no part: it names what the *paper*
+//!   formula holds, and both settings search the same formula (see
+//!   [`crate::instance`]).
 //! * The descent loads it unless the run **gives up at its first exhausted
 //!   conflict budget** (`conflict_budget` set, `persist_on_budget` off):
 //!   such a run returns the best-so-far, not the certificate.
 //!
-//! The selector is a property of the problem and of what the run is for,
-//! not an option. What was measured on the sides left out — all of it
-//! while the solver still carried the §3.4 clauses (PR 19); the selector
-//! has not moved since, and what those sides solve *now* (the search
-//! formula without the block) is measured in the README:
+//! The selector is the input and what the run is for, not an option. Both
+//! halves stand for "this run ends in its floor proof". At `N ≤ 5` a run
+//! without a give-up budget does (`N = 5`: 56,005 conflicts on one
+//! default lane with the block, 585,115 without, the table below). No
+//! `N = 6` run has certified; above the cap every run is an anytime run,
+//! wall-clock deadlines included, and that is where the block was
+//! measured to make the result worse. What was measured on the sides left
+//! out — the first three items while the solver still carried the §3.4
+//! clauses; what those sides solve *now* (the search formula
+//! without the block) is measured in the README:
 //!
-//! * *No independence clauses* (§4.1, the approximate mode that scales).
-//!   `N = 8`, one default lane, 60,000 conflicts per call: weight 56
-//!   without the block, 57 with it; ISSUE 19's prototype saw 30 s descents
-//!   from four seeds reach 50 / 53 / 43 / 50 without and 54 / 57 / 57 / 57
+//! * *Anytime runs at scale* (§4.1's approximate mode). `N = 8`, one
+//!   default lane, 60,000 conflicts per call: weight 56 without the block,
+//!   57 with it; a prototype of the block saw 30 s wall-clock descents from
+//!   four seeds reach 50 / 53 / 43 / 50 without and 54 / 57 / 57 / 57
 //!   with.
-//! * *`HamiltonianWeight`*, exact, `N = 4`, one lane to the certificate:
+//! * *`HamiltonianWeight`*, `N = 4`, one lane to the certificate:
 //!   the 2-site Hubbard chain goes from 7.7 to 30.8 s (129k → 273k
 //!   conflicts; 9.1–23.7 s under the other column keys below) and 6 → 45 s
 //!   through the default race; four seeded five-monomial structures go
 //!   11.0 → 0.54, 10.1 → 0.92, 3.2 → 1.3 and 1.7 → 2.8 s. Large on average,
 //!   4× slower on the repository's own example: left without the block
 //!   until a benchmark workload covers it.
-//! * *Give-up budgets*, exact `MajoranaWeight`, 20,000 conflicts per call,
+//! * *Give-up budgets*, `MajoranaWeight`, 20,000 conflicts per call,
 //!   six seeded lanes. `N = 5`, conflicts spent reaching weight 22 (the
 //!   floor call then exhausts its budget either way): 16,248 / 18,232 /
 //!   20,956 / 496 / 13,315 / 12,955 with the block, 2,874 / 6,409 / 1,558 /
 //!   1,801 / 2,483 / 1,496 without. `N = 6`, four lanes: all end at 29
 //!   without the block, two of them at 32 with it.
+//! * *Deadlines above the cap*, on the search formula as it is now,
+//!   measured while `full_sat` problems still carried the block above the
+//!   cap and `new` ones did not: the default race, no conflict budget, a
+//!   20 s deadline, 2-core VM. `N = 6`, seven runs per side: 29 in every
+//!   run either way. `N = 7`, seven: 36 in every run without the block,
+//!   36–38 with it. `N = 8`, twelve: 43–49 (median 44) without, 53–57
+//!   (median 56.5) with.
 //!
-//! Wall-clock budgets do not switch the block off: with it a 30 s run
-//! certifies `N = 5`, without it none does (86 s on today's search
+//! Under the cap wall-clock budgets do not switch the block off: with it a
+//! 30 s run certifies `N = 5`, without it none does (86 s on the search
 //! formula). A guard literal (`g → block`, assumed only by calls or lanes
 //! that are proving the floor) is the recorded follow-up that could give
-//! every run both halves.
+//! every run both halves, and would let the cap go.
 //!
 //! Lanes that exchange clauses make the same choice — one `EngineConfig`
 //! per race, in-process or sharded. Were they ever mixed it would still be
@@ -113,7 +127,7 @@
 //! # Measured
 //!
 //! One default lane (Bravyi-Kitaev hint, Luby-128, no random branching),
-//! full SAT to the certificate, conflicts / propagations. Left pair: the
+//! to the certificate, conflicts / propagations. Left pair: the
 //! §3.4 clauses in the solver (PR 19, when the key was chosen); right
 //! pair: the search formula as it is now, without them.
 //!
@@ -149,6 +163,12 @@ use crate::layout::VarLayout;
 use pauli::encoding::op_to_bits;
 use pauli::PauliString;
 use sat::{Cnf, Var};
+
+/// The largest mode count whose `MajoranaWeight` search formula carries
+/// the block: the largest `N` whose floor proof a run reaches. Above it
+/// every run is an anytime run and the block makes its result worse (see
+/// the module docs).
+pub const MAX_ORDERED_MODES: usize = 5;
 
 /// The positions of a qubit column, most significant first, as the
 /// strings they read and whether they read `b1` (else `b2`).

@@ -1,15 +1,16 @@
 //! The search formula (the paper's without its §3.4 family, plus the
-//! qubit-order block of `fermihedral::symmetry` on exact `MajoranaWeight`
-//! instances) against the paper's formula, which stays the reference
-//! implementation: same optima from both, exact counts pinned, a canonical
-//! form that is one per orbit and that the block admits, and one formula
-//! only where the problem states no independence.
+//! qubit-order block of `fermihedral::symmetry` on `MajoranaWeight`
+//! instances of at most `MAX_ORDERED_MODES` modes) against the paper's
+//! formula, which stays the reference implementation: same optima from
+//! both, exact counts pinned, a canonical form that is one per orbit and
+//! that the block admits, and one search formula whatever the
+//! algebraic-independence flag says.
 
 use encodings::validate::validate_strings;
 use encodings::weight::{majorana_weight, structure_weight};
 use encodings::{Encoding, LinearEncoding, TernaryTreeEncoding};
 use fermihedral::descent::{solve_optimal_instance, DescentConfig};
-use fermihedral::symmetry::{canonical_qubit_order, qubit_order_block};
+use fermihedral::symmetry::{canonical_qubit_order, qubit_order_block, MAX_ORDERED_MODES};
 use fermihedral::{EncodingInstance, EncodingProblem, Objective, VarLayout};
 use fermion::MajoranaMonomial;
 use pauli::encoding::op_to_bits;
@@ -148,12 +149,17 @@ fn block_is_sound_for_hamiltonian_objectives_and_not_applied_to_them() {
 /// `N = 5` pair is pinned by the next test).
 #[test]
 fn default_lane_counts_are_pinned_at_four_modes() {
-    let problem = EncodingProblem::full_sat(4, Objective::MajoranaWeight);
-    let outcome = solve_optimal_instance(&problem.build(), &DescentConfig::default());
-    assert_eq!(outcome.weight(), Some(16));
-    assert!(outcome.optimal_proved);
-    let stats = outcome.solver_stats;
-    assert_eq!((stats.conflicts, stats.propagations), (1_219, 166_428));
+    // `new(4)` searches the formula `full_sat(4)` does, block included.
+    for problem in [
+        EncodingProblem::full_sat(4, Objective::MajoranaWeight),
+        EncodingProblem::new(4, Objective::MajoranaWeight),
+    ] {
+        let outcome = solve_optimal_instance(&problem.build(), &DescentConfig::default());
+        assert_eq!(outcome.weight(), Some(16));
+        assert!(outcome.optimal_proved);
+        let stats = outcome.solver_stats;
+        assert_eq!((stats.conflicts, stats.propagations), (1_219, 166_428));
+    }
 }
 
 #[test]
@@ -174,38 +180,73 @@ fn one_default_lane_certifies_five_modes_at_weight_22() {
     );
 }
 
+/// The algebraic-independence flag names what the *paper* formula holds;
+/// the formula searched is the same either way: its variables, clauses,
+/// block and bound literals. The block stops at the sizes whose floor a
+/// run reaches.
 #[test]
-fn non_exact_instances_have_no_block() {
-    for modes in [1usize, 3, 8] {
-        for vacuum in [true, false] {
-            let instance = EncodingProblem::new(modes, Objective::MajoranaWeight)
-                .with_vacuum_condition(vacuum)
-                .build();
-            let search = instance.search();
-            assert!(!search.has_order_block());
-            assert_eq!(search.num_vars(), instance.cnf().num_vars());
-            let (searched, paper) = (search.solver(false), instance.solver());
-            assert_eq!(searched.num_vars(), paper.num_vars());
-            assert_eq!(searched.num_clauses(), paper.num_clauses());
-            for w in 1..=instance.weight_upper_bound() + 1 {
+fn one_search_formula_per_problem() {
+    for modes in 1..=MAX_ORDERED_MODES + 1 {
+        let objectives = [
+            Objective::MajoranaWeight,
+            Objective::HamiltonianWeight(vec![MajoranaMonomial::from_sorted(vec![0, 1])]),
+        ];
+        for objective in objectives {
+            for vacuum in [true, false] {
+                let label = format!("N={modes} {objective:?} vacuum={vacuum}");
+                let build = |alg: bool| {
+                    EncodingProblem::new(modes, objective.clone())
+                        .with_vacuum_condition(vacuum)
+                        .with_algebraic_independence(alg)
+                        .build()
+                };
+                let (plain, full) = (build(false), build(true));
+                let (a, b) = (plain.search(), full.search());
+                assert_eq!(a.num_vars(), b.num_vars(), "{label}");
+                assert_eq!(a.has_order_block(), b.has_order_block(), "{label}");
                 assert_eq!(
-                    search.assume_weight_less_than(w),
-                    instance.assume_weight_less_than(w)
+                    a.has_order_block(),
+                    matches!(objective, Objective::MajoranaWeight) && modes <= MAX_ORDERED_MODES,
+                    "{label}"
                 );
+                let orders: &[bool] = if a.has_order_block() {
+                    &[false, true]
+                } else {
+                    &[false]
+                };
+                for &ordered in orders {
+                    let (x, y) = (a.solver(ordered), b.solver(ordered));
+                    assert_eq!(x.num_vars(), y.num_vars(), "{label}");
+                    assert_eq!(x.num_clauses(), y.num_clauses(), "{label}");
+                }
+                assert_eq!(plain.weight_upper_bound(), full.weight_upper_bound());
+                for w in 1..=plain.weight_upper_bound() + 1 {
+                    assert_eq!(
+                        a.assume_weight_less_than(w),
+                        b.assume_weight_less_than(w),
+                        "{label} w={w}"
+                    );
+                    // Without the flag the paper formula is the search
+                    // formula.
+                    assert_eq!(
+                        plain.assume_weight_less_than(w),
+                        a.assume_weight_less_than(w),
+                        "{label} w={w}"
+                    );
+                }
+                assert_eq!(plain.cnf().num_vars(), a.solver(false).num_vars());
+                assert_eq!(plain.solver().num_clauses(), a.solver(false).num_clauses());
             }
         }
     }
-    // An exact instance's search formula is the size of the approximate
-    // instance's paper formula, plus the block under `MajoranaWeight`.
+    // With the flag the paper formula carries §3.4 on top: its own
+    // variables and its own totalizer, next to the same search formula.
     let exact = EncodingProblem::full_sat(4, Objective::MajoranaWeight).build();
     let approximate = EncodingProblem::new(4, Objective::MajoranaWeight).build();
     let search = exact.search();
-    assert!(search.has_order_block());
     assert_eq!(search.num_vars(), approximate.cnf().num_vars() + 45);
     assert_eq!(search.solver(true).num_vars(), search.num_vars());
-    let unordered = search.solver(false);
-    assert_eq!(unordered.num_vars(), approximate.cnf().num_vars());
-    assert_eq!(unordered.num_clauses(), approximate.solver().num_clauses());
+    assert!(exact.cnf().num_vars() > approximate.cnf().num_vars());
     assert_ne!(
         search.assume_weight_less_than(16),
         exact.assume_weight_less_than(16),

@@ -846,7 +846,8 @@ mod tests {
         // Nothing below the smallest.
         assert!(index.fingerprints_below(&problems[0]).is_empty());
         // A different family (constraint toggle) sees none of these.
-        let other = EncodingProblem::new(5, Objective::MajoranaWeight);
+        let other =
+            EncodingProblem::full_sat(5, Objective::MajoranaWeight).with_vacuum_condition(false);
         assert!(index.fingerprints_below(&other).is_empty());
         // No lock or temp litter.
         let litter: Vec<_> = fs::read_dir(&dir)

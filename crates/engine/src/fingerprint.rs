@@ -1,12 +1,12 @@
 //! Content-addressed fingerprints of encoding problems.
 //!
 //! The solution cache keys on a SHA-256 digest of the *semantic content* of
-//! an [`EncodingProblem`]: mode count, constraint toggles, objective kind,
+//! an [`EncodingProblem`]: mode count, vacuum condition, objective kind,
 //! and — for the Hamiltonian-dependent objective — the sorted multiset of
-//! Majorana monomials. Two problems that would generate the same search
-//! space hash identically regardless of how their monomial lists were
-//! ordered; any change to the objective or constraints changes the digest
-//! and therefore misses the cache.
+//! Majorana monomials. Problems with one search formula hash identically,
+//! however their monomial lists were ordered and whatever their
+//! algebraic-independence flag (it names only the paper formula); any
+//! other change changes the digest and therefore misses the cache.
 
 use fermihedral::{EncodingProblem, Objective};
 
@@ -49,9 +49,8 @@ impl std::fmt::Display for Fingerprint {
 /// old caches wholesale.
 pub fn canonical_form(problem: &EncodingProblem) -> String {
     let mut out = format!(
-        "fermihedral-problem-v1|modes={}|alg={}|vac={}",
+        "fermihedral-problem-v2|modes={}|vac={}",
         problem.num_modes(),
-        problem.has_algebraic_independence(),
         problem.has_vacuum_condition(),
     );
     match problem.objective() {
@@ -88,7 +87,7 @@ pub fn fingerprint(problem: &EncodingProblem) -> Fingerprint {
 /// stripped. Two problems share a size-key exactly when they differ only
 /// in mode count — the condition under which a cached smaller solution
 /// embeds into the larger problem ([`encodings::embed`]) as a feasible
-/// warm start. The constraint toggles stay in the key (a vacuum-free
+/// warm start. The vacuum condition stays in the key (a vacuum-free
 /// solution need not satisfy a vacuum-constrained problem), and so does
 /// the Hamiltonian-dependent monomial multiset (its indices must be legal
 /// in both sizes *and* describe the same objective).
@@ -251,7 +250,6 @@ mod tests {
         let prints = [
             fingerprint(&base),
             fingerprint(&EncodingProblem::new(5, MajoranaWeight)),
-            fingerprint(&EncodingProblem::new(4, MajoranaWeight).with_algebraic_independence(true)),
             fingerprint(&EncodingProblem::new(4, MajoranaWeight).with_vacuum_condition(false)),
             fingerprint(&EncodingProblem::new(
                 4,
@@ -278,11 +276,7 @@ mod tests {
             fingerprint(&large),
             "same key, distinct fingerprints"
         );
-        // Constraint toggles and objective changes break the key.
-        assert_ne!(
-            size_key(&small),
-            size_key(&EncodingProblem::new(3, MajoranaWeight))
-        );
+        // The vacuum condition and objective changes break the key.
         assert_ne!(
             size_key(&small),
             size_key(&EncodingProblem::full_sat(3, MajoranaWeight).with_vacuum_condition(false))
@@ -296,6 +290,29 @@ mod tests {
                 )])
             ))
         );
+    }
+
+    #[test]
+    fn the_independence_flag_selects_no_cache_entry() {
+        let objectives = [
+            fermihedral::Objective::MajoranaWeight,
+            fermihedral::Objective::HamiltonianWeight(vec![MajoranaMonomial::from_sorted(vec![
+                0, 1,
+            ])]),
+        ];
+        for n in 1..=8 {
+            for objective in objectives.clone() {
+                let plain = EncodingProblem::new(n, objective.clone());
+                let full = EncodingProblem::full_sat(n, objective);
+                assert_eq!(fingerprint(&plain), fingerprint(&full), "N={n}");
+                assert_eq!(size_key(&plain), size_key(&full), "N={n}");
+            }
+        }
+        assert!(!canonical_form(&EncodingProblem::new(
+            2,
+            fermihedral::Objective::MajoranaWeight
+        ))
+        .contains("alg="));
     }
 
     #[test]

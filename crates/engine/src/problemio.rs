@@ -15,8 +15,13 @@
 //!
 //! `objective` defaults to `"majorana"`; the constraint flags default to
 //! the paper's Section 4.1 configuration (vacuum on, independence off).
+//! `algebraic_independence` names what the problem's *paper* formula
+//! holds (its DIMACS artefact, Table 3): both settings search the same
+//! formula and share one fingerprint, and the flag is echoed as sent. It
+//! is refused above [`MAX_FULL_SAT_MODES`] modes, where that formula is
+//! not built.
 
-use fermihedral::{EncodingProblem, Objective};
+use fermihedral::{EncodingProblem, Objective, MAX_FULL_SAT_MODES};
 use fermion::MajoranaMonomial;
 use jsonkit::{obj, Value};
 use pauli::PauliString;
@@ -132,8 +137,10 @@ pub fn problem_from_json(doc: &Value, max_modes: Option<usize>) -> Result<Encodi
     };
     let mut problem = EncodingProblem::new(modes, objective);
     if let Some(on) = get_bool("algebraic_independence")? {
-        if on && modes > 8 {
-            return Err("\"algebraic_independence\" is limited to 8 modes".into());
+        if on && modes > MAX_FULL_SAT_MODES {
+            return Err(format!(
+                "\"algebraic_independence\" is limited to {MAX_FULL_SAT_MODES} modes"
+            ));
         }
         problem = problem.with_algebraic_independence(on);
     }

@@ -71,6 +71,16 @@ impl Cnf {
         Cnf::default()
     }
 
+    /// An empty formula with room for `clauses` clauses of `literals`
+    /// literals in all.
+    pub fn with_capacity(clauses: usize, literals: usize) -> Cnf {
+        Cnf {
+            lits: Vec::with_capacity(literals),
+            ends: Vec::with_capacity(clauses),
+            ..Cnf::default()
+        }
+    }
+
     /// Allocates a fresh variable.
     pub fn new_var(&mut self) -> Var {
         let v = Var::new(self.num_vars);

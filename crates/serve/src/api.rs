@@ -16,7 +16,10 @@
 //! the default) or `{"hamiltonian": [[0,1],[2,3]]}` — a list of Majorana
 //! monomials, each a list of distinct indices `< 2 * modes`. Unknown fields
 //! are rejected: a typo'd knob silently ignored would compile the wrong
-//! problem.
+//! problem. `algebraic_independence` (at most 8 modes) names the paper
+//! formula's §3.4 clauses, which no solve carries: a request with it and
+//! one without compile the same search formula under one fingerprint, so
+//! either answers the other from the cache.
 //!
 //! Response: see [`compile_document`].
 

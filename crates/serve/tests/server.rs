@@ -424,6 +424,43 @@ fn keep_alive_serves_sequential_requests_on_one_connection() {
     shutdown_and_join(&handle);
 }
 
+/// `algebraic_independence` names only what the paper formula holds; the
+/// search formula, and so the optimum and the cache entry, are the same
+/// without it.
+#[test]
+fn independence_flag_shares_one_cache_entry() {
+    let cache_dir = tmp_cache("one-formula");
+    let handle = start(ServeConfig {
+        engine: engine::EngineConfig {
+            cache_dir: Some(cache_dir.clone()),
+            ..engine::EngineConfig::default()
+        },
+        ..ServeConfig::default()
+    })
+    .expect("server starts");
+    let addr = handle.local_addr();
+    let fingerprint = |doc: &Value| {
+        doc.get("fingerprint")
+            .unwrap()
+            .as_str()
+            .unwrap()
+            .to_string()
+    };
+
+    let (status, full) = post_compile(addr, r#"{"modes": 3, "algebraic_independence": true}"#);
+    assert_eq!(status, 200, "{}", full.to_json());
+    assert_eq!(full.get("status").unwrap().as_str(), Some("optimal"));
+    let (status, plain) = post_compile(addr, r#"{"modes": 3}"#);
+    assert_eq!(status, 200, "{}", plain.to_json());
+    assert_eq!(plain.get("from_cache").unwrap().as_bool(), Some(true));
+    assert_eq!(fingerprint(&plain), fingerprint(&full));
+    assert_eq!(plain.get("weight"), full.get("weight"));
+    assert_valid_encoding(&plain, 3);
+
+    shutdown_and_join(&handle);
+    let _ = std::fs::remove_dir_all(&cache_dir);
+}
+
 // ---------------------------------------------------------------------------
 // Observability: Prometheus exposition, per-request traces, trace files
 // ---------------------------------------------------------------------------

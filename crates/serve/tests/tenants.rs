@@ -111,8 +111,8 @@ fn greedy_tenant_cannot_starve_the_light_tenant() {
     let greedy_bodies = [
         r#"{"modes": 7, "deadline_ms": 60000}"#,
         r#"{"modes": 7, "vacuum_condition": false, "deadline_ms": 60000}"#,
-        r#"{"modes": 7, "algebraic_independence": true, "deadline_ms": 60000}"#,
         r#"{"modes": 6, "deadline_ms": 60000}"#,
+        r#"{"modes": 6, "vacuum_condition": false, "deadline_ms": 60000}"#,
     ];
     let (results, light_elapsed, light_status, light_doc) = std::thread::scope(|scope| {
         let flood: Vec<_> = greedy_bodies

@@ -40,7 +40,6 @@ OPTIONS:
     --min-peers N    fleet: wait for N registered workers (default 1)
     --join-timeout SECS  fleet: how long to wait for them (default 30)
     --timeout SECS   wall-clock budget (default 60)
-    --no-full-sat    drop the algebraic-independence clause set
     --cache-dir P    persistent solution cache directory
     --postmortem-dir P  write postmortem-<shard>.json for dead workers
     --help           this text
@@ -91,13 +90,7 @@ fn main() {
     let timeout: f64 = flag_value(&args, "--timeout")
         .and_then(|v| v.parse().ok())
         .unwrap_or(60.0);
-    let full_sat = !args.iter().any(|a| a == "--no-full-sat");
-
-    let problem = if full_sat {
-        EncodingProblem::full_sat(modes, Objective::MajoranaWeight)
-    } else {
-        EncodingProblem::new(modes, Objective::MajoranaWeight)
-    };
+    let problem = EncodingProblem::new(modes, Objective::MajoranaWeight);
     let config = EngineConfig {
         total_timeout: Some(Duration::from_secs_f64(timeout)),
         shards,
