@@ -639,7 +639,7 @@ impl RaceOutcome {
 }
 
 /// The cache-aware pipeline around *any* race — in-process lanes
-/// ([`compile_with`]) or a sharded one over pipes or TCP
+/// ([`compile_with`]) or a sharded one over local or remote workers
 /// (`fermihedral-shard`): probe the cache (checked optimal hit → early
 /// return; same-size entry, caller hint, or cross-size lift → warm
 /// start), run `race`, keep the warm start if the race never beat it,

@@ -157,7 +157,7 @@ pub struct ShardReport {
     /// of stalling the race).
     pub frames_dropped: u64,
     /// Times a fleet worker re-attached to this shard id mid-race
-    /// (always 0 for pipe workers, which cannot reconnect).
+    /// (always 0 for the local workers of `--shards N`, which never do).
     pub rejoins: u64,
     /// True when the worker process died (or broke protocol) before
     /// reporting a result; the race degrades to the surviving shards.

@@ -174,7 +174,7 @@ pub struct ServeConfig {
     pub engine: EngineConfig,
     /// When set, bind a [`shard::FleetServer`] on this address and
     /// drive solves over registered TCP workers (multi-host sharding)
-    /// instead of local threads or pipe workers. With no workers
+    /// instead of local threads or local worker processes. With no workers
     /// registered, solves degrade to the in-process engine.
     pub fleet_addr: Option<String>,
     /// Configured tenants. Empty = open mode (every request maps to the

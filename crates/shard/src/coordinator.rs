@@ -1,22 +1,27 @@
-//! The pipe transport: `fermihedral-shard worker` child processes on this
-//! machine, one per shard, joined to the race by their stdin/stdout.
+//! The local transport: `--shards k` races `k` `fermihedral-shard worker
+//! --connect` children of this process over a loopback [`FleetServer`]
+//! that lives for one race.
 //!
-//! What a pipe link reports ([`crate::link::Link`]): every shard is
-//! spawned up front and greets in-band with `Hello`; a pipe cannot be
-//! reconnected and carries no heartbeats, so there is no patience and no
-//! silence clock — EOF before `Cancel` is a death at once, and EOF after
-//! it is settled by the exit status the link reaps when the race closes
-//! the seat (clean 0 = wound down, anything else = died). Cutting a
-//! shard off is `kill`.
+//! The seats `0..k` are reserved before the children are spawned, and
+//! each child claims its own with `--shard`. A thin wrapper around the
+//! fleet's link ([`LocalLink`]) owns the children's lifetimes: the
+//! muster is `0..k` at once; there is no patience, so a connection that
+//! ends before `Cancel` is a death at once and a local child never
+//! rejoins; a child that ends before it ever connects is reported gone
+//! by its process; cutting a child off is `kill`; and closing its seat
+//! reaps it, reporting the exit status when its connection had already
+//! ended, so a signal names itself in the post-mortem.
 
-use crate::link::{read_frames, spawn_writer, Event, Link, Outbox, PeerExit, Sent};
+use crate::fleet::{FleetLink, FleetOptions, FleetServer};
+use crate::link::{Event, Link, PeerExit, Sent};
 use crate::race;
-use crate::wire::{Frame, FrameReader};
+use crate::wire::Frame;
 use engine::{
     compile_cached, compile_with, partition_strategies, EngineConfig, EngineOutcome, SolutionCache,
 };
 use fermihedral::EncodingProblem;
 use sat::CancelToken;
+use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::{mpsc, Arc};
@@ -117,113 +122,132 @@ pub fn compile_sharded_with(
         return compile_with(problem, config, cache, external_cancel);
     };
     compile_cached(problem, config, cache, "shard.race", |input| {
+        let server = match FleetServer::bind("127.0.0.1:0", FleetOptions::default()) {
+            Ok(server) => server,
+            Err(e) => {
+                telemetry::log_error!(
+                    "shard.coordinator",
+                    "binding a loopback port failed; racing in-process instead",
+                    error = e.to_string(),
+                );
+                return engine::race_lanes(input, external_cancel, None);
+            }
+        };
         // One worker per non-empty lane partition.
         let shards = partition_strategies(input.strategies, config.shards).len();
-        let mut link = PipeLink::spawn(&worker_bin, shards, options);
+        server.reserve(shards);
+        let children = (0..shards)
+            .map(|shard| spawn_worker(&worker_bin, server.local_addr(), shard, options))
+            .collect();
+        let mut link = LocalLink {
+            fleet: server.link(external_cancel),
+            watched: vec![true; shards],
+            children,
+        };
         let postmortem_dir = options.postmortem_dir.as_deref();
         race::run_or_race_in_process(&mut link, input, external_cancel, postmortem_dir)
     })
 }
 
-/// The spawned workers of one race.
-struct PipeLink {
-    /// `None` when the spawn itself failed.
-    children: Vec<Option<Child>>,
-    /// Outboxes into the workers' writer threads; `None` once a worker
-    /// is beyond reach (never spawned, killed, seat closed).
-    outboxes: Vec<Option<Outbox>>,
-    events: mpsc::Receiver<Event>,
-}
-
-impl PipeLink {
-    fn spawn(worker_bin: &Path, shards: usize, options: &ShardOptions) -> PipeLink {
-        let (tx, events) = mpsc::channel();
-        let mut children = Vec::with_capacity(shards);
-        let mut outboxes = Vec::with_capacity(shards);
-        for shard in 0..shards {
-            let spawned = Command::new(worker_bin)
-                .arg("worker")
-                .arg("--shard")
-                .arg(shard.to_string())
-                .stdin(Stdio::piped())
-                .stdout(Stdio::piped())
-                .stderr(Stdio::inherit())
-                .spawn();
-            let gone = Event::Gone {
-                shard,
-                generation: 0,
-            };
-            match spawned {
-                Ok(mut child) => {
-                    if let Some(hook) = &options.spawn_hook {
-                        hook(shard, child.id());
-                    }
-                    let stdin = child.stdin.take().expect("stdin was piped");
-                    let stdout = child.stdout.take().expect("stdout was piped");
-                    let tx = tx.clone();
-                    std::thread::spawn(move || {
-                        let deliver = |frame| {
-                            let event = Event::Frame {
-                                shard,
-                                generation: 0,
-                                frame,
-                                at: Instant::now(),
-                            };
-                            tx.send(event).is_ok()
-                        };
-                        read_frames(shard, stdout, FrameReader::new(), None, deliver);
-                        let _ = tx.send(gone);
-                    });
-                    // Dropping the outbox ends the writer, which drops
-                    // the pipe: EOF on the worker's stdin.
-                    outboxes.push(Some(spawn_writer(shard, stdin, |_| {})));
-                    children.push(Some(child));
-                }
-                Err(e) => {
-                    telemetry::log_error!(
-                        "shard.coordinator",
-                        "spawning worker failed",
-                        shard = shard,
-                        error = e.to_string(),
-                    );
-                    let _ = tx.send(gone);
-                    outboxes.push(None);
-                    children.push(None);
-                }
+/// Spawns the worker that claims seat `shard` at `addr`; `None` when the
+/// spawn itself failed.
+fn spawn_worker(
+    worker_bin: &Path,
+    addr: SocketAddr,
+    shard: usize,
+    options: &ShardOptions,
+) -> Option<Child> {
+    let spawned = Command::new(worker_bin)
+        .args(["worker", "--connect", &addr.to_string()])
+        .args(["--shard", &shard.to_string()])
+        .stdin(Stdio::null())
+        .stdout(Stdio::null())
+        .spawn();
+    match spawned {
+        Ok(child) => {
+            if let Some(hook) = &options.spawn_hook {
+                hook(shard, child.id());
             }
+            Some(child)
         }
-        PipeLink {
-            children,
-            outboxes,
-            events,
+        Err(e) => {
+            telemetry::log_error!(
+                "shard.coordinator",
+                "spawning worker failed",
+                shard = shard,
+                error = e.to_string(),
+            );
+            None
         }
     }
 }
 
-impl Link for PipeLink {
+/// The loopback fleet of one race, seen as its spawned children.
+struct LocalLink<'a> {
+    fleet: FleetLink<'a>,
+    /// `None` when the spawn failed.
+    children: Vec<Option<Child>>,
+    /// The child has neither registered nor been reported gone: should it
+    /// end, no connection will say so, so its process must.
+    watched: Vec<bool>,
+}
+
+impl Link for LocalLink<'_> {
     fn muster(&mut self) -> Vec<usize> {
         (0..self.children.len()).collect()
     }
 
     fn poll(&mut self, timeout: Duration) -> Result<Event, mpsc::RecvTimeoutError> {
-        self.events.recv_timeout(timeout)
+        // A child that ends before it registers has no connection to
+        // report it; its process does.
+        for shard in 0..self.children.len() {
+            if self.watched[shard] && self.fleet.registered(shard) {
+                self.watched[shard] = false;
+            }
+            let child = &mut self.children[shard];
+            if self.watched[shard]
+                && child
+                    .as_mut()
+                    .is_none_or(|c| !matches!(c.try_wait(), Ok(None)))
+            {
+                self.watched[shard] = false;
+                return Ok(Event::Gone {
+                    shard,
+                    generation: 0,
+                });
+            }
+        }
+        loop {
+            match self.fleet.poll(timeout) {
+                // Only the spawned children hold seats, each once.
+                Ok(Event::Joined { shard, rejoin }) if rejoin || shard >= self.children.len() => {}
+                event => return event,
+            }
+        }
     }
 
     fn send(&mut self, shard: usize, frame: &Frame) -> Sent {
-        let outbox = self.outboxes[shard].as_ref();
-        outbox.map_or(Sent::Closed, |outbox| outbox.send(frame.clone()))
+        self.fleet.send(shard, frame)
     }
 
     fn disconnect(&mut self, shard: usize) {
         if let Some(child) = &mut self.children[shard] {
             let _ = child.kill();
         }
-        self.outboxes[shard] = None;
+    }
+
+    fn generation(&self, shard: usize) -> u64 {
+        self.fleet.generation(shard)
     }
 
     fn close(&mut self, shard: usize) -> Option<PeerExit> {
-        self.outboxes[shard] = None; // EOF lets a lingering worker exit
         let child = self.children[shard].as_mut()?;
+        if self.fleet.connected(shard) {
+            // Idle in its session, waiting for a next job: no verdict.
+            let _ = child.kill();
+            let _ = child.wait();
+            return None;
+        }
         let deadline = Instant::now() + REAP_GRACE;
         // Poll from 0.5 ms, doubling up to 10 ms: a worker that exits
         // promptly is reaped promptly, not on the next 10 ms step.

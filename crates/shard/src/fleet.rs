@@ -1,11 +1,14 @@
 //! The TCP transport: a [`FleetServer`] that `fermihedral-shard worker
 //! --connect` processes on any host register with, for as long as it
-//! lives and across any number of races.
+//! lives and across any number of races. `--shards k` runs the same
+//! server on loopback for one race, with its `k` seats reserved for the
+//! children it spawns ([`crate::coordinator`]).
 //!
 //! What TCP adds under the race ([`crate::link::Link`]):
 //!
 //! * **Registration** — peers come and go; the server assigns shard ids
-//!   at `Hello` time (or honors a reclaimed one: that is a *rejoin*) and
+//!   at `Hello` time or honors a claimed one (a reserved seat's first
+//!   connection is a join, any later one a *rejoin*) and
 //!   verifies [`PROTOCOL_VERSION`] on both sides before any race traffic
 //!   flows. A race musters whoever is connected when it starts and hears
 //!   of everyone who registers while it runs.
@@ -76,9 +79,9 @@ struct PeerSlot {
     /// Outbox into the peer's writer thread; `None` while disconnected.
     tx: Option<Outbox>,
     connected: bool,
-    /// Bumped on every (re)connection; events from a previous
-    /// connection's reader carry the old value.
-    generation: u64,
+    /// `None` until the first connection, bumped on every reconnection;
+    /// events from a previous connection's reader carry the old value.
+    generation: Option<u64>,
     /// Milliseconds since the server's epoch at the last received frame.
     last_rx_ms: Arc<AtomicU64>,
     /// Handle for force-disconnect (liveness kill, server shutdown).
@@ -146,6 +149,25 @@ impl FleetServer {
     /// Currently-connected peers.
     pub fn peer_count(&self) -> usize {
         self.shared.peers().iter().filter(|p| p.connected).count()
+    }
+
+    /// Holds seats `0..seats` for workers that claim them with
+    /// `--shard`; a seat's first connection is a join, not a rejoin.
+    pub(crate) fn reserve(&self, seats: usize) {
+        let mut peers = self.shared.peers();
+        while peers.len() < seats {
+            peers.push(PeerSlot::default());
+        }
+    }
+
+    /// One race's hold on the registry and the event queue.
+    pub(crate) fn link<'a>(&'a self, external_cancel: Option<&'a CancelToken>) -> FleetLink<'a> {
+        let events = self.shared.events_rx.lock();
+        FleetLink {
+            shared: &self.shared,
+            events: events.expect("a race never panics holding the queue"),
+            external_cancel,
+        }
     }
 }
 
@@ -232,20 +254,18 @@ fn serve_connection(stream: TcpStream, peer_addr: SocketAddr, shared: &FleetShar
             .then_some(requested as usize)
             .filter(|&s| s < peers.len() && !peers[s].connected);
         let shard = reclaimed.unwrap_or(peers.len());
-        let outbox = spawn_writer(shard, writer, |stream| {
-            let _ = stream.shutdown(Shutdown::Write);
-        });
+        let outbox = spawn_writer(shard, writer);
         if reclaimed.is_none() {
             peers.push(PeerSlot::default());
-        } else {
-            peers[shard].generation += 1;
         }
         let slot = &mut peers[shard];
+        let generation = slot.generation.map_or(0, |g| g + 1);
+        let rejoin = slot.generation.replace(generation).is_some();
         slot.tx = Some(outbox.clone());
         slot.connected = true;
         slot.last_rx_ms = last_rx_ms.clone();
         slot.stream = Some(handle);
-        (shard, reclaimed.is_some(), slot.generation, outbox)
+        (shard, rejoin, generation, outbox)
     };
     telemetry::log_info!(
         "shard.fleet",
@@ -263,7 +283,7 @@ fn serve_connection(stream: TcpStream, peer_addr: SocketAddr, shared: &FleetShar
     let _ = shared.events_tx.send(Event::Joined { shard, rejoin });
 
     // ---- Reader loop: socket → race ------------------------------------
-    read_frames(shard, &stream, reader, Some(&shared.shutdown), |frame| {
+    read_frames(shard, &stream, reader, &shared.shutdown, |frame| {
         last_rx_ms.store(shared.now_ms(), Ordering::Relaxed);
         if let Frame::Heartbeat { seq } = frame {
             // Echo so the worker can measure *our* liveness too;
@@ -286,7 +306,7 @@ fn serve_connection(stream: TcpStream, peer_addr: SocketAddr, shared: &FleetShar
     {
         let mut peers = shared.peers();
         let slot = &mut peers[shard];
-        if slot.generation == generation {
+        if slot.generation == Some(generation) {
             slot.connected = false;
             slot.tx = None;
             slot.stream = None;
@@ -300,7 +320,7 @@ fn serve_connection(stream: TcpStream, peer_addr: SocketAddr, shared: &FleetShar
 /// [`crate::compile_sharded_with`]: shared cache, external cancellation,
 /// and the registered fleet as the transport. With no peers registered
 /// within the join window the race degrades to the in-process engine
-/// (the same total-loss containment as all-dead pipe workers).
+/// (the same total-loss containment as all-dead local workers).
 pub fn compile_fleet_with(
     problem: &EncodingProblem,
     config: &EngineConfig,
@@ -308,26 +328,33 @@ pub fn compile_fleet_with(
     external_cancel: Option<&CancelToken>,
     server: &FleetServer,
 ) -> EngineOutcome {
-    let shared = &*server.shared;
     compile_cached(problem, config, cache, "shard.race", |input| {
-        let mut link = FleetLink {
-            shared,
-            events: shared
-                .events_rx
-                .lock()
-                .expect("a race never panics holding the queue"),
-            external_cancel,
-        };
-        let postmortem_dir = shared.options.postmortem_dir.as_deref();
+        let mut link = server.link(external_cancel);
+        let postmortem_dir = server.shared.options.postmortem_dir.as_deref();
         race::run_or_race_in_process(&mut link, input, external_cancel, postmortem_dir)
     })
 }
 
 /// One race's hold on the server's registry and event queue.
-struct FleetLink<'a> {
+pub(crate) struct FleetLink<'a> {
     shared: &'a FleetShared,
     events: MutexGuard<'a, mpsc::Receiver<Event>>,
     external_cancel: Option<&'a CancelToken>,
+}
+
+impl FleetLink<'_> {
+    /// `shard` has registered at least once.
+    pub(crate) fn registered(&self, shard: usize) -> bool {
+        self.shared
+            .peers()
+            .get(shard)
+            .is_some_and(|p| p.generation.is_some())
+    }
+
+    /// `shard` holds a live connection.
+    pub(crate) fn connected(&self, shard: usize) -> bool {
+        self.shared.peers().get(shard).is_some_and(|p| p.connected)
+    }
 }
 
 impl Link for FleetLink<'_> {
@@ -377,7 +404,8 @@ impl Link for FleetLink<'_> {
     }
 
     fn generation(&self, shard: usize) -> u64 {
-        self.shared.peers().get(shard).map_or(0, |p| p.generation)
+        let generation = self.shared.peers().get(shard).and_then(|p| p.generation);
+        generation.unwrap_or(0)
     }
 
     fn patience(&self) -> Option<Duration> {

@@ -4,10 +4,11 @@
 //! The engine races its portfolio lanes as threads of one process; the
 //! heavy Hamiltonian-dependent instances (hours-scale SAT runs in the
 //! paper) want more hardware than one process can address. This crate
-//! spreads the lanes over **worker processes** — children of the
-//! coordinator on pipes, or `worker --connect` processes on any host
-//! over TCP — that speak one small length-prefixed binary protocol
-//! ([`wire`]) and are driven by one race loop ([`race`]):
+//! spreads the lanes over **worker processes** — `worker --connect`
+//! processes that register with a fleet coordinator over TCP, spawned by
+//! the coordinator on loopback or started on any host — that speak one
+//! small length-prefixed binary protocol ([`wire`]) and are driven by one
+//! race loop ([`race`]):
 //!
 //! ```text
 //!        engine::compile_cached: cache probe · warm start · store
@@ -16,19 +17,18 @@
 //!            └──┬────────────────────── link ───────────────┬──────────┘
 //!        Job ┆ Clause ┆ Bound ┆ Cancel   (length-prefixed frames)
 //!            ▼                                              ▼
-//!      worker 0 (lanes 0,2,4)   pipe or TCP           worker 1 (lanes 1,3,5) …
+//!      worker 0 (lanes 0,2,4)   TCP (loopback or remote)  worker 1 (lanes 1,3,5) …
 //!      race + RemoteExchange                          race + RemoteExchange
 //! ```
 //!
 //! # One race, start to finish
 //!
 //! 1. **A link joins.** A transport ([`link::Link`]) brings peers: the
-//!    pipe transport spawns them, the TCP transport has been accepting
+//!    local fleet spawns them, a remote fleet has been accepting
 //!    registrations all along. The shards present at the start are the
 //!    *muster*; the portfolio's lanes are partitioned over them
-//!    round-robin. Every peer announces itself — a pipe worker with an
-//!    in-band `Hello`, a TCP worker through the server's
-//!    `Hello`/`Welcome` handshake — and one that speaks another
+//!    round-robin. Every peer announces itself through the server's
+//!    `Hello`/`Welcome` handshake, and one that speaks another
 //!    [`wire::PROTOCOL_VERSION`] never gets a job.
 //! 2. **The seat is armed**: its `Job` (problem, lanes, budgets, warm
 //!    hint), then the current incumbent `Bound`, then a replay of the
@@ -64,23 +64,23 @@
 //!
 //! # What a link reports
 //!
-//! The race has no transport options; where pipes and TCP differ, the
-//! link says so:
+//! The race has no transport options; where the local and the remote
+//! fleet differ, the link says so:
 //!
-//! | | pipe ([`coordinator`]) | TCP ([`fleet`]) |
+//! | | local fleet ([`coordinator`], `--shards k`) | remote fleet ([`fleet`]) |
 //! |---|---|---|
-//! | peers | spawned per race, greet in-band with `Hello` | registered with a [`FleetServer`] across races; late joiners welcome |
-//! | connection ends before `Cancel` | death at once — a pipe cannot rejoin | the seat is held for [`FleetOptions::heartbeat_deadline`]; a reconnect under the same shard id is a *rejoin* (new generation; stale frames drop, a stale `Incumbent` is kept) |
+//! | peers | `k` children spawned per race on a loopback [`FleetServer`], seats `0..k` reserved | registered with a [`FleetServer`] across races; late joiners welcome |
+//! | connection ends before `Cancel` | death at once — a local child never rejoins | the seat is held for [`FleetOptions::heartbeat_deadline`]; a reconnect under the same shard id is a *rejoin* (new generation; stale frames drop, a stale `Incumbent` is kept) |
 //! | connection ends after `Cancel` | settled by the reaped exit status: clean 0 = wound down | wound down |
-//! | silence | no clock: EOF and the exit status are the liveness | time since the last frame (workers heartbeat, the server echoes); past the deadline = dead |
+//! | silence | no clock: a child's connection and its process are the liveness | time since the last frame (workers heartbeat, the server echoes); past the deadline = dead |
 //! | cutting a peer off | `kill` | `shutdown(Both)` |
-//! | closing a seat | wait (then kill) and report the exit status | nothing: the session serves the next race |
+//! | closing a seat | kill a child still connected; reap one whose connection ended and report its exit status | nothing: the session serves the next race |
 //!
 //! Entry points: [`compile_sharded`] (mirrors [`engine::compile`]),
 //! [`compile_sharded_with`] and [`compile_fleet_with`] (server forms:
-//! shared cache + external cancellation), and [`run_worker`] /
-//! [`run_worker_fleet`] (the worker-process protocol loops behind the
-//! `fermihedral-shard worker` subcommand).
+//! shared cache + external cancellation), and [`run_worker_fleet`] (the
+//! worker-process session behind the `fermihedral-shard worker`
+//! subcommand).
 
 pub mod coordinator;
 pub mod fleet;
@@ -96,4 +96,4 @@ pub use coordinator::{
 pub use engine::measure_weight;
 pub use fleet::{compile_fleet_with, FleetOptions, FleetServer};
 pub use proto::{BlackBoxCheckpoint, IncumbentUpdate, Job, ShardResult};
-pub use worker::{run_worker, run_worker_fleet, FleetWorkerOptions};
+pub use worker::{run_worker_fleet, FleetWorkerOptions};

@@ -2,14 +2,16 @@
 //!
 //! [`crate::race`] owns every race decision; a [`Link`] only moves frames
 //! and reports facts about its peers — who joined, what they sent, who
-//! went away, how long they have been silent, how they exited. The pipe
-//! transport ([`crate::coordinator`]) and the TCP transport
-//! ([`crate::fleet`]) implement it over real streams with the thread
-//! helpers below; a test implements it in memory and scripts a whole
-//! race without a process or a socket.
+//! went away, how long they have been silent, how they exited. The TCP
+//! transport ([`crate::fleet`]) implements it over real sockets with the
+//! thread helpers below, and the local workers of `--shards k`
+//! ([`crate::coordinator`]) are that transport on loopback under a thin
+//! wrapper; a test implements it in memory and scripts a whole race
+//! without a process or a socket.
 
 use crate::wire::{Frame, FrameRead, FrameReader};
-use std::io::{Read, Write};
+use std::io::{BufWriter, Read, Write};
+use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
@@ -20,8 +22,8 @@ use std::time::{Duration, Instant};
 pub enum Event {
     /// A peer completed the transport's own handshake and holds `shard`;
     /// `rejoin` when it reclaimed a seat it held on an earlier
-    /// connection. (A pipe peer announces itself in-band instead, with a
-    /// [`Frame::Hello`].)
+    /// connection. (The race also accepts an in-band [`Frame::Hello`]
+    /// from a link without a handshake of its own.)
     Joined { shard: usize, rejoin: bool },
     /// A frame from `shard`, read off connection number `generation` at
     /// `at`.
@@ -92,8 +94,9 @@ pub trait Link {
         None
     }
     /// The race is over for `shard`: stop feeding it. A link that owns
-    /// its peer's lifetime waits for the peer to exit — killing one that
-    /// lingers — and reports how it ended; the others report `None`.
+    /// its peer's lifetime and saw its connection end waits for the peer
+    /// to exit — killing one that lingers — and reports how it ended;
+    /// otherwise `None`.
     fn close(&mut self, _shard: usize) -> Option<PeerExit> {
         None
     }
@@ -170,47 +173,47 @@ impl Outbox {
 /// Starts `shard`'s writer thread — the only place that blocks on the
 /// peer's stream, so a peer that stops draining backs up *its own*
 /// bounded outbox (and sheds) instead of wedging the race loop — and
-/// returns the outbox. The thread ends when every outbox handle is
-/// dropped or the stream breaks, and calls `finish` on the stream on its
-/// way out.
-pub(crate) fn spawn_writer<W: Write + Send + 'static>(
-    shard: usize,
-    mut stream: W,
-    finish: fn(&W),
-) -> Outbox {
+/// returns the outbox. Whatever is queued goes out in one flush, not a
+/// syscall per frame. The thread ends when every outbox handle is
+/// dropped or the stream breaks, and shuts the stream's write half on
+/// its way out.
+pub(crate) fn spawn_writer(shard: usize, stream: TcpStream) -> Outbox {
     let (tx, rx) = mpsc::sync_channel::<Frame>(OUTBOX_DEPTH);
     let dropped = telemetry::global().metrics().counter(&format!(
         "wire_frames_dropped_total{{dir=\"tx\",peer=\"{shard}\"}}"
     ));
     std::thread::spawn(move || {
         let mut meter = WireMeter::new("tx", shard);
-        while let Ok(frame) = rx.recv() {
-            let bytes = match frame.to_bytes() {
-                Ok(bytes) => bytes,
-                Err(e) => {
-                    // Encode-time cap enforcement: shed the oversized
-                    // best-effort frame instead of letting the peer tear
-                    // down the link.
-                    telemetry::log_warn!(
-                        "shard.link",
-                        "dropping unencodable frame",
-                        shard = shard,
-                        kind = frame.kind(),
-                        error = e.to_string(),
-                    );
-                    continue;
+        let mut out = BufWriter::new(&stream);
+        'stream: while let Ok(first) = rx.recv() {
+            for frame in std::iter::once(first).chain(rx.try_iter()) {
+                let bytes = match frame.to_bytes() {
+                    Ok(bytes) => bytes,
+                    Err(e) => {
+                        // Encode-time cap enforcement: shed the oversized
+                        // best-effort frame instead of letting the peer tear
+                        // down the link.
+                        telemetry::log_warn!(
+                            "shard.link",
+                            "dropping unencodable frame",
+                            shard = shard,
+                            kind = frame.kind(),
+                            error = e.to_string(),
+                        );
+                        continue;
+                    }
+                };
+                meter.record(frame.kind(), bytes.len());
+                if out.write_all(&bytes).is_err() {
+                    break 'stream;
                 }
-            };
-            meter.record(frame.kind(), bytes.len());
-            if stream
-                .write_all(&bytes)
-                .and_then(|()| stream.flush())
-                .is_err()
-            {
+            }
+            if out.flush().is_err() {
                 break;
             }
         }
-        finish(&stream);
+        drop(out);
+        let _ = stream.shutdown(Shutdown::Write);
     });
     Outbox { tx, dropped }
 }
@@ -223,11 +226,11 @@ pub(crate) fn read_frames(
     shard: usize,
     mut stream: impl Read,
     mut reader: FrameReader,
-    stop: Option<&AtomicBool>,
+    stop: &AtomicBool,
     mut deliver: impl FnMut(Frame) -> bool,
 ) {
     let mut meter = WireMeter::new("rx", shard);
-    while !stop.is_some_and(|stop| stop.load(Ordering::Relaxed)) {
+    while !stop.load(Ordering::Relaxed) {
         match reader.read(&mut stream) {
             Ok(FrameRead::Frame { frame, wire_bytes }) => {
                 meter.record(frame.kind(), wire_bytes);

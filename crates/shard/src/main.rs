@@ -1,25 +1,24 @@
 //! The `fermihedral-shard` binary.
 //!
-//! Four modes:
+//! Three modes:
 //!
-//! * `fermihedral-shard worker --shard N` — the worker protocol on
-//!   stdin/stdout. Spawned by a coordinator (the library, `serve
-//!   --shards N`, or the bench harness); not meant for direct use.
-//! * `fermihedral-shard worker --connect ADDR [--shard N]` — a TCP
-//!   fleet worker: registers with a listening coordinator, serves jobs,
-//!   and reconnects (reclaiming its shard id) when the link drops.
+//! * `fermihedral-shard worker --connect ADDR [--shard N]` — a fleet
+//!   worker: registers with a listening coordinator, serves jobs, and
+//!   reconnects (reclaiming its shard id) when the link drops. Local
+//!   coordinators (the library, `serve --shards N`, the bench harness)
+//!   spawn it against their own loopback port.
 //! * `fermihedral-shard coordinate --listen ADDR [...]` — a fleet
 //!   coordinator: waits for registered workers, races one problem
 //!   across them, and prints a JSON summary.
 //! * `fermihedral-shard [OPTIONS]` — a coordinator CLI that compiles
-//!   one problem sharded over local pipe workers.
+//!   one problem sharded over local loopback workers.
 
 use engine::{EngineConfig, SolutionCache};
 use fermihedral::{EncodingProblem, Objective};
 use jsonkit::{obj, Value};
 use shard::{
-    compile_fleet_with, compile_sharded_with, run_worker, run_worker_fleet, FleetOptions,
-    FleetServer, FleetWorkerOptions, ShardOptions,
+    compile_fleet_with, compile_sharded_with, run_worker_fleet, FleetOptions, FleetServer,
+    FleetWorkerOptions, ShardOptions,
 };
 use std::time::Duration;
 
@@ -27,16 +26,15 @@ const USAGE: &str = "\
 fermihedral-shard: multi-process sharded compilation
 
 USAGE:
-    fermihedral-shard worker --shard N      (internal: worker protocol on stdin/stdout)
     fermihedral-shard worker --connect ADDR [--shard N]
                                             (TCP fleet worker; --shard reclaims a seat)
     fermihedral-shard coordinate --listen ADDR [OPTIONS]
                                             (TCP fleet coordinator)
-    fermihedral-shard [OPTIONS]             (pipe coordinator CLI)
+    fermihedral-shard [OPTIONS]             (local coordinator CLI)
 
 OPTIONS:
     --modes N        problem size (default 4)
-    --shards S       worker processes (default 2; pipe mode only)
+    --shards S       local loopback workers (default 2; local mode only)
     --min-peers N    fleet: wait for N registered workers (default 1)
     --join-timeout SECS  fleet: how long to wait for them (default 30)
     --timeout SECS   wall-clock budget (default 60)
@@ -51,18 +49,15 @@ fn main() {
     telemetry::log::init_from_env();
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.first().map(String::as_str) == Some("worker") {
-        if let Some(addr) = flag_value(&args, "--connect") {
-            let options = FleetWorkerOptions {
-                shard: flag_value(&args, "--shard").and_then(|v| v.parse().ok()),
-                ..FleetWorkerOptions::default()
-            };
-            std::process::exit(run_worker_fleet(addr, &options));
-        }
-        let shard = flag_value(&args, "--shard")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0usize);
-        let code = run_worker(shard, std::io::stdin(), std::io::stdout().lock());
-        std::process::exit(code);
+        let Some(addr) = flag_value(&args, "--connect") else {
+            eprintln!("worker requires --connect ADDR");
+            std::process::exit(2);
+        };
+        let options = FleetWorkerOptions {
+            shard: flag_value(&args, "--shard").and_then(|v| v.parse().ok()),
+            ..FleetWorkerOptions::default()
+        };
+        std::process::exit(run_worker_fleet(addr, &options));
     }
     if args.iter().any(|a| a == "--help" || a == "-h") {
         print!("{USAGE}");

@@ -2,7 +2,7 @@
 //!
 //! The portfolio engine shards its lanes across OS processes and, since
 //! protocol version 4, across hosts (ROADMAP: multi-host sharding); the
-//! coordinator and its workers talk over pipes or TCP in the frame
+//! coordinator and its workers talk over TCP in the frame
 //! format defined here. The protocol carries exactly the traffic
 //! [`sat::SharedContext`] moves between in-process lanes — learnt
 //! clauses, incumbent bounds, UNSAT floors, cancellation — plus opaque

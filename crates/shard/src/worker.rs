@@ -1,41 +1,39 @@
 //! The worker half of a sharded race: one process, a subset of the
-//! portfolio's lanes, and a frame bridge to the coordinator — over
-//! stdin/stdout pipes ([`run_worker`]) or TCP ([`run_worker_fleet`]).
+//! portfolio's lanes, and a TCP session with the coordinator
+//! ([`run_worker_fleet`]) — a remote fleet's or the loopback one that
+//! `--shards k` spawns its workers against. One protocol:
 //!
-//! Protocol (pipe worker's view):
-//!
-//! 1. send `Hello { shard, protocol }`;
+//! 1. connect and send `Hello { shard, protocol }` (a seat id to claim,
+//!    or [`HELLO_ANY_SHARD`]); the coordinator answers `Welcome` with
+//!    the granted seat, and both sides verify [`PROTOCOL_VERSION`];
 //! 2. receive `Job` (problem + lane assignment); verify the problem
 //!    fingerprint — clause frames are only sound between processes
 //!    solving the identical CNF;
 //! 3. race via [`engine::compile_bridged`], while
-//!    * a **reader** thread applies incoming frames (`Clause` →
-//!      [`sat::RemoteExchange::inject`], `Bound` → tighten the shared
-//!      incumbent, `Cancel` → raise the race's token), and
+//!    * the session's **reader** thread applies incoming frames
+//!      (`Clause` → [`sat::RemoteExchange::inject`], `Bound` → tighten
+//!      the shared incumbent, `Cancel` → raise the race's token), and
 //!    * a **pump** loop streams outgoing traffic (drained exports as
 //!      `Clause` frames, incumbent improvements as `Bound`, UNSAT floors
-//!      as `Floor`, and periodic flight-recorder checkpoints as
-//!      `BlackBox` — the raw material for the coordinator's post-mortem
-//!      bundles);
-//! 4. send a terminal `Result` and exit.
+//!      as `Floor`, periodic `Heartbeat`s, and flight-recorder
+//!      checkpoints as `BlackBox` — the raw material for the
+//!      coordinator's post-mortem bundles);
+//! 4. send a terminal `Result`, then wait for the next `Job`.
 //!
-//! A TCP fleet worker speaks the same job protocol with three
-//! differences: the handshake is `Hello` → `Welcome` (the coordinator
-//! assigns or confirms the shard id, and both sides verify protocol
-//! versions); the worker sends periodic `Heartbeat` frames — echoed by
-//! the coordinator — so silence is measurable on both ends; and the
-//! session *persists across races*: after a `Result` the worker waits
-//! for the next `Job`, and a dropped connection triggers
-//! reconnect-and-rejoin under the shard id it was assigned.
+//! Between jobs the worker heartbeats; the coordinator echoes every
+//! heartbeat, so silence is measurable on both ends.
 //!
 //! A panic hook routes any panic through the structured logger before
 //! the default backtrace, so the panic message rides the last `BlackBox`
 //! checkpoint into the coordinator's post-mortem instead of dying with
 //! the process's stderr.
 //!
-//! Coordinator death is handled like cancellation: stdin EOF (or any
-//! broken-pipe write) raises the race's cancel token, so an orphaned
-//! worker never burns CPU for a race nobody is waiting on.
+//! Coordinator loss is handled like cancellation: a dropped connection
+//! raises the race's cancel token, so a worker never burns CPU for a
+//! race nobody is waiting on. It then reconnects under the seat it was
+//! granted — re-entering the race with the incumbent bound and clause
+//! digest the coordinator replays — and retires once the coordinator
+//! stays unreachable.
 
 use crate::link::read_frames;
 use crate::proto::{BlackBoxCheckpoint, IncumbentUpdate, Job, ShardResult};
@@ -43,7 +41,7 @@ use crate::wire::{
     write_frame, Frame, FrameRead, FrameReader, RemoteClause, HELLO_ANY_SHARD, PROTOCOL_VERSION,
 };
 use engine::{compile_bridged, RaceBridge};
-use std::io::{self, Read, Write};
+use std::io::{self, BufWriter, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -63,8 +61,7 @@ const TRACE_EVERY_TICKS: u32 = 50;
 /// ever-growing log.
 const BLACKBOX_EVERY_TICKS: u32 = 40;
 
-/// Pump ticks between in-race `Heartbeat` frames (~every 250 ms, TCP
-/// sessions only).
+/// Pump ticks between in-race `Heartbeat` frames (~every 250 ms).
 const HEARTBEAT_EVERY_TICKS: u32 = 50;
 
 /// Idle-session heartbeat cadence (between jobs).
@@ -109,99 +106,6 @@ fn install_panic_hook(shard: usize) {
     }));
 }
 
-/// Runs the worker protocol over arbitrary streams (the binary passes
-/// stdin/stdout; tests can pass pipes in-process). Returns a process
-/// exit code: `0` on a clean run — including a cancelled one — and
-/// nonzero on protocol violations.
-pub fn run_worker(shard: usize, input: impl Read + Send + 'static, mut output: impl Write) -> i32 {
-    install_panic_hook(shard);
-    let hello = Frame::Hello {
-        shard: shard as u32,
-        protocol: PROTOCOL_VERSION,
-    };
-    if write_frame(&mut output, &hello)
-        .and_then(|()| output.flush())
-        .is_err()
-    {
-        return 1;
-    }
-
-    // The Job must arrive before anything else (a version-4 coordinator
-    // may confirm the handshake with a Welcome first; pipes need no
-    // assignment, so it is informational here).
-    let mut input = input;
-    let mut reader = FrameReader::new();
-    let job = loop {
-        let frame = match reader.read(&mut input) {
-            Ok(FrameRead::Frame { frame, .. }) => frame,
-            Ok(FrameRead::Idle) => continue,
-            // The coordinator went away before assigning any work.
-            Ok(FrameRead::Eof) => return 0,
-            Err(e) => {
-                telemetry::log_error!(
-                    "shard.worker",
-                    "reading job failed",
-                    shard = shard,
-                    error = e.to_string(),
-                );
-                return 2;
-            }
-        };
-        match frame {
-            Frame::Job(payload) => match Job::from_bytes(&payload) {
-                Ok(job) => break job,
-                Err(e) => {
-                    telemetry::log_error!("shard.worker", "bad job", shard = shard, error = e);
-                    return 2;
-                }
-            },
-            Frame::Welcome { .. } | Frame::Heartbeat { .. } => continue,
-            // The race can be decided (or externally cancelled) before
-            // this worker was ever assigned work — a clean no-work exit,
-            // not a protocol violation.
-            Frame::Cancel => return 0,
-            other => {
-                telemetry::log_error!(
-                    "shard.worker",
-                    "protocol violation: expected Job",
-                    shard = shard,
-                    got = other.kind(),
-                );
-                return 2;
-            }
-        }
-    };
-
-    race_job(
-        shard,
-        &job,
-        &mut output,
-        |bridge, remote_bound| {
-            // ---- Reader thread: coordinator → race ----------------------
-            // Deliberately *detached* (not scoped): it blocks reading
-            // until the coordinator closes our stdin, which only happens
-            // after we send a Result. If the race thread panics, no
-            // Result is ever sent — a scoped reader would then deadlock
-            // the scope join; detached, it simply dies with the process.
-            //
-            // The reader that parsed the Job travels with the stream: the
-            // coordinator writes the current Bound (and a clause replay)
-            // right behind the Job, and one read may already have pulled
-            // them into its buffer.
-            std::thread::spawn(move || {
-                read_frames(shard, input, reader, None, |frame| {
-                    apply_race_frame(&bridge, &remote_bound, frame);
-                    true
-                });
-                // Cancellation and coordinator death end the race the
-                // same way: stop promptly, report best-so-far.
-                bridge.cancel.cancel();
-            });
-        },
-        false,
-    )
-}
-
 /// Applies one in-race frame from the coordinator to the race's bridge:
 /// `Clause` → inject, `Bound` → tighten (and remember the remote
 /// delivery so the pump won't echo it), `Cancel` → raise the token.
@@ -227,20 +131,14 @@ fn apply_race_frame(bridge: &RaceBridge, remote_bound: &AtomicUsize, frame: Fram
 }
 
 /// Runs one job: fingerprint check, the bridged race, the pump loop,
-/// and the terminal `Result` frame. Incoming frames are the caller's
-/// business — the `on_bridge` hook hands out the race's bridge (and the
-/// remote-bound echo guard) as soon as it exists, before any lane runs.
+/// and the terminal `Result` frame. The race's bridge is installed in
+/// `router` as soon as it exists, before any lane runs; the session's
+/// reader applies incoming frames through it.
 ///
 /// Returns a process exit code: `0` on a clean run, `1` when the
 /// coordinator's stream died, `3` on a fingerprint mismatch, `4` if the
 /// race thread panicked.
-fn race_job<W: Write>(
-    shard: usize,
-    job: &Job,
-    output: &mut W,
-    on_bridge: impl FnOnce(RaceBridge, Arc<AtomicUsize>),
-    heartbeats: bool,
-) -> i32 {
+fn race_job(shard: usize, job: &Job, mut output: impl Write, router: &Mutex<FrameRouter>) -> i32 {
     let local_fp = engine::fingerprint(&job.problem).to_hex();
     if local_fp != job.fingerprint {
         telemetry::log_error!(
@@ -263,7 +161,7 @@ fn race_job<W: Write>(
     );
     // First checkpoint right away: even a worker killed milliseconds into
     // the race leaves its job context behind for the post-mortem.
-    let _ = pump_blackbox(job, output);
+    let _ = pump_blackbox(job, &mut output);
 
     // The coordinator's trace id turns span recording on for this whole
     // process; batches ship back over the pump loop below.
@@ -295,13 +193,21 @@ fn race_job<W: Write>(
         let bridge = bridge_rx
             .recv()
             .expect("compile_bridged always invokes its hook");
-        on_bridge(bridge.clone(), remote_bound.clone());
+        router
+            .lock()
+            .unwrap()
+            .install(bridge.clone(), remote_bound.clone());
 
         // ---- Pump loop: race → coordinator ------------------------------
-        let mut last_bound_sent = usize::MAX;
-        let mut last_incumbent_sent = usize::MAX;
-        let mut last_floor_sent = 0usize;
-        let mut outbox: Vec<sat::SharedClause> = Vec::new();
+        let mut pump = Pump {
+            bridge: &bridge,
+            shard,
+            remote_bound: &remote_bound,
+            bound_sent: usize::MAX,
+            incumbent_sent: usize::MAX,
+            floor_sent: 0,
+            clauses: Vec::new(),
+        };
         let mut ticks = 0u32;
         let mut heartbeat_seq = 0u64;
         let outcome = loop {
@@ -313,63 +219,40 @@ fn race_job<W: Write>(
                     // already logged it into the ring; ship one last
                     // checkpoint so the coordinator's post-mortem shows
                     // the panic, then let the scope re-raise on exit.
-                    let _ = pump_blackbox(job, output);
+                    let _ = pump_blackbox(job, &mut output);
                     return 4;
                 }
             }
-            if pump_once(
-                &bridge,
-                shard,
-                &remote_bound,
-                &mut last_bound_sent,
-                &mut last_incumbent_sent,
-                &mut last_floor_sent,
-                &mut outbox,
-                output,
-            )
-            .is_err()
-            {
+            if pump.tick(&mut output).is_err() {
                 // Coordinator gone: cancel and wait for the race to wind
                 // down so the scope can join.
                 bridge.cancel.cancel();
             }
             ticks += 1;
-            if heartbeats && ticks.is_multiple_of(HEARTBEAT_EVERY_TICKS) {
+            if ticks.is_multiple_of(HEARTBEAT_EVERY_TICKS) {
                 heartbeat_seq += 1;
                 let beat = Frame::Heartbeat { seq: heartbeat_seq };
-                if write_frame(output, &beat)
-                    .and_then(|()| output.flush())
-                    .is_err()
-                {
+                if send(&mut output, &beat).is_err() {
                     bridge.cancel.cancel();
                 }
             }
             if ticks.is_multiple_of(TRACE_EVERY_TICKS) {
                 if let Some(id) = &trace_id {
-                    let _ = pump_trace(shard, id, output);
+                    let _ = pump_trace(shard, id, &mut output);
                 }
             }
             if ticks.is_multiple_of(BLACKBOX_EVERY_TICKS) {
-                let _ = pump_blackbox(job, output);
+                let _ = pump_blackbox(job, &mut output);
             }
         };
 
         // Final flush (bounds/floors the race published on its way out),
         // then the terminal result.
-        let _ = pump_once(
-            &bridge,
-            shard,
-            &remote_bound,
-            &mut last_bound_sent,
-            &mut last_incumbent_sent,
-            &mut last_floor_sent,
-            &mut outbox,
-            output,
-        );
+        let _ = pump.tick(&mut output);
         // The race is over and its lane threads have flushed their spans;
         // ship the tail so the coordinator's timeline is complete.
         if let Some(id) = &trace_id {
-            let _ = pump_trace(shard, id, output);
+            let _ = pump_trace(shard, id, &mut output);
         }
         telemetry::log_info!(
             "shard.worker",
@@ -378,7 +261,7 @@ fn race_job<W: Write>(
             weight = outcome.weight().map(|w| w as u64).unwrap_or(0),
             optimal = outcome.optimal_proved,
         );
-        let _ = pump_blackbox(job, output);
+        let _ = pump_blackbox(job, &mut output);
         let result = ShardResult {
             weight: outcome.weight(),
             strings: outcome.best.as_ref().map(|b| b.strings.clone()),
@@ -396,14 +279,10 @@ fn race_job<W: Write>(
             winner: outcome.report.winner.clone(),
             workers: outcome.report.workers.clone(),
         };
-        let frame = Frame::Result(result.to_bytes());
-        if write_frame(output, &frame)
-            .and_then(|()| output.flush())
-            .is_err()
-        {
-            return 1;
+        match send(&mut output, &Frame::Result(result.to_bytes())) {
+            Ok(()) => 0,
+            Err(_) => 1,
         }
-        0
     })
 }
 
@@ -434,9 +313,9 @@ enum SessionEnd {
     /// Connection lost (EOF, read error, or write error): reconnect and
     /// rejoin under the session's shard id.
     Disconnected,
-    /// The coordinator rejected the registration (version mismatch).
-    Rejected,
-    /// An unrecoverable protocol error; carries the exit code.
+    /// An unrecoverable end — a registration refused for its protocol
+    /// version (5) or a job that could not run (see [`race_job`]);
+    /// carries the process exit code.
     Fatal(i32),
 }
 
@@ -488,7 +367,6 @@ pub fn run_worker_fleet(addr: &str, options: &FleetWorkerOptions) -> i32 {
                 );
                 std::thread::sleep(options.reconnect_delay);
             }
-            SessionEnd::Rejected => return 5,
             SessionEnd::Fatal(code) => return code,
         }
     }
@@ -502,16 +380,15 @@ enum SessionMsg {
 }
 
 /// While a race runs, the reader thread applies `Clause`/`Bound`/
-/// `Cancel` directly to the installed bridge (same immediacy as the
-/// pipe worker's dedicated reader). Frames arriving in the gap between
-/// `Job` and the bridge's installation are *not* stale: on a rejoin the
-/// coordinator replays the current incumbent bound and its learnt-clause
+/// `Cancel` directly to the installed bridge. Frames arriving in the gap
+/// between `Job` and the bridge's installation are *not* stale: the
+/// coordinator sends the current incumbent bound and its learnt-clause
 /// digest right behind the `Job`, so they are buffered and applied the
 /// moment the bridge exists.
 #[derive(Default)]
 struct FrameRouter {
     bridge: Option<(RaceBridge, Arc<AtomicUsize>)>,
-    /// Tightest pre-bridge `Bound` (`u64::MAX` = none yet).
+    /// Tightest pre-bridge `Bound`, if any arrived.
     pending_bound: Option<u64>,
     /// Pre-bridge `Clause` frames (bounded — a digest replay, not a firehose).
     pending: Vec<Frame>,
@@ -555,26 +432,18 @@ impl FrameRouter {
         }
         self.bridge = Some((bridge, remote_bound));
     }
-
-    fn clear(&mut self) {
-        *self = FrameRouter::default();
-    }
 }
 
 /// One established-connection session: handshake, then jobs until the
 /// connection dies.
-fn fleet_session(stream: &TcpStream, shard: &mut Option<usize>) -> SessionEnd {
+fn fleet_session(mut stream: &TcpStream, shard: &mut Option<usize>) -> SessionEnd {
     let mut reader = FrameReader::new();
     // ---- Handshake: Hello → Welcome ------------------------------------
     let hello = Frame::Hello {
         shard: shard.map(|s| s as u32).unwrap_or(HELLO_ANY_SHARD),
         protocol: PROTOCOL_VERSION,
     };
-    let mut writer = stream;
-    if write_frame(&mut writer, &hello)
-        .and_then(|()| writer.flush())
-        .is_err()
-    {
+    if send(&mut stream, &hello).is_err() {
         return SessionEnd::Disconnected;
     }
     let deadline = Instant::now() + HANDSHAKE_TIMEOUT;
@@ -583,8 +452,7 @@ fn fleet_session(stream: &TcpStream, shard: &mut Option<usize>) -> SessionEnd {
             telemetry::log_warn!("shard.worker", "handshake timed out",);
             return SessionEnd::Disconnected;
         }
-        let mut r = stream;
-        match reader.read(&mut r) {
+        match reader.read(&mut stream) {
             Ok(FrameRead::Frame {
                 frame:
                     Frame::Welcome {
@@ -600,7 +468,7 @@ fn fleet_session(stream: &TcpStream, shard: &mut Option<usize>) -> SessionEnd {
                         coordinator_protocol = protocol,
                         worker_protocol = PROTOCOL_VERSION,
                     );
-                    return SessionEnd::Rejected;
+                    return SessionEnd::Fatal(5);
                 }
                 break granted as usize;
             }
@@ -608,20 +476,18 @@ fn fleet_session(stream: &TcpStream, shard: &mut Option<usize>) -> SessionEnd {
             Ok(FrameRead::Eof) | Err(_) => return SessionEnd::Disconnected,
         }
     };
-    let rejoin = *shard == Some(assigned);
     *shard = Some(assigned);
     install_panic_hook(assigned);
     telemetry::log_info!(
         "shard.worker",
         "registered with coordinator",
-        shard = assigned,
-        rejoin = rejoin,
+        shard = assigned
     );
 
     // ---- Session: reader thread + control loop -------------------------
-    let router: Arc<Mutex<FrameRouter>> = Arc::new(Mutex::new(FrameRouter::default()));
-    let stop = Arc::new(AtomicBool::new(false));
-    let last_rx = Arc::new(AtomicU64::new(0));
+    let router = Mutex::new(FrameRouter::default());
+    let stop = AtomicBool::new(false);
+    let last_rx = AtomicU64::new(0);
     let epoch = Instant::now();
     let (msg_tx, msg_rx) = mpsc::channel::<SessionMsg>();
 
@@ -644,68 +510,44 @@ fn fleet_session(stream: &TcpStream, shard: &mut Option<usize>) -> SessionEnd {
             stop: &stop,
             stream,
         };
-        {
-            let router = router.clone();
-            let stop = stop.clone();
-            let last_rx = last_rx.clone();
-            let msg_tx = msg_tx.clone();
-            scope.spawn(move || {
-                let mut r = stream;
-                loop {
-                    if stop.load(Ordering::Relaxed) {
-                        return;
-                    }
-                    match reader.read(&mut r) {
-                        Ok(FrameRead::Frame { frame, .. }) => {
-                            last_rx.store(epoch.elapsed().as_millis() as u64, Ordering::Relaxed);
-                            match frame {
-                                Frame::Job(payload) => match Job::from_bytes(&payload) {
-                                    Ok(job) => {
-                                        let _ = msg_tx.send(SessionMsg::Job(Box::new(job)));
-                                    }
-                                    Err(e) => {
-                                        telemetry::log_error!(
-                                            "shard.worker",
-                                            "bad job",
-                                            shard = assigned,
-                                            error = e,
-                                        );
-                                    }
-                                },
-                                Frame::Heartbeat { .. } | Frame::Welcome { .. } => {}
-                                in_race => router.lock().unwrap().route(in_race),
-                            }
+        let (router, stop, last_rx) = (&router, &stop, &last_rx);
+        scope.spawn(move || {
+            read_frames(assigned, stream, reader, stop, |frame| {
+                last_rx.store(epoch.elapsed().as_millis() as u64, Ordering::Relaxed);
+                match frame {
+                    Frame::Job(payload) => match Job::from_bytes(&payload) {
+                        Ok(job) => {
+                            let _ = msg_tx.send(SessionMsg::Job(Box::new(job)));
                         }
-                        Ok(FrameRead::Idle) => continue,
-                        Ok(FrameRead::Eof) | Err(_) => {
-                            // A mid-race disconnect must end the race
-                            // promptly, not leave it solving for nobody.
-                            if let Some((bridge, _)) = router.lock().unwrap().bridge.as_ref() {
-                                bridge.cancel.cancel();
-                            }
-                            let _ = msg_tx.send(SessionMsg::Gone);
-                            return;
+                        Err(e) => {
+                            telemetry::log_error!(
+                                "shard.worker",
+                                "bad job",
+                                shard = assigned,
+                                error = e,
+                            );
                         }
-                    }
+                    },
+                    Frame::Heartbeat { .. } | Frame::Welcome { .. } => {}
+                    in_race => router.lock().unwrap().route(in_race),
                 }
+                true
             });
-        }
+            // A mid-race disconnect must end the race promptly, not
+            // leave it solving for nobody.
+            if let Some((bridge, _)) = router.lock().unwrap().bridge.as_ref() {
+                bridge.cancel.cancel();
+            }
+            let _ = msg_tx.send(SessionMsg::Gone);
+        });
 
         let mut heartbeat_seq = 0u64;
         loop {
             match msg_rx.recv_timeout(IDLE_HEARTBEAT) {
                 Ok(SessionMsg::Job(job)) => {
-                    let mut out = stream;
-                    let code = race_job(
-                        assigned,
-                        &job,
-                        &mut out,
-                        |bridge, remote_bound| {
-                            router.lock().unwrap().install(bridge, remote_bound);
-                        },
-                        true,
-                    );
-                    router.lock().unwrap().clear();
+                    // Buffered: each pump tick's frames leave in one write.
+                    let code = race_job(assigned, &job, BufWriter::new(stream), router);
+                    *router.lock().unwrap() = FrameRouter::default();
                     match code {
                         0 => {} // result sent; wait for the next job
                         1 => return SessionEnd::Disconnected,
@@ -716,17 +558,14 @@ fn fleet_session(stream: &TcpStream, shard: &mut Option<usize>) -> SessionEnd {
                 Err(mpsc::RecvTimeoutError::Timeout) => {
                     heartbeat_seq += 1;
                     let beat = Frame::Heartbeat { seq: heartbeat_seq };
-                    let mut out = stream;
-                    if write_frame(&mut out, &beat)
-                        .and_then(|()| out.flush())
-                        .is_err()
-                    {
+                    if send(&mut stream, &beat).is_err() {
                         return SessionEnd::Disconnected;
                     }
                     // The coordinator echoes heartbeats, so a healthy
-                    // link is never silent for long.
-                    let silent_ms =
-                        epoch.elapsed().as_millis() as u64 - last_rx.load(Ordering::Relaxed);
+                    // link is never silent for long. (The reader may store
+                    // a later millisecond than this clock read: saturate.)
+                    let silent_ms = (epoch.elapsed().as_millis() as u64)
+                        .saturating_sub(last_rx.load(Ordering::Relaxed));
                     if silent_ms > COORDINATOR_SILENCE.as_millis() as u64 {
                         telemetry::log_warn!(
                             "shard.worker",
@@ -743,68 +582,76 @@ fn fleet_session(stream: &TcpStream, shard: &mut Option<usize>) -> SessionEnd {
     })
 }
 
-/// One pump tick: forward drained clauses, a tightened bound, and a
-/// strengthened floor. Any write error means the coordinator is gone.
-#[allow(clippy::too_many_arguments)]
-fn pump_once(
-    bridge: &RaceBridge,
+/// The pump's view of one race: its bridge, and what it already told
+/// the coordinator, so each tick ships only news.
+struct Pump<'a> {
+    bridge: &'a RaceBridge,
     shard: usize,
-    remote_bound: &AtomicUsize,
-    last_bound_sent: &mut usize,
-    last_incumbent_sent: &mut usize,
-    last_floor_sent: &mut usize,
-    outbox: &mut Vec<sat::SharedClause>,
-    output: &mut impl Write,
-) -> io::Result<()> {
-    let mut wrote = false;
-    if let Some(exchange) = &bridge.remote {
-        exchange.drain_outgoing(outbox);
-        for clause in outbox.drain(..) {
-            write_frame(
-                output,
-                &Frame::Clause(RemoteClause {
-                    shard: shard as u32,
-                    clause,
-                }),
-            )?;
+    /// Lowest bound the coordinator delivered (see [`FrameRouter`]).
+    remote_bound: &'a AtomicUsize,
+    bound_sent: usize,
+    incumbent_sent: usize,
+    floor_sent: usize,
+    clauses: Vec<sat::SharedClause>,
+}
+
+impl Pump<'_> {
+    /// One pump tick: forward drained clauses, a tightened bound, and a
+    /// strengthened floor. Any write error means the coordinator is gone.
+    fn tick(&mut self, output: &mut impl Write) -> io::Result<()> {
+        let bridge = self.bridge;
+        let mut wrote = false;
+        if let Some(exchange) = &bridge.remote {
+            exchange.drain_outgoing(&mut self.clauses);
+            for clause in self.clauses.drain(..) {
+                let shard = self.shard as u32;
+                write_frame(output, &Frame::Clause(RemoteClause { shard, clause }))?;
+                wrote = true;
+            }
+        }
+        // Only report bounds this shard *improved*: a bound at or above
+        // the coordinator's own delivery would echo straight back.
+        let remote_bound = self.remote_bound.load(Ordering::Relaxed);
+        let bound = bridge.bound.get();
+        if bound < self.bound_sent && bound < remote_bound {
+            self.bound_sent = bound;
+            write_frame(output, &Frame::Bound(bound as u64))?;
             wrote = true;
         }
-    }
-    // Only report bounds this shard *improved*: a bound at or above the
-    // coordinator's own delivery would echo straight back.
-    let bound = bridge.bound.get();
-    if bound < *last_bound_sent && bound < remote_bound.load(Ordering::Relaxed) {
-        *last_bound_sent = bound;
-        write_frame(output, &Frame::Bound(bound as u64))?;
-        wrote = true;
-    }
-    // Ship the witness behind a local improvement: a weight-only Bound
-    // steers every other shard below this encoding, so this process
-    // dying must not take the race's only copy of the artifact with it.
-    let snapshot = bridge.best.lock().unwrap().clone();
-    if let Some((best, winner)) = snapshot {
-        if best.weight < *last_incumbent_sent && best.weight < remote_bound.load(Ordering::Relaxed)
-        {
-            *last_incumbent_sent = best.weight;
-            let update = IncumbentUpdate {
-                weight: best.weight,
-                strings: best.strings,
-                winner,
-            };
-            write_frame(output, &Frame::Incumbent(update.to_bytes()))?;
+        // Ship the witness behind a local improvement: a weight-only
+        // Bound steers every other shard below this encoding, so this
+        // process dying must not take the race's only copy of the
+        // artifact with it.
+        let snapshot = bridge.best.lock().unwrap().clone();
+        if let Some((best, winner)) = snapshot {
+            if best.weight < self.incumbent_sent && best.weight < remote_bound {
+                self.incumbent_sent = best.weight;
+                let update = IncumbentUpdate {
+                    weight: best.weight,
+                    strings: best.strings,
+                    winner,
+                };
+                write_frame(output, &Frame::Incumbent(update.to_bytes()))?;
+                wrote = true;
+            }
+        }
+        let floor = bridge.floor.load(Ordering::Relaxed);
+        if floor > self.floor_sent {
+            self.floor_sent = floor;
+            write_frame(output, &Frame::Floor(floor as u64))?;
             wrote = true;
         }
+        if wrote {
+            output.flush()?;
+        }
+        Ok(())
     }
-    let floor = bridge.floor.load(Ordering::Relaxed);
-    if floor > *last_floor_sent {
-        *last_floor_sent = floor;
-        write_frame(output, &Frame::Floor(floor as u64))?;
-        wrote = true;
-    }
-    if wrote {
-        output.flush()?;
-    }
-    Ok(())
+}
+
+/// Writes one frame and flushes it.
+fn send(output: &mut impl Write, frame: &Frame) -> io::Result<()> {
+    write_frame(output, frame)?;
+    output.flush()
 }
 
 /// Drains the process's recorded spans and ships them as one `Trace`
@@ -826,8 +673,7 @@ fn pump_trace(shard: usize, trace_id: &str, output: &mut impl Write) -> io::Resu
         dropped: registry.dropped(),
         events,
     };
-    write_frame(output, &Frame::Trace(batch.to_json().into_bytes()))?;
-    output.flush()
+    send(output, &Frame::Trace(batch.to_json().into_bytes()))
 }
 
 /// Ships the worker's current flight-recorder ring as one `BlackBox`
@@ -842,6 +688,5 @@ fn pump_blackbox(job: &Job, output: &mut impl Write) -> io::Result<()> {
         lanes: job.strategies.iter().map(|s| s.name()).collect(),
         flight_recorder: telemetry::recorder::recorder().snapshot().to_json_value(),
     };
-    write_frame(output, &Frame::BlackBox(checkpoint.to_bytes()))?;
-    output.flush()
+    send(output, &Frame::BlackBox(checkpoint.to_bytes()))
 }

@@ -1,5 +1,5 @@
 //! Cross-process integration tests: real `fermihedral-shard worker`
-//! children, real pipes, real SIGKILL.
+//! children on a loopback fleet, real SIGKILL.
 //!
 //! * **Differential**: the 2-process sharded engine and the in-process
 //!   portfolio must certify the same optimal total Pauli weight on the
@@ -74,6 +74,8 @@ fn differential_sharded_matches_in_process_on_full_sat() {
         let report = &sharded.report;
         assert_eq!(report.shards.len(), 2, "N={modes}");
         assert!(report.shards.iter().all(|s| !s.dead), "N={modes}");
+        // Each child's first connection to its reserved seat is a join.
+        assert!(report.shards.iter().all(|s| s.rejoins == 0), "N={modes}");
         assert!(
             report.workers.iter().all(|w| w.shard.is_some()),
             "N={modes}: every lane must be attributed to a shard"
@@ -261,7 +263,7 @@ fn postmortem_attempt(dir: &std::path::Path, delay_ms: u64) -> Result<(), String
     );
     // The payload of the tentpole: the victim's last checkpointed
     // flight-recorder ring, with its "job accepted" event intact. A kill
-    // that lands before the first checkpoint crossed the pipe leaves
+    // that lands before the first checkpoint crossed the wire leaves
     // `flight_recorder: null` — retryable, the window was missed.
     let records = bundle
         .get("flight_recorder")
@@ -459,6 +461,67 @@ fn differential_full_sat_n5() {
     assert_valid_optimum(&problem, &sharded, "sharded N=5");
     assert_eq!(sharded.weight(), in_process.weight());
     assert_eq!(sharded.weight(), Some(22), "the N=5 full-SAT optimum");
+}
+
+#[test]
+fn no_worker_outlives_a_sharded_race() {
+    // Every spawned child is reaped by the time the race returns: the
+    // idle ones are killed when their seats close, none is left to
+    // retire on its own after the coordinator is gone.
+    let pids = Arc::new(std::sync::Mutex::new(Vec::new()));
+    let seen = pids.clone();
+    let hook = Arc::new(move |_shard: usize, pid: u32| seen.lock().unwrap().push(pid));
+    let problem = EncodingProblem::full_sat(4, Objective::MajoranaWeight);
+    let outcome = compile_sharded_with(
+        &problem,
+        &sharded_config(2, Duration::from_secs(120)),
+        None,
+        None,
+        &ShardOptions {
+            worker_bin: Some(worker_bin()),
+            spawn_hook: Some(hook),
+            ..ShardOptions::default()
+        },
+    );
+    assert_valid_optimum(&problem, &outcome, "sharded N=4");
+    let pids = pids.lock().unwrap();
+    assert_eq!(pids.len(), 2, "one child per shard");
+    for pid in pids.iter() {
+        assert!(
+            !std::path::Path::new(&format!("/proc/{pid}")).exists(),
+            "worker {pid} outlived the race"
+        );
+    }
+}
+
+#[test]
+fn a_worker_that_exits_before_connecting_is_dead_at_once() {
+    // A child that never reaches the coordinator's port has no
+    // connection to report its end; its process must. `false` exits 1
+    // without connecting: both seats die at once (not at the deadline),
+    // the race falls back in-process, and the reaped status is reported.
+    let started = std::time::Instant::now();
+    let problem = EncodingProblem::full_sat(2, Objective::MajoranaWeight);
+    let outcome = compile_sharded_with(
+        &problem,
+        &sharded_config(2, Duration::from_secs(60)),
+        None,
+        None,
+        &ShardOptions {
+            worker_bin: Some(PathBuf::from("/bin/false")),
+            ..ShardOptions::default()
+        },
+    );
+    assert!(outcome.optimal_proved, "the fallback must still certify");
+    assert_eq!(outcome.weight(), Some(6)); // the N=2 optimum
+    let shards = &outcome.report.shards;
+    assert_eq!(shards.len(), 2);
+    assert!(shards.iter().all(|s| s.dead), "{shards:?}");
+    assert!(
+        started.elapsed() < Duration::from_secs(30),
+        "the deaths waited for the deadline: {:?}",
+        started.elapsed()
+    );
 }
 
 #[test]

@@ -16,7 +16,7 @@
 //! * [`engine`] — the parallel portfolio compilation engine with incumbent
 //!   sharing and a persistent solution cache.
 //! * [`shard`] — lane sharding across processes and hosts: one race loop
-//!   over pipe and TCP links to worker processes, speaking the
+//!   over TCP links to local or remote worker processes, speaking the
 //!   `shard::wire` clause/bound protocol.
 //! * [`serve`] — the long-running compilation server: HTTP endpoints,
 //!   request queueing and coalescing, deadlines, graceful shutdown.
