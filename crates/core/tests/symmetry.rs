@@ -16,7 +16,7 @@ use fermion::MajoranaMonomial;
 use pauli::encoding::op_to_bits;
 use pauli::{PauliString, PhasedString};
 use proptest::prelude::*;
-use sat::{Lit, SolveResult, Solver};
+use sat::{Lit, SolveResult, Solver, SolverStats};
 use std::sync::OnceLock;
 
 /// Algorithm 1 with nothing added — no hint, bounds from the totalizer's
@@ -160,6 +160,34 @@ fn default_lane_counts_are_pinned_at_four_modes() {
         let stats = outcome.solver_stats;
         assert_eq!((stats.conflicts, stats.propagations), (1_219, 166_428));
     }
+}
+
+/// The whole search of the `N = 4` default lane, not only its conflict
+/// and propagation totals: a kernel change that keeps those two but
+/// branches, restarts or reduces differently shows here.
+#[test]
+fn default_lane_search_is_pinned_counter_by_counter_at_four_modes() {
+    let problem = EncodingProblem::new(4, Objective::MajoranaWeight);
+    let outcome = solve_optimal_instance(&problem.build(), &DescentConfig::default());
+    assert_eq!(outcome.weight(), Some(16));
+    assert_eq!(
+        outcome.solver_stats,
+        SolverStats {
+            conflicts: 1_219,
+            decisions: 2_391,
+            propagations: 166_428,
+            restarts: 6,
+            learnt_clauses: 1_219,
+            deleted_clauses: 477,
+            db_reductions: 1,
+            // One lane, no clause exchange.
+            exported_clauses: 0,
+            imported_clauses: 0,
+            promoted_clauses: 0,
+            imported_reasons: 0,
+            adapted_export_lbd: 0,
+        }
+    );
 }
 
 #[test]

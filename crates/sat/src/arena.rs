@@ -180,11 +180,14 @@ impl ClauseArena {
         self.words[c as usize + HEADER_WORDS + i] = l.code() as u32;
     }
 
+    /// The literal codes of a clause as one mutable slice: propagation
+    /// reorders a visited clause's literals through it with a single
+    /// bounds check for the whole clause.
     #[inline]
-    pub fn swap_lits(&mut self, c: CRef, i: usize, j: usize) {
-        debug_assert!(i < self.len(c) && j < self.len(c));
+    pub fn lits_mut(&mut self, c: CRef) -> &mut [u32] {
         let base = c as usize + HEADER_WORDS;
-        self.words.swap(base + i, base + j);
+        let len = self.len(c);
+        &mut self.words[base..base + len]
     }
 
     /// The literals of a clause as an iterator (no per-clause allocation).
@@ -400,7 +403,7 @@ mod tests {
     fn swap_and_set_lits() {
         let mut a = ClauseArena::new();
         let c = a.alloc(&lits(&[0, 2, 4]), false, false, 0);
-        a.swap_lits(c, 0, 2);
+        a.lits_mut(c).swap(0, 2);
         assert_eq!(a.lits(c).collect::<Vec<_>>(), lits(&[4, 2, 0]));
         a.set_lit(c, 1, Var::new(9).positive());
         assert_eq!(a.lit(c, 1), Var::new(9).positive());

@@ -33,6 +33,7 @@ use crate::restart::{RestartPolicy, DEFAULT_RESTARTS};
 use crate::shared::{ExportLbd, LaneHandle, SharedClause};
 use crate::types::{LBool, Lit, Var};
 use crate::watch::{WatchLists, Watcher};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -173,7 +174,10 @@ pub struct Solver {
     arena: ClauseArena,
     watches: WatchLists,
 
-    assign: Vec<LBool>,
+    /// The assignment, one entry per literal code and set for both
+    /// polarities: `vals[l.code()]` is the value of `l` (one load, no
+    /// polarity match), and `vals[2 * v]` that of variable `v`.
+    vals: Vec<LBool>,
     level: Vec<u32>,
     reason: Vec<Option<CRef>>,
     trail: Vec<Lit>,
@@ -190,6 +194,15 @@ pub struct Solver {
 
     seen: BitSet,
     unsat: bool,
+
+    // Conflict-analysis buffers, reused across conflicts: the clause being
+    // learnt (asserting literal first), the variables whose `seen` mark it
+    // set, and one stamp per decision level for counting the clause's
+    // distinct levels (its LBD).
+    learnt: Vec<Lit>,
+    to_clear: Vec<usize>,
+    level_stamp: Vec<u64>,
+    stamp: u64,
 
     // Incremental clause-population counters (the database filter scans
     // they replace were O(db) per conflict).
@@ -210,7 +223,7 @@ pub struct Solver {
     restart: Box<dyn RestartPolicy>,
     shared: Option<LaneHandle>,
     bound_tag: Option<usize>,
-    pending_imports: Vec<SharedClause>,
+    pending_imports: VecDeque<SharedClause>,
 
     /// Bounds the adaptive export filter moves within.
     export_lbd: ExportLbd,
@@ -235,7 +248,7 @@ impl Solver {
         Solver {
             arena: ClauseArena::new(),
             watches: WatchLists::new(),
-            assign: Vec::new(),
+            vals: Vec::new(),
             level: Vec::new(),
             reason: Vec::new(),
             trail: Vec::new(),
@@ -249,6 +262,10 @@ impl Solver {
             max_learnts: 0.0,
             seen: BitSet::new(),
             unsat: false,
+            learnt: Vec::new(),
+            to_clear: Vec::new(),
+            level_stamp: Vec::new(),
+            stamp: 0,
             n_problem_clauses: 0,
             n_learnt_clauses: 0,
             scratch: Vec::new(),
@@ -261,7 +278,7 @@ impl Solver {
             restart: DEFAULT_RESTARTS.build(),
             shared: None,
             bound_tag: None,
-            pending_imports: Vec::new(),
+            pending_imports: VecDeque::new(),
             export_lbd,
             export_lbd_now: export_lbd.initial,
             adapt_imports_mark: 0,
@@ -306,17 +323,17 @@ impl Solver {
 
     /// Allocates a fresh variable.
     pub fn new_var(&mut self) -> Var {
-        let v = Var::new(self.assign.len());
+        let v = Var::new(self.num_vars());
         self.reserve_vars(v.index() + 1);
         v
     }
 
     /// Ensures variables `0..n` exist (one resize per side array).
     pub fn reserve_vars(&mut self, n: usize) {
-        if n <= self.assign.len() {
+        if n <= self.num_vars() {
             return;
         }
-        self.assign.resize(n, LBool::Undef);
+        self.vals.resize(2 * n, LBool::Undef);
         self.level.resize(n, 0);
         self.reason.resize(n, None);
         self.activity.resize(n, 0.0);
@@ -328,7 +345,7 @@ impl Solver {
 
     /// Number of allocated variables.
     pub fn num_vars(&self) -> usize {
-        self.assign.len()
+        self.level.len()
     }
 
     /// Number of problem (non-learnt) clauses currently stored.
@@ -598,9 +615,9 @@ impl Solver {
                     self.unsat = true;
                     break SolveResult::Unsat;
                 }
-                let (learnt, bt_level, lbd) = self.analyze(confl);
+                let (bt_level, lbd) = self.analyze(confl);
                 self.cancel_until(bt_level);
-                self.record_learnt(learnt, lbd);
+                self.record_learnt(lbd);
                 self.decay_activities();
 
                 conflicts_until_restart = conflicts_until_restart.saturating_sub(1);
@@ -659,8 +676,8 @@ impl Solver {
                     }
                     PickResult::AssumptionConflict => break SolveResult::Unsat,
                     PickResult::AllAssigned => {
-                        let values = (0..self.assign.len())
-                            .map(|v| match self.assign[v] {
+                        let values = (0..self.num_vars())
+                            .map(|v| match self.var_value(v) {
                                 LBool::True => true,
                                 LBool::False => false,
                                 LBool::Undef => self.saved_phase.get(v),
@@ -720,7 +737,13 @@ impl Solver {
 
     #[inline]
     fn value(&self, l: Lit) -> LBool {
-        self.assign[l.var().index()].under(l)
+        self.vals[l.code()]
+    }
+
+    /// The value of variable `v` (that of its positive literal).
+    #[inline]
+    fn var_value(&self, v: usize) -> LBool {
+        self.vals[2 * v]
     }
 
     #[inline]
@@ -827,9 +850,9 @@ impl Solver {
             if self.pending_imports.len() >= PENDING_IMPORT_CAP {
                 // Discard the stalest deferred clause (its bound is the
                 // least likely to ever be reached).
-                self.pending_imports.remove(0);
+                self.pending_imports.pop_front();
             }
-            self.pending_imports.push(clause);
+            self.pending_imports.push_back(clause);
             return;
         }
         if let Some(max_var) = clause.lits.iter().map(|l| l.var().index()).max() {
@@ -879,7 +902,8 @@ impl Solver {
     fn unchecked_enqueue(&mut self, l: Lit, from: Option<CRef>) {
         debug_assert_eq!(self.value(l), LBool::Undef);
         let v = l.var().index();
-        self.assign[v] = LBool::from_bool(l.is_positive());
+        self.vals[l.code()] = LBool::True;
+        self.vals[(!l).code()] = LBool::False;
         self.level[v] = self.decision_level() as u32;
         self.reason[v] = from;
         self.saved_phase.set(v, l.is_positive());
@@ -888,109 +912,92 @@ impl Solver {
 
     /// Unit propagation; returns the conflicting clause reference if any.
     ///
-    /// Watcher lists are scanned by index with a kept-prefix compaction.
-    /// In-loop pushes only ever target *other* literals' segments (a
-    /// replacement watch is the negation of a non-false literal, and `!p`
-    /// is false), so `p`'s segment never moves under the scan.
+    /// Each literal's watcher segment is located once and scanned by flat
+    /// index with a kept-prefix compaction, and each visited clause's
+    /// literals are read and reordered through one slice. In-loop pushes
+    /// only ever target *other* literals' segments (a replacement watch is
+    /// the negation of a non-false literal, and `!p` is false; see
+    /// [`crate::watch`]), so `p`'s segment never moves under the scan.
     fn propagate(&mut self) -> Option<CRef> {
         while self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
             self.qhead += 1;
             self.stats.propagations += 1;
-            let pcode = p.code();
-            let false_lit = !p;
+            let false_code = (!p).code() as u32;
 
-            let n = self.watches.len_of(pcode);
-            let mut kept = 0usize;
-            let mut i = 0usize;
-            let mut conflict = None;
-            'watchers: while i < n {
-                let w = self.watches.get(pcode, i);
+            let (off, n) = self.watches.span(p.code());
+            let end = off + n;
+            let mut kept = off;
+            let mut i = off;
+            while i < end {
+                let w = self.watches.at(i);
                 i += 1;
                 // Fast path: blocker already true.
-                if self.value(w.blocker) == LBool::True {
-                    self.watches.set(pcode, kept, w);
+                if self.vals[w.blocker.code()] == LBool::True {
+                    self.watches.put(kept, w);
                     kept += 1;
                     continue;
                 }
                 let cref = w.cref;
+                let lits = self.arena.lits_mut(cref);
                 // Normalize: watched false literal at position 1.
-                if self.arena.lit(cref, 0) == false_lit {
-                    self.arena.swap_lits(cref, 0, 1);
+                if lits[0] == false_code {
+                    lits.swap(0, 1);
                 }
-                debug_assert_eq!(self.arena.lit(cref, 1), false_lit);
-                let first = self.arena.lit(cref, 0);
-                if first != w.blocker && self.value(first) == LBool::True {
-                    self.watches.set(
-                        pcode,
-                        kept,
-                        Watcher {
-                            cref,
-                            blocker: first,
-                        },
-                    );
+                debug_assert_eq!(lits[1], false_code);
+                let first = Lit::from_code(lits[0] as usize);
+                let watcher = Watcher {
+                    cref,
+                    blocker: first,
+                };
+                if first != w.blocker && self.vals[first.code()] == LBool::True {
+                    self.watches.put(kept, watcher);
                     kept += 1;
                     continue;
                 }
                 // Search replacement watch.
-                let len = self.arena.len(cref);
-                for k in 2..len {
-                    if self.value(self.arena.lit(cref, k)) != LBool::False {
-                        self.arena.swap_lits(cref, 1, k);
-                        let new_watch = self.arena.lit(cref, 1);
-                        self.watches.push(
-                            (!new_watch).code(),
-                            Watcher {
-                                cref,
-                                blocker: first,
-                            },
-                        );
-                        continue 'watchers;
-                    }
+                let vals = &self.vals;
+                if let Some(k) = lits[2..]
+                    .iter()
+                    .position(|&l| vals[l as usize] != LBool::False)
+                {
+                    lits.swap(1, k + 2);
+                    let new_watch = Lit::from_code(lits[1] as usize);
+                    self.watches.push((!new_watch).code(), watcher);
+                    continue;
                 }
                 // No replacement: unit or conflict.
-                self.watches.set(
-                    pcode,
-                    kept,
-                    Watcher {
-                        cref,
-                        blocker: first,
-                    },
-                );
+                self.watches.put(kept, watcher);
                 kept += 1;
-                if self.value(first) == LBool::False {
-                    // Conflict: keep remaining watchers and bail out.
-                    while i < n {
-                        let rest = self.watches.get(pcode, i);
-                        self.watches.set(pcode, kept, rest);
+                if self.vals[first.code()] == LBool::False {
+                    // Conflict: keep the unscanned watchers and bail out.
+                    while i < end {
+                        self.watches.put(kept, self.watches.at(i));
                         kept += 1;
                         i += 1;
                     }
+                    self.watches.truncate(p.code(), kept - off);
                     self.qhead = self.trail.len();
-                    conflict = Some(cref);
-                } else {
-                    if self.arena.is_imported(cref) {
-                        self.stats.imported_reasons += 1;
-                    }
-                    self.unchecked_enqueue(first, Some(cref));
+                    return Some(cref);
                 }
-                if conflict.is_some() {
-                    break;
+                if self.arena.is_imported(cref) {
+                    self.stats.imported_reasons += 1;
                 }
+                self.unchecked_enqueue(first, Some(cref));
             }
-            self.watches.truncate(pcode, kept);
-            if conflict.is_some() {
-                return conflict;
-            }
+            self.watches.truncate(p.code(), kept - off);
         }
         None
     }
 
-    /// First-UIP conflict analysis. Returns (learnt clause with asserting
-    /// literal first, backtrack level, LBD).
-    fn analyze(&mut self, confl: CRef) -> (Vec<Lit>, usize, u32) {
-        let mut learnt: Vec<Lit> = Vec::with_capacity(8);
-        let mut to_clear: Vec<usize> = Vec::new();
+    /// First-UIP conflict analysis. Leaves the learnt clause in
+    /// `self.learnt`, asserting literal first, and returns (backtrack
+    /// level, LBD).
+    fn analyze(&mut self, confl: CRef) -> (usize, u32) {
+        let mut learnt = std::mem::take(&mut self.learnt);
+        learnt.clear();
+        // The asserting literal's slot, filled once the UIP is known.
+        learnt.push(Lit::from_code(0));
         let mut counter = 0usize;
         let mut p: Option<Lit> = None;
         let mut confl = confl;
@@ -1006,7 +1013,7 @@ impl Solver {
                     let v = q.var().index();
                     if !self.seen.get(v) && self.level[v] > 0 {
                         self.seen.set(v, true);
-                        to_clear.push(v);
+                        self.to_clear.push(v);
                         self.bump_var(v);
                         if self.level[v] >= current_level {
                             counter += 1;
@@ -1032,43 +1039,54 @@ impl Solver {
             }
             confl = self.reason[pl.var().index()].expect("non-decision has a reason");
         }
-        let uip = !p.expect("conflict analysis found a UIP");
+        learnt[0] = !p.expect("conflict analysis found a UIP");
 
         // Cheap clause minimization: drop literals implied by the rest.
-        let minimized: Vec<Lit> = learnt
-            .iter()
-            .copied()
-            .filter(|&q| !self.literal_redundant(q))
-            .collect();
-        let mut clause = Vec::with_capacity(minimized.len() + 1);
-        clause.push(uip);
-        clause.extend(minimized);
+        let mut kept = 1;
+        for i in 1..learnt.len() {
+            let q = learnt[i];
+            if !self.literal_redundant(q) {
+                learnt[kept] = q;
+                kept += 1;
+            }
+        }
+        learnt.truncate(kept);
 
-        for v in to_clear {
+        for v in self.to_clear.drain(..) {
             self.seen.set(v, false);
         }
 
         // Backtrack level: highest level among non-UIP literals.
-        let bt_level = if clause.len() == 1 {
+        let bt_level = if learnt.len() == 1 {
             0
         } else {
             let mut max_i = 1;
-            for i in 2..clause.len() {
-                if self.level[clause[i].var().index()] > self.level[clause[max_i].var().index()] {
+            for i in 2..learnt.len() {
+                if self.level[learnt[i].var().index()] > self.level[learnt[max_i].var().index()] {
                     max_i = i;
                 }
             }
-            clause.swap(1, max_i);
-            self.level[clause[1].var().index()] as usize
+            learnt.swap(1, max_i);
+            self.level[learnt[1].var().index()] as usize
         };
 
-        // LBD: number of distinct decision levels.
-        let mut levels: Vec<u32> = clause.iter().map(|l| self.level[l.var().index()]).collect();
-        levels.sort_unstable();
-        levels.dedup();
-        let lbd = levels.len() as u32;
+        // LBD: number of distinct decision levels, each counted when its
+        // stamp is first brought up to date.
+        self.stamp += 1;
+        if self.level_stamp.len() <= current_level as usize {
+            self.level_stamp.resize(current_level as usize + 1, 0);
+        }
+        let mut lbd = 0;
+        for l in &learnt {
+            let level = self.level[l.var().index()] as usize;
+            if self.level_stamp[level] != self.stamp {
+                self.level_stamp[level] = self.stamp;
+                lbd += 1;
+            }
+        }
 
-        (clause, bt_level, lbd)
+        self.learnt = learnt;
+        (bt_level, lbd)
     }
 
     /// A literal of the learnt clause is redundant when its reason clause's
@@ -1084,7 +1102,10 @@ impl Solver {
         })
     }
 
-    fn record_learnt(&mut self, clause: Vec<Lit>, lbd: u32) {
+    /// Files the clause [`analyze`](Self::analyze) left in `self.learnt`
+    /// and asserts its first literal.
+    fn record_learnt(&mut self, lbd: u32) {
+        let clause = std::mem::take(&mut self.learnt);
         self.stats.learnt_clauses += 1;
         self.export_learnt(&clause, lbd);
         if clause.len() == 1 {
@@ -1092,11 +1113,11 @@ impl Solver {
             if self.value(clause[0]) == LBool::Undef {
                 self.unchecked_enqueue(clause[0], None);
             }
-            return;
+        } else {
+            let cref = self.attach_clause(&clause, true, false, lbd, self.clause_inc);
+            self.unchecked_enqueue(clause[0], Some(cref));
         }
-        let asserting = clause[0];
-        let cref = self.attach_clause(&clause, true, false, lbd, self.clause_inc);
-        self.unchecked_enqueue(asserting, Some(cref));
+        self.learnt = clause;
     }
 
     fn cancel_until(&mut self, target: usize) {
@@ -1107,7 +1128,8 @@ impl Solver {
         for idx in (limit..self.trail.len()).rev() {
             let l = self.trail[idx];
             let v = l.var().index();
-            self.assign[v] = LBool::Undef;
+            self.vals[l.code()] = LBool::Undef;
+            self.vals[(!l).code()] = LBool::Undef;
             self.reason[v] = None;
             if !self.heap.contains(v) {
                 self.heap.insert(v, &self.activity);
@@ -1216,10 +1238,10 @@ impl Solver {
         // random_var_freq): pick a uniformly random unassigned variable.
         if self.random_branch > 0.0 {
             let draw = (self.next_random() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-            if draw < self.random_branch && !self.assign.is_empty() {
+            if draw < self.random_branch && self.num_vars() > 0 {
                 for _ in 0..8 {
-                    let v = (self.next_random() % self.assign.len() as u64) as usize;
-                    if self.assign[v] == LBool::Undef {
+                    let v = (self.next_random() % self.num_vars() as u64) as usize;
+                    if self.var_value(v) == LBool::Undef {
                         return PickResult::Decision(Var::new(v).lit(self.saved_phase.get(v)));
                     }
                 }
@@ -1229,15 +1251,15 @@ impl Solver {
         }
         // Heuristic decision.
         while let Some(v) = self.heap.pop(&self.activity) {
-            if self.assign[v] == LBool::Undef {
+            if self.var_value(v) == LBool::Undef {
                 return PickResult::Decision(Var::new(v).lit(self.saved_phase.get(v)));
             }
         }
         // Nothing left in the heap: confirm all variables assigned.
-        if self.assign.contains(&LBool::Undef) {
+        if self.vals.contains(&LBool::Undef) {
             // Repopulate (can happen when vars were added after a solve).
-            for v in 0..self.assign.len() {
-                if self.assign[v] == LBool::Undef {
+            for v in 0..self.num_vars() {
+                if self.var_value(v) == LBool::Undef {
                     self.heap.insert(v, &self.activity);
                 }
             }
@@ -2074,6 +2096,227 @@ mod tests {
                 prop_assert_eq!(s.stats().conflicts, reference.stats().conflicts);
                 prop_assert_eq!(s.stats().propagations, reference.stats().propagations);
             }
+        }
+    }
+
+    #[test]
+    fn import_backlog_evicts_the_stalest_clause_first() {
+        // An untagged solver defers every bound-tagged import.
+        let mut s = Solver::new();
+        s.reserve_vars(2);
+        let extra = 3;
+        for tag in 0..PENDING_IMPORT_CAP + extra {
+            let clause = SharedClause {
+                lits: vec![lit(1), lit(2)],
+                lbd: 2,
+                bound_tag: Some(tag),
+                source: 0,
+            };
+            s.integrate_import(clause, false);
+        }
+        let tags: Vec<usize> = s
+            .pending_imports
+            .iter()
+            .filter_map(|c| c.bound_tag)
+            .collect();
+        assert_eq!(
+            tags,
+            (extra..PENDING_IMPORT_CAP + extra).collect::<Vec<_>>()
+        );
+        assert_eq!(s.stats().imported_clauses, 0);
+    }
+
+    /// Checks that `vals` holds the trail and nothing else, for both
+    /// polarities of every variable.
+    fn assert_values_match_trail(s: &Solver) {
+        let mut expect = vec![LBool::Undef; 2 * s.num_vars()];
+        for &l in &s.trail {
+            expect[l.code()] = LBool::True;
+            expect[(!l).code()] = LBool::False;
+        }
+        assert_eq!(s.vals, expect);
+    }
+
+    #[test]
+    fn values_are_set_for_both_polarities() {
+        let mut s = Solver::new();
+        s.add_clause([lit(-1), lit(2)]);
+        s.add_clause([lit(-2), lit(-3)]);
+        s.reserve_vars(4);
+        s.trail_lim.push(s.trail.len());
+        s.unchecked_enqueue(lit(1), None);
+        assert!(s.propagate().is_none());
+        assert_values_match_trail(&s);
+        assert_eq!(s.value(lit(3)), LBool::False);
+        assert_eq!(s.value(lit(-3)), LBool::True);
+        assert_eq!(s.value(lit(4)), LBool::Undef);
+        assert_eq!(s.var_value(2), LBool::False);
+        s.cancel_until(0);
+        assert_values_match_trail(&s);
+        assert!(s.vals.iter().all(|&v| v == LBool::Undef));
+    }
+
+    /// Unit propagation by rescanning every clause until nothing changes,
+    /// from `facts` taken as true: the true literal codes at the fixpoint,
+    /// or `None` on a conflict.
+    fn naive_fixpoint(clauses: &[Vec<Lit>], facts: &[Lit], nvars: usize) -> Option<Vec<usize>> {
+        let mut val: Vec<Option<bool>> = vec![None; nvars];
+        let lit_val = |val: &[Option<bool>], l: Lit| val[l.var().index()].map(|b| l.eval(b));
+        for &f in facts {
+            match lit_val(&val, f) {
+                Some(false) => return None,
+                Some(true) => {}
+                None => val[f.var().index()] = Some(f.is_positive()),
+            }
+        }
+        loop {
+            let mut changed = false;
+            for c in clauses {
+                if c.iter().any(|&l| lit_val(&val, l) == Some(true)) {
+                    continue;
+                }
+                let mut open = c.iter().filter(|&&l| lit_val(&val, l).is_none());
+                match (open.next(), open.next()) {
+                    (None, _) => return None,
+                    (Some(&l), None) => {
+                        val[l.var().index()] = Some(l.is_positive());
+                        changed = true;
+                    }
+                    _ => {}
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+        Some(
+            (0..nvars)
+                .filter_map(|v| val[v].map(|b| Var::new(v).lit(b).code()))
+                .collect(),
+        )
+    }
+
+    /// The solver's own fixpoint: root propagation, then each assumption
+    /// on a decision level of its own as `solve` asserts them. The true
+    /// literal codes, or `None` on a conflict. Leaves the solver at root.
+    fn solver_fixpoint(s: &mut Solver, assumptions: &[Lit]) -> Option<Vec<usize>> {
+        s.cancel_until(0);
+        let mut ok = s.propagate().is_none();
+        for &a in assumptions {
+            if !ok {
+                break;
+            }
+            match s.value(a) {
+                LBool::True => {}
+                LBool::False => ok = false,
+                LBool::Undef => {
+                    s.trail_lim.push(s.trail.len());
+                    s.unchecked_enqueue(a, None);
+                    ok = s.propagate().is_none();
+                }
+            }
+        }
+        let implied = ok.then(|| {
+            assert_values_match_trail(s);
+            let mut codes: Vec<usize> = s.trail.iter().map(|l| l.code()).collect();
+            codes.sort_unstable();
+            codes
+        });
+        s.cancel_until(0);
+        implied
+    }
+
+    /// Compares the solver's propagation with [`naive_fixpoint`] over the
+    /// clauses it holds (learnt ones included) and its root units, under
+    /// each set of assumptions.
+    fn check_propagation_against_naive(s: &mut Solver, assumption_sets: &[Vec<Lit>]) {
+        s.cancel_until(0);
+        let clauses: Vec<Vec<Lit>> = s.arena.iter().map(|c| s.arena.lits(c).collect()).collect();
+        let facts = s.trail.clone();
+        for assumptions in assumption_sets {
+            let mut all = facts.clone();
+            all.extend_from_slice(assumptions);
+            let expect = naive_fixpoint(&clauses, &all, s.num_vars());
+            assert_eq!(solver_fixpoint(s, assumptions), expect, "{assumptions:?}");
+            if expect.is_none() && assumptions.is_empty() {
+                // A root conflict the search had not reached: nothing
+                // further is comparable.
+                return;
+            }
+        }
+    }
+
+    /// Searches `s` under each assumption set for a few conflicts, with the
+    /// reduce-db trigger pinned low, then checks propagation against the
+    /// naive propagator before and after one more forced collection.
+    /// `false` when the search refuted the formula first (nothing to
+    /// check).
+    fn learn_collect_and_check(s: &mut Solver, assumption_sets: &[Vec<Lit>]) -> bool {
+        use crate::restart::FixedRestarts;
+        s.set_restart_policy(Box::new(FixedRestarts::new(4)));
+        s.set_max_learnts_for_test(2.0);
+        s.set_conflict_budget(Some(40));
+        for assumptions in assumption_sets {
+            s.solve_with_assumptions(assumptions);
+        }
+        if s.unsat {
+            return false;
+        }
+        let mut sets = vec![Vec::new()];
+        sets.extend_from_slice(assumption_sets);
+        check_propagation_against_naive(s, &sets);
+        s.cancel_until(0);
+        s.reduce_db();
+        s.check_integrity();
+        check_propagation_against_naive(s, &sets);
+        true
+    }
+
+    #[test]
+    fn propagation_matches_naive_rescan_across_collections() {
+        // PHP(6,5) under random assumptions learns plenty and collects
+        // several times, so watches sit on rebuilt segments and reasons
+        // and watchers on remapped references.
+        let cnf = pigeonhole(6, 5);
+        let nvars = cnf.num_vars();
+        let mut rng = StdRng::seed_from_u64(5);
+        let sets: Vec<Vec<Lit>> = (0..12)
+            .map(|_| {
+                (0..rng.gen_range(0..4))
+                    .map(|_| Var::new(rng.gen_range(0..nvars)).lit(rng.gen_bool(0.3)))
+                    .collect()
+            })
+            .collect();
+        let mut s = Solver::from_cnf(&cnf);
+        assert!(learn_collect_and_check(&mut s, &sets));
+        assert!(s.stats().conflicts > 0 && s.stats().db_reductions >= 2);
+        assert!(s.learnt_count() > 0, "learnt clauses take part");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+        // The watch scan against a propagator without watches: on random
+        // small formulas, after learning and forced collections, the same
+        // implied literals under random assumptions, or a conflict on
+        // both sides.
+        #[test]
+        fn prop_propagation_matches_naive_rescan(
+            nvars in 4usize..14,
+            clauses in proptest::collection::vec(
+                proptest::collection::vec((0usize..14, any::<bool>()), 1..5), 4..60),
+            assumption_sets in proptest::collection::vec(
+                proptest::collection::vec((0usize..14, any::<bool>()), 0..6), 1..6)
+        ) {
+            let mut cnf = Cnf::new();
+            cnf.new_vars(nvars);
+            for c in &clauses {
+                cnf.add_clause(c.iter().map(|&(v, pol)| Var::new(v % nvars).lit(pol)));
+            }
+            let sets: Vec<Vec<Lit>> = assumption_sets
+                .iter()
+                .map(|set| set.iter().map(|&(v, pol)| Var::new(v % nvars).lit(pol)).collect())
+                .collect();
+            let _ = learn_collect_and_check(&mut Solver::from_cnf(&cnf), &sets);
         }
     }
 }

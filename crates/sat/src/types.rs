@@ -168,27 +168,6 @@ pub(crate) enum LBool {
     Undef,
 }
 
-impl LBool {
-    #[inline]
-    pub(crate) fn from_bool(b: bool) -> LBool {
-        if b {
-            LBool::True
-        } else {
-            LBool::False
-        }
-    }
-
-    /// The value of a literal whose variable has this value.
-    #[inline]
-    pub(crate) fn under(self, lit: Lit) -> LBool {
-        match (self, lit.is_negative()) {
-            (LBool::Undef, _) => LBool::Undef,
-            (LBool::True, false) | (LBool::False, true) => LBool::True,
-            _ => LBool::False,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,15 +212,6 @@ mod tests {
         assert!(!v.positive().eval(false));
         assert!(v.negative().eval(false));
         assert!(!v.negative().eval(true));
-    }
-
-    #[test]
-    fn lbool_under_literal() {
-        let v = Var::new(0);
-        assert_eq!(LBool::True.under(v.positive()), LBool::True);
-        assert_eq!(LBool::True.under(v.negative()), LBool::False);
-        assert_eq!(LBool::False.under(v.negative()), LBool::True);
-        assert_eq!(LBool::Undef.under(v.positive()), LBool::Undef);
     }
 
     #[test]

@@ -12,12 +12,18 @@
 //! the solver calls at `reduce_db` time (never mid-propagation).
 //!
 //! Safety of in-loop pushes: while propagating literal `p` the solver
-//! scans `p`'s segment by index and may push replacement watches onto
-//! *other* literals' segments. A replacement watch for clause `c` targets
-//! `!new_watch` where `new_watch` is a non-false literal of `c` — never
-//! `!p` itself (`!p` is false right now) — so `p`'s own segment never
-//! relocates or grows under the scan, and index-based access stays valid
-//! even when the backing buffer reallocates.
+//! reads `p`'s segment position `(off, len)` once ([`WatchLists::span`])
+//! and scans and compacts the entries by flat index, `off..off + len`,
+//! through [`WatchLists::at`] and [`WatchLists::put`]. Meanwhile it may
+//! push replacement watches onto *other* literals' segments. A
+//! replacement watch for clause `c` targets `!new_watch` where
+//! `new_watch` is a non-false literal of `c` — never `!p` itself (`!p` is
+//! false right now) — so `p`'s own segment never relocates or grows under
+//! the scan: its `off` and `len` stay those read at the start. A push
+//! that relocates another segment may reallocate the backing buffer, but
+//! it moves every entry to the same flat index in the new buffer, so the
+//! scan's indices stay valid; only a reference into the buffer would
+//! not, and the scan holds none across a push.
 
 use crate::arena::{CRef, ClauseArena};
 use crate::par;
@@ -122,23 +128,26 @@ impl WatchLists {
         unsafe { self.data.set_len(total) };
     }
 
+    /// Where a literal's segment sits in the flat buffer, as
+    /// `(offset, len)`: a scan reads it once and then addresses the
+    /// entries by flat index through [`at`](Self::at) and
+    /// [`put`](Self::put).
     #[inline]
-    pub fn len_of(&self, lit_code: usize) -> usize {
-        self.seg[lit_code].len as usize
+    pub fn span(&self, lit_code: usize) -> (usize, usize) {
+        let s = self.seg[lit_code];
+        (s.off as usize, s.len as usize)
     }
 
+    /// The entry at flat index `idx`.
     #[inline]
-    pub fn get(&self, lit_code: usize, i: usize) -> Watcher {
-        let s = self.seg[lit_code];
-        debug_assert!((i as u32) < s.len);
-        self.data[s.off as usize + i]
+    pub fn at(&self, idx: usize) -> Watcher {
+        self.data[idx]
     }
 
+    /// Overwrites the entry at flat index `idx`.
     #[inline]
-    pub fn set(&mut self, lit_code: usize, i: usize, w: Watcher) {
-        let s = self.seg[lit_code];
-        debug_assert!((i as u32) < s.len);
-        self.data[s.off as usize + i] = w;
+    pub fn put(&mut self, idx: usize, w: Watcher) {
+        self.data[idx] = w;
     }
 
     /// Shortens a segment to `len` entries (propagation's in-place
@@ -310,9 +319,11 @@ mod tests {
             wl.push(0, w(i));
         }
         // Keep entries 0 and 2 (as propagation's kept-prefix would).
-        let keep: Vec<Watcher> = [0, 2].iter().map(|&i| wl.get(0, i)).collect();
+        let (off, len) = wl.span(0);
+        assert_eq!(len, 6);
+        let keep: Vec<Watcher> = [0, 2].iter().map(|&i| wl.at(off + i)).collect();
         for (i, &entry) in keep.iter().enumerate() {
-            wl.set(0, i, entry);
+            wl.put(off + i, entry);
         }
         wl.truncate(0, keep.len());
         assert_eq!(crefs(&wl, 0), vec![0, 2]);
