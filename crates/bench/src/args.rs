@@ -55,8 +55,8 @@ impl Args {
                     .collect::<Vec<_>>()
                     .join(" ")
             );
-            // Boolean-style flags take no value.
-            if matches!(name, "csv" | "verbose" | "check" | "warm-start" | "tenants") {
+            // `--csv` is the one boolean flag; it takes no value.
+            if name == "csv" {
                 flags.push(name.to_string());
                 continue;
             }

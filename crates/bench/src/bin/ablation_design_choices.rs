@@ -1,5 +1,5 @@
 //! **Ablations** (extension beyond the paper's tables) — quantifies the
-//! design choices DESIGN.md documents:
+//! design choices this reproduction makes:
 //!
 //! 1. the vacuum XY-pair constraint: optional per the paper; confirm it
 //!    does not change the optimal weight, and measure its solve-time cost;

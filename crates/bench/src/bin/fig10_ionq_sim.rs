@@ -1,7 +1,7 @@
 //! **Figure 10** — H₂ time evolution from the ground state on a simulated
 //! IonQ Aria-1: measured energy distributions for JW vs BK vs Full SAT.
 //!
-//! We cannot run the real ion trap (DESIGN.md substitution #4); instead the
+//! We cannot run the real ion trap, so a simulation substitutes for it: the
 //! identical compiled circuits execute under a noise model built from the
 //! device parameters the paper reports (99.99 % 1q, 98.91 % 2q, 98.82 %
 //! readout fidelity). The paper measured E = −1.49 (JW), −1.54 (BK),

@@ -6,8 +6,9 @@
 //! sizes (where Full SAT applies anyway).
 //!
 //! Weight metric: summed Pauli weight over the Hamiltonian's de-duplicated
-//! Majorana monomials (DESIGN.md substitution #7) — the same metric for
-//! every encoding, so reductions are comparable with the paper's.
+//! Majorana monomials (substitution: each distinct monomial counts once,
+//! whatever its coefficient) — the same metric for every encoding, so
+//! reductions are comparable with the paper's.
 //!
 //! Usage: `table4_ham_weight [--timeout 20] [--seed 11] [--max-electronic 4]
 //!         [--max-hubbard 6] [--max-syk 5] [--csv]`

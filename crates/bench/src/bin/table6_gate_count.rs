@@ -5,8 +5,9 @@
 //!
 //! The paper reports ~20 % fewer single-qubit gates and ~35 % fewer CNOTs
 //! for Full SAT over BK. (Absolute counts differ from the paper's
-//! Qiskit+Paulihedral pipeline — DESIGN.md substitution #5; the
-//! encoding-induced reduction is the claim under test.)
+//! Qiskit+Paulihedral pipeline, which our own Trotter compiler and
+//! peephole optimizer stand in for; the encoding-induced reduction is the
+//! claim under test.)
 //!
 //! At 6/8 qubits the Hamiltonian-dependent search drops the
 //! algebraic-independence clauses and rank-checks models instead (the

@@ -44,8 +44,8 @@ pub fn monomial_string(strings: &[PhasedString], monomial: &MajoranaMonomial) ->
 }
 
 /// Hamiltonian-dependent total Pauli weight over an explicit monomial
-/// structure (paper Eq. 14 with de-duplication; see DESIGN.md
-/// substitution #7).
+/// structure (paper Eq. 14, substituted: each distinct monomial counts
+/// once, whatever its coefficient).
 pub fn structure_weight(strings: &[PhasedString], monomials: &[MajoranaMonomial]) -> usize {
     let mut seen: std::collections::BTreeSet<&MajoranaMonomial> = std::collections::BTreeSet::new();
     let mut total = 0;

@@ -18,8 +18,8 @@
 //! point ([`encodings::embed`]).
 
 use crate::fingerprint::Fingerprint;
-use crate::json::{self, obj, Value};
 use crate::problemio::{strings_from_json, strings_to_json};
+use jsonkit::{obj, Value};
 use pauli::PauliString;
 use std::fs;
 use std::io;
@@ -163,7 +163,7 @@ impl SolutionCache {
     /// `lookup` without touching the counters (internal compare paths).
     fn read_entry(&self, fp: &Fingerprint) -> Option<CacheEntry> {
         let text = fs::read_to_string(self.path_for(fp)).ok()?;
-        let doc = json::parse(&text).ok()?;
+        let doc = jsonkit::parse(&text).ok()?;
         if doc.get("version")?.as_usize()? != CACHE_VERSION {
             return None;
         }
@@ -371,7 +371,7 @@ impl SizeIndex {
         let Ok(text) = fs::read_to_string(self.path_for(key)) else {
             return Vec::new();
         };
-        let Ok(doc) = json::parse(&text) else {
+        let Ok(doc) = jsonkit::parse(&text) else {
             return Vec::new();
         };
         if doc.get("version").and_then(Value::as_usize) != Some(INDEX_VERSION) {

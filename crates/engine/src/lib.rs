@@ -52,10 +52,6 @@ pub mod problemio;
 pub mod report;
 pub mod service;
 
-/// The workspace-shared JSON module (tree, writer, hardened parser),
-/// re-exported under its historical `engine::json` path.
-pub use jsonkit as json;
-
 pub use cache::{CacheCounters, CacheEntry, SizeIndex, SolutionCache};
 pub use fingerprint::{fingerprint, size_key, Fingerprint};
 pub use portfolio::{

@@ -1,7 +1,7 @@
 //! Per-run reporting: what every portfolio worker did, and when.
 
 use crate::cache::CacheCounters;
-use crate::json::{obj, Value};
+use jsonkit::{obj, Value};
 use std::time::Duration;
 
 /// How the solution cache participated in a run.
@@ -240,8 +240,8 @@ pub struct EngineReport {
 }
 
 impl EngineReport {
-    /// Machine-readable form (the benchmark harness writes these into
-    /// `BENCH_engine.json`).
+    /// Machine-readable form (the `report` field of the shard CLI's JSON
+    /// result; the layered benchmark times its serialization).
     pub fn to_json(&self) -> Value {
         obj([
             ("fingerprint", Value::Str(self.fingerprint.clone())),
@@ -464,7 +464,7 @@ mod tests {
             }],
         };
         let text = report.to_json().to_json();
-        let parsed = crate::json::parse(&text).unwrap();
+        let parsed = jsonkit::parse(&text).unwrap();
         assert_eq!(parsed.get("cache").unwrap().as_str(), Some("miss"));
         let warm = parsed.get("warm_start").unwrap();
         assert_eq!(warm.get("source").unwrap().as_str(), Some("cross-size"));

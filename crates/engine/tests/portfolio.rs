@@ -553,7 +553,7 @@ fn report_json_round_trips() {
     let problem = EncodingProblem::full_sat(2, Objective::MajoranaWeight);
     let outcome = compile(&problem, &EngineConfig::default());
     let text = outcome.report.to_json().to_json();
-    let parsed = engine::json::parse(&text).unwrap();
+    let parsed = jsonkit::parse(&text).unwrap();
     assert_eq!(
         parsed.get("fingerprint").unwrap().as_str().unwrap().len(),
         64

@@ -12,9 +12,9 @@
 //!
 //! The H₂/STO-3G integrals at the 0.7414 Å equilibrium geometry are
 //! embedded as published constants (the values a PySCF/Qiskit-Nature run
-//! produces — see DESIGN.md, substitution #3), so the 4-qubit benchmark of
-//! the paper's Figures 8/10 and Table 4 is bit-for-bit reproducible without
-//! a chemistry stack.
+//! produces, substituted for running a chemistry package), so the 4-qubit
+//! benchmark of the paper's Figures 8/10 and Table 4 is bit-for-bit
+//! reproducible without a chemistry stack.
 
 use crate::ops::{FermionHamiltonian, FermionOp, FermionTerm};
 use mathkit::Complex64;
@@ -129,7 +129,7 @@ impl MolecularIntegrals {
     /// Synthetic integrals with full O(N⁴) structure, for scaling
     /// experiments beyond H₂ (Tables 4–5 evaluate electronic structure at up
     /// to 12 modes; only the *term structure* affects Pauli weight, so
-    /// random symmetric values suffice — see DESIGN.md).
+    /// random symmetric values stand in for real integrals).
     pub fn synthetic(num_orbitals: usize, rng: &mut impl Rng) -> MolecularIntegrals {
         let n = num_orbitals;
         let mut h1 = vec![0.0; n * n];

@@ -1,8 +1,8 @@
 //! A minimal blocking HTTP/1.1 JSON client.
 //!
 //! Not a general client — just enough to talk to this server over a
-//! keep-alive connection, shared by the integration tests, the
-//! `serve_loadgen` benchmark, and the runnable example. Responses are
+//! keep-alive connection, shared by the integration tests, the ledger's
+//! serve workloads, and the runnable example. Responses are
 //! parsed eagerly into a [`jsonkit::Value`] (every endpoint speaks JSON).
 
 use jsonkit::Value;

@@ -70,6 +70,15 @@ const LEGACY_KEYS: [&str; 10] = [
     "winner",
 ];
 
+/// The weight of a batch entry's returned strings when they are a valid
+/// encoding of the `modes`-mode problem, checked outside the server.
+fn entry_encoding_weight(entry: &Value, modes: usize) -> Option<usize> {
+    let request = jsonkit::parse(&format!(r#"{{"modes": {modes}}}"#)).unwrap();
+    let problem = engine::problem_from_json(&request, None).unwrap();
+    let strings = engine::strings_from_json(entry, "strings").ok()??;
+    engine::check_encoding(&problem, &strings)
+}
+
 fn without_elapsed(doc: &Value) -> Value {
     let mut doc = doc.clone();
     if let Value::Obj(fields) = &mut doc {
@@ -153,7 +162,14 @@ fn batch_certifies_the_same_weights_as_sequential_solo_compiles() {
             "batch entry {modes} must certify: {}",
             entry.to_json()
         );
-        batch_weights.push(entry.get("weight").unwrap().as_usize().unwrap());
+        let weight = entry.get("weight").unwrap().as_usize().unwrap();
+        assert_eq!(
+            entry_encoding_weight(entry, modes),
+            Some(weight),
+            "batch entry {modes} must carry a valid encoding of its weight: {}",
+            entry.to_json()
+        );
+        batch_weights.push(weight);
     }
     assert_eq!(
         batch_weights, solo_weights,

@@ -384,11 +384,28 @@ fn killed_worker_partial_trace_merges_without_panicking() {
     // The survivor ran to completion, so its lane spans must have made
     // it across the bridge. (The victim's partial batches may or may
     // not have landed before the kill — that part is best-effort.)
+    // Both survivors ship their span tail before their result, so lane
+    // spans come from at least two worker processes, one per lane each.
+    let lane_pids: std::collections::BTreeMap<u32, usize> = events
+        .iter()
+        .filter(|e| e.name == "engine.lane" && e.pid != coordinator_pid)
+        .fold(Default::default(), |mut pids, e| {
+            *pids.entry(e.pid).or_default() += 1;
+            pids
+        });
     assert!(
-        events
-            .iter()
-            .any(|e| e.name == "engine.lane" && e.pid != coordinator_pid),
-        "surviving worker's lane spans missing from the merged trace"
+        lane_pids.len() >= 2,
+        "lane spans from fewer than two worker processes: {lane_pids:?}"
+    );
+    let survivor_lanes = outcome
+        .report
+        .workers
+        .iter()
+        .filter(|w| w.shard.is_some_and(|s| s != victim))
+        .count();
+    assert!(
+        lane_pids.values().sum::<usize>() >= survivor_lanes,
+        "{survivor_lanes} surviving lanes, lane spans per pid {lane_pids:?}"
     );
     // Cross-process wire telemetry was recorded on the way.
     assert!(

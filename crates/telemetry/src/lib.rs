@@ -7,9 +7,10 @@
 //! recording discipline, two export surfaces:
 //!
 //! * **Chrome `trace_event` JSON** ([`chrome`]): load the file produced by
-//!   `engine_portfolio --trace-out trace.json` (or a worker batch merged by
-//!   the shard coordinator) in `chrome://tracing` or
-//!   [Perfetto](https://ui.perfetto.dev) and read the race as a timeline.
+//!   `bash crates/ledger/bench.sh --workload race_n4 --trace 1 --trace-out
+//!   trace.json` or the server's `/v1/trace/<fingerprint>` document (with
+//!   worker batches merged by the shard coordinator) in `chrome://tracing`
+//!   or [Perfetto](https://ui.perfetto.dev) and read the race as a timeline.
 //! * **Prometheus text exposition / JSON snapshot** ([`metrics`]): the
 //!   serve crate's `/metrics` endpoint renders its counters, gauges, and
 //!   fixed-bucket histograms through [`metrics::PromText`].
@@ -49,9 +50,9 @@
 //! allocation, a thread-local push/pop, and one bounded-ring write at
 //! close — nanoseconds, paid only at span granularity (per solve, per
 //! lane, per request), never per conflict. Filtered-out `Debug`/`Trace`
-//! log events cost one atomic load. `engine_portfolio --trace-out`
-//! measures the trace-enabled-vs-disabled delta on the deterministic N=4
-//! descent cell and prints it (the acceptance bar is <2%).
+//! log events cost one atomic load. Every traced ledger run (`--trace 1`)
+//! reports the trace-enabled-vs-disabled delta of its workload as
+//! `telemetry.recording_overhead_share` (the acceptance bar is <2%).
 
 pub mod chrome;
 pub mod log;

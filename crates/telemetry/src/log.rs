@@ -347,7 +347,8 @@ pub fn format_text_line(
 }
 
 /// Renders the JSON-lines sink record (one compact object, no newline).
-/// Schema (validated by the CI `bench_diff` sentinel): `ts`, `ts_us`,
+/// Schema (validated line by line in `crates/serve/tests/log_schema.rs`
+/// against a real `serve --log-json` capture): `ts`, `ts_us`,
 /// `level`, `target`, `msg`, `pid`, `tid` always present; `span` and
 /// `fields` only when nonempty.
 pub fn format_json_line(
