@@ -11,7 +11,7 @@
 //! * [`MajoranaEncoding`] — an encoding wrapping explicit strings, the
 //!   output form of the SAT solver in the `fermihedral` crate;
 //! * [`map`] — exact mapping of second-quantized or Majorana Hamiltonians
-//!   onto qubit [`PauliSum`]s (phases included);
+//!   onto qubit [`pauli::PauliSum`]s (phases included);
 //! * [`embed`] — cross-size lifting: a valid `N`-mode encoding extended to
 //!   `N + 1` modes (identity-extended strings plus a JW-style pair on the
 //!   fresh qubit), the basis of the engine's warm-start transfer;

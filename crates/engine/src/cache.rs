@@ -297,7 +297,7 @@ impl SolutionCache {
     /// lock, so a concurrent writer cannot sneak a *better* entry in
     /// between the comparison and the rename (which would downgrade the
     /// cache, e.g. losing an UNSAT certificate). Locks abandoned by a
-    /// crashed process are stolen after [`LOCK_STALE`].
+    /// crashed process are stolen after `LOCK_STALE`.
     ///
     /// # Errors
     ///

@@ -16,8 +16,8 @@
 //! * Descent lanes additionally exchange **learnt clauses** through a
 //!   [`sat::SharedContext`]: units, binaries, and low-LBD clauses one lane
 //!   paid conflicts for prune the same subtrees in every other lane.
-//!   Toggleable via [`ClauseSharing`]; per-lane import/export/promotion
-//!   counters land in the [`report::EngineReport`].
+//!   Per-lane import/export/promotion counters land in the
+//!   [`report::EngineReport`].
 //! * [`cache::SolutionCache`] persists solved encodings content-addressed
 //!   by a SHA-256 [`fingerprint`](fingerprint::fingerprint) of the problem
 //!   (modes, constraints, objective, Hamiltonian-term multiset). Repeat
@@ -57,7 +57,7 @@ pub use fingerprint::{fingerprint, size_key, Fingerprint};
 pub use portfolio::{
     check_encoding, compile, compile_bridged, compile_cached, compile_with, cross_size_warm_start,
     default_portfolio, measure_weight, partition_strategies, race_lanes, BaselineKind,
-    ClauseSharing, EngineConfig, EngineOutcome, RaceBridge, RaceInput, RaceOutcome, Strategy,
+    EngineConfig, EngineOutcome, RaceBridge, RaceInput, RaceOutcome, Strategy,
 };
 pub use problemio::{problem_from_json, problem_to_json, strings_from_json, strings_to_json};
 pub use report::{

@@ -20,10 +20,12 @@
 //! and cancels the remaining workers through a [`CancelToken`] — wall
 //! clock tracks the *fastest* strategy, not the slowest.
 //!
-//! Heavy lanes are bounded by [`EngineConfig::max_concurrency`] (default:
-//! the machine's available parallelism), so oversubscribing a small host
-//! never makes the race slower than a single lane: excess lanes queue,
-//! and a queued lane whose race was decided exits without work.
+//! The lane policy is the engine's: descent lanes with a peer share
+//! clauses under [`ExchangeConfig::default`], no solver call has a
+//! conflict budget, and heavy lanes are bounded by the machine's
+//! available parallelism, so oversubscribing a small host never makes
+//! the race slower than a single lane: excess lanes queue, and a queued
+//! lane whose race was decided exits without work.
 //!
 //! Nothing in the race polls a clock. One signal — a mutex and condvar
 //! owned by the race — is notified when a lane exits, a heavy slot is
@@ -70,12 +72,21 @@ pub enum BaselineKind {
 }
 
 impl BaselineKind {
-    fn name(self) -> &'static str {
+    /// The construction's name in lane names and on the shard wire.
+    pub fn name(self) -> &'static str {
         match self {
             BaselineKind::JordanWigner => "jordan-wigner",
             BaselineKind::BravyiKitaev => "bravyi-kitaev",
             BaselineKind::TernaryTree => "ternary-tree",
         }
+    }
+
+    /// Inverse of [`name`](Self::name).
+    pub fn from_name(name: &str) -> Option<BaselineKind> {
+        use BaselineKind::*;
+        [JordanWigner, BravyiKitaev, TernaryTree]
+            .into_iter()
+            .find(|kind| kind.name() == name)
     }
 
     fn build(self, n: usize) -> MajoranaEncoding {
@@ -199,30 +210,6 @@ pub fn default_portfolio(problem: &EncodingProblem) -> Vec<Strategy> {
     lanes
 }
 
-/// Learnt-clause sharing between the portfolio's SAT-descent lanes.
-///
-/// With `enabled` (the default), a [`sat::SharedContext`] connects every
-/// descent lane: each exports its units, binaries, and low-LBD learnt
-/// clauses, and imports the peers' at restart boundaries. Disabled, lanes
-/// share only the incumbent weight — the pre-clause-sharing engine
-/// behavior, byte for byte.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ClauseSharing {
-    /// Master switch.
-    pub enabled: bool,
-    /// Export eligibility and inbox capacity.
-    pub exchange: ExchangeConfig,
-}
-
-impl Default for ClauseSharing {
-    fn default() -> Self {
-        ClauseSharing {
-            enabled: true,
-            exchange: ExchangeConfig::default(),
-        }
-    }
-}
-
 /// Engine configuration.
 #[derive(Debug, Clone, Default)]
 pub struct EngineConfig {
@@ -230,15 +217,6 @@ pub struct EngineConfig {
     pub strategies: Vec<Strategy>,
     /// Overall wall-clock limit for the run.
     pub total_timeout: Option<Duration>,
-    /// Conflict limit per solver call inside descent lanes. Smaller values
-    /// make lanes re-read the shared bound more often; `None` lets each
-    /// call run to completion.
-    pub conflict_budget_per_call: Option<u64>,
-    /// Keep descent lanes running through per-call budget exhaustion
-    /// (requires `total_timeout` or an eventual UNSAT to terminate).
-    pub persist_on_budget: bool,
-    /// Learnt-clause exchange between descent lanes (default: enabled).
-    pub clause_sharing: ClauseSharing,
     /// Directory of the persistent solution cache; `None` disables caching.
     pub cache_dir: Option<PathBuf>,
     /// Byte cap for the solution cache directory: every store evicts the
@@ -252,20 +230,12 @@ pub struct EngineConfig {
     /// is ignored. A same-size cache entry, when one exists, wins over
     /// this hint.
     pub warm_hint: Option<Vec<PauliString>>,
-    /// Maximum *heavy* lanes (SAT descent, annealing) running
-    /// concurrently; `None` sizes to [`std::thread::available_parallelism`].
-    /// Instant lanes (baselines) always run immediately. Excess heavy
-    /// lanes queue until a slot is released, and every queued lane wakes
-    /// the moment the race is decided and exits without doing any work —
-    /// so on a single-core host the portfolio costs one lane's wall time,
-    /// not the sum of all lanes.
-    pub max_concurrency: Option<usize>,
     /// Worker *processes* to shard the lanes across (ROADMAP multi-process
     /// sharding). `0` or `1` races every lane in this process. This field
     /// is data: [`compile`] itself always runs in-process; the shard
-    /// coordinator (`fermihedral-shard`), the compilation server
-    /// (`serve --shards N`), and the benches read it and spawn worker
-    /// processes connected by the `shard::wire` clause/bound bridge.
+    /// coordinator (`fermihedral-shard`) and the compilation server
+    /// (`serve --shards N`) read it and spawn worker processes connected
+    /// by the `shard::wire` clause/bound bridge.
     pub shards: usize,
 }
 
@@ -600,8 +570,9 @@ pub fn compile_with(
 #[derive(Debug, Clone, Copy)]
 pub struct RaceInput<'a> {
     pub problem: &'a EncodingProblem,
-    /// Budgets and sharing policy (its `strategies` and `warm_hint` are
-    /// superseded by the resolved fields below).
+    /// The caller's settings: the total timeout is read from it (its
+    /// `strategies` and `warm_hint` are superseded by the resolved fields
+    /// below).
     pub config: &'a EngineConfig,
     /// Hex fingerprint of the problem.
     pub fingerprint: &'a str,
@@ -858,18 +829,18 @@ pub fn race_lanes(
 
     // Clause exchange between the descent lanes (they all solve the same
     // instance under the same variable numbering). One lane alone has no
-    // peers — skip the context so the off-path stays allocation-free —
-    // unless a cross-process bridge is attached, in which case even a
-    // single lane has remote peers to trade with.
+    // peers and gets no context, unless a cross-process bridge is
+    // attached, in which case even a single lane has remote peers to
+    // trade with.
     let descent_lanes = strategies
         .iter()
         .filter(|s| matches!(s, Strategy::SatDescent { .. }))
         .count();
     let mut remote_exchange = None;
     let exchange = if bridge_hook.is_some() {
-        (config.clause_sharing.enabled && descent_lanes >= 1).then(|| {
+        (descent_lanes >= 1).then(|| {
             let (ctx, remote) =
-                SharedContext::with_bridge(descent_lanes, config.clause_sharing.exchange);
+                SharedContext::with_bridge(descent_lanes, ExchangeConfig::default());
             if let Some(instance) = &instance {
                 // Lanes learn over the search formula; its variable count
                 // (totalizer and symmetry auxiliaries included) bounds
@@ -880,8 +851,7 @@ pub fn race_lanes(
             ctx
         })
     } else {
-        (config.clause_sharing.enabled && descent_lanes >= 2)
-            .then(|| SharedContext::new(descent_lanes, config.clause_sharing.exchange))
+        (descent_lanes >= 2).then(|| SharedContext::new(descent_lanes, ExchangeConfig::default()))
     };
     let lane_handles: Vec<Option<LaneHandle>> = {
         let mut next_lane = 0usize;
@@ -901,9 +871,7 @@ pub fn race_lanes(
     let incumbent = Incumbent::new(
         external_cancel.cloned().unwrap_or_default(),
         strategies.len(),
-        config
-            .max_concurrency
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get())),
+        std::thread::available_parallelism().map_or(1, |n| n.get()),
     );
     let deadline = config.total_timeout.and_then(|t| started.checked_add(t));
     if let Some(entry) = input.warm_start {
@@ -1215,8 +1183,6 @@ fn run_descent_lane(
         ImproveHook::new(move |best: &BestEncoding| incumbent.publish(best.clone(), &lane))
     };
     let descent_config = DescentConfig {
-        conflict_budget: config.conflict_budget_per_call,
-        persist_on_budget: config.persist_on_budget,
         total_timeout: config.total_timeout.map(|t| t.saturating_sub(started_at)),
         cancel: Some(incumbent.cancel.clone()),
         shared_bound: Some(incumbent.bound.clone()),
@@ -1253,8 +1219,10 @@ fn run_descent_lane(
         let kind = match step.result {
             StepResult::Improved(w) => EventKind::Improved(w),
             StepResult::Exhausted => EventKind::ProvedFloor(step.bound),
-            StepResult::BudgetExceeded => EventKind::BudgetExhausted,
-            StepResult::Cancelled => EventKind::Cancelled,
+            // With no conflict budget set, a call answers "unknown" only
+            // when the race's total timeout ran out mid-call: the same
+            // stop the deadline waiter's cancel delivers.
+            StepResult::BudgetExceeded | StepResult::Cancelled => EventKind::Cancelled,
         };
         events.push(WorkerEvent { at: clock, kind });
     }

@@ -51,8 +51,6 @@ pub enum EventKind {
     Improved(usize),
     /// Produced an UNSAT certificate: no encoding below this weight exists.
     ProvedFloor(usize),
-    /// A per-call solver budget ran out (the worker may continue).
-    BudgetExhausted,
     /// The worker was cancelled by the shared token.
     Cancelled,
     /// An annealing lane adopted a strictly better shared incumbent (of
@@ -68,7 +66,6 @@ impl EventKind {
         match self {
             EventKind::Improved(_) => "improved",
             EventKind::ProvedFloor(_) => "proved-floor",
-            EventKind::BudgetExhausted => "budget-exhausted",
             EventKind::Cancelled => "cancelled",
             EventKind::Reseeded(_) => "reseeded",
             EventKind::HintRejected => "hint-rejected",
@@ -88,7 +85,6 @@ impl EventKind {
             ("improved", Some(w)) => EventKind::Improved(w),
             ("proved-floor", Some(w)) => EventKind::ProvedFloor(w),
             ("reseeded", Some(w)) => EventKind::Reseeded(w),
-            ("budget-exhausted", _) => EventKind::BudgetExhausted,
             ("cancelled", _) => EventKind::Cancelled,
             ("hint-rejected", _) => EventKind::HintRejected,
             _ => return None,
@@ -408,6 +404,27 @@ impl WorkerReport {
 mod tests {
     use super::*;
 
+    /// A finished descent lane's report, carrying `events`.
+    fn lane(events: Vec<WorkerEvent>) -> WorkerReport {
+        WorkerReport {
+            strategy: "sat-descent[seed=1]".into(),
+            started_at: Duration::ZERO,
+            finished_at: Duration::from_millis(900),
+            events,
+            final_weight: Some(6),
+            proved_floor: Some(6),
+            cancelled: false,
+            conflicts: 420,
+            clauses_exported: 17,
+            clauses_imported: 5,
+            clauses_promoted: 2,
+            imported_reasons: 3,
+            propagations: 1234,
+            adapted_export_lbd: 5,
+            shard: Some(1),
+        }
+    }
+
     #[test]
     fn report_serializes_to_parseable_json() {
         let report = EngineReport {
@@ -425,32 +442,16 @@ mod tests {
                 from_modes: Some(3),
                 weight: 20,
             }),
-            workers: vec![WorkerReport {
-                strategy: "sat-descent[seed=1]".into(),
-                started_at: Duration::ZERO,
-                finished_at: Duration::from_millis(900),
-                events: vec![
-                    WorkerEvent {
-                        at: Duration::from_millis(100),
-                        kind: EventKind::Improved(8),
-                    },
-                    WorkerEvent {
-                        at: Duration::from_millis(800),
-                        kind: EventKind::ProvedFloor(6),
-                    },
-                ],
-                final_weight: Some(6),
-                proved_floor: Some(6),
-                cancelled: false,
-                conflicts: 420,
-                clauses_exported: 17,
-                clauses_imported: 5,
-                clauses_promoted: 2,
-                imported_reasons: 3,
-                propagations: 1234,
-                adapted_export_lbd: 5,
-                shard: Some(1),
-            }],
+            workers: vec![lane(vec![
+                WorkerEvent {
+                    at: Duration::from_millis(100),
+                    kind: EventKind::Improved(8),
+                },
+                WorkerEvent {
+                    at: Duration::from_millis(800),
+                    kind: EventKind::ProvedFloor(6),
+                },
+            ])],
             shards: vec![ShardReport {
                 shard: 1,
                 lanes: 3,
@@ -501,6 +502,28 @@ mod tests {
     }
 
     #[test]
+    fn every_event_kind_round_trips() {
+        // Worker timelines cross the wire in shard `Result` frames.
+        let kinds = [
+            EventKind::Improved(9),
+            EventKind::ProvedFloor(8),
+            EventKind::Cancelled,
+            EventKind::Reseeded(7),
+            EventKind::HintRejected,
+        ];
+        let worker = lane(
+            (kinds.into_iter().zip(10..))
+                .map(|(kind, ms)| WorkerEvent {
+                    at: Duration::from_millis(ms),
+                    kind,
+                })
+                .collect(),
+        );
+        let back = WorkerReport::from_json(&worker.to_json()).expect("parses back");
+        assert_eq!(back, worker);
+    }
+
+    #[test]
     fn worker_report_from_json_rejects_torn_documents() {
         assert!(WorkerReport::from_json(&Value::Null).is_none());
         assert!(WorkerReport::from_json(&obj([("strategy", Value::Str("x".into()))])).is_none());
@@ -512,23 +535,7 @@ mod tests {
             cache_counters: CacheCounters::default(),
             winner: None,
             warm_start: None,
-            workers: vec![WorkerReport {
-                strategy: "s".into(),
-                started_at: Duration::ZERO,
-                finished_at: Duration::ZERO,
-                events: Vec::new(),
-                final_weight: None,
-                proved_floor: None,
-                cancelled: false,
-                conflicts: 0,
-                clauses_exported: 0,
-                clauses_imported: 0,
-                clauses_promoted: 0,
-                imported_reasons: 0,
-                propagations: 0,
-                adapted_export_lbd: 0,
-                shard: None,
-            }],
+            workers: vec![lane(Vec::new())],
             shards: Vec::new(),
         }
         .to_json();

@@ -195,7 +195,6 @@ mod tests {
                 },
                 Strategy::Baseline(BaselineKind::BravyiKitaev),
             ],
-            persist_on_budget: true,
             ..EngineConfig::default()
         })
         .unwrap();

@@ -3,10 +3,10 @@
 //! Architecture follows MiniSat [Eén & Sörensson 2003] with the now-standard
 //! refinements the paper's solvers (Kissat/CaDiCaL) also build on:
 //!
-//! * clause storage in a flat arena ([`crate::arena`]): one contiguous
+//! * clause storage in a flat arena (`crate::arena`): one contiguous
 //!   `u32` buffer, garbage-collected in place at `reduce_db` time,
 //! * two-watched-literal propagation with blocking literals over flat
-//!   per-literal watcher segments ([`crate::watch`]),
+//!   per-literal watcher segments (`crate::watch`),
 //! * first-UIP conflict analysis with clause minimization,
 //! * exponential VSIDS variable activities with an indexed max-heap,
 //! * phase saving (word-packed, as are the analysis marks),

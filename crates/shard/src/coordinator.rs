@@ -4,7 +4,7 @@
 //!
 //! The seats `0..k` are reserved before the children are spawned, and
 //! each child claims its own with `--shard`. A thin wrapper around the
-//! fleet's link ([`LocalLink`]) owns the children's lifetimes: the
+//! fleet's link (`LocalLink`) owns the children's lifetimes: the
 //! muster is `0..k` at once; there is no patience, so a connection that
 //! ends before `Cancel` is a death at once and a local child never
 //! rejoins; a child that ends before it ever connects is reported gone

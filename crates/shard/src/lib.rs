@@ -30,7 +30,7 @@
 //!    round-robin. Every peer announces itself through the server's
 //!    `Hello`/`Welcome` handshake, and one that speaks another
 //!    [`wire::PROTOCOL_VERSION`] never gets a job.
-//! 2. **The seat is armed**: its `Job` (problem, lanes, budgets, warm
+//! 2. **The seat is armed**: its `Job` (problem, lanes, deadline, warm
 //!    hint), then the current incumbent `Bound`, then a replay of the
 //!    last [`race::CLAUSE_DIGEST`] clauses that crossed the bridge
 //!    (minus its own). The same three things go to a seat that starts

@@ -13,16 +13,16 @@
 //! so any schema drift must fail loudly before a single clause moves.
 
 use engine::{
-    strings_from_json, strings_to_json, ClauseSharing, EngineConfig, Strategy, WorkerReport,
+    strings_from_json, strings_to_json, BaselineKind, EngineConfig, Strategy, WorkerReport,
 };
 use fermihedral::{AnnealConfig, EncodingProblem};
 use jsonkit::{obj, Value};
 use pauli::PauliString;
-use sat::{ExchangeConfig, ExportLbd, RestartPolicyKind};
+use sat::{ExportLbd, RestartPolicyKind};
 use std::time::Duration;
 
 /// A work assignment for one shard: the problem, this shard's lanes, and
-/// the engine budgets the race runs under.
+/// the race's deadline.
 #[derive(Debug, Clone)]
 pub struct Job {
     /// This worker's shard index.
@@ -38,14 +38,6 @@ pub struct Job {
     pub strategies: Vec<Strategy>,
     /// Wall-clock budget (the coordinator enforces it too, with grace).
     pub total_timeout: Option<Duration>,
-    /// Per-call conflict budget for descent lanes.
-    pub conflict_budget_per_call: Option<u64>,
-    /// Keep descending through exhausted per-call budgets.
-    pub persist_on_budget: bool,
-    /// Clause-exchange switch and eligibility knobs.
-    pub clause_sharing: ClauseSharing,
-    /// Heavy-lane concurrency cap inside this worker.
-    pub max_concurrency: Option<usize>,
     /// Warm-start encoding for the job's problem (`2N` strings), found by
     /// the coordinator in its cache — a same-size best-so-far entry or a
     /// smaller optimum lifted through `encodings::embed`. Workers
@@ -65,13 +57,9 @@ impl Job {
         EngineConfig {
             strategies: self.strategies.clone(),
             total_timeout: self.total_timeout,
-            conflict_budget_per_call: self.conflict_budget_per_call,
-            persist_on_budget: self.persist_on_budget,
-            clause_sharing: self.clause_sharing,
             cache_dir: None,
             cache_byte_cap: None,
             warm_hint: self.warm_hint.clone(),
-            max_concurrency: self.max_concurrency,
             shards: 0,
         }
     }
@@ -91,42 +79,6 @@ impl Job {
                 "total_timeout_ms",
                 self.total_timeout
                     .map_or(Value::Null, |t| Value::Num(t.as_millis() as f64)),
-            ),
-            (
-                "conflict_budget_per_call",
-                self.conflict_budget_per_call.map_or(Value::Null, u64_json),
-            ),
-            ("persist_on_budget", Value::Bool(self.persist_on_budget)),
-            (
-                "clause_sharing",
-                obj([
-                    ("enabled", Value::Bool(self.clause_sharing.enabled)),
-                    (
-                        "export_lbd_floor",
-                        Value::Num(self.clause_sharing.exchange.export_lbd.floor as f64),
-                    ),
-                    (
-                        "export_lbd_initial",
-                        Value::Num(self.clause_sharing.exchange.export_lbd.initial as f64),
-                    ),
-                    (
-                        "export_lbd_ceiling",
-                        Value::Num(self.clause_sharing.exchange.export_lbd.ceiling as f64),
-                    ),
-                    (
-                        "max_shared_len",
-                        Value::Num(self.clause_sharing.exchange.max_shared_len as f64),
-                    ),
-                    (
-                        "capacity_per_lane",
-                        Value::Num(self.clause_sharing.exchange.capacity_per_lane as f64),
-                    ),
-                ]),
-            ),
-            (
-                "max_concurrency",
-                self.max_concurrency
-                    .map_or(Value::Null, |c| Value::Num(c as f64)),
             ),
             (
                 "warm_hint",
@@ -156,15 +108,6 @@ impl Job {
                 .and_then(Value::as_usize)
                 .ok_or_else(|| format!("job field {name:?} missing or mistyped"))
         };
-        let sharing = doc
-            .get("clause_sharing")
-            .ok_or("job field \"clause_sharing\" missing")?;
-        let sharing_usize = |name: &str| -> Result<usize, String> {
-            sharing
-                .get(name)
-                .and_then(Value::as_usize)
-                .ok_or_else(|| format!("clause_sharing field {name:?} missing or mistyped"))
-        };
         Ok(Job {
             shard: usize_field("shard")?,
             total_shards: usize_field("total_shards")?,
@@ -189,33 +132,6 @@ impl Job {
                 Some(v) => Some(Duration::from_millis(
                     v.as_usize().ok_or("\"total_timeout_ms\" mistyped")? as u64,
                 )),
-            },
-            conflict_budget_per_call: match doc.get("conflict_budget_per_call") {
-                None | Some(Value::Null) => None,
-                Some(_) => Some(u64_from_json(&doc, "conflict_budget_per_call")?),
-            },
-            persist_on_budget: doc
-                .get("persist_on_budget")
-                .and_then(Value::as_bool)
-                .ok_or("job field \"persist_on_budget\" missing")?,
-            clause_sharing: ClauseSharing {
-                enabled: sharing
-                    .get("enabled")
-                    .and_then(Value::as_bool)
-                    .ok_or("clause_sharing field \"enabled\" missing")?,
-                exchange: ExchangeConfig {
-                    export_lbd: ExportLbd {
-                        floor: sharing_usize("export_lbd_floor")? as u32,
-                        initial: sharing_usize("export_lbd_initial")? as u32,
-                        ceiling: sharing_usize("export_lbd_ceiling")? as u32,
-                    },
-                    max_shared_len: sharing_usize("max_shared_len")?,
-                    capacity_per_lane: sharing_usize("capacity_per_lane")?,
-                },
-            },
-            max_concurrency: match doc.get("max_concurrency") {
-                None | Some(Value::Null) => None,
-                Some(v) => Some(v.as_usize().ok_or("\"max_concurrency\" mistyped")?),
             },
             warm_hint: strings_from_json(&doc, "warm_hint")?,
             // Tolerant: jobs written before tracing existed mean "off".
@@ -445,7 +361,7 @@ impl IncumbentUpdate {
 // API ([`engine::problemio`]); the wire passes no mode cap — the
 // coordinator already built the problem it is shipping.
 
-/// `u64` values (seeds, budgets) travel as decimal strings: JSON numbers
+/// `u64` values (seeds) travel as decimal strings: JSON numbers
 /// are `f64` in this workspace's parser, which silently rounds integers
 /// above 2^53 — a corrupted seed would race the wrong lane.
 fn u64_json(value: u64) -> Value {
@@ -465,21 +381,9 @@ fn u64_from_json(doc: &Value, name: &str) -> Result<u64, String> {
     }
 }
 
-fn baseline_name(kind: engine::BaselineKind) -> &'static str {
-    match kind {
-        engine::BaselineKind::JordanWigner => "jordan-wigner",
-        engine::BaselineKind::BravyiKitaev => "bravyi-kitaev",
-        engine::BaselineKind::TernaryTree => "ternary-tree",
-    }
-}
-
-fn baseline_from_name(name: &str) -> Result<engine::BaselineKind, String> {
-    Ok(match name {
-        "jordan-wigner" => engine::BaselineKind::JordanWigner,
-        "bravyi-kitaev" => engine::BaselineKind::BravyiKitaev,
-        "ternary-tree" => engine::BaselineKind::TernaryTree,
-        other => return Err(format!("unknown baseline {other:?}")),
-    })
+fn baseline_from_json(doc: &Value) -> Result<BaselineKind, String> {
+    let name = (doc.get("base").and_then(Value::as_str)).ok_or("strategy \"base\" missing")?;
+    BaselineKind::from_name(name).ok_or_else(|| format!("unknown baseline {name:?}"))
 }
 
 fn restart_json(kind: RestartPolicyKind) -> Value {
@@ -544,7 +448,7 @@ fn strategy_json(strategy: &Strategy) -> Value {
         ]),
         Strategy::Anneal { base, schedule } => obj([
             ("kind", Value::Str("anneal".into())),
-            ("base", Value::Str(baseline_name(*base).into())),
+            ("base", Value::Str(base.name().into())),
             ("t0", Value::Num(schedule.t0)),
             ("t1", Value::Num(schedule.t1)),
             ("alpha", Value::Num(schedule.alpha)),
@@ -558,7 +462,7 @@ fn strategy_json(strategy: &Strategy) -> Value {
         ]),
         Strategy::Baseline(kind) => obj([
             ("kind", Value::Str("baseline".into())),
-            ("base", Value::Str(baseline_name(*kind).into())),
+            ("base", Value::Str(kind.name().into())),
         ]),
     }
 }
@@ -580,28 +484,22 @@ fn strategy_from_json(doc: &Value) -> Result<Strategy, String> {
                 .ok_or("strategy \"bk_phase_hint\" missing")?,
             restart: restart_from_json(doc.get("restart").ok_or("strategy \"restart\" missing")?)?,
             export_lbd: {
-                // Tolerant: jobs written before adaptive export bounds
-                // existed fall back to the solver default.
-                let d = ExportLbd::default();
-                let bound = |name: &str, fallback: u32| {
+                let bound = |name: &str| -> Result<u32, String> {
                     doc.get(name)
                         .and_then(Value::as_usize)
-                        .map_or(fallback, |v| v as u32)
+                        .map(|v| v as u32)
+                        .ok_or_else(|| format!("strategy field {name:?} missing or mistyped"))
                 };
                 ExportLbd {
-                    floor: bound("export_lbd_floor", d.floor),
-                    initial: bound("export_lbd_initial", d.initial),
-                    ceiling: bound("export_lbd_ceiling", d.ceiling),
+                    floor: bound("export_lbd_floor")?,
+                    initial: bound("export_lbd_initial")?,
+                    ceiling: bound("export_lbd_ceiling")?,
                 }
                 .normalized()
             },
         }),
         Some("anneal") => Ok(Strategy::Anneal {
-            base: baseline_from_name(
-                doc.get("base")
-                    .and_then(Value::as_str)
-                    .ok_or("strategy \"base\" missing")?,
-            )?,
+            base: baseline_from_json(doc)?,
             schedule: AnnealConfig {
                 t0: float("t0")?,
                 t1: float("t1")?,
@@ -623,11 +521,7 @@ fn strategy_from_json(doc: &Value) -> Result<Strategy, String> {
                 },
             },
         }),
-        Some("baseline") => Ok(Strategy::Baseline(baseline_from_name(
-            doc.get("base")
-                .and_then(Value::as_str)
-                .ok_or("strategy \"base\" missing")?,
-        )?)),
+        Some("baseline") => Ok(Strategy::Baseline(baseline_from_json(doc)?)),
         other => Err(format!("unknown strategy kind {other:?}")),
     }
 }
@@ -635,7 +529,6 @@ fn strategy_from_json(doc: &Value) -> Result<Strategy, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use engine::BaselineKind;
     use fermihedral::Objective;
     use fermion::MajoranaMonomial;
 
@@ -668,10 +561,6 @@ mod tests {
                 Strategy::Baseline(BaselineKind::TernaryTree),
             ],
             total_timeout: Some(Duration::from_millis(1500)),
-            conflict_budget_per_call: Some(4096),
-            persist_on_budget: true,
-            clause_sharing: ClauseSharing::default(),
-            max_concurrency: Some(2),
             warm_hint: None,
             trace_id: Some("fp-1234".into()),
         }
@@ -687,10 +576,6 @@ mod tests {
         assert_eq!(back.total_shards, job.total_shards);
         assert_eq!(back.fingerprint, job.fingerprint);
         assert_eq!(back.total_timeout, job.total_timeout);
-        assert_eq!(back.conflict_budget_per_call, job.conflict_budget_per_call);
-        assert_eq!(back.persist_on_budget, job.persist_on_budget);
-        assert_eq!(back.clause_sharing, job.clause_sharing);
-        assert_eq!(back.max_concurrency, job.max_concurrency);
         // The problem round-trips semantically: same fingerprint.
         assert_eq!(engine::fingerprint(&back.problem).to_hex(), job.fingerprint);
         // Strategies survive by name (names encode every knob but the
@@ -784,6 +669,18 @@ mod tests {
         for cut in [1, bytes.len() / 2, bytes.len() - 1] {
             assert!(Job::from_bytes(&bytes[..cut]).is_err(), "cut at {cut}");
         }
+        // Every export bound is required: a strategy without one fails,
+        // naming the field, instead of racing a default filter.
+        let mut doc = jsonkit::parse(std::str::from_utf8(&bytes).unwrap()).unwrap();
+        if let Value::Obj(fields) = &mut doc {
+            if let Some(Value::Arr(strategies)) = fields.get_mut("strategies") {
+                if let Value::Obj(descent) = &mut strategies[0] {
+                    descent.remove("export_lbd_initial");
+                }
+            }
+        }
+        let err = Job::from_bytes(doc.to_json().as_bytes()).unwrap_err();
+        assert!(err.contains("export_lbd_initial"), "{err}");
     }
 
     #[test]

@@ -215,7 +215,6 @@ pub fn run_or_race_in_process(
 impl Race<'_> {
     /// Gives `shard` its lanes. The one `Job` constructor.
     fn assign(&mut self, shard: usize, lanes: Vec<Strategy>) {
-        let config = self.input.config;
         let fingerprint = self.input.fingerprint.to_string();
         let total_shards = self.seats.len();
         let seat = &mut self.seats[shard];
@@ -231,11 +230,7 @@ impl Race<'_> {
             fingerprint,
             problem: self.input.problem.clone(),
             strategies: lanes,
-            total_timeout: config.total_timeout,
-            conflict_budget_per_call: config.conflict_budget_per_call,
-            persist_on_budget: config.persist_on_budget,
-            clause_sharing: config.clause_sharing,
-            max_concurrency: config.max_concurrency,
+            total_timeout: self.input.config.total_timeout,
             warm_hint: self.input.warm_start.map(|e| e.strings.clone()),
         });
     }

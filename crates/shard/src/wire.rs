@@ -58,7 +58,9 @@ use std::io::{self, Read, Write};
 /// be refused at `Hello`, not raced. Version 6 changed no frame either:
 /// the search formula of exact instances lost the `4^N` independence
 /// family, which renumbered every auxiliary the exchanged clauses mention.
-pub const PROTOCOL_VERSION: u32 = 6;
+/// Version 7 changed no frame: the `Job` payload lost the lane-policy
+/// fields (sharing, budgets, concurrency) that a v6 worker requires.
+pub const PROTOCOL_VERSION: u32 = 7;
 
 /// Upper bound on a *physical* frame body (tag + payload), chosen to
 /// keep a corrupt length prefix harmless. Logical frames larger than

@@ -15,7 +15,7 @@ const MAX_EVENTS_PER_KEY: usize = 2048;
 /// Bounded map from key (fingerprint) to recorded events. Insertion
 /// beyond the capacity evicts the oldest-inserted key. Appends to an
 /// existing key never evict another key, but drop that key's own oldest
-/// events beyond [`MAX_EVENTS_PER_KEY`].
+/// events beyond `MAX_EVENTS_PER_KEY`.
 #[derive(Debug)]
 pub struct TraceStore {
     inner: Mutex<StoreInner>,
