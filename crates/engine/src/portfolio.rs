@@ -72,21 +72,13 @@ pub enum BaselineKind {
 }
 
 impl BaselineKind {
-    /// The construction's name in lane names and on the shard wire.
+    /// The construction's name in lane names.
     pub fn name(self) -> &'static str {
         match self {
             BaselineKind::JordanWigner => "jordan-wigner",
             BaselineKind::BravyiKitaev => "bravyi-kitaev",
             BaselineKind::TernaryTree => "ternary-tree",
         }
-    }
-
-    /// Inverse of [`name`](Self::name).
-    pub fn from_name(name: &str) -> Option<BaselineKind> {
-        use BaselineKind::*;
-        [JordanWigner, BravyiKitaev, TernaryTree]
-            .into_iter()
-            .find(|kind| kind.name() == name)
     }
 
     fn build(self, n: usize) -> MajoranaEncoding {
@@ -132,7 +124,8 @@ pub enum Strategy {
 }
 
 impl Strategy {
-    /// Human-readable lane name used in reports.
+    /// Human-readable lane name used in reports; a shard `Job` names
+    /// its lanes by it.
     pub fn name(&self) -> String {
         match self {
             Strategy::SatDescent {

@@ -381,20 +381,9 @@ impl WorkerReport {
             clauses_exported: doc.get("clauses_exported")?.as_usize()? as u64,
             clauses_imported: doc.get("clauses_imported")?.as_usize()? as u64,
             clauses_promoted: doc.get("clauses_promoted")?.as_usize()? as u64,
-            // Tolerant: reports written before this counter existed parse
-            // as zero rather than failing the merge.
-            imported_reasons: doc
-                .get("imported_reasons")
-                .and_then(Value::as_usize)
-                .unwrap_or(0) as u64,
-            propagations: doc
-                .get("propagations")
-                .and_then(Value::as_usize)
-                .unwrap_or(0) as u64,
-            adapted_export_lbd: doc
-                .get("adapted_export_lbd")
-                .and_then(Value::as_usize)
-                .unwrap_or(0) as u32,
+            imported_reasons: doc.get("imported_reasons")?.as_usize()? as u64,
+            propagations: doc.get("propagations")?.as_usize()? as u64,
+            adapted_export_lbd: doc.get("adapted_export_lbd")?.as_usize()? as u32,
             shard: doc.get("shard").and_then(Value::as_usize),
         })
     }
@@ -527,6 +516,17 @@ mod tests {
     fn worker_report_from_json_rejects_torn_documents() {
         assert!(WorkerReport::from_json(&Value::Null).is_none());
         assert!(WorkerReport::from_json(&obj([("strategy", Value::Str("x".into()))])).is_none());
+        let whole = lane(Vec::new()).to_json();
+        assert!(WorkerReport::from_json(&whole).is_some());
+        // Every counter is required: a peer that passed the protocol
+        // check writes them all.
+        for field in ["imported_reasons", "propagations", "adapted_export_lbd"] {
+            let mut torn = whole.clone();
+            if let Value::Obj(fields) = &mut torn {
+                fields.remove(field);
+            }
+            assert!(WorkerReport::from_json(&torn).is_none(), "{field}");
+        }
         // A negative timestamp must not panic Duration construction.
         let mut good = EngineReport {
             fingerprint: String::new(),

@@ -229,12 +229,6 @@ impl FermionHamiltonian {
     pub fn is_hermitian(&self) -> bool {
         crate::majorana::MajoranaSum::from_fermion(self).is_hermitian(1e-10)
     }
-
-    /// Total number of individual operator factors across all terms
-    /// (a size diagnostic: the paper's clause counts scale with this).
-    pub fn num_operator_factors(&self) -> usize {
-        self.terms.iter().map(|t| t.ops.len()).sum()
-    }
 }
 
 #[cfg(test)]

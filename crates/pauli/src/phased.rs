@@ -57,11 +57,6 @@ impl PhasedString {
         &self.string
     }
 
-    /// Decomposes into parts.
-    pub fn into_parts(self) -> (Phase, PauliString) {
-        (self.phase, self.string)
-    }
-
     /// Number of qubits.
     #[inline]
     pub fn num_qubits(&self) -> usize {

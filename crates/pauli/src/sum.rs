@@ -1,6 +1,6 @@
 //! Weighted sums of Pauli strings — qubit Hamiltonians.
 
-use crate::{PauliString, PhasedString};
+use crate::PauliString;
 use mathkit::{CMatrix, Complex64};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -64,11 +64,6 @@ impl PauliSum {
         let mut s = PauliSum::new(string.num_qubits());
         s.add_term(string, coeff);
         s
-    }
-
-    /// A sum holding a phased string with an extra complex factor.
-    pub fn from_phased(p: &PhasedString, coeff: Complex64) -> Self {
-        PauliSum::from_term(p.string().clone(), coeff * p.coefficient())
     }
 
     /// Number of qubits.
@@ -169,11 +164,6 @@ impl PauliSum {
             m = &m + &s.to_matrix().scale(c);
         }
         m
-    }
-
-    /// Largest coefficient magnitude (`0` for the zero operator).
-    pub fn max_coefficient(&self) -> f64 {
-        self.terms.values().map(|c| c.abs()).fold(0.0, f64::max)
     }
 
     /// True when each coefficient is within `tol` of `other`'s.

@@ -207,12 +207,6 @@ impl Cnf {
         self.add_clause([!a, b]);
     }
 
-    /// Adds `a ↔ b`.
-    pub fn add_iff(&mut self, a: Lit, b: Lit) {
-        self.add_clause([!a, b]);
-        self.add_clause([a, !b]);
-    }
-
     /// Tseitin AND: returns `g` with `g ↔ a ∧ b` (3 clauses).
     pub fn and_gate(&mut self, a: Lit, b: Lit) -> Lit {
         let g = self.new_var().positive();

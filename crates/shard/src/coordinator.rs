@@ -80,8 +80,9 @@ pub fn default_worker_bin() -> Option<PathBuf> {
 }
 
 /// Compiles with lanes sharded across [`EngineConfig::shards`] worker
-/// processes. With fewer than 2 shards (or when no worker can be
-/// spawned) this degrades to the in-process [`engine::compile`].
+/// processes. With fewer than 2 shards, a caller-chosen portfolio (a
+/// worker builds only its own default lanes), or when no worker can be
+/// spawned, this degrades to the in-process [`engine::compile`].
 pub fn compile_sharded(problem: &EncodingProblem, config: &EngineConfig) -> EngineOutcome {
     let cache = config
         .cache_dir
@@ -107,7 +108,7 @@ pub fn compile_sharded_with(
     external_cancel: Option<&CancelToken>,
     options: &ShardOptions,
 ) -> EngineOutcome {
-    if config.shards < 2 {
+    if config.shards < 2 || !config.strategies.is_empty() {
         // Keep the caller's cache handle and cancellation token: a
         // degraded run must stay cancellable (server shutdown!) and its
         // cache traffic must land on the shared counters.

@@ -27,7 +27,7 @@
 use crate::link::{read_frames, spawn_writer, Event, Link, Outbox, Sent};
 use crate::race;
 use crate::wire::{write_frame, Frame, FrameRead, FrameReader, HELLO_ANY_SHARD, PROTOCOL_VERSION};
-use engine::{compile_cached, EngineConfig, EngineOutcome, SolutionCache};
+use engine::{compile_cached, compile_with, EngineConfig, EngineOutcome, SolutionCache};
 use fermihedral::EncodingProblem;
 use sat::CancelToken;
 use std::io::Write;
@@ -320,7 +320,9 @@ fn serve_connection(stream: TcpStream, peer_addr: SocketAddr, shared: &FleetShar
 /// [`crate::compile_sharded_with`]: shared cache, external cancellation,
 /// and the registered fleet as the transport. With no peers registered
 /// within the join window the race degrades to the in-process engine
-/// (the same total-loss containment as all-dead local workers).
+/// (the same total-loss containment as all-dead local workers); a
+/// caller-chosen portfolio races in-process from the start, because a
+/// worker builds only its own default lanes.
 pub fn compile_fleet_with(
     problem: &EncodingProblem,
     config: &EngineConfig,
@@ -328,6 +330,9 @@ pub fn compile_fleet_with(
     external_cancel: Option<&CancelToken>,
     server: &FleetServer,
 ) -> EngineOutcome {
+    if !config.strategies.is_empty() {
+        return compile_with(problem, config, cache, external_cancel);
+    }
     compile_cached(problem, config, cache, "shard.race", |input| {
         let mut link = server.link(external_cancel);
         let postmortem_dir = server.shared.options.postmortem_dir.as_deref();

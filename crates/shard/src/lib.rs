@@ -30,13 +30,16 @@
 //!    round-robin. Every peer announces itself through the server's
 //!    `Hello`/`Welcome` handshake, and one that speaks another
 //!    [`wire::PROTOCOL_VERSION`] never gets a job.
-//! 2. **The seat is armed**: its `Job` (problem, lanes, deadline, warm
-//!    hint), then the current incumbent `Bound`, then a replay of the
-//!    last [`race::CLAUSE_DIGEST`] clauses that crossed the bridge
+//! 2. **The seat is armed**: its `Job` (problem, lane names, deadline,
+//!    warm hint), then the current incumbent `Bound`, then a replay of
+//!    the last [`race::CLAUSE_DIGEST`] clauses that crossed the bridge
 //!    (minus its own). The same three things go to a seat that starts
 //!    late, to a newcomer that registers mid-race (it inherits a dead
 //!    seat's orphaned lanes when there are any), and to a worker that
-//!    reconnects under its old shard id.
+//!    reconnects under its old shard id. The worker builds the named
+//!    lanes from its own [`engine::default_portfolio`] and exits on a
+//!    job it cannot parse; a caller-chosen portfolio never leaves the
+//!    coordinator, it races in-process.
 //! 3. **The race.** Each worker's [`sat::SharedContext`] has a bridge
 //!    lane ([`sat::RemoteExchange`]); exported clauses stream to the
 //!    coordinator, which forwards them to every racing shard except

@@ -22,8 +22,8 @@ use std::time::{Duration, Instant};
 pub enum Event {
     /// A peer completed the transport's own handshake and holds `shard`;
     /// `rejoin` when it reclaimed a seat it held on an earlier
-    /// connection. (The race also accepts an in-band [`Frame::Hello`]
-    /// from a link without a handshake of its own.)
+    /// connection. This is the only way a peer joins: a [`Frame::Hello`]
+    /// that reaches the race is ignored.
     Joined { shard: usize, rejoin: bool },
     /// A frame from `shard`, read off connection number `generation` at
     /// `at`.
@@ -64,8 +64,8 @@ pub struct PeerExit {
 /// clocks are kept, and the peers' lifetimes are somebody else's.
 pub trait Link {
     /// The shards taking part from the start; each announces itself with
-    /// [`Event::Joined`] or [`Frame::Hello`] (or [`Event::Gone`], if it
-    /// never got that far). May wait for peers to show up.
+    /// [`Event::Joined`] (or [`Event::Gone`], if it never got that far).
+    /// May wait for peers to show up.
     fn muster(&mut self) -> Vec<usize>;
     /// The next event, waiting up to `timeout` for one: `Timeout` when
     /// none arrived, `Disconnected` when none can arrive any more (every

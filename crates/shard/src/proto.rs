@@ -1,11 +1,16 @@
-//! JSON payloads carried inside [`crate::wire`] `Job` and `Result` frames.
+//! JSON payloads carried inside [`crate::wire`] `Job`, `Result`,
+//! `BlackBox` and `Incumbent` frames.
 //!
 //! The frame layer ([`crate::wire`]) is deliberately ignorant of what a job
-//! or a result *is*; this module owns those two schemas. Everything is
+//! or a result *is*; this module owns those four schemas. Everything is
 //! explicit field-by-field (de)serialization over `jsonkit` — the
 //! container has no serde — and every parser returns `Option`/`Err`
 //! instead of panicking, because the bytes come from another process
 //! that may have been killed mid-write.
+//!
+//! A job names its lanes by [`Strategy::name`] and never describes them:
+//! the worker rebuilds each one from its own [`default_portfolio`] of the
+//! job's problem, and refuses a job naming a lane it cannot build.
 //!
 //! The job carries the coordinator's fingerprint of the problem; the
 //! worker recomputes it after parsing and refuses on mismatch. Clause
@@ -13,12 +18,11 @@
 //! so any schema drift must fail loudly before a single clause moves.
 
 use engine::{
-    strings_from_json, strings_to_json, BaselineKind, EngineConfig, Strategy, WorkerReport,
+    default_portfolio, strings_from_json, strings_to_json, EngineConfig, Strategy, WorkerReport,
 };
-use fermihedral::{AnnealConfig, EncodingProblem};
+use fermihedral::EncodingProblem;
 use jsonkit::{obj, Value};
 use pauli::PauliString;
-use sat::{ExportLbd, RestartPolicyKind};
 use std::time::Duration;
 
 /// A work assignment for one shard: the problem, this shard's lanes, and
@@ -34,7 +38,7 @@ pub struct Job {
     pub fingerprint: String,
     /// The problem, identical in every shard.
     pub problem: EncodingProblem,
-    /// The lanes this shard races.
+    /// The lanes this shard races; on the wire, their names.
     pub strategies: Vec<Strategy>,
     /// Wall-clock budget (the coordinator enforces it too, with grace).
     pub total_timeout: Option<Duration>,
@@ -66,15 +70,13 @@ impl Job {
 
     /// Serializes to the `Job` frame payload.
     pub fn to_bytes(&self) -> Vec<u8> {
+        let lanes = self.strategies.iter().map(|s| Value::Str(s.name()));
         obj([
             ("shard", Value::Num(self.shard as f64)),
             ("total_shards", Value::Num(self.total_shards as f64)),
             ("fingerprint", Value::Str(self.fingerprint.clone())),
             ("problem", engine::problem_to_json(&self.problem)),
-            (
-                "strategies",
-                Value::Arr(self.strategies.iter().map(strategy_json).collect()),
-            ),
+            ("strategies", Value::Arr(lanes.collect())),
             (
                 "total_timeout_ms",
                 self.total_timeout
@@ -108,6 +110,31 @@ impl Job {
                 .and_then(Value::as_usize)
                 .ok_or_else(|| format!("job field {name:?} missing or mistyped"))
         };
+        // The workspace-wide problem schema ([`engine::problemio`]); no
+        // mode cap — the coordinator already built the problem it ships.
+        let problem = engine::problem_from_json(
+            doc.get("problem").ok_or("job field \"problem\" missing")?,
+            None,
+        )?;
+        let portfolio = default_portfolio(&problem);
+        let strategies = doc
+            .get("strategies")
+            .and_then(Value::as_arr)
+            .ok_or("job field \"strategies\" missing")?
+            .iter()
+            .map(|name| {
+                let name = name.as_str().ok_or("job lane name mistyped")?;
+                let lane = portfolio.iter().find(|lane| lane.name() == name);
+                lane.cloned().ok_or_else(|| {
+                    format!("job names lane {name:?} that this worker's portfolio lacks")
+                })
+            })
+            .collect::<Result<Vec<_>, String>>()?;
+        let trace_id = match doc.get("trace_id") {
+            Some(Value::Null) => None,
+            Some(Value::Str(id)) => Some(id.clone()),
+            _ => return Err("job field \"trace_id\" missing or mistyped".to_string()),
+        };
         Ok(Job {
             shard: usize_field("shard")?,
             total_shards: usize_field("total_shards")?,
@@ -116,17 +143,8 @@ impl Job {
                 .and_then(Value::as_str)
                 .ok_or("job field \"fingerprint\" missing")?
                 .to_string(),
-            problem: engine::problem_from_json(
-                doc.get("problem").ok_or("job field \"problem\" missing")?,
-                None,
-            )?,
-            strategies: doc
-                .get("strategies")
-                .and_then(Value::as_arr)
-                .ok_or("job field \"strategies\" missing")?
-                .iter()
-                .map(strategy_from_json)
-                .collect::<Result<Vec<_>, _>>()?,
+            problem,
+            strategies,
             total_timeout: match doc.get("total_timeout_ms") {
                 None | Some(Value::Null) => None,
                 Some(v) => Some(Duration::from_millis(
@@ -134,11 +152,7 @@ impl Job {
                 )),
             },
             warm_hint: strings_from_json(&doc, "warm_hint")?,
-            // Tolerant: jobs written before tracing existed mean "off".
-            trace_id: doc
-                .get("trace_id")
-                .and_then(Value::as_str)
-                .map(str::to_string),
+            trace_id,
         })
     }
 }
@@ -214,7 +228,7 @@ impl ShardResult {
             workers: doc
                 .get("workers")
                 .and_then(Value::as_arr)
-                .unwrap_or(&[])
+                .ok_or("result field \"workers\" missing")?
                 .iter()
                 .map(WorkerReport::from_json)
                 .collect::<Option<Vec<_>>>()
@@ -353,256 +367,64 @@ impl IncumbentUpdate {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Problem and strategy (de)serialization
-// ---------------------------------------------------------------------------
-
-// Problem documents use the workspace-wide schema shared with the HTTP
-// API ([`engine::problemio`]); the wire passes no mode cap — the
-// coordinator already built the problem it is shipping.
-
-/// `u64` values (seeds) travel as decimal strings: JSON numbers
-/// are `f64` in this workspace's parser, which silently rounds integers
-/// above 2^53 — a corrupted seed would race the wrong lane.
-fn u64_json(value: u64) -> Value {
-    Value::Str(value.to_string())
-}
-
-fn u64_from_json(doc: &Value, name: &str) -> Result<u64, String> {
-    match doc.get(name) {
-        Some(Value::Str(s)) => s
-            .parse()
-            .map_err(|_| format!("field {name:?} is not a u64 string")),
-        Some(v) => v
-            .as_usize()
-            .map(|n| n as u64)
-            .ok_or_else(|| format!("field {name:?} missing or mistyped")),
-        None => Err(format!("field {name:?} missing")),
-    }
-}
-
-fn baseline_from_json(doc: &Value) -> Result<BaselineKind, String> {
-    let name = (doc.get("base").and_then(Value::as_str)).ok_or("strategy \"base\" missing")?;
-    BaselineKind::from_name(name).ok_or_else(|| format!("unknown baseline {name:?}"))
-}
-
-fn restart_json(kind: RestartPolicyKind) -> Value {
-    match kind {
-        RestartPolicyKind::Luby { unit } => obj([
-            ("kind", Value::Str("luby".into())),
-            ("unit", Value::Num(unit as f64)),
-        ]),
-        RestartPolicyKind::Geometric { initial, factor } => obj([
-            ("kind", Value::Str("geometric".into())),
-            ("initial", Value::Num(initial as f64)),
-            ("factor", Value::Num(factor)),
-        ]),
-        RestartPolicyKind::Fixed { interval } => obj([
-            ("kind", Value::Str("fixed".into())),
-            ("interval", Value::Num(interval as f64)),
-        ]),
-    }
-}
-
-fn restart_from_json(doc: &Value) -> Result<RestartPolicyKind, String> {
-    let num = |name: &str| -> Result<u64, String> {
-        doc.get(name)
-            .and_then(Value::as_usize)
-            .map(|n| n as u64)
-            .ok_or_else(|| format!("restart field {name:?} missing or mistyped"))
-    };
-    match doc.get("kind").and_then(Value::as_str) {
-        Some("luby") => Ok(RestartPolicyKind::Luby { unit: num("unit")? }),
-        Some("geometric") => Ok(RestartPolicyKind::Geometric {
-            initial: num("initial")?,
-            factor: doc
-                .get("factor")
-                .and_then(Value::as_f64)
-                .filter(|f| f.is_finite() && *f >= 1.0)
-                .ok_or("restart \"factor\" missing or out of range")?,
-        }),
-        Some("fixed") => Ok(RestartPolicyKind::Fixed {
-            interval: num("interval")?,
-        }),
-        other => Err(format!("unknown restart kind {other:?}")),
-    }
-}
-
-fn strategy_json(strategy: &Strategy) -> Value {
-    match strategy {
-        Strategy::SatDescent {
-            seed,
-            random_branch,
-            bk_phase_hint,
-            restart,
-            export_lbd,
-        } => obj([
-            ("kind", Value::Str("sat-descent".into())),
-            ("seed", u64_json(*seed)),
-            ("random_branch", Value::Num(*random_branch)),
-            ("bk_phase_hint", Value::Bool(*bk_phase_hint)),
-            ("restart", restart_json(*restart)),
-            ("export_lbd_floor", Value::Num(export_lbd.floor as f64)),
-            ("export_lbd_initial", Value::Num(export_lbd.initial as f64)),
-            ("export_lbd_ceiling", Value::Num(export_lbd.ceiling as f64)),
-        ]),
-        Strategy::Anneal { base, schedule } => obj([
-            ("kind", Value::Str("anneal".into())),
-            ("base", Value::Str(base.name().into())),
-            ("t0", Value::Num(schedule.t0)),
-            ("t1", Value::Num(schedule.t1)),
-            ("alpha", Value::Num(schedule.alpha)),
-            ("iterations", Value::Num(schedule.iterations as f64)),
-            ("k", Value::Num(schedule.k)),
-            ("seed", u64_json(schedule.seed)),
-            (
-                "reseed_t0",
-                schedule.reseed_t0.map_or(Value::Null, Value::Num),
-            ),
-        ]),
-        Strategy::Baseline(kind) => obj([
-            ("kind", Value::Str("baseline".into())),
-            ("base", Value::Str(kind.name().into())),
-        ]),
-    }
-}
-
-fn strategy_from_json(doc: &Value) -> Result<Strategy, String> {
-    let float = |name: &str| -> Result<f64, String> {
-        doc.get(name)
-            .and_then(Value::as_f64)
-            .filter(|f| f.is_finite())
-            .ok_or_else(|| format!("strategy field {name:?} missing or mistyped"))
-    };
-    match doc.get("kind").and_then(Value::as_str) {
-        Some("sat-descent") => Ok(Strategy::SatDescent {
-            seed: u64_from_json(doc, "seed")?,
-            random_branch: float("random_branch")?,
-            bk_phase_hint: doc
-                .get("bk_phase_hint")
-                .and_then(Value::as_bool)
-                .ok_or("strategy \"bk_phase_hint\" missing")?,
-            restart: restart_from_json(doc.get("restart").ok_or("strategy \"restart\" missing")?)?,
-            export_lbd: {
-                let bound = |name: &str| -> Result<u32, String> {
-                    doc.get(name)
-                        .and_then(Value::as_usize)
-                        .map(|v| v as u32)
-                        .ok_or_else(|| format!("strategy field {name:?} missing or mistyped"))
-                };
-                ExportLbd {
-                    floor: bound("export_lbd_floor")?,
-                    initial: bound("export_lbd_initial")?,
-                    ceiling: bound("export_lbd_ceiling")?,
-                }
-                .normalized()
-            },
-        }),
-        Some("anneal") => Ok(Strategy::Anneal {
-            base: baseline_from_json(doc)?,
-            schedule: AnnealConfig {
-                t0: float("t0")?,
-                t1: float("t1")?,
-                alpha: float("alpha")?,
-                iterations: doc
-                    .get("iterations")
-                    .and_then(Value::as_usize)
-                    .ok_or("strategy \"iterations\" missing")?,
-                k: float("k")?,
-                seed: u64_from_json(doc, "seed")?,
-                cancel: None,
-                reseed_t0: match doc.get("reseed_t0") {
-                    None | Some(Value::Null) => None,
-                    Some(v) => Some(
-                        v.as_f64()
-                            .filter(|f| f.is_finite())
-                            .ok_or("strategy \"reseed_t0\" mistyped")?,
-                    ),
-                },
-            },
-        }),
-        Some("baseline") => Ok(Strategy::Baseline(baseline_from_json(doc)?)),
-        other => Err(format!("unknown strategy kind {other:?}")),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use fermihedral::Objective;
     use fermion::MajoranaMonomial;
+    use std::collections::BTreeMap;
 
-    fn sample_job() -> Job {
-        let problem = EncodingProblem::full_sat(3, Objective::MajoranaWeight);
+    /// A job racing `problem`'s whole default portfolio.
+    fn job_for(problem: EncodingProblem) -> Job {
         Job {
             shard: 1,
             total_shards: 2,
             fingerprint: engine::fingerprint(&problem).to_hex(),
+            strategies: default_portfolio(&problem),
             problem,
-            strategies: vec![
-                Strategy::SatDescent {
-                    seed: 7,
-                    random_branch: 0.05,
-                    bk_phase_hint: true,
-                    restart: RestartPolicyKind::Geometric {
-                        initial: 100,
-                        factor: 1.5,
-                    },
-                    export_lbd: ExportLbd {
-                        floor: 2,
-                        initial: 5,
-                        ceiling: 9,
-                    },
-                },
-                Strategy::Anneal {
-                    base: BaselineKind::BravyiKitaev,
-                    schedule: AnnealConfig::default(),
-                },
-                Strategy::Baseline(BaselineKind::TernaryTree),
-            ],
             total_timeout: Some(Duration::from_millis(1500)),
             warm_hint: None,
             trace_id: Some("fp-1234".into()),
         }
     }
 
-    #[test]
-    fn job_round_trips() {
-        let job = sample_job();
-        let back = Job::from_bytes(&job.to_bytes()).expect("parses");
-        assert_eq!(back.warm_hint, None);
-        assert_eq!(back.trace_id, job.trace_id);
-        assert_eq!(back.shard, job.shard);
-        assert_eq!(back.total_shards, job.total_shards);
-        assert_eq!(back.fingerprint, job.fingerprint);
-        assert_eq!(back.total_timeout, job.total_timeout);
-        // The problem round-trips semantically: same fingerprint.
-        assert_eq!(engine::fingerprint(&back.problem).to_hex(), job.fingerprint);
-        // Strategies survive by name (names encode every knob but the
-        // anneal schedule, which is asserted separately).
-        let names: Vec<String> = back.strategies.iter().map(Strategy::name).collect();
-        let expect: Vec<String> = job.strategies.iter().map(Strategy::name).collect();
-        assert_eq!(names, expect);
-        match (&back.strategies[1], &job.strategies[1]) {
-            (Strategy::Anneal { schedule: b, .. }, Strategy::Anneal { schedule: a, .. }) => {
-                assert_eq!(b.t0, a.t0);
-                assert_eq!(b.iterations, a.iterations);
-                assert_eq!(b.reseed_t0, a.reseed_t0);
-            }
-            _ => panic!("anneal lane lost"),
-        }
+    fn sample_job() -> Job {
+        job_for(EncodingProblem::full_sat(3, Objective::MajoranaWeight))
+    }
+
+    fn hamiltonian_problem() -> EncodingProblem {
+        let monomials = vec![
+            MajoranaMonomial::from_sorted(vec![0, 1]),
+            MajoranaMonomial::from_sorted(vec![2, 3]),
+            MajoranaMonomial::from_sorted(vec![0, 1, 2, 3]),
+        ];
+        EncodingProblem::new(2, Objective::HamiltonianWeight(monomials))
     }
 
     #[test]
-    fn job_without_trace_id_parses_as_off() {
-        // Jobs from a pre-tracing coordinator omit the field entirely.
-        let text = String::from_utf8(sample_job().to_bytes()).unwrap();
-        let mut doc = jsonkit::parse(&text).unwrap();
-        if let Value::Obj(fields) = &mut doc {
-            fields.remove("trace_id");
+    fn job_round_trips() {
+        for job in [sample_job(), job_for(hamiltonian_problem())] {
+            let back = Job::from_bytes(&job.to_bytes()).expect("parses");
+            assert_eq!(back.warm_hint, None);
+            assert_eq!(back.trace_id, job.trace_id);
+            assert_eq!(back.shard, job.shard);
+            assert_eq!(back.total_shards, job.total_shards);
+            assert_eq!(back.fingerprint, job.fingerprint);
+            assert_eq!(back.total_timeout, job.total_timeout);
+            // The problem round-trips semantically: same fingerprint.
+            assert_eq!(engine::fingerprint(&back.problem).to_hex(), job.fingerprint);
+            // Lanes travel by name and resolve to exactly the lanes sent,
+            // anneal schedule included.
+            assert_eq!(
+                format!("{:?}", back.strategies),
+                format!("{:?}", job.strategies)
+            );
         }
-        let back = Job::from_bytes(doc.to_json().as_bytes()).expect("parses");
-        assert_eq!(back.trace_id, None);
+        let hamiltonian = job_for(hamiltonian_problem());
+        assert!(hamiltonian
+            .strategies
+            .iter()
+            .any(|lane| matches!(lane, Strategy::Anneal { .. })));
     }
 
     #[test]
@@ -624,15 +446,7 @@ mod tests {
 
     #[test]
     fn hamiltonian_objective_round_trips() {
-        let monomials = vec![
-            MajoranaMonomial::from_sorted(vec![0, 1]),
-            MajoranaMonomial::from_sorted(vec![2, 3]),
-            MajoranaMonomial::from_sorted(vec![0, 1, 2, 3]),
-        ];
-        let problem = EncodingProblem::new(2, Objective::HamiltonianWeight(monomials)).clone();
-        let mut job = sample_job();
-        job.fingerprint = engine::fingerprint(&problem).to_hex();
-        job.problem = problem;
+        let job = job_for(hamiltonian_problem());
         let back = Job::from_bytes(&job.to_bytes()).expect("parses");
         assert_eq!(engine::fingerprint(&back.problem).to_hex(), job.fingerprint);
     }
@@ -659,6 +473,15 @@ mod tests {
         assert_eq!(back.strings, result.strings);
     }
 
+    /// `payload` with its top-level fields edited.
+    fn edited<R>(payload: &[u8], edit: impl FnOnce(&mut BTreeMap<String, Value>) -> R) -> Vec<u8> {
+        let mut doc = jsonkit::parse(std::str::from_utf8(payload).unwrap()).unwrap();
+        if let Value::Obj(fields) = &mut doc {
+            edit(fields);
+        }
+        doc.to_json().into_bytes()
+    }
+
     #[test]
     fn torn_payloads_fail_structured() {
         assert!(Job::from_bytes(b"{\"shard\": 1").is_err());
@@ -669,18 +492,26 @@ mod tests {
         for cut in [1, bytes.len() / 2, bytes.len() - 1] {
             assert!(Job::from_bytes(&bytes[..cut]).is_err(), "cut at {cut}");
         }
-        // Every export bound is required: a strategy without one fails,
-        // naming the field, instead of racing a default filter.
-        let mut doc = jsonkit::parse(std::str::from_utf8(&bytes).unwrap()).unwrap();
-        if let Value::Obj(fields) = &mut doc {
-            if let Some(Value::Arr(strategies)) = fields.get_mut("strategies") {
-                if let Value::Obj(descent) = &mut strategies[0] {
-                    descent.remove("export_lbd_initial");
-                }
+        // A lane this worker's portfolio lacks fails, naming the lane,
+        // instead of racing something else.
+        let unknown = edited(&bytes, |fields| {
+            if let Some(Value::Arr(lanes)) = fields.get_mut("strategies") {
+                lanes[0] = Value::Str("sat-descent[seed=99]".into());
             }
-        }
-        let err = Job::from_bytes(doc.to_json().as_bytes()).unwrap_err();
-        assert!(err.contains("export_lbd_initial"), "{err}");
+        });
+        let err = Job::from_bytes(&unknown).unwrap_err();
+        assert!(err.contains("sat-descent[seed=99]"), "{err}");
+        // `trace_id` is required; `null` means off.
+        let untraced = edited(&bytes, |fields| fields.remove("trace_id"));
+        assert!(Job::from_bytes(&untraced).is_err());
+        let off = edited(&bytes, |fields| {
+            fields.insert("trace_id".into(), Value::Null)
+        });
+        assert_eq!(Job::from_bytes(&off).unwrap().trace_id, None);
+        // A result without its lane timelines is torn.
+        let result = edited(&ShardResult::default().to_bytes(), |f| f.remove("workers"));
+        let err = ShardResult::from_bytes(&result).unwrap_err();
+        assert!(err.contains("workers"), "{err}");
     }
 
     #[test]

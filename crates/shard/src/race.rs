@@ -491,16 +491,6 @@ impl Race<'_> {
             // else from a stale connection drops.
             Frame::Incumbent(payload) => self.record_incumbent(shard, &payload),
             _ if !current => {}
-            Frame::Hello { protocol, .. } => {
-                if protocol == PROTOCOL_VERSION {
-                    self.join(shard, false);
-                } else {
-                    let why = format!(
-                        "worker speaks protocol {protocol}, not {PROTOCOL_VERSION}; dropping it"
-                    );
-                    self.bury(shard, Level::Error, &why);
-                }
-            }
             Frame::Clause(RemoteClause { clause, .. }) => {
                 self.seats[shard].report.clauses_sent += 1;
                 // After Cancel, workers stop reading; the race is
@@ -589,8 +579,12 @@ impl Race<'_> {
             // rides every shipment, so older payloads are subsets of it.
             Frame::BlackBox(payload) => self.seats[shard].black_box = Some(payload),
             // Coordinator-bound traffic only: the rest is not a worker's
-            // to send.
-            Frame::Welcome { .. } | Frame::Heartbeat { .. } | Frame::Job(_) | Frame::Cancel => {}
+            // to send (its `Hello` ended with the link's handshake).
+            Frame::Hello { .. }
+            | Frame::Welcome { .. }
+            | Frame::Heartbeat { .. }
+            | Frame::Job(_)
+            | Frame::Cancel => {}
         }
     }
 

@@ -60,7 +60,9 @@ use std::io::{self, Read, Write};
 /// family, which renumbered every auxiliary the exchanged clauses mention.
 /// Version 7 changed no frame: the `Job` payload lost the lane-policy
 /// fields (sharing, budgets, concurrency) that a v6 worker requires.
-pub const PROTOCOL_VERSION: u32 = 7;
+/// Version 8 changed no frame: the `Job` payload names its lanes instead
+/// of describing them.
+pub const PROTOCOL_VERSION: u32 = 8;
 
 /// Upper bound on a *physical* frame body (tag + payload), chosen to
 /// keep a corrupt length prefix harmless. Logical frames larger than

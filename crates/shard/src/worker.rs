@@ -6,9 +6,10 @@
 //! 1. connect and send `Hello { shard, protocol }` (a seat id to claim,
 //!    or [`HELLO_ANY_SHARD`]); the coordinator answers `Welcome` with
 //!    the granted seat, and both sides verify [`PROTOCOL_VERSION`];
-//! 2. receive `Job` (problem + lane assignment); verify the problem
-//!    fingerprint — clause frames are only sound between processes
-//!    solving the identical CNF;
+//! 2. receive `Job` (problem + lane names, built from this worker's own
+//!    default portfolio); verify the problem fingerprint — clause frames
+//!    are only sound between processes solving the identical CNF. A job
+//!    that fails either check ends the process;
 //! 3. race via [`engine::compile_bridged`], while
 //!    * the session's **reader** thread applies incoming frames
 //!      (`Clause` → [`sat::RemoteExchange::inject`], `Bound` → tighten
@@ -136,8 +137,9 @@ fn apply_race_frame(bridge: &RaceBridge, remote_bound: &AtomicUsize, frame: Fram
 /// reader applies incoming frames through it.
 ///
 /// Returns a process exit code: `0` on a clean run, `1` when the
-/// coordinator's stream died, `3` on a fingerprint mismatch, `4` if the
-/// race thread panicked.
+/// coordinator's stream died, `3` on a fingerprint mismatch (the session
+/// ends the same way on a `Job` it cannot parse), `4` if the race thread
+/// panicked.
 fn race_job(shard: usize, job: &Job, mut output: impl Write, router: &Mutex<FrameRouter>) -> i32 {
     let local_fp = engine::fingerprint(&job.problem).to_hex();
     if local_fp != job.fingerprint {
@@ -376,6 +378,9 @@ pub fn run_worker_fleet(addr: &str, options: &FleetWorkerOptions) -> i32 {
 /// applied straight to the bridge by the reader thread.
 enum SessionMsg {
     Job(Box<Job>),
+    /// A `Job` this worker cannot parse: the session ends, so the
+    /// coordinator sees the seat go instead of waiting out its deadline.
+    BadJob,
     Gone,
 }
 
@@ -526,6 +531,8 @@ fn fleet_session(mut stream: &TcpStream, shard: &mut Option<usize>) -> SessionEn
                                 shard = assigned,
                                 error = e,
                             );
+                            let _ = msg_tx.send(SessionMsg::BadJob);
+                            return false;
                         }
                     },
                     Frame::Heartbeat { .. } | Frame::Welcome { .. } => {}
@@ -554,6 +561,7 @@ fn fleet_session(mut stream: &TcpStream, shard: &mut Option<usize>) -> SessionEn
                         fatal => return SessionEnd::Fatal(fatal),
                     }
                 }
+                Ok(SessionMsg::BadJob) => return SessionEnd::Fatal(3),
                 Ok(SessionMsg::Gone) => return SessionEnd::Disconnected,
                 Err(mpsc::RecvTimeoutError::Timeout) => {
                     heartbeat_seq += 1;

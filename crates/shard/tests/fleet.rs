@@ -10,10 +10,17 @@
 //!   (rejoin), hand it the incumbent bound, and still certify. This one
 //!   races N = 5 (optimum 22): seconds-long, so every kill delay lands
 //!   mid-race, where the N = 4 race is over in ~150 ms.
+//! * **Handshake and job refusals**, each against a raw socket: a peer
+//!   speaking another protocol version is refused at `Hello` and never
+//!   registers, and a worker handed a `Job` it cannot parse exits
+//!   instead of holding its seat until the race's deadline.
 
 use engine::EngineConfig;
 use fermihedral::{EncodingProblem, Objective};
+use shard::wire::{write_frame, Frame, FrameRead, FrameReader, HELLO_ANY_SHARD, PROTOCOL_VERSION};
 use shard::{compile_fleet_with, measure_weight, FleetOptions, FleetServer};
+use std::io::Write;
+use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
@@ -212,4 +219,71 @@ fn killed_fleet_worker_rejoins_and_the_race_still_certifies() {
         "no attempt caught the race mid-flight:\n{}",
         misses.join("\n")
     );
+}
+
+/// The next frame off `stream`, or `None` at EOF; fails after 10 s of
+/// silence.
+fn next_frame(stream: &mut TcpStream, reader: &mut FrameReader) -> Option<Frame> {
+    stream
+        .set_read_timeout(Some(Duration::from_millis(100)))
+        .expect("read timeout");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        match reader.read(stream).expect("a well-formed stream") {
+            FrameRead::Frame { frame, .. } => return Some(frame),
+            FrameRead::Eof => return None,
+            FrameRead::Idle => assert!(Instant::now() < deadline, "peer silent for 10 s"),
+        }
+    }
+}
+
+#[test]
+fn a_peer_speaking_another_protocol_is_refused_at_the_handshake() {
+    let server = FleetServer::bind("127.0.0.1:0", FleetOptions::default()).expect("bind");
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    let hello = Frame::Hello {
+        shard: HELLO_ANY_SHARD,
+        protocol: PROTOCOL_VERSION + 1,
+    };
+    write_frame(&mut stream, &hello).expect("send Hello");
+    stream.flush().expect("flush");
+    let mut reader = FrameReader::new();
+    let refusal = Frame::Welcome {
+        shard: HELLO_ANY_SHARD,
+        protocol: PROTOCOL_VERSION,
+    };
+    assert_eq!(next_frame(&mut stream, &mut reader), Some(refusal));
+    assert_eq!(next_frame(&mut stream, &mut reader), None, "then EOF");
+    assert_eq!(server.peer_count(), 0, "a refused peer never registers");
+}
+
+#[test]
+fn a_worker_that_cannot_parse_its_job_exits_instead_of_holding_its_seat() {
+    // A hand-rolled coordinator: the worker's handshake, then a torn job.
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let mut worker = Worker::spawn(&listener.local_addr().unwrap().to_string(), None);
+    let (mut stream, _) = listener.accept().expect("the worker connects");
+    let mut reader = FrameReader::new();
+    match next_frame(&mut stream, &mut reader) {
+        Some(Frame::Hello { protocol, .. }) => assert_eq!(protocol, PROTOCOL_VERSION),
+        other => panic!("expected Hello, got {other:?}"),
+    }
+    let welcome = Frame::Welcome {
+        shard: 0,
+        protocol: PROTOCOL_VERSION,
+    };
+    write_frame(&mut stream, &welcome).expect("send Welcome");
+    write_frame(&mut stream, &Frame::Job(b"not json".to_vec())).expect("send Job");
+    stream.flush().expect("flush");
+
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let status = loop {
+        if let Some(status) = worker.0.try_wait().expect("poll the worker") {
+            break status;
+        }
+        // Dropping `worker` kills it, so a failure here leaks nothing.
+        assert!(Instant::now() < deadline, "worker still running after 10 s");
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    assert!(!status.success(), "a bad job must end the worker: {status}");
 }

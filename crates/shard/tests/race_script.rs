@@ -9,7 +9,7 @@ use fermihedral::{EncodingProblem, Objective};
 use pauli::PauliString;
 use sat::{SharedClause, Var};
 use shard::link::{Event, Link, PeerExit, Sent};
-use shard::wire::{Frame, RemoteClause, PROTOCOL_VERSION};
+use shard::wire::{Frame, RemoteClause};
 use shard::{IncumbentUpdate, Job, ShardResult};
 use std::collections::VecDeque;
 use std::sync::mpsc::RecvTimeoutError;
@@ -136,14 +136,6 @@ fn frame(shard: usize, frame: Frame) -> Event {
     }
 }
 
-fn hello(shard: usize) -> Event {
-    let hello = Frame::Hello {
-        shard: shard as u32,
-        protocol: PROTOCOL_VERSION,
-    };
-    frame(shard, hello)
-}
-
 fn joined(shard: usize) -> Event {
     Event::Joined {
         shard,
@@ -204,7 +196,7 @@ fn clause(tag: u32, var: usize) -> Frame {
 /// a heavier encoding. The original numbers were 16 / 19 at N = 4; here
 /// 6 / 7 at N = 2.
 fn incumbent_loss_script(with_incumbent: bool) -> Vec<Event> {
-    let mut script = vec![hello(0), hello(1), frame(1, Frame::Bound(6))];
+    let mut script = vec![joined(0), joined(1), frame(1, Frame::Bound(6))];
     if with_incumbent {
         script.push(frame(1, incumbent(6, optimum())));
     }
@@ -325,10 +317,10 @@ fn a_clause_reaches_every_other_live_seat_and_never_its_sender() {
     let mut link = ScriptLink::new(
         &[0, 1, 2, 3],
         vec![
-            hello(0),
-            hello(1),
-            hello(2),
-            hello(3),
+            joined(0),
+            joined(1),
+            joined(2),
+            joined(3),
             gone(3),                // dead: gets nothing
             frame(1, clause(2, 5)), // shard 1, claiming to be shard 2
         ],
@@ -347,22 +339,6 @@ fn a_clause_reaches_every_other_live_seat_and_never_its_sender() {
     assert_eq!(received, [1, 0, 1, 0]);
 }
 
-// ---- (e) protocol versions -----------------------------------------------
-
-#[test]
-fn a_hello_with_the_wrong_protocol_version_never_gets_a_job() {
-    let wrong = Frame::Hello {
-        shard: 1,
-        protocol: PROTOCOL_VERSION + 1,
-    };
-    let mut link = ScriptLink::new(&[0, 1], vec![hello(0), frame(1, wrong)]);
-    let outcome = run(&mut link);
-    assert_eq!(link.kinds_to(0), ["job"]);
-    assert_eq!(link.kinds_to(1), [] as [&str; 0]);
-    assert_eq!(link.disconnected, [1]);
-    assert!(outcome.shards[1].dead);
-}
-
 // ---- (f) lying floors ----------------------------------------------------
 
 #[test]
@@ -370,8 +346,8 @@ fn a_floor_claim_above_a_validated_weight_is_discarded_at_merge() {
     let mut link = ScriptLink::new(
         &[0, 1],
         vec![
-            hello(0),
-            hello(1),
+            joined(0),
+            joined(1),
             frame(1, Frame::Floor(9)), // "nothing below 9 exists"
             frame(0, result(6, optimum(), Some(5))),
             frame(1, result(7, heavier(), None)),
@@ -388,8 +364,8 @@ fn a_floor_claim_above_a_validated_weight_is_discarded_at_merge() {
 /// Shard 0 decides the race; shard 1 then hangs up without a `Result`.
 fn wind_down_script() -> Vec<Event> {
     vec![
-        hello(0),
-        hello(1),
+        joined(0),
+        joined(1),
         frame(0, Frame::Bound(6)),
         frame(0, Frame::Floor(6)),
         gone(1),
@@ -457,8 +433,8 @@ fn a_malformed_wire_incumbent_is_dropped_not_a_panic() {
 fn a_malformed_shard_result_marks_the_seat_dead_not_a_panic() {
     for (what, bad) in malformed() {
         let script = vec![
-            hello(0),
-            hello(1),
+            joined(0),
+            joined(1),
             frame(1, result(6, bad, Some(6))),
             frame(0, result(7, heavier(), None)),
         ];

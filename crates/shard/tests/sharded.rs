@@ -9,8 +9,10 @@
 //!   can never report a result) and SIGKILL'd 300 ms into the race; the
 //!   coordinator must still certify the optimum from the surviving
 //!   shards and flag the dead one in the report.
+//! * **Custom portfolios**: a worker builds only its own default lanes,
+//!   so a caller-chosen portfolio races in-process, with no worker.
 
-use engine::{compile, EngineConfig};
+use engine::{compile, EngineConfig, Strategy};
 use fermihedral::{EncodingProblem, Objective};
 use shard::{compile_sharded_with, measure_weight, ShardOptions};
 use std::path::PathBuf;
@@ -84,6 +86,28 @@ fn differential_sharded_matches_in_process_on_full_sat() {
             report.workers.iter().filter_map(|w| w.shard).collect();
         assert_eq!(distinct.len(), 2, "N={modes}: lanes ran in both shards");
     }
+}
+
+#[test]
+fn a_caller_chosen_portfolio_races_in_process() {
+    // A worker builds only its own default lanes, so a one-lane custom
+    // portfolio must never be shipped to one.
+    let problem = EncodingProblem::full_sat(3, Objective::MajoranaWeight);
+    let config = EngineConfig {
+        strategies: vec![Strategy::SatDescent {
+            seed: 7,
+            random_branch: 0.0,
+            bk_phase_hint: true,
+            restart: sat::RestartPolicyKind::default(),
+            export_lbd: sat::ExportLbd::default(),
+        }],
+        ..sharded_config(2, Duration::from_secs(120))
+    };
+    let outcome = compile_sharded_with(&problem, &config, None, None, &options());
+    assert_valid_optimum(&problem, &outcome, "custom portfolio N=3");
+    assert_eq!(outcome.weight(), Some(11));
+    let shards = &outcome.report.shards;
+    assert!(shards.is_empty(), "no worker may race it: {shards:?}");
 }
 
 #[test]

@@ -220,11 +220,6 @@ pub fn set_json(json: bool) {
     state().json.store(json, Ordering::Relaxed);
 }
 
-/// Whether the sink is emitting JSON lines.
-pub fn is_json() -> bool {
-    state().json.load(Ordering::Relaxed)
-}
-
 /// Initializes the filter from `FERMIHEDRAL_LOG` (unset = `info`).
 /// `default_override` (e.g. `serve --log-level`) replaces the spec's
 /// default level but keeps its per-target directives.
