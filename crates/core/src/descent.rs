@@ -90,13 +90,6 @@ pub struct DescentConfig {
     /// Incumbent weight shared with concurrent searches of the same
     /// problem; see [`SharedBound`].
     pub shared_bound: Option<SharedBound>,
-    /// When a *per-call* budget (`conflict_budget`/`solve_timeout`) runs
-    /// out, keep descending with a fresh call — re-reading the shared bound
-    /// — instead of terminating. The learnt-clause database persists across
-    /// calls. Termination then comes from `total_timeout`, `cancel`, or an
-    /// UNSAT certificate; configure at least one, or the descent can spin
-    /// on an unsolvable step forever.
-    pub persist_on_budget: bool,
     /// Seed for the solver's branching randomization (portfolio
     /// diversity). `None` leaves the solver deterministic.
     pub solver_seed: Option<u64>,
@@ -192,7 +185,6 @@ impl Default for DescentConfig {
             phase_hint: None,
             cancel: None,
             shared_bound: None,
-            persist_on_budget: false,
             solver_seed: None,
             random_branch: 0.0,
             restart_policy: None,
@@ -309,7 +301,7 @@ fn hint_usable(instance: &EncodingInstance, strings: &[PauliString]) -> bool {
 /// the first call to exhaust a conflict budget is an anytime run — what it
 /// returns is the best-so-far — and searches without it.
 fn searches_ordered(search: &SearchFormula, config: &DescentConfig) -> bool {
-    let gives_up = config.conflict_budget.is_some() && !config.persist_on_budget;
+    let gives_up = config.conflict_budget.is_some();
     search.has_order_block() && !gives_up
 }
 
@@ -581,12 +573,6 @@ pub fn solve_optimal_instance(
                     result: StepResult::BudgetExceeded,
                     elapsed,
                 });
-                if config.persist_on_budget {
-                    // Keep grinding at the same step (learnt clauses are
-                    // retained); the loop head re-checks cancellation, the
-                    // shared bound, and the total timeout.
-                    continue;
-                }
                 break;
             }
             sat::SolveResult::Interrupted => {
@@ -679,9 +665,8 @@ mod tests {
 
     #[test]
     fn only_runs_to_the_certificate_search_the_ordered_formula() {
-        let config = |conflict_budget, persist_on_budget| DescentConfig {
+        let config = |conflict_budget| DescentConfig {
             conflict_budget,
-            persist_on_budget,
             ..DescentConfig::default()
         };
         // The selector is the input and what the run is for; the
@@ -691,19 +676,15 @@ mod tests {
                 .with_algebraic_independence(alg)
                 .build();
             let search = instance.search();
-            assert!(searches_ordered(&search, &config(None, false)));
-            assert!(searches_ordered(&search, &config(Some(1 << 20), true)));
-            assert!(!searches_ordered(&search, &config(Some(1 << 20), false)));
+            assert!(searches_ordered(&search, &config(None)));
+            assert!(!searches_ordered(&search, &config(Some(1 << 20))));
             let hamiltonian = EncodingProblem::new(
                 4,
                 Objective::HamiltonianWeight(vec![MajoranaMonomial::from_sorted(vec![0, 1])]),
             )
             .with_algebraic_independence(alg)
             .build();
-            assert!(!searches_ordered(
-                &hamiltonian.search(),
-                &config(None, false)
-            ));
+            assert!(!searches_ordered(&hamiltonian.search(), &config(None)));
             // Above the cap no run reaches its floor: a deadline-bound run
             // without a budget is an anytime run too.
             let large = EncodingProblem::new(
@@ -712,12 +693,12 @@ mod tests {
             )
             .with_algebraic_independence(alg)
             .build();
-            assert!(!searches_ordered(&large.search(), &config(None, false)));
+            assert!(!searches_ordered(&large.search(), &config(None)));
         }
         // With or without the block the optimum is the same, and a give-up
         // budget large enough still ends in the certificate.
         let instance = EncodingProblem::new(4, Objective::MajoranaWeight).build();
-        for run in [config(None, false), config(Some(1 << 20), false)] {
+        for run in [config(None), config(Some(1 << 20))] {
             let outcome = solve_optimal_instance(&instance, &run);
             assert_eq!(outcome.weight(), Some(16));
             assert!(outcome.optimal_proved);
@@ -791,33 +772,6 @@ mod tests {
         assert!(outcome.cancelled);
         assert!(outcome.best.is_none());
         assert!(outcome.steps.is_empty());
-    }
-
-    #[test]
-    fn persist_on_budget_keeps_descending() {
-        // A 1-conflict budget would normally terminate the descent almost
-        // immediately; with persist_on_budget it must still reach and
-        // prove the N=2 optimum (budget exhaustion only splits the work
-        // into many solver calls).
-        let config = DescentConfig {
-            conflict_budget: Some(1),
-            persist_on_budget: true,
-            total_timeout: Some(Duration::from_secs(60)),
-            ..DescentConfig::default()
-        };
-        let outcome = solve_optimal(
-            &EncodingProblem::full_sat(2, Objective::MajoranaWeight),
-            &config,
-        );
-        assert_eq!(outcome.weight(), Some(6));
-        assert!(outcome.optimal_proved);
-        assert!(
-            outcome
-                .steps
-                .iter()
-                .any(|s| s.result == StepResult::BudgetExceeded),
-            "the tiny budget must have been exceeded at least once"
-        );
     }
 
     #[test]

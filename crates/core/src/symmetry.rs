@@ -72,8 +72,8 @@
 //!   formula holds, and both settings search the same formula (see
 //!   [`crate::instance`]).
 //! * The descent loads it unless the run **gives up at its first exhausted
-//!   conflict budget** (`conflict_budget` set, `persist_on_budget` off):
-//!   such a run returns the best-so-far, not the certificate.
+//!   conflict budget** (`conflict_budget` set): such a run returns the
+//!   best-so-far, not the certificate.
 //!
 //! The selector is the input and what the run is for, not an option. Both
 //! halves stand for "this run ends in its floor proof". At `N ≤ 5` a run

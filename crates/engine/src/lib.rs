@@ -5,14 +5,15 @@
 //! scale (Section 4). This crate turns that loop into a *production
 //! service core*:
 //!
-//! * [`compile`] races a **portfolio** of strategies in worker threads —
+//! * [`compile`] races a **portfolio** of search lanes in worker threads —
 //!   SAT weight-descent lanes diversified by seed, random branching, and
-//!   restart schedule, simulated-annealing pair assignment, and classical
-//!   baselines — against one shared incumbent
-//!   ([`fermihedral::descent::SharedBound`]). Any lane's improvement
-//!   immediately tightens every other lane's bound; the first UNSAT
-//!   certificate proves the incumbent optimal and cancels the rest
-//!   ([`sat::CancelToken`]), so wall clock tracks the fastest lane.
+//!   restart schedule, and simulated-annealing pair assignment — against
+//!   one shared incumbent ([`fermihedral::descent::SharedBound`]), which
+//!   the classical constructions (ternary tree, Bravyi-Kitaev) open. Any
+//!   lane's improvement immediately tightens every other lane's bound;
+//!   the first UNSAT certificate proves the incumbent optimal and cancels
+//!   the rest ([`sat::CancelToken`]), so wall clock tracks the fastest
+//!   lane.
 //! * Descent lanes additionally exchange **learnt clauses** through a
 //!   [`sat::SharedContext`]: units, binaries, and low-LBD clauses one lane
 //!   paid conflicts for prune the same subtrees in every other lane.
@@ -56,8 +57,8 @@ pub use cache::{CacheCounters, CacheEntry, SizeIndex, SolutionCache};
 pub use fingerprint::{fingerprint, size_key, Fingerprint};
 pub use portfolio::{
     check_encoding, compile, compile_bridged, compile_cached, compile_with, cross_size_warm_start,
-    default_portfolio, measure_weight, partition_strategies, race_lanes, BaselineKind,
-    EngineConfig, EngineOutcome, RaceBridge, RaceInput, RaceOutcome, Strategy,
+    default_portfolio, measure_weight, partition_strategies, race_lanes, EngineConfig,
+    EngineOutcome, RaceBridge, RaceInput, RaceOutcome, Strategy,
 };
 pub use problemio::{problem_from_json, problem_to_json, strings_from_json, strings_to_json};
 pub use report::{

@@ -1,18 +1,20 @@
 //! The portfolio compilation engine.
 //!
-//! [`compile`] races several strategies in worker threads against one
+//! [`compile`] races several search lanes in worker threads against one
 //! shared incumbent:
 //!
 //! * **SAT weight descent** (`fermihedral::descent`) with distinct solver
 //!   seeds, random-branching fractions, and warm-start hints — the paper's
 //!   Algorithm 1, diversified;
-//! * **simulated annealing** (`fermihedral::anneal`) of the pair
-//!   assignment on top of a classical base encoding (Hamiltonian-dependent
-//!   objective only — pair permutations cannot change the
-//!   Hamiltonian-independent weight);
-//! * **classical baselines** (Jordan-Wigner / Bravyi-Kitaev / ternary
-//!   tree), which are instant, run before any lane thread starts, and
-//!   give the SAT workers a feasible bound to beat.
+//! * **simulated annealing** (`fermihedral::anneal`) of Bravyi-Kitaev's
+//!   pair assignment (Hamiltonian-dependent objective only — pair
+//!   permutations cannot change the Hamiltonian-independent weight).
+//!
+//! Every race opens at the classical constructions — the ternary tree,
+//! then Bravyi-Kitaev — each published, when it satisfies the problem's
+//! constraints, before any lane thread starts. The lanes therefore start
+//! from a feasible bound to beat (the paper's Section 3.6 opening bound),
+//! and no race returns worse than the best valid construction.
 //!
 //! Every worker publishes improvements to a [`SharedBound`], so any
 //! worker's find immediately tightens every other worker's next
@@ -59,38 +61,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// The classical constructions available as baseline/annealing-base
-/// strategies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BaselineKind {
-    /// Jordan-Wigner.
-    JordanWigner,
-    /// Bravyi-Kitaev (the paper's warm start).
-    BravyiKitaev,
-    /// The ternary tree of Jiang et al. (optimal average weight).
-    TernaryTree,
-}
-
-impl BaselineKind {
-    /// The construction's name in lane names.
-    pub fn name(self) -> &'static str {
-        match self {
-            BaselineKind::JordanWigner => "jordan-wigner",
-            BaselineKind::BravyiKitaev => "bravyi-kitaev",
-            BaselineKind::TernaryTree => "ternary-tree",
-        }
-    }
-
-    fn build(self, n: usize) -> MajoranaEncoding {
-        let (name, strings) = match self {
-            BaselineKind::JordanWigner => ("jw", LinearEncoding::jordan_wigner(n).majoranas()),
-            BaselineKind::BravyiKitaev => ("bk", LinearEncoding::bravyi_kitaev(n).majoranas()),
-            BaselineKind::TernaryTree => ("tt", TernaryTreeEncoding::new(n).majoranas()),
-        };
-        MajoranaEncoding::new(name, strings).expect("classical constructions are well-formed")
-    }
-}
-
 /// One lane of the portfolio.
 #[derive(Debug, Clone)]
 pub enum Strategy {
@@ -109,18 +79,15 @@ pub enum Strategy {
         /// tighter or looser; `ExportLbd::fixed` pins a lane.
         export_lbd: ExportLbd,
     },
-    /// Simulated-annealing pair assignment on a classical base encoding.
-    /// Falls back to publishing the base encoding itself under the
-    /// Hamiltonian-independent objective.
+    /// Simulated-annealing pair assignment on Bravyi-Kitaev. Under the
+    /// Hamiltonian-independent objective pair swaps cannot change the
+    /// weight, so the lane exits at once: the race's opening Bravyi-Kitaev
+    /// is all it could publish.
     Anneal {
-        /// The base encoding whose pair assignment is annealed.
-        base: BaselineKind,
         /// Annealing schedule (its `cancel` field is overridden by the
         /// engine's shared token).
         schedule: AnnealConfig,
     },
-    /// A classical construction published as-is.
-    Baseline(BaselineKind),
 }
 
 impl Strategy {
@@ -142,18 +109,17 @@ impl Strategy {
                 export_lbd.initial,
                 export_lbd.ceiling,
             ),
-            Strategy::Anneal { base, .. } => format!("anneal[{}]", base.name()),
-            Strategy::Baseline(kind) => format!("baseline[{}]", kind.name()),
+            Strategy::Anneal { .. } => "anneal[bravyi-kitaev]".to_string(),
         }
     }
 }
 
 /// The portfolio used when the caller does not specify one: three SAT
 /// descent lanes diversified by seed, random-branching fraction, *and*
-/// restart schedule (Luby / geometric / fixed interval), plus the
-/// ternary-tree and Bravyi-Kitaev baselines, and — for the
+/// restart schedule (Luby / geometric / fixed interval), plus — for the
 /// Hamiltonian-dependent objective — an annealing lane (the paper's
-/// Section 4.2 route).
+/// Section 4.2 route). The classical constructions are not lanes: they
+/// open every race.
 pub fn default_portfolio(problem: &EncodingProblem) -> Vec<Strategy> {
     let mut lanes = vec![
         Strategy::SatDescent {
@@ -191,12 +157,9 @@ pub fn default_portfolio(problem: &EncodingProblem) -> Vec<Strategy> {
                 ceiling: 12,
             },
         },
-        Strategy::Baseline(BaselineKind::TernaryTree),
-        Strategy::Baseline(BaselineKind::BravyiKitaev),
     ];
     if matches!(problem.objective(), Objective::HamiltonianWeight(_)) {
         lanes.push(Strategy::Anneal {
-            base: BaselineKind::BravyiKitaev,
             schedule: AnnealConfig::default(),
         });
     }
@@ -504,7 +467,7 @@ pub fn compile_bridged(
 }
 
 /// Splits `strategies` round-robin across `shards` worker processes, so
-/// lane diversity (seeds, restart schedules, baselines) spreads instead
+/// lane diversity (seeds, restart schedules, the annealer) spreads instead
 /// of clustering in one shard. Shards beyond the lane count are dropped:
 /// every returned partition is non-empty.
 pub fn partition_strategies(strategies: &[Strategy], shards: usize) -> Vec<Vec<Strategy>> {
@@ -890,6 +853,25 @@ pub fn race_lanes(
         });
     }
 
+    // The race opens at the classical constructions. They are instant, and
+    // everything after them depends on what they publish — a descent
+    // lane's first bound, whether the annealer finds an incumbent to adopt
+    // — so they are published here, in this order (a tie keeps the first),
+    // before any lane thread exists.
+    let n = problem.num_modes();
+    let constructions: [(&str, &dyn Encoding); 2] = [
+        ("baseline[ternary-tree]", &TernaryTreeEncoding::new(n)),
+        ("baseline[bravyi-kitaev]", &LinearEncoding::bravyi_kitaev(n)),
+    ];
+    for (name, construction) in constructions {
+        let strings = construction.majoranas();
+        if satisfies_problem(problem, &strings) {
+            let weight = measure(problem, &strings);
+            let strings = plain_strings(&strings);
+            incumbent.publish(BestEncoding { strings, weight }, name);
+        }
+    }
+
     let slots = &incumbent.signal;
     let run_lane = |strategy: &Strategy, lane_handle: Option<LaneHandle>| -> WorkerReport {
         let mut lane_span = telemetry::span("engine.lane");
@@ -924,18 +906,14 @@ pub fn race_lanes(
                 slots.release();
                 report
             }
-            Strategy::Anneal { base, schedule } => run_anneal_lane(
+            Strategy::Anneal { schedule } => run_anneal_lane(
                 problem,
-                *base,
                 schedule.clone(),
                 &incumbent,
                 deadline,
                 started,
                 strategy.name(),
             ),
-            Strategy::Baseline(kind) => {
-                run_baseline_lane(problem, *kind, &incumbent, started, strategy.name())
-            }
         };
         drop(exit);
         if lane_span.active() {
@@ -957,16 +935,7 @@ pub fn race_lanes(
         report
     };
 
-    // Baselines are instant and everything after them depends on what
-    // they publish — a descent lane's first bound, whether the annealer
-    // finds an incumbent to adopt. Run them here, in order, before any
-    // lane thread exists, so neither is left to the scheduler.
-    let mut reports: Vec<Option<WorkerReport>> = strategies
-        .iter()
-        .map(|s| matches!(s, Strategy::Baseline(_)).then(|| run_lane(s, None)))
-        .collect();
-
-    std::thread::scope(|scope| {
+    let workers = std::thread::scope(|scope| {
         // The total timeout: a waiter sleeps on the race signal until the
         // race is decided, its last lane exits, or the deadline passes,
         // and then raises the cancel flag — which stops even lanes that
@@ -985,19 +954,16 @@ pub fn race_lanes(
             });
         }
         let run_lane = &run_lane;
-        let handles: Vec<_> = (strategies.iter().zip(lane_handles).zip(&mut reports))
-            .filter(|(_, report)| report.is_none())
-            .map(|((strategy, lane_handle), report)| {
-                (scope.spawn(move || run_lane(strategy, lane_handle)), report)
-            })
+        let handles: Vec<_> = (strategies.iter().zip(lane_handles))
+            .map(|(strategy, lane_handle)| scope.spawn(move || run_lane(strategy, lane_handle)))
             .collect();
-        for (handle, report) in handles {
-            *report = Some(handle.join().expect("worker panicked"));
-        }
+        let workers = (handles.into_iter())
+            .map(|handle| handle.join().expect("worker panicked"))
+            .collect();
         // Raised whatever ended the race: bridge holders read it as over.
         incumbent.cancel.cancel();
+        workers
     });
-    let workers = reports.into_iter().flatten().collect();
 
     let (best, floor) = incumbent.snapshot();
     RaceOutcome {
@@ -1260,52 +1226,6 @@ fn plain_strings(strings: &[PhasedString]) -> Vec<PauliString> {
     strings.iter().map(|p| p.string().clone()).collect()
 }
 
-fn run_baseline_lane(
-    problem: &EncodingProblem,
-    kind: BaselineKind,
-    incumbent: &Incumbent,
-    engine_start: Instant,
-    name: String,
-) -> WorkerReport {
-    let started_at = engine_start.elapsed();
-    let encoding = kind.build(problem.num_modes());
-    let strings = encoding.majoranas();
-    let mut events = Vec::new();
-    let mut final_weight = None;
-    if satisfies_problem(problem, &strings) {
-        let weight = measure(problem, &strings);
-        incumbent.publish(
-            BestEncoding {
-                strings: plain_strings(&strings),
-                weight,
-            },
-            &name,
-        );
-        events.push(WorkerEvent {
-            at: engine_start.elapsed(),
-            kind: EventKind::Improved(weight),
-        });
-        final_weight = Some(weight);
-    }
-    WorkerReport {
-        strategy: name,
-        started_at,
-        finished_at: engine_start.elapsed(),
-        events,
-        final_weight,
-        proved_floor: None,
-        cancelled: false,
-        conflicts: 0,
-        propagations: 0,
-        clauses_exported: 0,
-        clauses_imported: 0,
-        clauses_promoted: 0,
-        imported_reasons: 0,
-        adapted_export_lbd: 0,
-        shard: None,
-    }
-}
-
 /// Waits on the race signal for an encoding strictly better than
 /// `my_best` to re-anneal from. Waits until `deadline` (the race's absolute
 /// end) when one is set; without a deadline only an *already available*
@@ -1342,7 +1262,6 @@ fn wait_for_better_incumbent(
 
 fn run_anneal_lane(
     problem: &EncodingProblem,
-    base: BaselineKind,
     mut schedule: AnnealConfig,
     incumbent: &Incumbent,
     deadline: Option<Instant>,
@@ -1351,10 +1270,14 @@ fn run_anneal_lane(
 ) -> WorkerReport {
     let slots = &incumbent.signal;
     // Pair permutation cannot change the summed Majorana weight, so under
-    // that objective the lane degenerates to its base encoding — instant
-    // work that does not occupy a heavy slot.
+    // that objective the opening Bravyi-Kitaev is all the lane could
+    // publish: it exits at once, without a heavy slot.
     let Objective::HamiltonianWeight(monomials) = problem.objective() else {
-        return run_baseline_lane(problem, base, incumbent, engine_start, name);
+        return WorkerReport {
+            events: Vec::new(),
+            cancelled: false,
+            ..skipped_lane(name, engine_start)
+        };
     };
     if !slots.acquire(&incumbent.cancel) {
         return skipped_lane(name, engine_start);
@@ -1365,9 +1288,10 @@ fn run_anneal_lane(
     let mut cancelled = false;
     schedule.cancel = Some(incumbent.cancel.clone());
 
-    let base_encoding = base.build(problem.num_modes());
-    let mut next = satisfies_problem(problem, &base_encoding.majoranas())
-        .then_some((base_encoding, /* reseeded: */ false));
+    let base = LinearEncoding::bravyi_kitaev(problem.num_modes()).majoranas();
+    let base = MajoranaEncoding::new("bk", base).expect("Bravyi-Kitaev is well-formed");
+    let mut next =
+        satisfies_problem(problem, &base.majoranas()).then_some((base, /* reseeded: */ false));
     let mut holding_slot = true;
     let mut round = 0u64;
 

@@ -10,10 +10,11 @@
 //!   its hit/miss/store counters accumulate across requests, which is what
 //!   a `/metrics` endpoint wants to export;
 //! * [`Engine::request_config`] maps a per-request deadline onto
-//!   [`EngineConfig::total_timeout`], and [`Engine::compile_with_deadline`]
-//!   threads an external [`CancelToken`] into the race it configures, so a
-//!   shutdown (or an abandoned request) cancels in-flight solver lanes
-//!   promptly and still gets the best-so-far encoding back;
+//!   [`EngineConfig::total_timeout`]; a caller races the result through
+//!   [`compile_with`](crate::compile_with) on [`Engine::cache`] with its
+//!   own [`CancelToken`](sat::CancelToken), so a shutdown (or an abandoned
+//!   request) cancels in-flight solver lanes promptly and still gets the
+//!   best-so-far encoding back;
 //! * [`Engine::lookup`] exposes the cache read path directly (the server's
 //!   `GET /v1/solution/<fingerprint>`).
 //!
@@ -22,9 +23,7 @@
 
 use crate::cache::{CacheCounters, CacheEntry, SolutionCache};
 use crate::fingerprint::Fingerprint;
-use crate::portfolio::{compile_with, EngineConfig, EngineOutcome};
-use fermihedral::EncodingProblem;
-use sat::CancelToken;
+use crate::portfolio::EngineConfig;
 use std::io;
 use std::time::Duration;
 
@@ -89,8 +88,9 @@ impl Engine {
     /// `deadline` tightening (never loosening) its `total_timeout`, and
     /// `warm_hint` — a validated encoding for this problem's size, e.g.
     /// the lifted optimum of the previous entry in a batch — set when
-    /// present. Every race takes the result: the in-process one below, and
-    /// the sharded and fleet ones the compilation server dispatches to.
+    /// present. Every race takes the result: the in-process
+    /// [`compile_with`](crate::compile_with), and the sharded and fleet
+    /// ones the compilation server dispatches to.
     ///
     /// Note the engine's warm-start precedence: a same-size cache entry
     /// wins over the hint, and the hint wins over the cache's own
@@ -112,30 +112,15 @@ impl Engine {
         }
         config
     }
-
-    /// Compiles under a per-request deadline and cancellation token.
-    ///
-    /// The run returns its best-so-far encoding when the deadline fires.
-    /// `cancel` aborts the run from outside — e.g. server shutdown — with
-    /// the same best-so-far semantics. Pass a token dedicated to this call:
-    /// the engine raises it itself once the race is decided.
-    pub fn compile_with_deadline(
-        &self,
-        problem: &EncodingProblem,
-        deadline: Option<Duration>,
-        cancel: Option<&CancelToken>,
-    ) -> EngineOutcome {
-        let config = self.request_config(deadline, None);
-        compile_with(problem, &config, self.cache.as_ref(), cancel)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::portfolio::Strategy;
-    use crate::{fingerprint, BaselineKind, CacheStatus};
-    use fermihedral::Objective;
+    use crate::portfolio::{compile_with, Strategy};
+    use crate::{fingerprint, CacheStatus};
+    use fermihedral::{EncodingProblem, Objective};
+    use sat::CancelToken;
     use std::path::PathBuf;
     use std::time::Instant;
 
@@ -158,12 +143,13 @@ mod tests {
         .unwrap();
         let problem = EncodingProblem::full_sat(2, Objective::MajoranaWeight);
 
-        let first = engine.compile_with_deadline(&problem, None, None);
+        let config = engine.request_config(None, None);
+        let first = compile_with(&problem, &config, engine.cache(), None);
         assert_eq!(first.weight(), Some(6));
         assert!(first.optimal_proved);
         assert!(!first.from_cache);
 
-        let second = engine.compile_with_deadline(&problem, None, None);
+        let second = compile_with(&problem, &config, engine.cache(), None);
         assert!(second.from_cache, "second request must hit the cache");
         assert_eq!(second.weight(), Some(6));
 
@@ -182,19 +168,17 @@ mod tests {
 
     #[test]
     fn external_cancel_returns_best_so_far_promptly() {
-        // 7 modes cannot be certified in 150 ms; a pre-raised token must
-        // abort the run almost immediately and still return the baseline.
+        // 7 modes cannot be certified in 150 ms; a token raised from
+        // outside must abort the run promptly and still return the race's
+        // opening Bravyi-Kitaev, if nothing better.
         let engine = Engine::new(EngineConfig {
-            strategies: vec![
-                Strategy::SatDescent {
-                    seed: 1,
-                    random_branch: 0.0,
-                    bk_phase_hint: true,
-                    restart: sat::RestartPolicyKind::default(),
-                    export_lbd: sat::ExportLbd::default(),
-                },
-                Strategy::Baseline(BaselineKind::BravyiKitaev),
-            ],
+            strategies: vec![Strategy::SatDescent {
+                seed: 1,
+                random_branch: 0.0,
+                bk_phase_hint: true,
+                restart: sat::RestartPolicyKind::default(),
+                export_lbd: sat::ExportLbd::default(),
+            }],
             ..EngineConfig::default()
         })
         .unwrap();
@@ -206,7 +190,8 @@ mod tests {
             std::thread::sleep(Duration::from_millis(150));
             waiter.cancel();
         });
-        let outcome = engine.compile_with_deadline(&problem, None, Some(&cancel));
+        let config = engine.request_config(None, None);
+        let outcome = compile_with(&problem, &config, engine.cache(), Some(&cancel));
         handle.join().unwrap();
         assert!(
             started.elapsed() < Duration::from_secs(20),
@@ -227,7 +212,8 @@ mod tests {
         // Request deadline longer than the config cap: the cap wins.
         let problem = EncodingProblem::new(7, Objective::MajoranaWeight);
         let started = Instant::now();
-        let outcome = engine.compile_with_deadline(&problem, Some(Duration::from_secs(600)), None);
+        let config = engine.request_config(Some(Duration::from_secs(600)), None);
+        let outcome = compile_with(&problem, &config, engine.cache(), None);
         assert!(
             started.elapsed() < Duration::from_secs(30),
             "config total_timeout ignored"

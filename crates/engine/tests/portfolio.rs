@@ -1,11 +1,11 @@
 //! End-to-end tests of the portfolio engine: parity with the sequential
 //! descent, incumbent sharing, cancellation, and the persistent cache.
 
-use engine::{compile, BaselineKind, EngineConfig, EngineOutcome, Strategy};
-use fermihedral::descent::{solve_optimal, DescentConfig};
+use engine::{compile, compile_with, EngineConfig, EngineOutcome, Strategy};
+use fermihedral::descent::{bravyi_kitaev_bound, solve_optimal, DescentConfig};
 use fermihedral::{AnnealConfig, EncodingProblem, Objective};
 use fermion::MajoranaMonomial;
-use sat::{ExportLbd, RestartPolicyKind};
+use sat::{CancelToken, ExportLbd, RestartPolicyKind};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -88,17 +88,45 @@ fn portfolio_matches_sequential_optimum_on_small_modes() {
 }
 
 #[test]
-fn default_portfolio_includes_baselines_and_wins() {
+fn default_portfolio_races_search_lanes_and_wins() {
     let problem = EncodingProblem::full_sat(3, Objective::MajoranaWeight);
     let outcome = compile(&problem, &EngineConfig::default());
     // N=3 full-SAT optimum from the paper's tables: strictly below BK.
     let sequential = solve_optimal(&problem, &DescentConfig::default());
     assert_eq!(outcome.weight(), sequential.weight());
     assert!(outcome.optimal_proved);
+    // One report per search lane: the classical constructions open the
+    // race without being lanes.
+    let workers = &outcome.report.workers;
+    assert_eq!(workers.len(), engine::default_portfolio(&problem).len());
     assert!(
-        outcome.report.workers.len() >= 5,
-        "default portfolio races SAT lanes and baselines"
+        workers.iter().all(|w| !w.strategy.starts_with("baseline[")),
+        "constructions are not lanes: {:?}",
+        workers.iter().map(|w| &w.strategy).collect::<Vec<_>>()
     );
+    assert_valid(&outcome, &problem);
+}
+
+#[test]
+fn every_race_opens_at_the_classical_constructions() {
+    // A caller-chosen portfolio of one descent lane, aborted before it
+    // starts: the race still holds Bravyi-Kitaev, published before any
+    // lane thread existed. (With the vacuum condition on, the ternary tree
+    // is not a valid encoding at N=7 and is not published.)
+    let problem = EncodingProblem::new(7, Objective::MajoranaWeight);
+    let config = EngineConfig {
+        strategies: three_descent_lanes()[..1].to_vec(),
+        ..EngineConfig::default()
+    };
+    let cancel = CancelToken::new();
+    cancel.cancel();
+    let outcome = compile_with(&problem, &config, None, Some(&cancel));
+    assert_eq!(outcome.weight(), Some(bravyi_kitaev_bound(&problem)));
+    assert_eq!(
+        outcome.report.winner.as_deref(),
+        Some("baseline[bravyi-kitaev]")
+    );
+    assert!(!outcome.optimal_proved);
     assert_valid(&outcome, &problem);
 }
 
@@ -208,7 +236,7 @@ fn total_timeout_cancels_a_hopeless_run_promptly() {
     // 7 modes without algebraic independence is far beyond what a few
     // hundred milliseconds can prove optimal; the engine must stop on its
     // deadline (through the solver stop flag) and still return the best
-    // incumbent (at worst the BK baseline).
+    // incumbent (at worst the race's opening Bravyi-Kitaev).
     let problem = EncodingProblem::new(7, Objective::MajoranaWeight);
     let config = EngineConfig {
         strategies: vec![
@@ -226,7 +254,6 @@ fn total_timeout_cancels_a_hopeless_run_promptly() {
                 restart: RestartPolicyKind::Fixed { interval: 256 },
                 export_lbd: ExportLbd::default(),
             },
-            Strategy::Baseline(BaselineKind::BravyiKitaev),
         ],
         total_timeout: Some(Duration::from_millis(300)),
         ..EngineConfig::default()
@@ -248,21 +275,17 @@ fn anneal_lane_reseeds_from_a_better_incumbent() {
     // best *pair permutation* of Bravyi-Kitaev only reaches weight 2
     // (verified by brute force over all 3! permutations). Annealing is a
     // pure pair-permutation search, so a BK-based annealing lane can never
-    // reach weight 1 from its own base — it must adopt the ternary-tree
-    // baseline's incumbent mid-race and re-anneal from there.
+    // reach weight 1 from its own base — it must adopt the ternary tree,
+    // which opens the race as its incumbent, and re-anneal from there.
     // Vacuum condition off: the ternary tree does not satisfy the XY-pair
     // constraint, and the lane under test needs it as a publishable
     // incumbent.
     let monomials = vec![MajoranaMonomial::from_sorted(vec![3, 5])];
     let problem = EncodingProblem::new(3, Objective::HamiltonianWeight(monomials))
         .with_vacuum_condition(false);
-    let strategies = vec![
-        Strategy::Baseline(BaselineKind::TernaryTree),
-        Strategy::Anneal {
-            base: BaselineKind::BravyiKitaev,
-            schedule: AnnealConfig::default(),
-        },
-    ];
+    let strategies = vec![Strategy::Anneal {
+        schedule: AnnealConfig::default(),
+    }];
 
     let outcome = compile(
         &problem,
@@ -298,16 +321,12 @@ fn anneal_lane_reseeds_from_a_better_incumbent() {
     let outcome = compile(
         &problem,
         &EngineConfig {
-            strategies: vec![
-                strategies[0].clone(),
-                Strategy::Anneal {
-                    base: BaselineKind::BravyiKitaev,
-                    schedule: AnnealConfig {
-                        reseed_t0: None,
-                        ..AnnealConfig::default()
-                    },
+            strategies: vec![Strategy::Anneal {
+                schedule: AnnealConfig {
+                    reseed_t0: None,
+                    ..AnnealConfig::default()
                 },
-            ],
+            }],
             ..EngineConfig::default()
         },
     );
@@ -334,20 +353,16 @@ fn anneal_lane_reseeds_from_a_better_incumbent() {
 #[test]
 fn anneal_lane_does_not_idle_out_the_timeout() {
     // Re-seeding waits for other lanes' improvements — but once every
-    // other lane has exited without a certificate (here the baseline,
-    // which runs before the annealer starts), nobody is left to improve
-    // the incumbent and the annealer must exit instead of sleeping out
-    // the whole (here: enormous) total_timeout.
+    // other lane has exited without a certificate (here there is none: the
+    // annealer is the race's only lane), nobody is left to improve the
+    // incumbent and the annealer must exit instead of sleeping out the
+    // whole (here: enormous) total_timeout.
     let monomials = vec![MajoranaMonomial::from_sorted(vec![0, 3])];
     let problem = EncodingProblem::new(5, Objective::HamiltonianWeight(monomials));
     let config = EngineConfig {
-        strategies: vec![
-            Strategy::Baseline(BaselineKind::BravyiKitaev),
-            Strategy::Anneal {
-                base: BaselineKind::BravyiKitaev,
-                schedule: AnnealConfig::default(),
-            },
-        ],
+        strategies: vec![Strategy::Anneal {
+            schedule: AnnealConfig::default(),
+        }],
         total_timeout: Some(Duration::from_secs(300)),
         ..EngineConfig::default()
     };
@@ -369,7 +384,6 @@ fn anneal_lane_respects_cancellation() {
     let problem = EncodingProblem::new(6, Objective::HamiltonianWeight(monomials));
     let config = EngineConfig {
         strategies: vec![Strategy::Anneal {
-            base: BaselineKind::BravyiKitaev,
             schedule: AnnealConfig {
                 iterations: 50_000_000,
                 ..AnnealConfig::default()

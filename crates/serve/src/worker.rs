@@ -47,7 +47,7 @@ pub(crate) fn worker_loop(shared: &Shared) {
         // Followers that attached before this point may have extended the
         // cell's deadline beyond the admitting request's. A job that sat
         // in the queue past its deadline still runs, but with the minimum
-        // budget: the engine's baseline lanes produce a feasible
+        // budget: the race's opening constructions produce a feasible
         // best-so-far in microseconds, which is exactly what the waiting
         // client should get back.
         let deadline_at = job.cell.deadline_at().max(job.deadline_at);

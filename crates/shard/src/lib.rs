@@ -17,7 +17,7 @@
 //!            └──┬────────────────────── link ───────────────┬──────────┘
 //!        Job ┆ Clause ┆ Bound ┆ Cancel   (length-prefixed frames)
 //!            ▼                                              ▼
-//!      worker 0 (lanes 0,2,4)   TCP (loopback or remote)  worker 1 (lanes 1,3,5) …
+//!      worker 0 (lanes 0,2)     TCP (loopback or remote)  worker 1 (lane 1)
 //!      race + RemoteExchange                          race + RemoteExchange
 //! ```
 //!

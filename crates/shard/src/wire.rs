@@ -61,8 +61,9 @@ use std::io::{self, Read, Write};
 /// Version 7 changed no frame: the `Job` payload lost the lane-policy
 /// fields (sharing, budgets, concurrency) that a v6 worker requires.
 /// Version 8 changed no frame: the `Job` payload names its lanes instead
-/// of describing them.
-pub const PROTOCOL_VERSION: u32 = 8;
+/// of describing them. Version 9 changed no frame: the constructions left
+/// the portfolio, so a v8 `Job` names `baseline[..]` lanes a v9 worker lacks.
+pub const PROTOCOL_VERSION: u32 = 9;
 
 /// Upper bound on a *physical* frame body (tag + payload), chosen to
 /// keep a corrupt length prefix harmless. Logical frames larger than

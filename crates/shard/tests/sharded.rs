@@ -11,6 +11,8 @@
 //!   shards and flag the dead one in the report.
 //! * **Custom portfolios**: a worker builds only its own default lanes,
 //!   so a caller-chosen portfolio races in-process, with no worker.
+//! * **Partition**: workers seat search lanes only, so the shard count is
+//!   capped by them.
 
 use engine::{compile, EngineConfig, Strategy};
 use fermihedral::{EncodingProblem, Objective};
@@ -108,6 +110,25 @@ fn a_caller_chosen_portfolio_races_in_process() {
     assert_eq!(outcome.weight(), Some(11));
     let shards = &outcome.report.shards;
     assert!(shards.is_empty(), "no worker may race it: {shards:?}");
+}
+
+#[test]
+fn shards_are_capped_by_the_search_lanes() {
+    // The classical constructions open every worker's race instead of
+    // taking a seat, so five requested shards over N=3's three descent
+    // lanes spawn three workers.
+    let problem = EncodingProblem::full_sat(3, Objective::MajoranaWeight);
+    let outcome = compile_sharded_with(
+        &problem,
+        &sharded_config(5, Duration::from_secs(120)),
+        None,
+        None,
+        &options(),
+    );
+    assert_valid_optimum(&problem, &outcome, "5 shards requested at N=3");
+    assert_eq!(outcome.weight(), Some(11));
+    let shards = &outcome.report.shards;
+    assert_eq!(shards.len(), 3, "one worker per search lane: {shards:?}");
 }
 
 #[test]

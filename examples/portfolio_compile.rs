@@ -1,6 +1,6 @@
-//! Portfolio compilation end-to-end: race SAT descent, annealing, and
-//! classical baselines for a Hubbard-model Hamiltonian, then hit the
-//! persistent cache on the second compilation.
+//! Portfolio compilation end-to-end: race SAT descent and annealing,
+//! opened by the classical constructions, for a Hubbard-model
+//! Hamiltonian, then hit the persistent cache on the second compilation.
 //!
 //! Run with: `cargo run --release --example portfolio_compile`
 
