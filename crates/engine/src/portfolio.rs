@@ -442,10 +442,10 @@ pub struct RaceBridge {
     /// descent lane or clause sharing is disabled.
     pub remote: Option<RemoteExchange>,
     /// Live view of the best *local* encoding (and the lane that found
-    /// it). A pump that announces an improved [`bound`](RaceBridge::bound)
-    /// should ship these strings with it: a weight whose witness exists
-    /// only in this process dies with it, and a race that was steered
-    /// below a lost witness ends floor-met but artifact-less.
+    /// it). A pump announces an improvement by shipping these strings,
+    /// never the bare weight: a weight whose witness exists only in this
+    /// process dies with it, and a race that was steered below a lost
+    /// witness ends floor-met but artifact-less.
     pub best: Arc<Mutex<Option<(BestEncoding, String)>>>,
 }
 
@@ -976,7 +976,7 @@ pub fn race_lanes(
 
 /// The engine's one trust-boundary check, for every encoding that
 /// arrives from outside this race — a cache entry, a caller-supplied
-/// warm hint, a shard's `Incumbent` or `Result` frame. Only the right
+/// warm hint, a shard's `Incumbent` frame. Only the right
 /// shape for *this* problem (`2N` strings, each `N` qubits wide — the
 /// constraint checks assume equal widths) satisfying its enabled
 /// constraints is trusted, and the weight is re-measured locally, never

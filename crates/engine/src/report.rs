@@ -144,9 +144,11 @@ pub struct ShardReport {
     pub clauses_sent: u64,
     /// Remote learnt clauses forwarded into this shard.
     pub clauses_received: u64,
-    /// Incumbent-bound frames this shard sent.
+    /// Checked incumbents this shard sent (`Incumbent` frames whose
+    /// encoding passed the coordinator's check).
     pub bounds_sent: u64,
-    /// Incumbent-bound frames forwarded into this shard.
+    /// Incumbent-bound frames forwarded into this shard — each the weight
+    /// of a checked incumbent another shard sent.
     pub bounds_received: u64,
     /// Frames dropped on the way *to* this shard because its bounded
     /// outbox was full (a slow peer sheds best-effort traffic instead

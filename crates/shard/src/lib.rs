@@ -15,8 +15,8 @@
 //!            ┌───────────────────────── race ──────────────────────────┐
 //!            │ seats · lane partition · frame routing · liveness · merge │
 //!            └──┬────────────────────── link ───────────────┬──────────┘
-//!        Job ┆ Clause ┆ Bound ┆ Cancel   (length-prefixed frames)
-//!            ▼                                              ▼
+//!               ▼ Job ┆ Clause ┆ Bound ┆ Cancel             ▼
+//!               ▲ Clause ┆ Incumbent ┆ Floor ┆ Result       ▲
 //!      worker 0 (lanes 0,2)     TCP (loopback or remote)  worker 1 (lane 1)
 //!      race + RemoteExchange                          race + RemoteExchange
 //! ```
@@ -43,27 +43,27 @@
 //! 3. **The race.** Each worker's [`sat::SharedContext`] has a bridge
 //!    lane ([`sat::RemoteExchange`]); exported clauses stream to the
 //!    coordinator, which forwards them to every racing shard except
-//!    their origin — no echo loops. Any shard's incumbent improvement
+//!    their origin — no echo loops. A shard reports an improved
+//!    encoding itself (`Incumbent`), never a bare weight; the
+//!    coordinator checks it on arrival, keeps the lightest (so it
+//!    outlives its finder), and forwards its weight as `Bound`, which
 //!    tightens every other shard's next descent assumption within
-//!    milliseconds, and the encoding behind it travels along
-//!    (`Incumbent`), so it outlives its finder. UNSAT floors are
-//!    properties of the shared formula: the moment any shard's floor
-//!    meets the global incumbent the race is decided and everyone still
-//!    racing gets `Cancel`. A shard that dies, goes silent, breaks
-//!    protocol or reports an invalid encoding is flagged `dead` in its
-//!    [`engine::ShardReport`] (and leaves a `postmortem-<shard>.json`);
-//!    the race degrades to the survivors.
+//!    milliseconds. UNSAT floors are properties of the shared formula:
+//!    the moment any shard's floor meets the global incumbent the race
+//!    is decided and everyone still racing gets `Cancel`. A shard that
+//!    dies, goes silent, breaks protocol or ships an encoding that fails
+//!    the check is flagged `dead` in its [`engine::ShardReport`] (and
+//!    leaves a `postmortem-<shard>.json`); the race degrades to the
+//!    survivors.
 //! 4. **Wind-down.** After `Cancel`, a worker with nothing to report may
 //!    simply hang up: that is not a death. Shards that ignore `Cancel`
 //!    past a grace period are cut off.
-//! 5. **Merge.** Every claimed encoding — `Result` frames and the
-//!    wire-shipped incumbent alike — goes through
-//!    [`engine::check_encoding`] and is re-measured; floor claims above
-//!    a validated weight are provable lies and are discarded; the
-//!    lightest encoding and the strongest remaining floor are the
-//!    outcome. [`engine::compile_cached`] folds in the warm start and
-//!    stores the winner. A race that lost *every* shard is re-run
-//!    in-process.
+//! 5. **Merge.** The lightest checked incumbent and the strongest floor
+//!    claim at or below it are the outcome (a floor above a checked
+//!    weight is a provable lie and is discarded); each seat's `Result`
+//!    adds only its lane timelines. [`engine::compile_cached`] folds in
+//!    the warm start and stores the winner. A race that lost *every*
+//!    shard is re-run in-process.
 //!
 //! # What a link reports
 //!
@@ -98,5 +98,5 @@ pub use coordinator::{
 };
 pub use engine::measure_weight;
 pub use fleet::{compile_fleet_with, FleetOptions, FleetServer};
-pub use proto::{BlackBoxCheckpoint, IncumbentUpdate, Job, ShardResult};
+pub use proto::{IncumbentUpdate, Job, ShardResult};
 pub use worker::{run_worker_fleet, FleetWorkerOptions};

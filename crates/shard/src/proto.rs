@@ -1,9 +1,11 @@
-//! JSON payloads carried inside [`crate::wire`] `Job`, `Result`,
-//! `BlackBox` and `Incumbent` frames.
+//! JSON payloads carried inside [`crate::wire`] `Job`, `Incumbent` and
+//! `Result` frames.
 //!
 //! The frame layer ([`crate::wire`]) is deliberately ignorant of what a job
-//! or a result *is*; this module owns those four schemas. Everything is
-//! explicit field-by-field (de)serialization over `jsonkit` — the
+//! or a result *is*; this module owns those three schemas. (A `BlackBox`
+//! payload is a [`telemetry::recorder::Snapshot`] as JSON, whose schema
+//! the telemetry crate owns.) Everything is explicit field-by-field
+//! (de)serialization over `jsonkit` — the
 //! container has no serde — and every parser returns `Option`/`Err`
 //! instead of panicking, because the bytes come from another process
 //! that may have been killed mid-write.
@@ -157,19 +159,11 @@ impl Job {
     }
 }
 
-/// One shard's terminal report, carried in the `Result` frame.
+/// One shard's terminal report, carried in the `Result` frame: its lane
+/// timelines and nothing else. The shard's encodings already crossed as
+/// `Incumbent` frames and its floors as `Floor` frames, each once.
 #[derive(Debug, Clone, Default)]
 pub struct ShardResult {
-    /// Best weight this shard achieved.
-    pub weight: Option<usize>,
-    /// The encoding at that weight.
-    pub strings: Option<Vec<PauliString>>,
-    /// Strongest UNSAT floor this shard proved.
-    pub proved_floor: Option<usize>,
-    /// True when this shard certified its own best as optimal.
-    pub optimal: bool,
-    /// Lane name that produced the best encoding.
-    pub winner: Option<String>,
     /// Per-lane timelines (merged into the coordinator's report).
     pub workers: Vec<WorkerReport>,
 }
@@ -177,32 +171,10 @@ pub struct ShardResult {
 impl ShardResult {
     /// Serializes to the `Result` frame payload.
     pub fn to_bytes(&self) -> Vec<u8> {
-        obj([
-            (
-                "weight",
-                self.weight.map_or(Value::Null, |w| Value::Num(w as f64)),
-            ),
-            (
-                "strings",
-                self.strings.as_deref().map_or(Value::Null, strings_to_json),
-            ),
-            (
-                "proved_floor",
-                self.proved_floor
-                    .map_or(Value::Null, |f| Value::Num(f as f64)),
-            ),
-            ("optimal", Value::Bool(self.optimal)),
-            (
-                "winner",
-                self.winner.clone().map_or(Value::Null, Value::Str),
-            ),
-            (
-                "workers",
-                Value::Arr(self.workers.iter().map(WorkerReport::to_json).collect()),
-            ),
-        ])
-        .to_json()
-        .into_bytes()
+        let workers = self.workers.iter().map(WorkerReport::to_json);
+        obj([("workers", Value::Arr(workers.collect()))])
+            .to_json()
+            .into_bytes()
     }
 
     /// Parses a `Result` frame payload.
@@ -214,17 +186,6 @@ impl ShardResult {
         let text = std::str::from_utf8(bytes).map_err(|_| "result is not UTF-8".to_string())?;
         let doc = jsonkit::parse(text).map_err(|e| format!("result: {e}"))?;
         Ok(ShardResult {
-            weight: doc.get("weight").and_then(Value::as_usize),
-            strings: strings_from_json(&doc, "strings")?,
-            proved_floor: doc.get("proved_floor").and_then(Value::as_usize),
-            optimal: doc
-                .get("optimal")
-                .and_then(Value::as_bool)
-                .ok_or("result field \"optimal\" missing")?,
-            winner: doc
-                .get("winner")
-                .and_then(Value::as_str)
-                .map(str::to_string),
             workers: doc
                 .get("workers")
                 .and_then(Value::as_arr)
@@ -237,90 +198,13 @@ impl ShardResult {
     }
 }
 
-/// A worker's flight-recorder checkpoint, carried in the `BlackBox`
-/// frame: enough context to explain a corpse without its stderr. The
-/// worker ships one right after parsing its job (so even an early kill
-/// leaves the job context behind), then periodically, then once more
-/// before its terminal `Result`; the coordinator keeps only the latest
-/// per worker and folds it into `postmortem-<shard>.json` when the
-/// worker dies or breaks protocol.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BlackBoxCheckpoint {
-    /// The reporting worker's shard index.
-    pub shard: usize,
-    /// Fingerprint of the problem the worker was racing.
-    pub fingerprint: String,
-    /// Mode count of that problem.
-    pub modes: usize,
-    /// Lane names assigned to this shard.
-    pub lanes: Vec<String>,
-    /// The worker's [`telemetry::recorder::Snapshot`] as JSON (opaque
-    /// here: the telemetry crate owns the record schema).
-    pub flight_recorder: Value,
-}
-
-impl BlackBoxCheckpoint {
-    /// Serializes to the `BlackBox` frame payload (compact: checkpoints
-    /// ride the pump loop alongside clause traffic).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        obj([
-            ("shard", Value::Num(self.shard as f64)),
-            ("fingerprint", Value::Str(self.fingerprint.clone())),
-            ("modes", Value::Num(self.modes as f64)),
-            (
-                "lanes",
-                Value::Arr(self.lanes.iter().cloned().map(Value::Str).collect()),
-            ),
-            ("flight_recorder", self.flight_recorder.clone()),
-        ])
-        .to_json_compact()
-        .into_bytes()
-    }
-
-    /// Parses a `BlackBox` frame payload.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable message naming what was malformed.
-    pub fn from_bytes(bytes: &[u8]) -> Result<BlackBoxCheckpoint, String> {
-        let text = std::str::from_utf8(bytes).map_err(|_| "checkpoint is not UTF-8".to_string())?;
-        let doc = jsonkit::parse(text).map_err(|e| format!("checkpoint: {e}"))?;
-        Ok(BlackBoxCheckpoint {
-            shard: doc
-                .get("shard")
-                .and_then(Value::as_usize)
-                .ok_or("checkpoint field \"shard\" missing or mistyped")?,
-            fingerprint: doc
-                .get("fingerprint")
-                .and_then(Value::as_str)
-                .ok_or("checkpoint field \"fingerprint\" missing")?
-                .to_string(),
-            modes: doc
-                .get("modes")
-                .and_then(Value::as_usize)
-                .ok_or("checkpoint field \"modes\" missing or mistyped")?,
-            lanes: doc
-                .get("lanes")
-                .and_then(Value::as_arr)
-                .unwrap_or(&[])
-                .iter()
-                .filter_map(|v| v.as_str().map(str::to_string))
-                .collect(),
-            flight_recorder: doc.get("flight_recorder").cloned().unwrap_or(Value::Null),
-        })
-    }
-}
-
-/// An improved incumbent *with its witness*, carried in the `Incumbent`
-/// frame alongside the weight-only `Bound` broadcast. The coordinator
-/// keeps the lightest validated one per race, so the artifact behind a
-/// bound announcement survives its finder's death (a SIGKILL'd worker
-/// otherwise takes the only copy of the encoding with it, after its
-/// bound already steered every surviving lane below re-finding it).
+/// An improved incumbent, carried in the `Incumbent` frame: the only
+/// way a shard's encoding reaches the coordinator. It carries no
+/// weight — the coordinator checks and measures the strings itself,
+/// keeps the lightest as the race's witness (so it survives its
+/// finder's death), and derives every `Bound` it forwards from it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IncumbentUpdate {
-    /// Measured total Pauli weight of `strings`.
-    pub weight: usize,
     /// The encoding itself (`2N` strings on `N` qubits).
     pub strings: Vec<PauliString>,
     /// Lane name that produced it (diagnostics / winner attribution).
@@ -331,7 +215,6 @@ impl IncumbentUpdate {
     /// Serializes to the `Incumbent` frame payload.
     pub fn to_bytes(&self) -> Vec<u8> {
         obj([
-            ("weight", Value::Num(self.weight as f64)),
             ("strings", strings_to_json(&self.strings)),
             ("winner", Value::Str(self.winner.clone())),
         ])
@@ -353,10 +236,6 @@ impl IncumbentUpdate {
             return Err("incumbent carries no strings".to_string());
         }
         Ok(IncumbentUpdate {
-            weight: doc
-                .get("weight")
-                .and_then(Value::as_usize)
-                .ok_or("incumbent field \"weight\" missing or mistyped")?,
             strings,
             winner: doc
                 .get("winner")
@@ -451,28 +330,6 @@ mod tests {
         assert_eq!(engine::fingerprint(&back.problem).to_hex(), job.fingerprint);
     }
 
-    #[test]
-    fn shard_result_round_trips() {
-        let result = ShardResult {
-            weight: Some(9),
-            strings: Some(vec![
-                "XII".parse().unwrap(),
-                "YII".parse().unwrap(),
-                "ZXI".parse().unwrap(),
-            ]),
-            proved_floor: Some(9),
-            optimal: true,
-            winner: Some("sat-descent[seed=1,rb=0,bk=1,rs=luby128]".into()),
-            workers: Vec::new(),
-        };
-        let back = ShardResult::from_bytes(&result.to_bytes()).expect("parses");
-        assert_eq!(back.weight, result.weight);
-        assert_eq!(back.proved_floor, result.proved_floor);
-        assert_eq!(back.optimal, result.optimal);
-        assert_eq!(back.winner, result.winner);
-        assert_eq!(back.strings, result.strings);
-    }
-
     /// `payload` with its top-level fields edited.
     fn edited<R>(payload: &[u8], edit: impl FnOnce(&mut BTreeMap<String, Value>) -> R) -> Vec<u8> {
         let mut doc = jsonkit::parse(std::str::from_utf8(payload).unwrap()).unwrap();
@@ -515,33 +372,8 @@ mod tests {
     }
 
     #[test]
-    fn black_box_checkpoint_round_trips() {
-        let checkpoint = BlackBoxCheckpoint {
-            shard: 2,
-            fingerprint: "deadbeef".into(),
-            modes: 4,
-            lanes: vec!["sat-descent[seed=1]".into(), "anneal[bk]".into()],
-            flight_recorder: obj([
-                ("written", Value::Num(7.0)),
-                ("records", Value::Arr(vec![])),
-            ]),
-        };
-        let back = BlackBoxCheckpoint::from_bytes(&checkpoint.to_bytes()).expect("parses");
-        assert_eq!(back, checkpoint);
-        // Torn payloads (a worker can be SIGKILL'd mid-write) must fail
-        // structured, never panic.
-        let bytes = checkpoint.to_bytes();
-        for cut in [1, bytes.len() / 2, bytes.len() - 1] {
-            assert!(BlackBoxCheckpoint::from_bytes(&bytes[..cut]).is_err());
-        }
-        assert!(BlackBoxCheckpoint::from_bytes(b"{}").is_err());
-        assert!(BlackBoxCheckpoint::from_bytes(&[0xFF, 0xFE]).is_err());
-    }
-
-    #[test]
     fn incumbent_update_round_trips() {
         let update = IncumbentUpdate {
-            weight: 16,
             strings: ["XXII", "ZIII", "YXII", "IZII"]
                 .iter()
                 .map(|s| s.parse::<PauliString>().expect("valid Pauli"))
@@ -557,7 +389,7 @@ mod tests {
         }
         assert!(IncumbentUpdate::from_bytes(b"{}").is_err());
         assert!(
-            IncumbentUpdate::from_bytes(br#"{"weight":16,"strings":[],"winner":""}"#).is_err(),
+            IncumbentUpdate::from_bytes(br#"{"strings":[],"winner":""}"#).is_err(),
             "an incumbent with no strings is meaningless"
         );
     }

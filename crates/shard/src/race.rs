@@ -19,33 +19,36 @@
 //! # Certification across processes
 //!
 //! An UNSAT certificate is a property of the shared formula, so a
-//! `Floor(f)` from any shard bounds every shard. The loop merges floors
-//! (max) and incumbent weights (min); the moment they meet, the race is
-//! decided and every shard still racing gets `Cancel`. Encodings arrive
-//! with the terminal `Result` frames — and, because a finder may die
-//! first, live in `Incumbent` frames beside every `Bound` improvement.
+//! `Floor(f)` from any shard bounds every shard. A shard's encoding
+//! arrives only as an `Incumbent` frame, and is checked and re-measured
+//! on arrival; the lightest checked one is the race's witness, and every
+//! `Bound` the loop forwards is the weight of a witness it holds (or of
+//! the warm start). No shard can steer the race below a weight nobody
+//! can show, so a finder that dies after announcing leaves its encoding
+//! behind. The loop merges floors (max) and checked weights (min); the
+//! moment they meet, the race is decided and every shard still racing
+//! gets `Cancel`. A `Result` carries only the shard's lane timelines.
 //!
 //! # Crash containment and post-mortems
 //!
 //! A shard that goes away without a `Result` before `Cancel` (for good:
 //! at once on a link that cannot rejoin, after [`Link::patience`] on one
-//! that can), falls silent, breaks protocol, or reports an encoding that
-//! fails validation is marked **dead** in its [`ShardReport`] and the
-//! race degrades to the survivors. Workers checkpoint their
-//! flight-recorder ring over `BlackBox` frames (latest wins); for every
-//! dead seat the last checkpoint, the job context, the wire counters and
+//! that can), falls silent, breaks protocol, or ships an encoding that
+//! fails the check is marked **dead** in its [`ShardReport`] and the
+//! race degrades to the survivors. Workers ship their flight-recorder
+//! ring in `BlackBox` frames (latest wins); for every dead seat the last
+//! ring, the coordinator's own job for the seat, the wire counters and
 //! the exit status (when the link learns one) are folded into
 //! `<dir>/postmortem-<shard>.json` — the corpse's own last words.
 
 use crate::link::{Event, Link, Sent};
-use crate::proto::{BlackBoxCheckpoint, IncumbentUpdate, Job, ShardResult};
+use crate::proto::{IncumbentUpdate, Job, ShardResult};
 use crate::wire::{Frame, RemoteClause, PROTOCOL_VERSION};
 use engine::{
     check_encoding, partition_strategies, RaceInput, RaceOutcome, ShardReport, Strategy,
     WorkerReport,
 };
 use fermihedral::descent::BestEncoding;
-use fermihedral::EncodingProblem;
 use jsonkit::{obj, Value};
 use sat::CancelToken;
 use std::collections::VecDeque;
@@ -79,8 +82,8 @@ struct Seat {
     /// The job was sent down the seat's current connection.
     armed: bool,
     result: Option<ShardResult>,
-    /// Latest `BlackBox` checkpoint payload — each shipment replaces
-    /// the last, so a death always leaves the freshest ring behind.
+    /// Latest `BlackBox` payload — each shipment replaces the last, so a
+    /// death always leaves the freshest ring behind.
     black_box: Option<Vec<u8>>,
     /// Exit status, when the link owns the peer and reaped it.
     exit_status: Option<String>,
@@ -119,18 +122,16 @@ struct Race<'a> {
     /// Lane partition over the mustered shards; late joiners with no
     /// orphan to inherit take `parts[shard % parts.len()]`.
     parts: Vec<Vec<Strategy>>,
-    /// Lightest weight any shard (or the warm start) established;
-    /// strictly better updates are forwarded to peers.
+    /// Lightest checked weight off a current connection (or the warm
+    /// start's); strictly better ones are forwarded to peers as `Bound`.
     best_bound: usize,
     /// Raw floor claims steer the race (early cancel); the *final*
-    /// certificate only trusts claims consistent with a validated
+    /// certificate only trusts claims consistent with a checked
     /// encoding — see [`merge_results`].
     floor_claims: Vec<usize>,
-    /// Lightest checked encoding shipped beside a `Bound` improvement,
-    /// with the lane that found it — it survives its finder's death, so
-    /// a race steered below a witness whose only `Result`-borne copy was
-    /// lost still ends certified instead of floor-met but artifact-less.
-    wire_best: Option<(BestEncoding, String)>,
+    /// Lightest checked `Incumbent`, with the lane that found it — the
+    /// race's witness, which survives its finder's death.
+    best: Option<(BestEncoding, String)>,
     cancel_sent_at: Option<Instant>,
     digest: VecDeque<RemoteClause>,
 }
@@ -170,7 +171,7 @@ pub fn run(
         parts,
         best_bound: input.warm_start.map_or(usize::MAX, |e| e.weight),
         floor_claims: Vec::new(),
-        wire_best: None,
+        best: None,
         cancel_sent_at: None,
         digest: VecDeque::new(),
     };
@@ -184,7 +185,7 @@ pub fn run(
     let seats = race.seats.into_iter().filter(|s| s.job.is_some());
     let initial_bound = input.warm_start.map(|e| e.weight);
     let claims = &race.floor_claims;
-    merge_results(input.problem, initial_bound, claims, race.wire_best, seats)
+    merge_results(initial_bound, claims, race.best, seats)
 }
 
 /// [`run`] with total-loss containment: when every shard died (or none
@@ -487,9 +488,9 @@ impl Race<'_> {
     fn frame(&mut self, shard: usize, frame: Frame, current: bool) {
         match frame {
             // A dying connection's last incumbent is still a race-global
-            // fact (validated on its own evidence) — keep it; everything
+            // fact (checked on its own evidence) — keep it; everything
             // else from a stale connection drops.
-            Frame::Incumbent(payload) => self.record_incumbent(shard, &payload),
+            Frame::Incumbent(payload) => self.record_incumbent(shard, &payload, current),
             _ if !current => {}
             Frame::Clause(RemoteClause { clause, .. }) => {
                 self.seats[shard].report.clauses_sent += 1;
@@ -510,37 +511,12 @@ impl Race<'_> {
                     self.seats[target].report.clauses_received += 1;
                 }
             }
-            Frame::Bound(weight) => {
-                self.seats[shard].report.bounds_sent += 1;
-                let weight = weight as usize;
-                if weight >= self.best_bound {
-                    return;
-                }
-                self.best_bound = weight;
-                if self.cancel_sent_at.is_none() {
-                    for target in self.forward(shard, &Frame::Bound(weight as u64)) {
-                        self.seats[target].report.bounds_received += 1;
-                    }
-                }
-                self.cancel_if_decided();
-            }
             Frame::Floor(floor) => {
                 self.floor_claims.push(floor as usize);
                 self.cancel_if_decided();
             }
             Frame::Result(payload) => match ShardResult::from_bytes(&payload) {
-                Ok(result) => {
-                    self.floor_claims.extend(result.proved_floor);
-                    if let Some(w) = result.weight {
-                        self.best_bound = self.best_bound.min(w);
-                    }
-                    let optimal = result.optimal;
-                    self.seats[shard].result = Some(result);
-                    if optimal {
-                        self.cancel();
-                    }
-                    self.cancel_if_decided();
-                }
+                Ok(result) => self.seats[shard].result = Some(result),
                 Err(e) => {
                     let why = format!("worker sent a bad result ({e}); marking it dead");
                     self.bury(shard, Level::Error, &why);
@@ -575,12 +551,14 @@ impl Race<'_> {
                     }
                 }
             }
-            // Always-on checkpoint: keep only the latest — the whole ring
+            // Always-on ring: keep only the latest — the whole ring
             // rides every shipment, so older payloads are subsets of it.
             Frame::BlackBox(payload) => self.seats[shard].black_box = Some(payload),
             // Coordinator-bound traffic only: the rest is not a worker's
-            // to send (its `Hello` ended with the link's handshake).
-            Frame::Hello { .. }
+            // to send (its `Hello` ended with the link's handshake, and a
+            // weight without its witness steers nothing).
+            Frame::Bound(_)
+            | Frame::Hello { .. }
             | Frame::Welcome { .. }
             | Frame::Heartbeat { .. }
             | Frame::Job(_)
@@ -588,46 +566,65 @@ impl Race<'_> {
         }
     }
 
-    /// Folds an `Incumbent` frame into the race's best wire-shipped
-    /// witness. Checks and re-measures before trusting anything — this
-    /// payload exists precisely because its sender may die, so it must
-    /// stand on its own at merge time.
-    fn record_incumbent(&mut self, shard: usize, payload: &[u8]) {
-        let update = match IncumbentUpdate::from_bytes(payload) {
-            Ok(update) => update,
+    /// The one place a shard's encoding enters the race. Checks and
+    /// re-measures it before trusting anything: an encoding off the
+    /// current connection that fails the check buries its seat; a stale
+    /// connection's is only logged. A checked one becomes the race's
+    /// witness when it is the lightest — a stale connection's too, since
+    /// the witness outlives its finder. Only a current connection's also
+    /// counts as a bound this shard sent, tightens the race's bound,
+    /// reaches the other racing seats as `Bound`, and can decide the
+    /// race.
+    fn record_incumbent(&mut self, shard: usize, payload: &[u8], current: bool) {
+        let checked = IncumbentUpdate::from_bytes(payload).and_then(|update| {
+            let weight = check_encoding(self.input.problem, &update.strings)
+                .ok_or("the encoding fails the problem's check")?;
+            Ok((update, weight))
+        });
+        let (update, weight) = match checked {
+            Ok(checked) => checked,
+            Err(e) if current => {
+                let why = format!("worker sent a bad incumbent ({e}); marking it dead");
+                self.bury(shard, Level::Error, &why);
+                return;
+            }
             Err(e) => {
                 telemetry::log_warn!(
                     "shard.race",
-                    "worker sent a bad incumbent; dropping it",
+                    "stale connection sent a bad incumbent; dropping it",
                     shard = shard,
                     error = e,
                 );
                 return;
             }
         };
-        let Some(weight) = check_encoding(self.input.problem, &update.strings) else {
-            telemetry::log_warn!(
-                "shard.race",
-                "worker shipped an invalid incumbent encoding; dropping it",
-                shard = shard,
-                claimed_weight = update.weight,
-            );
-            return;
-        };
-        if self
-            .wire_best
-            .as_ref()
-            .is_none_or(|(b, _)| weight < b.weight)
-        {
+        if self.best.as_ref().is_none_or(|(b, _)| weight < b.weight) {
             telemetry::log_debug!(
                 "shard.race",
-                "wire incumbent recorded",
+                "incumbent recorded",
                 shard = shard,
                 weight = weight,
             );
+            let winner = match update.winner {
+                name if name.is_empty() => format!("shard-{shard}"),
+                name => name,
+            };
             let strings = update.strings;
-            self.wire_best = Some((BestEncoding { strings, weight }, update.winner));
+            self.best = Some((BestEncoding { strings, weight }, winner));
         }
+        if !current {
+            return;
+        }
+        self.seats[shard].report.bounds_sent += 1;
+        if weight < self.best_bound {
+            self.best_bound = weight;
+            if self.cancel_sent_at.is_none() {
+                for target in self.forward(shard, &Frame::Bound(weight as u64)) {
+                    self.seats[target].report.bounds_received += 1;
+                }
+            }
+        }
+        self.cancel_if_decided();
     }
 
     /// Writes `postmortem-<shard>.json` for every dead seat that had a
@@ -659,74 +656,34 @@ impl Race<'_> {
     }
 }
 
-/// Merges the seats' results into one race outcome whose floor is the
-/// *accepted* one. Checks any claimed best encoding, and only trusts
-/// floor claims consistent with it — a corrupt worker must not be able
-/// to poison the cache or the caller. (A floor *equal* to the validated
-/// optimum is accepted on the worker's word: an UNSAT proof cannot be
-/// cheaply re-checked, and workers are this repository's own binary —
-/// the same trust extended to an in-process thread. The defense here is
-/// against corruption and provable lies, not a fully Byzantine peer.)
+/// Merges the seats' results into one race outcome: the lightest
+/// checked incumbent, every seat's lane timelines, and the *accepted*
+/// floor — only floor claims consistent with the best are trusted, so a
+/// corrupt worker can poison neither the cache nor the caller. (A floor
+/// *equal* to the checked optimum is accepted on the worker's word: an
+/// UNSAT proof cannot be cheaply re-checked, and workers are this
+/// repository's own binary — the same trust extended to an in-process
+/// thread. The defense here is against corruption and provable lies, not
+/// a fully Byzantine peer.)
 fn merge_results(
-    problem: &EncodingProblem,
     initial_bound: Option<usize>,
     floor_claims: &[usize],
-    wire_best: Option<(BestEncoding, String)>,
+    best: Option<(BestEncoding, String)>,
     seats: impl Iterator<Item = Seat>,
 ) -> RaceOutcome {
-    let mut best: Option<(BestEncoding, String)> = None;
     let mut workers: Vec<WorkerReport> = Vec::new();
     let mut shards: Vec<ShardReport> = Vec::new();
     for seat in seats {
-        let mut report = seat.report;
-        let shard = report.shard;
+        let shard = seat.report.shard;
         let result = seat.result.unwrap_or_default();
         workers.extend(result.workers.into_iter().map(|mut lane| {
             lane.shard = Some(shard);
             lane
         }));
-        if let (Some(claimed), Some(strings)) = (result.weight, result.strings) {
-            // Trust the strings, not the claim: check them and re-measure
-            // locally, so a corrupt weight can neither steal the win nor
-            // fake an optimality certificate.
-            match check_encoding(problem, &strings) {
-                None => {
-                    telemetry::log_error!(
-                        "shard.race",
-                        "worker claimed an invalid encoding; marking it dead",
-                        shard = shard,
-                        claimed_weight = claimed,
-                    );
-                    report.dead = true;
-                }
-                Some(weight) => {
-                    if weight != claimed {
-                        telemetry::log_warn!(
-                            "shard.race",
-                            "claimed weight disagrees with measurement; using the measurement",
-                            shard = shard,
-                            claimed = claimed,
-                            measured = weight,
-                        );
-                    }
-                    if best.as_ref().is_none_or(|(b, _)| weight < b.weight) {
-                        let winner = result.winner.unwrap_or_else(|| format!("shard-{shard}"));
-                        best = Some((BestEncoding { strings, weight }, winner));
-                    }
-                }
-            }
-        }
-        shards.push(report);
-    }
-    // The wire-shipped incumbent (checked when it was recorded) competes
-    // with whatever the `Result` frames carried.
-    if let Some((wire, winner)) = wire_best {
-        if best.as_ref().is_none_or(|(b, _)| wire.weight < b.weight) {
-            best = Some((wire, winner));
-        }
+        shards.push(seat.report);
     }
     // A floor strictly above a known-feasible weight — the race's
-    // validated best, or failing that the warm start — claims a real
+    // checked best, or failing that the warm start — claims a real
     // encoding is impossible: a provable lie; discard it. The strongest
     // remaining claim is the accepted floor.
     let reference = best.as_ref().map(|(b, _)| b.weight).or(initial_bound);
@@ -742,18 +699,20 @@ fn merge_results(
 }
 
 /// Writes one `postmortem-<shard>.json` bundle: the seat's last
-/// checkpointed flight-recorder ring (if any checkpoint made it over
-/// the wire), job context, wire counters, and exit status (`null` for a
-/// remote peer, whose exit status is unknowable).
+/// shipped flight-recorder ring (if any `BlackBox` made it over the
+/// wire), the coordinator's own job for the seat, wire counters, and
+/// exit status (`null` for a remote peer, whose exit status is
+/// unknowable).
 fn write_postmortem_bundle(dir: &Path, seat: &Seat, job: &Job) {
     let shard = seat.report.shard;
-    // The checkpoint is worker-reported; a torn payload from a
-    // mid-write kill must not lose the coordinator-side context.
+    // The ring is worker-reported; a torn payload from a mid-write kill
+    // must not lose the coordinator-side context.
     let flight_recorder = seat
         .black_box
         .as_deref()
-        .and_then(|bytes| BlackBoxCheckpoint::from_bytes(bytes).ok())
-        .map_or(Value::Null, |c| c.flight_recorder);
+        .and_then(|bytes| std::str::from_utf8(bytes).ok())
+        .and_then(|text| jsonkit::parse(text).ok())
+        .unwrap_or(Value::Null);
     let count = |n: u64| Value::Num(n as f64);
     let bundle = obj([
         ("shard", Value::Num(shard as f64)),

@@ -5,7 +5,8 @@
 //! coordinator and its workers talk over TCP in the frame
 //! format defined here. The protocol carries exactly the traffic
 //! [`sat::SharedContext`] moves between in-process lanes — learnt
-//! clauses, incumbent bounds, UNSAT floors, cancellation — plus opaque
+//! clauses, incumbents (encodings up, their weights down as bounds),
+//! UNSAT floors, cancellation — plus opaque
 //! job/result payloads whose schema belongs to [`crate::proto`], not to
 //! this module, plus the fleet-membership frames ([`Frame::Welcome`],
 //! [`Frame::Heartbeat`]) that make the TCP transport elastic.
@@ -63,7 +64,9 @@ use std::io::{self, Read, Write};
 /// Version 8 changed no frame: the `Job` payload names its lanes instead
 /// of describing them. Version 9 changed no frame: the constructions left
 /// the portfolio, so a v8 `Job` names `baseline[..]` lanes a v9 worker lacks.
-pub const PROTOCOL_VERSION: u32 = 9;
+/// Version 10 changed no frame: workers stopped sending `Bound`, and the
+/// `Result`, `Incumbent` and `BlackBox` payloads lost their repeated fields.
+pub const PROTOCOL_VERSION: u32 = 10;
 
 /// Upper bound on a *physical* frame body (tag + payload), chosen to
 /// keep a corrupt length prefix harmless. Logical frames larger than
@@ -172,36 +175,39 @@ pub enum Frame {
     Job(Vec<u8>),
     /// A learnt clause, either direction.
     Clause(RemoteClause),
-    /// An incumbent weight (a feasible encoding of this weight exists
-    /// somewhere in the race), either direction.
+    /// Coordinator → worker: an incumbent weight — the weight of a
+    /// checked encoding the coordinator holds (or of the warm start). A
+    /// worker never sends one: its encodings travel as
+    /// [`Frame::Incumbent`].
     Bound(u64),
     /// An UNSAT floor (no encoding strictly below this weight exists);
     /// worker → coordinator.
     Floor(u64),
     /// Coordinator → worker: the race is decided, stop and report.
     Cancel,
-    /// Worker → coordinator, terminal frame: the shard's outcome, as an
-    /// opaque payload (the shard crate owns the schema).
+    /// Worker → coordinator, terminal frame: the shard's lane timelines,
+    /// as an opaque payload (the shard crate owns the schema). Its
+    /// encodings and floors already crossed as [`Frame::Incumbent`] and
+    /// [`Frame::Floor`].
     Result(Vec<u8>),
     /// Worker → coordinator: a batch of telemetry spans recorded on the
     /// worker, as an opaque payload (the telemetry crate owns the
     /// schema). Best-effort — a coordinator may ignore it, and a worker
     /// only ships it when the job asked for tracing.
     Trace(Vec<u8>),
-    /// Worker → coordinator: a flight-recorder checkpoint (the worker's
-    /// last log events and span closures plus its job context), as an
-    /// opaque payload (the shard crate owns the schema). Always-on and
-    /// best-effort: the coordinator keeps only the latest checkpoint
-    /// per worker, and turns it into a post-mortem bundle if the worker
-    /// dies or breaks protocol.
+    /// Worker → coordinator: the worker's flight-recorder ring (its last
+    /// log events and span closures), as an opaque payload (the
+    /// telemetry crate owns the schema). Always-on and best-effort: the
+    /// coordinator keeps only the latest ring per worker, and turns it
+    /// into a post-mortem bundle if the worker dies or breaks protocol.
     BlackBox(Vec<u8>),
-    /// Worker → coordinator: the full encoding behind an improved
-    /// incumbent bound, as an opaque payload (the shard crate owns the
-    /// schema). [`Frame::Bound`] announces only the *weight*; if the
-    /// announcing worker then dies, every surviving lane has already
-    /// been steered below a witness nobody holds, and the race ends
-    /// floor-met but artifact-less. Shipping the strings with the
-    /// improvement makes the incumbent survive its finder.
+    /// Worker → coordinator: an improved incumbent encoding, as an
+    /// opaque payload (the shard crate owns the schema) — the only way a
+    /// worker's encoding reaches the coordinator. The coordinator checks
+    /// and re-measures it on arrival, keeps the lightest (so it survives
+    /// its finder), and derives every [`Frame::Bound`] it forwards from
+    /// one it checked, so no race is steered below a weight nobody can
+    /// show.
     Incumbent(Vec<u8>),
 }
 
@@ -737,9 +743,9 @@ mod tests {
             }),
             Frame::Bound(66),
             Frame::Floor(64),
-            Frame::Incumbent(b"{\"weight\":66,\"strings\":[\"XZ\"]}".to_vec()),
+            Frame::Incumbent(b"{\"strings\":[\"XZ\"]}".to_vec()),
             Frame::Cancel,
-            Frame::Result(b"{\"weight\":64}".to_vec()),
+            Frame::Result(b"{\"workers\":[]}".to_vec()),
             Frame::Trace(b"{\"events\":[]}".to_vec()),
             Frame::BlackBox(b"{\"records\":[]}".to_vec()),
         ]

@@ -15,11 +15,13 @@
 //!      (`Clause` → [`sat::RemoteExchange::inject`], `Bound` → tighten
 //!      the shared incumbent, `Cancel` → raise the race's token), and
 //!    * a **pump** loop streams outgoing traffic (drained exports as
-//!      `Clause` frames, incumbent improvements as `Bound`, UNSAT floors
-//!      as `Floor`, periodic `Heartbeat`s, and flight-recorder
-//!      checkpoints as `BlackBox` — the raw material for the
-//!      coordinator's post-mortem bundles);
-//! 4. send a terminal `Result`, then wait for the next `Job`.
+//!      `Clause` frames, incumbent improvements as `Incumbent` — the
+//!      encoding itself, which the coordinator checks before it tells
+//!      anyone the weight — UNSAT floors as `Floor`, periodic
+//!      `Heartbeat`s, and flight-recorder snapshots as `BlackBox` — the
+//!      raw material for the coordinator's post-mortem bundles);
+//! 4. flush the last `Incumbent` and `Floor`, send a terminal `Result`
+//!    carrying only the lane timelines, then wait for the next `Job`.
 //!
 //! Between jobs the worker heartbeats; the coordinator echoes every
 //! heartbeat, so silence is measurable on both ends.
@@ -37,7 +39,7 @@
 //! stays unreachable.
 
 use crate::link::read_frames;
-use crate::proto::{BlackBoxCheckpoint, IncumbentUpdate, Job, ShardResult};
+use crate::proto::{IncumbentUpdate, Job, ShardResult};
 use crate::wire::{
     write_frame, Frame, FrameRead, FrameReader, RemoteClause, HELLO_ANY_SHARD, PROTOCOL_VERSION,
 };
@@ -48,12 +50,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Pump tick: how often outgoing clauses/bounds are flushed.
+/// Pump tick: how often outgoing clauses, incumbents and floors are flushed.
 const PUMP_INTERVAL: Duration = Duration::from_millis(5);
 
 /// Pump ticks between `Trace` frame shipments (~every 250 ms): span
 /// batches are diagnostics, not race-critical traffic, so they ride a
-/// much slower cadence than clauses and bounds.
+/// much slower cadence than clauses and incumbents.
 const TRACE_EVERY_TICKS: u32 = 50;
 
 /// Pump ticks between `BlackBox` checkpoints (~every 200 ms). Unlike
@@ -162,8 +164,8 @@ fn race_job(shard: usize, job: &Job, mut output: impl Write, router: &Mutex<Fram
         fingerprint = job.fingerprint.clone(),
     );
     // First checkpoint right away: even a worker killed milliseconds into
-    // the race leaves its job context behind for the post-mortem.
-    let _ = pump_blackbox(job, &mut output);
+    // the race leaves its ring (the `job accepted` line above) behind.
+    let _ = pump_blackbox(&mut output);
 
     // The coordinator's trace id turns span recording on for this whole
     // process; batches ship back over the pump loop below.
@@ -177,8 +179,9 @@ fn race_job(shard: usize, job: &Job, mut output: impl Write, router: &Mutex<Fram
     let (bridge_tx, bridge_rx) = mpsc::channel::<RaceBridge>();
     let (done_tx, done_rx) = mpsc::channel::<engine::EngineOutcome>();
 
-    // Lowest bound the coordinator delivered; the pump skips "echoing"
-    // it back (it would be counted as this shard's own improvement).
+    // Lowest bound the coordinator delivered; the pump ships no
+    // incumbent at or above it (the coordinator already holds a witness
+    // that light).
     let remote_bound = Arc::new(AtomicUsize::new(usize::MAX));
 
     std::thread::scope(|scope| {
@@ -205,7 +208,6 @@ fn race_job(shard: usize, job: &Job, mut output: impl Write, router: &Mutex<Fram
             bridge: &bridge,
             shard,
             remote_bound: &remote_bound,
-            bound_sent: usize::MAX,
             incumbent_sent: usize::MAX,
             floor_sent: 0,
             clauses: Vec::new(),
@@ -221,7 +223,7 @@ fn race_job(shard: usize, job: &Job, mut output: impl Write, router: &Mutex<Fram
                     // already logged it into the ring; ship one last
                     // checkpoint so the coordinator's post-mortem shows
                     // the panic, then let the scope re-raise on exit.
-                    let _ = pump_blackbox(job, &mut output);
+                    let _ = pump_blackbox(&mut output);
                     return 4;
                 }
             }
@@ -244,12 +246,12 @@ fn race_job(shard: usize, job: &Job, mut output: impl Write, router: &Mutex<Fram
                 }
             }
             if ticks.is_multiple_of(BLACKBOX_EVERY_TICKS) {
-                let _ = pump_blackbox(job, &mut output);
+                let _ = pump_blackbox(&mut output);
             }
         };
 
-        // Final flush (bounds/floors the race published on its way out),
-        // then the terminal result.
+        // Final flush (the incumbent and floor the race published on its
+        // way out), then the terminal result.
         let _ = pump.tick(&mut output);
         // The race is over and its lane threads have flushed their spans;
         // ship the tail so the coordinator's timeline is complete.
@@ -263,23 +265,9 @@ fn race_job(shard: usize, job: &Job, mut output: impl Write, router: &Mutex<Fram
             weight = outcome.weight().map(|w| w as u64).unwrap_or(0),
             optimal = outcome.optimal_proved,
         );
-        let _ = pump_blackbox(job, &mut output);
+        let _ = pump_blackbox(&mut output);
         let result = ShardResult {
-            weight: outcome.weight(),
-            strings: outcome.best.as_ref().map(|b| b.strings.clone()),
-            proved_floor: outcome
-                .report
-                .workers
-                .iter()
-                .filter_map(|w| w.proved_floor)
-                .max()
-                .or_else(|| {
-                    let f = bridge.floor.load(Ordering::Relaxed);
-                    (f != 0).then_some(f)
-                }),
-            optimal: outcome.optimal_proved,
-            winner: outcome.report.winner.clone(),
-            workers: outcome.report.workers.clone(),
+            workers: outcome.report.workers,
         };
         match send(&mut output, &Frame::Result(result.to_bytes())) {
             Ok(()) => 0,
@@ -597,15 +585,15 @@ struct Pump<'a> {
     shard: usize,
     /// Lowest bound the coordinator delivered (see [`FrameRouter`]).
     remote_bound: &'a AtomicUsize,
-    bound_sent: usize,
     incumbent_sent: usize,
     floor_sent: usize,
     clauses: Vec<sat::SharedClause>,
 }
 
 impl Pump<'_> {
-    /// One pump tick: forward drained clauses, a tightened bound, and a
-    /// strengthened floor. Any write error means the coordinator is gone.
+    /// One pump tick: forward drained clauses, an improved incumbent and
+    /// a strengthened floor. Any write error means the coordinator is
+    /// gone.
     fn tick(&mut self, output: &mut impl Write) -> io::Result<()> {
         let bridge = self.bridge;
         let mut wrote = false;
@@ -617,25 +605,14 @@ impl Pump<'_> {
                 wrote = true;
             }
         }
-        // Only report bounds this shard *improved*: a bound at or above
+        // Only report encodings this shard *improved* on: one at or above
         // the coordinator's own delivery would echo straight back.
         let remote_bound = self.remote_bound.load(Ordering::Relaxed);
-        let bound = bridge.bound.get();
-        if bound < self.bound_sent && bound < remote_bound {
-            self.bound_sent = bound;
-            write_frame(output, &Frame::Bound(bound as u64))?;
-            wrote = true;
-        }
-        // Ship the witness behind a local improvement: a weight-only
-        // Bound steers every other shard below this encoding, so this
-        // process dying must not take the race's only copy of the
-        // artifact with it.
         let snapshot = bridge.best.lock().unwrap().clone();
         if let Some((best, winner)) = snapshot {
             if best.weight < self.incumbent_sent && best.weight < remote_bound {
                 self.incumbent_sent = best.weight;
                 let update = IncumbentUpdate {
-                    weight: best.weight,
                     strings: best.strings,
                     winner,
                 };
@@ -685,16 +662,14 @@ fn pump_trace(shard: usize, trace_id: &str, output: &mut impl Write) -> io::Resu
 }
 
 /// Ships the worker's current flight-recorder ring as one `BlackBox`
-/// checkpoint. Best-effort by design: a failed write means the
-/// coordinator is gone, and the pump loop's own write failure handling
-/// will notice on the next clause/bound attempt.
-fn pump_blackbox(job: &Job, output: &mut impl Write) -> io::Result<()> {
-    let checkpoint = BlackBoxCheckpoint {
-        shard: job.shard,
-        fingerprint: job.fingerprint.clone(),
-        modes: job.problem.num_modes(),
-        lanes: job.strategies.iter().map(|s| s.name()).collect(),
-        flight_recorder: telemetry::recorder::recorder().snapshot().to_json_value(),
-    };
-    send(output, &Frame::BlackBox(checkpoint.to_bytes()))
+/// frame (compact: it rides the pump loop alongside clause traffic).
+/// Best-effort by design: a failed write means the coordinator is gone,
+/// and the pump loop's own write failure handling will notice on its
+/// next write.
+fn pump_blackbox(output: &mut impl Write) -> io::Result<()> {
+    let snapshot = telemetry::recorder::recorder().snapshot().to_json_value();
+    send(
+        output,
+        &Frame::BlackBox(snapshot.to_json_compact().into_bytes()),
+    )
 }

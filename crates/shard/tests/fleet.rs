@@ -14,11 +14,18 @@
 //!   speaking another protocol version is refused at `Hello` and never
 //!   registers, and a worker handed a `Job` it cannot parse exits
 //!   instead of holding its seat until the race's deadline.
+//! * **The worker's side of the contract**, against a raw socket too: a
+//!   real worker reports its encodings only as `Incumbent` frames that
+//!   pass the coordinator's check, never as a bare `Bound`, and flushes
+//!   its floor before its `Result`.
 
-use engine::EngineConfig;
+use engine::{check_encoding, default_portfolio, EngineConfig};
 use fermihedral::{EncodingProblem, Objective};
 use shard::wire::{write_frame, Frame, FrameRead, FrameReader, HELLO_ANY_SHARD, PROTOCOL_VERSION};
-use shard::{compile_fleet_with, measure_weight, FleetOptions, FleetServer};
+use shard::{
+    compile_fleet_with, measure_weight, FleetOptions, FleetServer, IncumbentUpdate, Job,
+    ShardResult,
+};
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -286,4 +293,65 @@ fn a_worker_that_cannot_parse_its_job_exits_instead_of_holding_its_seat() {
         std::thread::sleep(Duration::from_millis(20));
     };
     assert!(!status.success(), "a bad job must end the worker: {status}");
+}
+
+#[test]
+fn a_worker_reports_encodings_only_as_checked_incumbents() {
+    // A hand-rolled coordinator: the handshake, one job, then every frame
+    // the worker sends up to its `Result`.
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let _worker = Worker::spawn(&listener.local_addr().unwrap().to_string(), None);
+    let (mut stream, _) = listener.accept().expect("the worker connects");
+    let mut reader = FrameReader::new();
+    assert!(matches!(
+        next_frame(&mut stream, &mut reader),
+        Some(Frame::Hello { .. })
+    ));
+    let welcome = Frame::Welcome {
+        shard: 0,
+        protocol: PROTOCOL_VERSION,
+    };
+    write_frame(&mut stream, &welcome).expect("send Welcome");
+    let problem = EncodingProblem::full_sat(3, Objective::MajoranaWeight);
+    let job = Job {
+        shard: 0,
+        total_shards: 1,
+        fingerprint: engine::fingerprint(&problem).to_hex(),
+        strategies: default_portfolio(&problem),
+        problem: problem.clone(),
+        total_timeout: Some(Duration::from_secs(60)),
+        warm_hint: None,
+        trace_id: None,
+    };
+    write_frame(&mut stream, &Frame::Job(job.to_bytes())).expect("send Job");
+    stream.flush().expect("flush");
+
+    let mut kinds = Vec::new();
+    let mut weights = Vec::new();
+    let mut floors = Vec::new();
+    let result = loop {
+        let frame = next_frame(&mut stream, &mut reader).expect("a Result before EOF");
+        kinds.push(frame.kind());
+        match frame {
+            Frame::Incumbent(payload) => {
+                let update = IncumbentUpdate::from_bytes(&payload).expect("a whole incumbent");
+                let weight = check_encoding(&problem, &update.strings);
+                weights.push(weight.expect("every incumbent passes the check"));
+            }
+            Frame::Floor(floor) => floors.push(floor),
+            Frame::Result(payload) => break ShardResult::from_bytes(&payload).expect("a result"),
+            _ => {}
+        }
+    };
+    assert!(
+        !kinds.contains(&"bound"),
+        "a worker never sends Bound: {kinds:?}"
+    );
+    assert_eq!(weights.iter().min(), Some(&11), "N=3 optimum: {weights:?}");
+    assert!(floors.contains(&11), "Floor(11) before Result: {kinds:?}");
+    assert_eq!(
+        result.workers.len(),
+        job.strategies.len(),
+        "one report per lane"
+    );
 }

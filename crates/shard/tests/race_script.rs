@@ -157,24 +157,26 @@ fn gone(shard: usize) -> Event {
     }
 }
 
-fn incumbent(weight: usize, strings: Vec<PauliString>) -> Frame {
+fn incumbent(strings: Vec<PauliString>) -> Frame {
     let update = IncumbentUpdate {
-        weight,
         strings,
         winner: "lane-x".into(),
     };
     Frame::Incumbent(update.to_bytes())
 }
 
-fn result(weight: usize, strings: Vec<PauliString>, proved_floor: Option<usize>) -> Frame {
-    let result = ShardResult {
-        weight: Some(weight),
-        strings: Some(strings),
-        proved_floor,
-        winner: Some("lane-r".into()),
-        ..ShardResult::default()
-    };
-    Frame::Result(result.to_bytes())
+/// A terminal `Result` with no lane timelines.
+fn done() -> Frame {
+    Frame::Result(ShardResult::default().to_bytes())
+}
+
+/// `shard`'s last word, as a worker sends it: its encoding, its floor
+/// (if it proved one), then its `Result`.
+fn result(shard: usize, strings: Vec<PauliString>, proved_floor: Option<usize>) -> Vec<Event> {
+    let mut events = vec![frame(shard, incumbent(strings))];
+    events.extend(proved_floor.map(|f| frame(shard, Frame::Floor(f as u64))));
+    events.push(frame(shard, done()));
+    events
 }
 
 fn clause(tag: u32, var: usize) -> Frame {
@@ -191,20 +193,17 @@ fn clause(tag: u32, var: usize) -> Frame {
 
 // ---- (a) the PR 9 incumbent-loss bug, as a fixed script ------------------
 
-/// Shard 1 finds the optimum, announces it (`Bound` + `Incumbent`), and
-/// dies before its `Result`; shard 0 proves the floor but only ever held
-/// a heavier encoding. The original numbers were 16 / 19 at N = 4; here
-/// 6 / 7 at N = 2.
+/// Shard 1 finds the optimum, announces it (a bare `Bound`, then the
+/// `Incumbent` when `with_incumbent`), and dies before its `Result`;
+/// shard 0 proves the floor but only ever held a heavier encoding. The
+/// original numbers were 16 / 19 at N = 4; here 6 / 7 at N = 2.
 fn incumbent_loss_script(with_incumbent: bool) -> Vec<Event> {
     let mut script = vec![joined(0), joined(1), frame(1, Frame::Bound(6))];
     if with_incumbent {
-        script.push(frame(1, incumbent(6, optimum())));
+        script.push(frame(1, incumbent(optimum())));
     }
-    script.extend([
-        gone(1),
-        frame(0, Frame::Floor(6)),
-        frame(0, result(7, heavier(), Some(6))),
-    ]);
+    script.extend([gone(1), frame(0, Frame::Floor(6))]);
+    script.extend(result(0, heavier(), Some(6)));
     script
 }
 
@@ -224,12 +223,17 @@ fn an_incumbent_outlives_the_shard_that_found_it() {
 }
 
 #[test]
-fn without_the_incumbent_frame_the_same_race_ends_uncertified() {
+fn a_bound_without_its_witness_steers_nothing() {
     let mut link = ScriptLink::new(&[0, 1], incumbent_loss_script(false));
     let outcome = run(&mut link);
     assert_eq!(outcome.best.as_ref().map(|(b, _)| b.weight), Some(7));
     assert_eq!(outcome.floor, 6);
     assert!(!outcome.optimal_proved(), "a bound nobody can witness");
+    assert!(
+        !link.sent.contains(&(0, Frame::Bound(6))),
+        "a worker's bare Bound is never forwarded"
+    );
+    assert_eq!(outcome.shards[1].bounds_sent, 0, "nor counted");
 }
 
 // ---- (b) superseded generations ------------------------------------------
@@ -245,11 +249,13 @@ fn a_stale_generation_is_dropped_but_its_incumbent_is_kept() {
             rejoined(1),
             // Stragglers from shard 1's first connection:
             frame(1, Frame::Bound(6)),
-            frame(1, incumbent(6, optimum())),
+            frame(1, incumbent(optimum())),
             frame(1, Frame::Floor(6)),
             gone(1),
-            frame(0, result(7, heavier(), Some(6))),
-        ],
+        ]
+        .into_iter()
+        .chain(result(0, heavier(), Some(6)))
+        .collect(),
     );
     link.patience = Some(Duration::from_secs(3600));
     let outcome = run(&mut link);
@@ -278,7 +284,7 @@ fn a_rejoining_seat_gets_job_bound_and_the_digest_minus_its_own_clauses() {
             joined(1),
             frame(0, clause(0, 1)),
             frame(1, clause(1, 2)),
-            frame(0, Frame::Bound(7)),
+            frame(0, incumbent(heavier())),
             gone(1),
             rejoined(1),
         ],
@@ -349,9 +355,11 @@ fn a_floor_claim_above_a_validated_weight_is_discarded_at_merge() {
             joined(0),
             joined(1),
             frame(1, Frame::Floor(9)), // "nothing below 9 exists"
-            frame(0, result(6, optimum(), Some(5))),
-            frame(1, result(7, heavier(), None)),
-        ],
+        ]
+        .into_iter()
+        .chain(result(0, optimum(), Some(5)))
+        .chain(result(1, heavier(), None))
+        .collect(),
     );
     let outcome = run(&mut link);
     assert_eq!(outcome.best.as_ref().map(|(b, _)| b.weight), Some(6));
@@ -366,10 +374,10 @@ fn wind_down_script() -> Vec<Event> {
     vec![
         joined(0),
         joined(1),
-        frame(0, Frame::Bound(6)),
+        frame(0, incumbent(optimum())),
         frame(0, Frame::Floor(6)),
         gone(1),
-        frame(0, result(6, optimum(), Some(6))),
+        frame(0, done()),
     ]
 }
 
@@ -417,9 +425,12 @@ fn malformed() -> [(&'static str, Vec<PauliString>); 3] {
 fn a_malformed_wire_incumbent_is_dropped_not_a_panic() {
     for (what, bad) in malformed() {
         let mut script = incumbent_loss_script(false);
-        script.insert(3, frame(1, incumbent(6, bad)));
+        script.insert(3, frame(1, incumbent(bad)));
         let outcome = run(&mut ScriptLink::new(&[0, 1], script));
-        // Exactly as if the frame had never been sent.
+        // The encoding is dropped and its sender buried; the survivor's
+        // race goes on exactly as if the frame had never been sent.
+        assert!(outcome.shards[1].dead, "{what}");
+        assert!(!outcome.shards[0].dead, "{what}");
         assert_eq!(
             outcome.best.as_ref().map(|(b, _)| b.weight),
             Some(7),
@@ -431,13 +442,20 @@ fn a_malformed_wire_incumbent_is_dropped_not_a_panic() {
 
 #[test]
 fn a_malformed_shard_result_marks_the_seat_dead_not_a_panic() {
-    for (what, bad) in malformed() {
-        let script = vec![
-            joined(0),
-            joined(1),
-            frame(1, result(6, bad, Some(6))),
-            frame(0, result(7, heavier(), None)),
-        ];
+    // A shard's last word whose encoding fails the check, and a `Result`
+    // payload that does not parse: either buries the sender.
+    let mut cases: Vec<(&str, Vec<Event>)> = malformed()
+        .into_iter()
+        .map(|(what, bad)| (what, result(1, bad, Some(6))))
+        .collect();
+    cases.push((
+        "unparsable result",
+        vec![frame(1, Frame::Result(b"{\"weight\":6}".to_vec()))],
+    ));
+    for (what, last_word) in cases {
+        let mut script = vec![joined(0), joined(1)];
+        script.extend(last_word);
+        script.extend(result(0, heavier(), None));
         let outcome = run(&mut ScriptLink::new(&[0, 1], script));
         assert!(outcome.shards[1].dead, "{what}");
         assert!(!outcome.shards[0].dead, "{what}");
@@ -446,6 +464,7 @@ fn a_malformed_shard_result_marks_the_seat_dead_not_a_panic() {
             Some(7),
             "{what}"
         );
+        assert!(!outcome.optimal_proved(), "{what}");
     }
 }
 
@@ -472,12 +491,13 @@ fn lanes_are_reported_under_their_shard_id_not_their_position() {
         shard: None,
     };
     let result = ShardResult {
-        weight: Some(6),
-        strings: Some(optimum()),
         workers: vec![lane],
-        ..ShardResult::default()
     };
-    let script = vec![joined(1), frame(1, Frame::Result(result.to_bytes()))];
+    let script = vec![
+        joined(1),
+        frame(1, incumbent(optimum())),
+        frame(1, Frame::Result(result.to_bytes())),
+    ];
     let mut link = ScriptLink::new(&[1], script);
     link.patience = Some(Duration::from_secs(3600));
     let outcome = run(&mut link);
@@ -487,12 +507,15 @@ fn lanes_are_reported_under_their_shard_id_not_their_position() {
     assert_eq!(lanes, [Some(1)]);
 
     // The same when the shard names no winner: the label is its id.
-    let result = ShardResult {
-        weight: Some(6),
-        strings: Some(optimum()),
-        ..ShardResult::default()
+    let unnamed = IncumbentUpdate {
+        strings: optimum(),
+        winner: String::new(),
     };
-    let script = vec![joined(1), frame(1, Frame::Result(result.to_bytes()))];
+    let script = vec![
+        joined(1),
+        frame(1, Frame::Incumbent(unnamed.to_bytes())),
+        frame(1, done()),
+    ];
     let outcome = run(&mut ScriptLink::new(&[1], script));
     assert_eq!(outcome.best.expect("shard 1's result").1, "shard-1");
 }
