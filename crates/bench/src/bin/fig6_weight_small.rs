@@ -1,20 +1,22 @@
 //! **Figure 6** — average per-Majorana Pauli weight at small scale:
-//! Bravyi-Kitaev vs Full SAT (all constraints), N = 1…8.
+//! Bravyi-Kitaev vs Full SAT (all constraints), N = 1…8, with the
+//! vacuum-paired ternary tree's total beside them.
 //!
 //! The paper reports an ~11 % average reduction and the regressions
 //! `0.73·log₂N + 0.94` (BK) vs `0.56·log₂N + 0.95` (optimal).
 //!
 //! Usage: `fig6_weight_small [--max-modes 5] [--timeout 30] [--csv]`
 //! (the paper runs to N = 8 with much larger solver budgets). The default
-//! run takes about 7 s and certifies every row, N = 5 included (weight
+//! run takes about 3 s and certifies every row, N = 5 included (weight
 //! 22, `optimal? yes`): the descent searches up to qubit relabelling
 //! (`fermihedral::symmetry`), which brought the N = 5 floor proof from
-//! hours to seconds. N = 6…8 still end `best-in-budget`.
+//! hours to seconds. N = 6…8 still end `best-in-budget`. The `tree total`
+//! column equals the SAT total on every certified row.
 
 use encodings::weight::majorana_weight;
 use encodings::Encoding;
 use fermihedral_bench::args::Args;
-use fermihedral_bench::pipeline::{bravyi_kitaev, sat_majorana_encoding, Budget};
+use fermihedral_bench::pipeline::{bravyi_kitaev, sat_majorana_encoding, ternary_tree, Budget};
 use fermihedral_bench::report::{reduction_pct, Table};
 use mathkit::stats::fit_log2;
 
@@ -30,6 +32,7 @@ fn main() {
         "N",
         "BK total",
         "BK avg",
+        "tree total",
         "SAT total",
         "SAT avg",
         "optimal?",
@@ -41,6 +44,7 @@ fn main() {
 
     for n in 1..=max_modes {
         let bk = majorana_weight(&bravyi_kitaev(n).majoranas());
+        let tree = majorana_weight(&ternary_tree(n).majoranas());
         let result = sat_majorana_encoding(n, true, budget);
         let ops = 2 * n;
         xs.push(n as f64);
@@ -50,6 +54,7 @@ fn main() {
             n.to_string(),
             bk.to_string(),
             format!("{:.3}", bk as f64 / ops as f64),
+            tree.to_string(),
             result.weight.to_string(),
             format!("{:.3}", result.weight as f64 / ops as f64),
             if result.optimal {

@@ -208,10 +208,10 @@ pub fn sat_majorana_encoding(n: usize, full: bool, budget: Budget) -> SatEncodin
 }
 
 /// Large-scale variant of [`sat_majorana_encoding`] (Figure 7 territory):
-/// drops the *optional* vacuum constraint (paper Section 3.1 — it does not
-/// affect the weight optimum) so the ternary tree, which is much lighter
-/// than Bravyi-Kitaev but not vacuum-paired, can serve as the warm start,
-/// and uses `min(BK, TT)` as the initial bound.
+/// no algebraic-independence clauses, and the descent warm-starts from the
+/// lighter of Bravyi-Kitaev and the vacuum-paired ternary tree — phases
+/// and initial bound `min(BK, TT)` — with the vacuum constraint kept on,
+/// which both constructions satisfy.
 pub fn sat_majorana_encoding_relaxed(n: usize, budget: Budget) -> SatEncodingResult {
     use encodings::weight::majorana_weight;
     let bk = bravyi_kitaev(n);
@@ -229,7 +229,7 @@ pub fn sat_majorana_encoding_relaxed(n: usize, budget: Budget) -> SatEncodingRes
         .map(|p| p.string().clone())
         .collect();
 
-    let problem = EncodingProblem::new(n, Objective::MajoranaWeight).with_vacuum_condition(false);
+    let problem = EncodingProblem::new(n, Objective::MajoranaWeight);
     let mut config = budget.descent_config();
     config.initial_weight = Some(seed_w + 1);
     config.phase_hint = Some(hint);

@@ -1,19 +1,40 @@
-//! The ternary-tree encoding of Jiang, Kalev, Mruczkiewicz & Neven (2020).
+//! The vacuum-preserving ternary-tree encoding of Jiang, Kalev,
+//! Mruczkiewicz & Neven, Quantum 4, 276 (2020), arXiv:1910.10746.
 //!
 //! Qubits are nodes of a complete ternary tree (array layout: node `k` has
-//! children `3k+1`, `3k+2`, `3k+3`). Every root-to-leaf-slot path defines a
-//! Pauli string — operator `X`/`Y`/`Z` at each node according to the branch
-//! taken. A tree with `n` nodes has exactly `2n+1` leaf slots, and the
-//! resulting strings pairwise anticommute (any two share exactly one
-//! divergence node). Dropping one string (the all-`Z` spine, which is
-//! diagonal) leaves `2n` Majorana operators of depth ≤ `⌈log₃(2n+1)⌉` —
-//! the asymptotically optimal per-Majorana Pauli weight the paper cites as
-//! the best Hamiltonian-independent construction.
+//! child slots `3k+1`, `3k+2`, `3k+3`; a slot `≥ n` is a leaf slot). Every
+//! node labels its three child slots `X`, `Y` and `Z`, and every
+//! root-to-leaf-slot path is a Pauli string: the label of the branch taken
+//! at each node on the path. A tree with `n` nodes has exactly `2n+1` leaf
+//! slots, and the resulting strings pairwise anticommute (any two diverge
+//! at exactly one node, where they carry different labels).
+//!
+//! * **Pairing.** Mode `k` is node `k`. Its even Majorana takes node `k`'s
+//!   `X` branch and its odd Majorana the `Y` branch; each branch then
+//!   continues down `Z`-labelled children to a leaf slot. The two strings
+//!   agree above node `k`, carry `X`/`Y` there and only `Z` below, so
+//!   `(γ_{2k} + iγ_{2k+1})/2` annihilates `|0…0⟩`: the encoding preserves
+//!   the vacuum. The one path left over — the root's all-`Z` chain — is
+//!   diagonal and dropped.
+//! * **Spine choice.** At every node, `Z` labels the child slot whose
+//!   subtree holds a deepest leaf slot (ties go to the lower slot index);
+//!   `X` and `Y` take the other two slots in slot order. The dropped chain
+//!   therefore ends at a deepest leaf slot.
+//! * **Closed form.** Every leaf slot but the dropped one ends exactly one
+//!   Majorana string, whose weight is the slot's depth (the number of nodes
+//!   on its path), so the total Majorana weight is the sum of leaf-slot
+//!   depths minus the deepest one: 2, 6, 11, 16, 22, 29, 36, 43 at
+//!   N = 1…8. At N ≤ 5 that is the SAT-certified optimum of the paper's
+//!   Hamiltonian-independent problem.
+//!
+//! Every string weighs at most the tree depth `⌈log₃(2n+1)⌉`, the
+//! asymptotically optimal per-Majorana Pauli weight the paper cites as the
+//! best Hamiltonian-independent construction.
 
 use crate::Encoding;
 use pauli::{Pauli, PauliString, PhasedString};
 
-/// The balanced ternary-tree encoding on `n` qubits.
+/// The balanced, vacuum-preserving ternary-tree encoding on `n` qubits.
 ///
 /// # Example
 ///
@@ -43,26 +64,62 @@ impl TernaryTreeEncoding {
         TernaryTreeEncoding { num_modes: n }
     }
 
-    /// All `2n+1` root-to-leaf-slot strings in depth-first order (the last
-    /// one is the all-`Z` spine that [`majoranas`](Encoding::majoranas)
-    /// drops).
+    /// All `2n+1` root-to-leaf-slot strings: mode `k`'s `X` and `Y` branches
+    /// for `k = 0, 1, …`, then the root's all-`Z` chain that
+    /// [`majoranas`](Encoding::majoranas) drops.
     pub fn all_paths(&self) -> Vec<PauliString> {
+        let labels = self.labels();
         let mut out = Vec::with_capacity(2 * self.num_modes + 1);
-        let prefix = PauliString::identity(self.num_modes);
-        self.walk(0, &prefix, &mut out);
+        for node in 0..self.num_modes {
+            out.push(self.path(&labels, node, Pauli::X));
+            out.push(self.path(&labels, node, Pauli::Y));
+        }
+        out.push(self.path(&labels, 0, Pauli::Z));
         out
     }
 
-    fn walk(&self, node: usize, prefix: &PauliString, out: &mut Vec<PauliString>) {
-        for (b, op) in [Pauli::X, Pauli::Y, Pauli::Z].into_iter().enumerate() {
-            let mut s = prefix.clone();
-            s.set(node, op);
-            let child = 3 * node + 1 + b;
-            if child < self.num_modes {
-                self.walk(child, &s, out);
-            } else {
-                out.push(s);
+    /// `labels[k][s]`: the operator node `k` applies on paths through its
+    /// child slot `s`.
+    fn labels(&self) -> Vec<[Pauli; 3]> {
+        let n = self.num_modes;
+        // height[c]: nodes on the longest path from slot `c` down to a leaf
+        // slot (0 at a leaf slot). A child's index exceeds its parent's, so
+        // one reverse pass fills it.
+        let mut height = vec![0usize; 3 * n + 1];
+        let mut labels = vec![[Pauli::Z; 3]; n];
+        for k in (0..n).rev() {
+            let slots = [1, 2, 3].map(|s| height[3 * k + s]);
+            // `max_by_key` keeps the last maximum; scanning high to low
+            // gives Z to the lowest deepest slot.
+            let z = (0..3).rev().max_by_key(|&s| slots[s]).unwrap();
+            height[k] = 1 + slots[z];
+            let mut xy = [Pauli::X, Pauli::Y].into_iter();
+            for s in (0..3).filter(|&s| s != z) {
+                labels[k][s] = xy.next().unwrap();
             }
+        }
+        labels
+    }
+
+    /// The string that leaves `node` through its `branch`-labelled slot and
+    /// then follows `Z` labels down to a leaf slot.
+    fn path(&self, labels: &[[Pauli; 3]], node: usize, branch: Pauli) -> PauliString {
+        let mut s = PauliString::identity(self.num_modes);
+        let mut child = node;
+        while child > 0 {
+            let parent = (child - 1) / 3;
+            s.set(parent, labels[parent][(child - 1) % 3]);
+            child = parent;
+        }
+        let (mut at, mut op) = (node, branch);
+        loop {
+            s.set(at, op);
+            let slot = labels[at].iter().position(|&l| l == op).unwrap();
+            at = 3 * at + 1 + slot;
+            if at >= self.num_modes {
+                return s;
+            }
+            op = Pauli::Z;
         }
     }
 }
@@ -74,7 +131,7 @@ impl Encoding for TernaryTreeEncoding {
 
     fn majoranas(&self) -> Vec<PhasedString> {
         let mut paths = self.all_paths();
-        paths.pop(); // drop the all-Z spine
+        paths.pop(); // drop the root's all-Z chain
         paths.into_iter().map(PhasedString::from).collect()
     }
 
@@ -86,6 +143,7 @@ impl Encoding for TernaryTreeEncoding {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::weight::majorana_weight;
 
     #[test]
     fn single_qubit_tree_is_xyz() {
@@ -131,6 +189,28 @@ mod tests {
         for (_, op) in last.support() {
             assert_eq!(op, Pauli::Z);
         }
+    }
+
+    #[test]
+    fn weight_is_leaf_depths_minus_the_deepest() {
+        let weight = |n| majorana_weight(&TernaryTreeEncoding::new(n).majoranas());
+        for n in 1..=16 {
+            // Nodes on the path to every node, then to every leaf slot,
+            // from the array layout alone.
+            let mut depth = vec![1usize; n];
+            let mut leaves = Vec::new();
+            for k in 0..n {
+                if k > 0 {
+                    depth[k] = depth[(k - 1) / 3] + 1;
+                }
+                leaves.extend((1..=3).filter(|s| 3 * k + s >= n).map(|_| depth[k]));
+            }
+            assert_eq!(leaves.len(), 2 * n + 1, "n = {n}");
+            let closed = leaves.iter().sum::<usize>() - leaves.iter().max().unwrap();
+            assert_eq!(weight(n), closed, "n = {n}");
+        }
+        let small: Vec<usize> = (1..=8).map(weight).collect();
+        assert_eq!(small, [2, 6, 11, 16, 22, 29, 36, 43]);
     }
 
     #[test]

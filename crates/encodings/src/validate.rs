@@ -154,12 +154,12 @@ mod tests {
     }
 
     #[test]
-    fn ternary_tree_is_valid_but_not_vacuum_paired() {
+    fn ternary_tree_is_valid_and_vacuum_paired() {
         let r = validate(&TernaryTreeEncoding::new(4));
         assert!(r.is_valid());
-        // The DFS pairing is not the vacuum-preserving pairing of Jiang et
-        // al.; our encoder doesn't claim it.
-        assert!(!r.vacuum_preserving);
+        // Each mode pairs one node's X and Y branches (Jiang et al.'s
+        // vacuum-preserving pairing).
+        assert!(r.vacuum_preserving);
     }
 
     #[test]

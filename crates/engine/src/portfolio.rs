@@ -10,11 +10,14 @@
 //!   pair assignment (Hamiltonian-dependent objective only — pair
 //!   permutations cannot change the Hamiltonian-independent weight).
 //!
-//! Every race opens at the classical constructions — the ternary tree,
-//! then Bravyi-Kitaev — each published, when it satisfies the problem's
-//! constraints, before any lane thread starts. The lanes therefore start
-//! from a feasible bound to beat (the paper's Section 3.6 opening bound),
-//! and no race returns worse than the best valid construction.
+//! Every race opens at the classical constructions — the vacuum-paired
+//! ternary tree, then Bravyi-Kitaev — each published, when it satisfies
+//! the problem's constraints, before any lane thread starts. The lanes
+//! therefore start from a feasible bound to beat (the paper's Section 3.6
+//! opening bound), and no race returns worse than the best valid
+//! construction. For the Hamiltonian-independent weight the tree is the
+//! certified optimum at every N ≤ 5, so there a descent lane's first
+//! solver call is already the floor proof.
 //!
 //! Every worker publishes improvements to a [`SharedBound`], so any
 //! worker's find immediately tightens every other worker's next
@@ -838,7 +841,12 @@ pub fn race_lanes(
     // the lanes' Bravyi-Kitaev phase hint when they open strictly below
     // the BK bound — at small mode counts BK is itself near-optimal, and
     // swapping its phases for a heavier embedded encoding measurably
-    // slows the descent.
+    // slows the descent. The constructions below seed the bound but never
+    // the hint, although for the Hamiltonian-independent weight the
+    // ternary tree opens below BK at N = 2 and N ≥ 4: a hint only steers a
+    // lane toward its next model, and where the tree is the optimum
+    // (N ≤ 5) no lighter model exists — the lanes' first call is the UNSAT
+    // floor proof, with nothing to steer toward.
     let warm_hint_strings = (input.warm_start)
         .filter(|e| e.weight < bravyi_kitaev_bound(problem))
         .map(|e| e.strings.clone());

@@ -1,8 +1,9 @@
 //! End-to-end tests of the portfolio engine: parity with the sequential
 //! descent, incumbent sharing, cancellation, and the persistent cache.
 
-use engine::{compile, compile_with, EngineConfig, EngineOutcome, Strategy};
-use fermihedral::descent::{bravyi_kitaev_bound, solve_optimal, DescentConfig};
+use encodings::{Encoding, TernaryTreeEncoding};
+use engine::{check_encoding, compile, compile_with, EngineConfig, EngineOutcome, Strategy};
+use fermihedral::descent::{solve_optimal, DescentConfig};
 use fermihedral::{AnnealConfig, EncodingProblem, Objective};
 use fermion::MajoranaMonomial;
 use sat::{CancelToken, ExportLbd, RestartPolicyKind};
@@ -110,24 +111,56 @@ fn default_portfolio_races_search_lanes_and_wins() {
 #[test]
 fn every_race_opens_at_the_classical_constructions() {
     // A caller-chosen portfolio of one descent lane, aborted before it
-    // starts: the race still holds Bravyi-Kitaev, published before any
-    // lane thread existed. (With the vacuum condition on, the ternary tree
-    // is not a valid encoding at N=7 and is not published.)
-    let problem = EncodingProblem::new(7, Objective::MajoranaWeight);
+    // starts: the race still holds the lighter construction, published
+    // before any lane thread existed. For the Hamiltonian-independent
+    // weight that is the vacuum-paired ternary tree (36 at N=7, 43 at
+    // N=8, against Bravyi-Kitaev's 38 and 57); a Hamiltonian whose terms
+    // Bravyi-Kitaev keeps local (γ₀γ₁ + γ₀γ₃ at N=4: tree 6, Bravyi-Kitaev
+    // 3) opens at Bravyi-Kitaev instead.
+    let hamiltonian = Objective::HamiltonianWeight(vec![
+        MajoranaMonomial::from_sorted(vec![0, 1]),
+        MajoranaMonomial::from_sorted(vec![0, 3]),
+    ]);
+    let cases = [
+        (
+            EncodingProblem::new(7, Objective::MajoranaWeight),
+            36,
+            "baseline[ternary-tree]",
+        ),
+        (
+            EncodingProblem::new(8, Objective::MajoranaWeight),
+            43,
+            "baseline[ternary-tree]",
+        ),
+        (
+            EncodingProblem::new(4, hamiltonian),
+            3,
+            "baseline[bravyi-kitaev]",
+        ),
+    ];
     let config = EngineConfig {
         strategies: three_descent_lanes()[..1].to_vec(),
         ..EngineConfig::default()
     };
-    let cancel = CancelToken::new();
-    cancel.cancel();
-    let outcome = compile_with(&problem, &config, None, Some(&cancel));
-    assert_eq!(outcome.weight(), Some(bravyi_kitaev_bound(&problem)));
-    assert_eq!(
-        outcome.report.winner.as_deref(),
-        Some("baseline[bravyi-kitaev]")
-    );
-    assert!(!outcome.optimal_proved);
-    assert_valid(&outcome, &problem);
+    for (problem, weight, winner) in cases {
+        let cancel = CancelToken::new();
+        cancel.cancel();
+        let outcome = compile_with(&problem, &config, None, Some(&cancel));
+        assert_eq!(outcome.weight(), Some(weight), "{winner}");
+        assert_eq!(outcome.report.winner.as_deref(), Some(winner));
+        assert!(!outcome.optimal_proved, "{winner}");
+        assert_valid(&outcome, &problem);
+    }
+    // The tree passes the engine's trust-boundary check at every size
+    // Fig. 6 covers, at its closed-form weight.
+    for (n, weight) in (1..=8).zip([2, 6, 11, 16, 22, 29, 36, 43]) {
+        let problem = EncodingProblem::full_sat(n, Objective::MajoranaWeight);
+        let tree: Vec<pauli::PauliString> = (TernaryTreeEncoding::new(n).majoranas())
+            .iter()
+            .map(|m| m.string().clone())
+            .collect();
+        assert_eq!(check_encoding(&problem, &tree), Some(weight), "n={n}");
+    }
 }
 
 #[test]
@@ -271,18 +304,14 @@ fn total_timeout_cancels_a_hopeless_run_promptly() {
 
 #[test]
 fn anneal_lane_reseeds_from_a_better_incumbent() {
-    // Structure γ₃γ₅: the ternary tree encodes it at weight 1, but the
-    // best *pair permutation* of Bravyi-Kitaev only reaches weight 2
-    // (verified by brute force over all 3! permutations). Annealing is a
+    // Structure γ₁γ₇ at N=4: the ternary tree encodes it at weight 1, but
+    // the best *pair permutation* of Bravyi-Kitaev only reaches weight 2
+    // (verified by brute force over all 4! permutations). Annealing is a
     // pure pair-permutation search, so a BK-based annealing lane can never
     // reach weight 1 from its own base — it must adopt the ternary tree,
     // which opens the race as its incumbent, and re-anneal from there.
-    // Vacuum condition off: the ternary tree does not satisfy the XY-pair
-    // constraint, and the lane under test needs it as a publishable
-    // incumbent.
-    let monomials = vec![MajoranaMonomial::from_sorted(vec![3, 5])];
-    let problem = EncodingProblem::new(3, Objective::HamiltonianWeight(monomials))
-        .with_vacuum_condition(false);
+    let monomials = vec![MajoranaMonomial::from_sorted(vec![1, 7])];
+    let problem = EncodingProblem::new(4, Objective::HamiltonianWeight(monomials));
     let strategies = vec![Strategy::Anneal {
         schedule: AnnealConfig::default(),
     }];

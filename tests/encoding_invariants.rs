@@ -3,7 +3,7 @@
 //! These are the properties the paper's formulation relies on, checked
 //! across the classical constructions and the SAT solver's output.
 
-use fermihedral_repro::encodings::validate::{validate, validate_strings};
+use fermihedral_repro::encodings::validate::{preserves_vacuum, validate, validate_strings};
 use fermihedral_repro::encodings::weight::majorana_weight;
 use fermihedral_repro::encodings::{Encoding, LinearEncoding, TernaryTreeEncoding};
 use fermihedral_repro::fermihedral::descent::{solve_optimal, DescentConfig};
@@ -27,11 +27,18 @@ fn classical_encodings_valid_up_to_n8() {
 }
 
 #[test]
-fn linear_encodings_preserve_vacuum_ternary_tree_does_not_claim_it() {
+fn classical_encodings_preserve_vacuum() {
     for n in 1..=6 {
         assert!(validate(&LinearEncoding::jordan_wigner(n)).vacuum_preserving);
         assert!(validate(&LinearEncoding::parity(n)).vacuum_preserving);
         assert!(validate(&LinearEncoding::bravyi_kitaev(n)).vacuum_preserving);
+    }
+    // The exact check (each pair's annihilator kills |0…0⟩), not only the
+    // paper's XY-pair condition.
+    for n in 1..=16 {
+        let tt = TernaryTreeEncoding::new(n).majoranas();
+        assert!(preserves_vacuum(&tt), "ternary tree at n={n}");
+        assert!(validate_strings(&tt).is_valid(), "ternary tree at n={n}");
     }
 }
 
@@ -50,6 +57,9 @@ fn optimal_weights_match_known_small_values() {
         );
         assert_eq!(outcome.weight(), Some(w), "n={n}");
         assert!(outcome.optimal_proved, "n={n} should certify optimality");
+        // The vacuum-paired ternary tree meets the certified optimum.
+        let tt = majorana_weight(&TernaryTreeEncoding::new(n).majoranas());
+        assert_eq!(tt, w, "ternary tree at n={n}");
     }
 }
 
