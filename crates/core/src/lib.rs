@@ -12,6 +12,9 @@
 //!   Hamiltonian-dependent Pauli-weight objective through a totalizer;
 //!   and the *search* formula Algorithm 1 solves, which leaves the
 //!   independence family out because anticommutation implies it.
+//! * [`bound`] — a second floor with no CNF: branch and bound over sets
+//!   of `2N` pairwise-anticommuting Pauli strings, the Hamiltonian-
+//!   independent problem with the vacuum condition relaxed.
 //! * [`symmetry`] — the qubit-order lex-leader block that the search
 //!   formula of `MajoranaWeight` instances carries, its soundness
 //!   argument, and the canonical form of warm-start hints.
@@ -20,6 +23,8 @@
 //!   the search with the best-so-far encoding).
 //! * [`enumerate`] — enumerating distinct optimal solutions with blocking
 //!   clauses (used by the paper's Figure 4 independence study).
+//! * [`fixtures`] — named Hamiltonian-dependent problems whose races the
+//!   bound does not decide, for tests, examples and docs.
 //! * [`anneal`] — Algorithm 2: simulated-annealing assignment of Majorana
 //!   pairs to modes, replacing the exponential Hamiltonian-dependent clause
 //!   set at scale (Section 4.2).
@@ -40,8 +45,10 @@
 //! ```
 
 pub mod anneal;
+pub mod bound;
 pub mod descent;
 pub mod enumerate;
+pub mod fixtures;
 pub mod instance;
 pub mod layout;
 pub mod symmetry;

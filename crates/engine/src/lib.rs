@@ -13,7 +13,9 @@
 //!   lane's improvement immediately tightens every other lane's bound;
 //!   the first UNSAT certificate proves the incumbent optimal and cancels
 //!   the rest ([`sat::CancelToken`]), so wall clock tracks the fastest
-//!   lane.
+//!   lane. A Hamiltonian-independent race at N ≤ 5 is not run at all: a
+//!   branch and bound over anticommuting sets ([`fermihedral::bound`])
+//!   proves its opening optimal first.
 //! * Descent lanes additionally exchange **learnt clauses** through a
 //!   [`sat::SharedContext`]: units, binaries, and low-LBD clauses one lane
 //!   paid conflicts for prune the same subtrees in every other lane.

@@ -15,9 +15,16 @@
 //! the problem's constraints, before any lane thread starts. The lanes
 //! therefore start from a feasible bound to beat (the paper's Section 3.6
 //! opening bound), and no race returns worse than the best valid
-//! construction. For the Hamiltonian-independent weight the tree is the
-//! certified optimum at every N ≤ 5, so there a descent lane's first
-//! solver call is already the floor proof.
+//! construction.
+//!
+//! For the Hamiltonian-independent weight the tree is the optimum at
+//! every N ≤ 5, and no race is run there: [`compile_cached`] asks
+//! [`fermihedral::bound`] whether any `2N` pairwise-anticommuting strings
+//! weigh less than the opening, and when none do, the opening is the
+//! answer and its floor is that search's. No lane thread starts and no
+//! CNF is built. The search drops the vacuum condition, so its floor is
+//! a lower bound with the condition on or off; it shares no code with the
+//! clause generator.
 //!
 //! Every worker publishes improvements to a [`SharedBound`], so any
 //! worker's find immediately tightens every other worker's next
@@ -49,6 +56,7 @@ use encodings::embed::embed_to;
 use encodings::validate::validate_strings;
 use encodings::weight::structure_weight;
 use encodings::{Encoding, LinearEncoding, MajoranaEncoding, TernaryTreeEncoding};
+use fermihedral::bound::lightest_below;
 use fermihedral::descent::{
     bravyi_kitaev_bound, solve_optimal_instance, BestEncoding, DescentConfig, ImproveHook,
     SharedBound, StepResult,
@@ -268,8 +276,11 @@ impl RaceSignal {
 pub struct EngineOutcome {
     /// The best encoding found across all lanes (and the cache).
     pub best: Option<BestEncoding>,
-    /// True when an UNSAT certificate (this run's or a cached one) proves
-    /// `best` optimal.
+    /// True when a floor proves `best` optimal: a lane's UNSAT
+    /// certificate, the branch-and-bound floor that decides a
+    /// Hamiltonian-independent race at its opening
+    /// ([`fermihedral::bound`]), or a cached entry that one of those
+    /// certified.
     pub optimal_proved: bool,
     /// True when the result was served from the cache without running any
     /// solver.
@@ -366,7 +377,13 @@ impl Incumbent {
     fn prove_floor(&self, floor: usize) {
         self.floor.fetch_max(floor, Ordering::Relaxed);
         if telemetry::global().is_enabled() {
-            telemetry::instant("engine.floor", vec![telemetry::attr("floor", floor as u64)]);
+            telemetry::instant(
+                "engine.floor",
+                vec![
+                    telemetry::attr("floor", floor as u64),
+                    telemetry::attr("floor_source", "unsat"),
+                ],
+            );
         }
         if self.check_optimal() {
             self.signal.notify();
@@ -397,6 +414,17 @@ impl Incumbent {
             );
         }
         decided
+    }
+
+    /// Handles on this race for a cross-process bridge.
+    fn bridge(&self, remote: Option<RemoteExchange>) -> RaceBridge {
+        RaceBridge {
+            bound: self.bound.clone(),
+            cancel: self.cancel.clone(),
+            floor: self.floor.clone(),
+            remote,
+            best: self.best.clone(),
+        }
     }
 
     fn snapshot(&self) -> (Option<(BestEncoding, String)>, usize) {
@@ -455,7 +483,9 @@ pub struct RaceBridge {
 /// [`compile`] with a cross-process bridge attached: `on_start` receives
 /// the race's [`RaceBridge`] after the shared state exists but before any
 /// lane runs. The shard worker uses this to pump clauses and bounds
-/// between its race and the coordinator; see `fermihedral-shard`.
+/// between its race and the coordinator; see `fermihedral-shard`. A race
+/// decided at its opening runs no lane; `on_start` then receives, once the
+/// compilation is over, handles that already hold its incumbent and floor.
 ///
 /// Caching is intentionally absent here — the *coordinator* owns the
 /// cache in a sharded run (workers of one race would all probe and store
@@ -465,8 +495,28 @@ pub fn compile_bridged(
     config: &EngineConfig,
     on_start: impl FnOnce(RaceBridge) + Send,
 ) -> EngineOutcome {
-    let race = |input: &RaceInput| race_lanes(input, None, Some(Box::new(on_start)));
-    compile_cached(problem, config, None, "engine.race", race)
+    let hook = std::cell::Cell::new(Some(on_start));
+    let race = |input: &RaceInput| {
+        let hook = hook
+            .take()
+            .map(|f| Box::new(f) as Box<dyn FnOnce(RaceBridge) + Send>);
+        race_lanes(input, None, hook)
+    };
+    let outcome = compile_cached(problem, config, None, "engine.race", race);
+    if let Some(hook) = hook.take() {
+        // Decided at the open: the race never ran.
+        let decided = Incumbent::new(CancelToken::new(), 0, 1);
+        let weight = outcome
+            .weight()
+            .expect("a race decided at open holds its opening");
+        decided.bound.tighten(weight);
+        decided.floor.store(weight, Ordering::Relaxed);
+        *decided.best.lock().expect("a fresh race holds no lock") =
+            outcome.best.clone().zip(outcome.report.winner.clone());
+        decided.cancel.cancel();
+        hook(decided.bridge(None));
+    }
+    outcome
 }
 
 /// Splits `strategies` round-robin across `shards` worker processes, so
@@ -549,7 +599,10 @@ pub struct RaceInput<'a> {
 pub struct RaceOutcome {
     /// The lightest encoding the race holds, and the lane that found it.
     pub best: Option<(BestEncoding, String)>,
-    /// Strongest UNSAT floor the race accepts (0 = none).
+    /// Strongest floor the race accepts (0 = none): no encoding weighs
+    /// less. A lane's or a shard's UNSAT certificate sets it, or, for a
+    /// race decided at its opening, the branch-and-bound search of
+    /// [`fermihedral::bound`].
     pub floor: usize,
     /// Per-lane timelines.
     pub workers: Vec<WorkerReport>,
@@ -572,8 +625,10 @@ impl RaceOutcome {
 /// ([`compile_with`]) or a sharded one over local or remote workers
 /// (`fermihedral-shard`): probe the cache (checked optimal hit → early
 /// return; same-size entry, caller hint, or cross-size lift → warm
-/// start), run `race`, keep the warm start if the race never beat it,
-/// and store the winner back. `root` names the span that covers it all.
+/// start), skip `race` when the bound decides it at its opening (see the
+/// module docs), otherwise run `race` and keep the warm start if the race
+/// never beat it, then store the winner back. `root` names the span that
+/// covers it all.
 pub fn compile_cached(
     problem: &EncodingProblem,
     config: &EngineConfig,
@@ -681,14 +736,34 @@ pub fn compile_cached(
         config.strategies.clone()
     };
     let fp_hex = fp.to_hex();
-    let mut outcome = race(&RaceInput {
-        problem,
-        config,
-        fingerprint: &fp_hex,
-        strategies: &strategies,
-        warm_start: warm_start.as_ref(),
-        started,
-    });
+    let decided = decided_at_open(problem, warm_start.as_ref());
+    let decided_by_bound = decided.is_some();
+    let mut outcome = match decided {
+        Some(opening) => {
+            if telemetry::global().is_enabled() {
+                telemetry::instant(
+                    "engine.floor",
+                    vec![
+                        telemetry::attr("floor", opening.0.weight as u64),
+                        telemetry::attr("floor_source", "bound"),
+                    ],
+                );
+            }
+            RaceOutcome {
+                floor: opening.0.weight,
+                best: Some(opening),
+                ..RaceOutcome::default()
+            }
+        }
+        None => race(&RaceInput {
+            problem,
+            config,
+            fingerprint: &fp_hex,
+            strategies: &strategies,
+            warm_start: warm_start.as_ref(),
+            started,
+        }),
+    };
 
     // ---- Collect ---------------------------------------------------------
     // A race that never beat the warm start keeps it — and may even have
@@ -702,12 +777,22 @@ pub fn compile_cached(
         outcome.best = Some((entry.into(), winner));
     }
     let optimal_proved = outcome.optimal_proved();
+    let floor_source = match (outcome.floor, decided_by_bound) {
+        (0, _) => "none",
+        (_, true) => "bound",
+        (_, false) => "unsat",
+    };
+    let lanes = if decided_by_bound {
+        0
+    } else {
+        strategies.len()
+    };
     let (best, winner) = outcome.best.unzip();
     let shards = outcome.shards;
     let dead_shards = shards.iter().filter(|s| s.dead).count();
 
     if race_span.active() {
-        race_span.attr("lanes", strategies.len() as u64);
+        race_span.attr("lanes", lanes as u64);
         if let Some(b) = &best {
             race_span.attr("weight", b.weight as u64);
         }
@@ -715,6 +800,7 @@ pub fn compile_cached(
             race_span.attr("winner", w.as_str());
         }
         race_span.attr("optimal_proved", optimal_proved);
+        race_span.attr("floor_source", floor_source);
         if !shards.is_empty() {
             race_span.attr("shards", shards.len() as u64);
             race_span.attr("dead_shards", dead_shards as u64);
@@ -723,11 +809,12 @@ pub fn compile_cached(
     telemetry::log_info!(
         root,
         "race finished",
-        lanes = strategies.len(),
+        lanes = lanes,
         weight = best.as_ref().map(|b| b.weight as u64).unwrap_or(0),
         winner = winner.clone().unwrap_or_default(),
         optimal = optimal_proved,
         floor = outcome.floor,
+        floor_source = floor_source,
         dead_shards = dead_shards,
         elapsed_ms = started.elapsed().as_millis() as u64,
     );
@@ -833,9 +920,6 @@ pub fn race_lanes(
         std::thread::available_parallelism().map_or(1, |n| n.get()),
     );
     let deadline = config.total_timeout.and_then(|t| started.checked_add(t));
-    if let Some(entry) = input.warm_start {
-        incumbent.publish(entry.clone().into(), &format!("cache[{}]", entry.strategy));
-    }
     // The warm incumbent always seeds the shared bound (a feasible
     // solution is a sound upper bound), but its *strings* only displace
     // the lanes' Bravyi-Kitaev phase hint when they open strictly below
@@ -845,39 +929,22 @@ pub fn race_lanes(
     // the hint, although for the Hamiltonian-independent weight the
     // ternary tree opens below BK at N = 2 and N ≥ 4: a hint only steers a
     // lane toward its next model, and where the tree is the optimum
-    // (N ≤ 5) no lighter model exists — the lanes' first call is the UNSAT
-    // floor proof, with nothing to steer toward.
+    // (N ≤ 5) the bound decides the race before any lane runs.
     let warm_hint_strings = (input.warm_start)
         .filter(|e| e.weight < bravyi_kitaev_bound(problem))
         .map(|e| e.strings.clone());
 
     if let Some(hook) = bridge_hook {
-        hook(RaceBridge {
-            bound: incumbent.bound.clone(),
-            cancel: incumbent.cancel.clone(),
-            floor: incumbent.floor.clone(),
-            remote: remote_exchange,
-            best: incumbent.best.clone(),
-        });
+        hook(incumbent.bridge(remote_exchange));
     }
 
-    // The race opens at the classical constructions. They are instant, and
-    // everything after them depends on what they publish — a descent
-    // lane's first bound, whether the annealer finds an incumbent to adopt
-    // — so they are published here, in this order (a tie keeps the first),
-    // before any lane thread exists.
-    let n = problem.num_modes();
-    let constructions: [(&str, &dyn Encoding); 2] = [
-        ("baseline[ternary-tree]", &TernaryTreeEncoding::new(n)),
-        ("baseline[bravyi-kitaev]", &LinearEncoding::bravyi_kitaev(n)),
-    ];
-    for (name, construction) in constructions {
-        let strings = construction.majoranas();
-        if satisfies_problem(problem, &strings) {
-            let weight = measure(problem, &strings);
-            let strings = plain_strings(&strings);
-            incumbent.publish(BestEncoding { strings, weight }, name);
-        }
+    // The race opens at the warm start and the classical constructions.
+    // They are instant, and everything after them depends on what they
+    // publish — a descent lane's first bound, whether the annealer finds an
+    // incumbent to adopt — so they are published before any lane thread
+    // exists.
+    for (encoding, name) in openings(problem, input.warm_start) {
+        incumbent.publish(encoding, &name);
     }
 
     let slots = &incumbent.signal;
@@ -996,6 +1063,73 @@ pub fn check_encoding(problem: &EncodingProblem, strings: &[PauliString]) -> Opt
     }
     let phased: Vec<PhasedString> = strings.iter().cloned().map(PhasedString::from).collect();
     satisfies_problem(problem, &phased).then(|| measure(problem, &phased))
+}
+
+/// What every race opens at, in publishing order: the checked warm start,
+/// then each classical construction that satisfies the problem — the
+/// vacuum-paired ternary tree, then Bravyi-Kitaev. Publishing keeps the
+/// lightest, and a tie keeps the first.
+fn openings(
+    problem: &EncodingProblem,
+    warm_start: Option<&CacheEntry>,
+) -> Vec<(BestEncoding, String)> {
+    let mut openings: Vec<(BestEncoding, String)> = warm_start
+        .map(|entry| {
+            let name = format!("cache[{}]", entry.strategy);
+            (entry.clone().into(), name)
+        })
+        .into_iter()
+        .collect();
+    let n = problem.num_modes();
+    let constructions: [(&str, &dyn Encoding); 2] = [
+        ("baseline[ternary-tree]", &TernaryTreeEncoding::new(n)),
+        ("baseline[bravyi-kitaev]", &LinearEncoding::bravyi_kitaev(n)),
+    ];
+    for (name, construction) in constructions {
+        let strings = construction.majoranas();
+        if satisfies_problem(problem, &strings) {
+            let weight = measure(problem, &strings);
+            let strings = plain_strings(&strings);
+            openings.push((BestEncoding { strings, weight }, name.to_string()));
+        }
+    }
+    openings
+}
+
+/// The largest `N` at which [`decided_at_open`] consults the bound. The
+/// search proves the floor in 1.5 ms at `N = 5` and would in 14 ms at
+/// `N = 6`, but the compilation server's tests use the `N = 6`
+/// Hamiltonian-independent race as their slow, deadline-bound problem;
+/// deciding it at the open would leave them nothing slow to race. The
+/// search is not cancellable either, and at `N = 7` (0.24 s) and `N = 8`
+/// (38 s) it would outlast short deadlines.
+const MAX_DECIDED_MODES: usize = 5;
+
+/// The race [`compile_cached`] need not run: for the Hamiltonian-
+/// independent weight at `N ≤` [`MAX_DECIDED_MODES`], the lightest
+/// opening when `fermihedral::bound` proves that no set of `2N` pairwise-
+/// anticommuting strings weighs less — it is then optimal, and the race is
+/// decided before any lane starts.
+fn decided_at_open(
+    problem: &EncodingProblem,
+    warm_start: Option<&CacheEntry>,
+) -> Option<(BestEncoding, String)> {
+    if !matches!(problem.objective(), Objective::MajoranaWeight)
+        || problem.num_modes() > MAX_DECIDED_MODES
+    {
+        return None;
+    }
+    let opening = openings(problem, warm_start)
+        .into_iter()
+        .reduce(|first, next| {
+            if next.0.weight < first.0.weight {
+                next
+            } else {
+                first
+            }
+        })?;
+    let bound = lightest_below(problem.num_modes(), opening.0.weight);
+    bound.witness.is_none().then_some(opening)
 }
 
 /// A cache entry's encoding, as the incumbent it stands for.

@@ -4,6 +4,7 @@
 use encodings::{Encoding, TernaryTreeEncoding};
 use engine::{check_encoding, compile, compile_with, EngineConfig, EngineOutcome, Strategy};
 use fermihedral::descent::{solve_optimal, DescentConfig};
+use fermihedral::fixtures::{chain, short_race};
 use fermihedral::{AnnealConfig, EncodingProblem, Objective};
 use fermion::MajoranaMonomial;
 use sat::{CancelToken, ExportLbd, RestartPolicyKind};
@@ -69,7 +70,7 @@ fn portfolio_matches_sequential_optimum_on_small_modes() {
     // The acceptance bar: ≥ 3 workers, identical optimal weights to the
     // sequential solve_optimal on 2–4 modes.
     for modes in 2..=4usize {
-        let problem = EncodingProblem::full_sat(modes, Objective::MajoranaWeight);
+        let problem = chain(modes);
         let sequential = solve_optimal(&problem, &DescentConfig::default());
         let config = EngineConfig {
             strategies: three_descent_lanes(),
@@ -90,9 +91,8 @@ fn portfolio_matches_sequential_optimum_on_small_modes() {
 
 #[test]
 fn default_portfolio_races_search_lanes_and_wins() {
-    let problem = EncodingProblem::full_sat(3, Objective::MajoranaWeight);
+    let problem = chain(3);
     let outcome = compile(&problem, &EngineConfig::default());
-    // N=3 full-SAT optimum from the paper's tables: strictly below BK.
     let sequential = solve_optimal(&problem, &DescentConfig::default());
     assert_eq!(outcome.weight(), sequential.weight());
     assert!(outcome.optimal_proved);
@@ -448,10 +448,10 @@ fn queued_lanes_all_wake_when_the_race_is_decided() {
     // the first lanes run to the certificate while three queue for their
     // slots. Every queued lane must wake, find the race decided and exit
     // without running — a wake-up that reaches only one of them would
-    // leave the others, and the race, waiting forever. N=4 takes a
-    // running lane some 20 ms, long enough for the other three to be
-    // queued when it finishes.
-    let problem = EncodingProblem::full_sat(4, Objective::MajoranaWeight);
+    // leave the others, and the race, waiting forever. The short race
+    // takes a running lane some 100 ms, long enough for the other three
+    // to be queued when it finishes.
+    let problem = short_race();
     let slots = std::thread::available_parallelism().map_or(1, |n| n.get());
     let strategies = three_descent_lanes()
         .into_iter()
@@ -497,7 +497,7 @@ fn racing_lanes_exchange_clauses_and_stay_optimal() {
     // The engine's sharing between three racing lanes, under the default
     // export filter: the certificate must match the sequential optimum
     // and real traffic must flow.
-    let problem = EncodingProblem::full_sat(3, Objective::MajoranaWeight);
+    let problem = short_race();
     let sequential = solve_optimal(&problem, &DescentConfig::default());
     let config = EngineConfig {
         strategies: three_descent_lanes(),
@@ -584,18 +584,18 @@ fn compile_bridged_exposes_live_race_handles() {
     // The shard worker attaches to a race through these handles; assert
     // they observe the real shared state: the final incumbent weight,
     // the proved floor, the decided cancel, and a live clause bridge.
-    let problem = EncodingProblem::full_sat(2, Objective::MajoranaWeight);
+    let problem = chain(2);
     let captured: std::sync::Mutex<Option<engine::RaceBridge>> = std::sync::Mutex::new(None);
     let outcome = engine::compile_bridged(&problem, &EngineConfig::default(), |bridge| {
         *captured.lock().unwrap() = Some(bridge);
     });
     let bridge = captured.into_inner().unwrap().expect("hook ran");
-    assert_eq!(outcome.weight(), Some(6));
+    assert_eq!(outcome.weight(), Some(4));
     assert!(outcome.optimal_proved);
-    assert_eq!(bridge.bound.get(), 6, "bound handle tracks the incumbent");
+    assert_eq!(bridge.bound.get(), 4, "bound handle tracks the incumbent");
     assert_eq!(
         bridge.floor.load(std::sync::atomic::Ordering::Relaxed),
-        6,
+        4,
         "floor handle saw the UNSAT certificate"
     );
     assert!(bridge.cancel.is_cancelled(), "decided race raised cancel");
@@ -613,4 +613,66 @@ fn compile_bridged_exposes_live_race_handles() {
         exported == 0 || !outgoing.is_empty(),
         "exports must reach the bridge (exported {exported})"
     );
+}
+
+#[test]
+fn compile_bridged_hands_a_race_decided_at_open_its_result() {
+    // N=2 Hamiltonian-independent: the bound proves the opening tree
+    // optimal, so no lane runs. The hook still runs once, on handles that
+    // hold the decided race: its incumbent, its floor, a raised cancel,
+    // and no clause bridge (there is no lane to trade with).
+    let problem = EncodingProblem::full_sat(2, Objective::MajoranaWeight);
+    let captured: std::sync::Mutex<Option<engine::RaceBridge>> = std::sync::Mutex::new(None);
+    let outcome = engine::compile_bridged(&problem, &EngineConfig::default(), |bridge| {
+        *captured.lock().unwrap() = Some(bridge);
+    });
+    let bridge = captured.into_inner().unwrap().expect("hook ran");
+    assert_eq!(outcome.weight(), Some(6));
+    assert!(outcome.optimal_proved);
+    assert!(outcome.report.workers.is_empty(), "no lane ran");
+    assert_eq!(bridge.bound.get(), 6);
+    assert_eq!(bridge.floor.load(std::sync::atomic::Ordering::Relaxed), 6);
+    assert!(bridge.cancel.is_cancelled());
+    assert!(bridge.remote.is_none());
+    let best = bridge.best.lock().unwrap().clone().expect("the opening");
+    assert_eq!(best.0.weight, 6);
+    assert_eq!(Some(best.1), outcome.report.winner);
+}
+
+/// The engine's bound consult against the paper's Algorithm 1 on one
+/// lane: the Hamiltonian-independent race is decided before any lane
+/// starts, at the weight the descent's UNSAT step certifies.
+fn assert_decided_at_open_as_one_lane_certifies(n: usize, vacuum: bool) {
+    let problem = EncodingProblem::new(n, Objective::MajoranaWeight).with_vacuum_condition(vacuum);
+    let outcome = compile(&problem, &EngineConfig::default());
+    let label = format!("N={n}, vacuum {vacuum}");
+    assert!(outcome.optimal_proved, "{label}");
+    assert!(outcome.report.workers.is_empty(), "{label}: a lane ran");
+    assert_eq!(
+        outcome.report.winner.as_deref(),
+        Some("baseline[ternary-tree]"),
+        "{label}"
+    );
+    assert_valid(&outcome, &problem);
+    let single_lane = solve_optimal(&problem, &DescentConfig::default());
+    assert!(single_lane.optimal_proved, "{label}");
+    assert_eq!(outcome.weight(), single_lane.weight(), "{label}");
+}
+
+#[test]
+fn races_decided_at_open_match_the_single_lane_certificate() {
+    for n in 1..=5 {
+        assert_decided_at_open_as_one_lane_certifies(n, true);
+    }
+    // Without the vacuum condition the one-lane floor proof at N=5 takes
+    // about a minute (581,593 conflicts); it runs in the ignored test below.
+    for n in 1..=4 {
+        assert_decided_at_open_as_one_lane_certifies(n, false);
+    }
+}
+
+#[test]
+#[ignore = "a minute of single-lane descent in release mode"]
+fn the_race_decided_at_open_matches_the_single_lane_certificate_without_vacuum_at_n5() {
+    assert_decided_at_open_as_one_lane_certifies(5, false);
 }

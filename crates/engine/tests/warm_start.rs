@@ -11,8 +11,8 @@
 //! improving step for a warm start to save.
 
 use engine::{compile, CacheStatus, EngineConfig, EngineOutcome, EventKind, Strategy};
+use fermihedral::fixtures::hamiltonian;
 use fermihedral::{EncodingProblem, Objective};
-use fermion::MajoranaMonomial;
 use pauli::PauliString;
 use sat::{ExportLbd, RestartPolicyKind};
 use std::path::PathBuf;
@@ -91,8 +91,7 @@ fn first_incumbent(outcome: &EngineOutcome) -> usize {
 /// construction solves it — the ternary tree weighs 3/4/4 there and
 /// Bravyi-Kitaev 4/4/4 — while the N−1 optimum embeds at 2.
 fn family(n: usize) -> EncodingProblem {
-    let monomials = [[0, 1], [0, 4]].map(|m| MajoranaMonomial::from_sorted(m.to_vec()));
-    EncodingProblem::full_sat(n, Objective::HamiltonianWeight(monomials.to_vec()))
+    EncodingProblem::full_sat(n, hamiltonian(&[[0, 1], [0, 4]]))
 }
 
 /// The cold/warm differential on `small → large` instances of [`family`].
@@ -234,7 +233,7 @@ fn warm_started_5_mode_race_matches_cold_optimum() {
 
 #[test]
 fn cross_size_prefers_the_largest_cached_size() {
-    // With N=2 *and* N=3 cached, an N=4 compile must embed from N=3.
+    // With N=3 *and* N=4 cached, an N=5 compile must embed from N=4.
     let dir = tmp_cache("largest");
     let config = |cache: bool| EngineConfig {
         strategies: descent_lanes(),
@@ -242,32 +241,26 @@ fn cross_size_prefers_the_largest_cached_size() {
         cache_dir: cache.then(|| dir.clone()),
         ..EngineConfig::default()
     };
-    for n in [2usize, 3] {
-        let seeded = compile(
-            &EncodingProblem::full_sat(n, Objective::MajoranaWeight),
-            &config(true),
-        );
+    for n in [3usize, 4] {
+        let seeded = compile(&family(n), &config(true));
         assert!(seeded.optimal_proved);
     }
-    let warm = compile(
-        &EncodingProblem::full_sat(4, Objective::MajoranaWeight),
-        &config(true),
-    );
+    let warm = compile(&family(5), &config(true));
     assert_eq!(
         warm.report.warm_start.as_ref().and_then(|w| w.from_modes),
-        Some(3)
+        Some(4)
     );
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
 fn cross_size_respects_problem_family_boundaries() {
-    // A cached full-SAT N=2 optimum must NOT warm-start an N=3 problem
+    // A cached full-SAT N=3 optimum must NOT warm-start an N=4 problem
     // with different constraint toggles (its embedding may not even be
     // feasible there, and the family key must keep them apart).
     let dir = tmp_cache("family");
     let seeded = compile(
-        &EncodingProblem::full_sat(2, Objective::MajoranaWeight),
+        &family(3),
         &EngineConfig {
             strategies: descent_lanes(),
             cache_dir: Some(dir.clone()),
@@ -276,7 +269,7 @@ fn cross_size_respects_problem_family_boundaries() {
     );
     assert!(seeded.optimal_proved);
     let other_family = compile(
-        &EncodingProblem::new(3, Objective::MajoranaWeight).with_vacuum_condition(false),
+        &EncodingProblem::new(4, family(4).objective().clone()).with_vacuum_condition(false),
         &EngineConfig {
             strategies: descent_lanes(),
             cache_dir: Some(dir.clone()),

@@ -35,13 +35,22 @@ fn tmp_dir(tag: &str, attempt: usize) -> PathBuf {
 
 /// The batch the server dies holding. Small sizes keep both halves of
 /// the test (pre-kill progress, post-restart replay) fast.
-const BATCH_SIZES: [usize; 3] = [2, 3, 4];
+const BATCH_SIZES: [usize; 3] = [3, 4, 5];
+
+/// The batch's objective, γ₀γ₁ + γ₂γ₃ + γ₄γ₅ + γ₀γ₃ + γ₂γ₅. A
+/// Hamiltonian-independent batch at these sizes is decided at the open
+/// in about a millisecond an entry; this one races, at about 20 ms,
+/// 100 ms and 150 ms per size, so a kill lands while work is pending.
+const BATCH_OBJECTIVE: &str = r#"{"hamiltonian": [[0, 1], [2, 3], [4, 5], [0, 3], [2, 5]]}"#;
 
 fn batch_fingerprints() -> Vec<String> {
     BATCH_SIZES
         .iter()
         .map(|modes| {
-            let doc = jsonkit::parse(&format!(r#"{{"modes": {modes}}}"#)).unwrap();
+            let doc = jsonkit::parse(&format!(
+                r#"{{"modes": {modes}, "objective": {BATCH_OBJECTIVE}}}"#
+            ))
+            .unwrap();
             let problem = engine::problem_from_json(&doc, None).unwrap();
             engine::fingerprint(&problem).to_hex()
         })
@@ -104,13 +113,11 @@ fn killed_mid_batch(journal_dir: &Path, cache_dir: &Path) -> bool {
     let (mut child, addr) = spawn_server(journal_dir, cache_dir);
     let client = std::thread::spawn(move || {
         // The server dies mid-request; any response or error is fine.
-        let _ = Client::connect(addr).and_then(|mut c| {
-            c.request(
-                "POST",
-                "/v1/compile-batch",
-                Some(r#"{"modes": [2, 3, 4], "deadline_ms": 100000}"#),
-            )
-        });
+        let body = format!(
+            r#"{{"modes": {BATCH_SIZES:?}, "objective": {BATCH_OBJECTIVE}, "deadline_ms": 100000}}"#
+        );
+        let _ = Client::connect(addr)
+            .and_then(|mut c| c.request("POST", "/v1/compile-batch", Some(&body)));
     });
 
     // Kill as soon as the journal shows real progress (≥1 completion)

@@ -7,14 +7,13 @@
 //!   reconnects (reclaiming its shard id) when the link drops. Local
 //!   coordinators (the library, `serve --shards N`, the bench harness)
 //!   spawn it against their own loopback port.
-//! * `fermihedral-shard coordinate --listen ADDR [...]` — a fleet
-//!   coordinator: waits for registered workers, races one problem
-//!   across them, and prints a JSON summary.
-//! * `fermihedral-shard [OPTIONS]` — a coordinator CLI that compiles
-//!   one problem sharded over local loopback workers.
+//! * `fermihedral-shard coordinate --listen ADDR --problem JSON [...]` —
+//!   a fleet coordinator: waits for registered workers, races one
+//!   problem across them, and prints a JSON summary.
+//! * `fermihedral-shard --problem JSON [OPTIONS]` — a coordinator CLI
+//!   that compiles one problem sharded over local loopback workers.
 
 use engine::{EngineConfig, SolutionCache};
-use fermihedral::{EncodingProblem, Objective};
 use jsonkit::{obj, Value};
 use shard::{
     compile_fleet_with, compile_sharded_with, run_worker_fleet, FleetOptions, FleetServer,
@@ -28,12 +27,14 @@ fermihedral-shard: multi-process sharded compilation
 USAGE:
     fermihedral-shard worker --connect ADDR [--shard N]
                                             (TCP fleet worker; --shard reclaims a seat)
-    fermihedral-shard coordinate --listen ADDR [OPTIONS]
+    fermihedral-shard coordinate --listen ADDR --problem JSON [OPTIONS]
                                             (TCP fleet coordinator)
-    fermihedral-shard [OPTIONS]             (local coordinator CLI)
+    fermihedral-shard --problem JSON [OPTIONS]
+                                            (local coordinator CLI)
 
 OPTIONS:
-    --modes N        problem size (default 4)
+    --problem JSON   the problem, as a POST /v1/compile body, e.g.
+                     '{\"modes\": 5, \"objective\": {\"hamiltonian\": [[0,1],[2,3]]}}'
     --shards S       local loopback workers (default 2; local mode only)
     --min-peers N    fleet: wait for N registered workers (default 1)
     --join-timeout SECS  fleet: how long to wait for them (default 30)
@@ -76,16 +77,26 @@ fn main() {
         None
     };
 
-    let modes: usize = flag_value(&args, "--modes")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4);
+    let Some(body) = flag_value(&args, "--problem") else {
+        eprintln!("--problem JSON is required (see --help)");
+        std::process::exit(2);
+    };
+    let problem = match jsonkit::parse(body)
+        .map_err(|e| e.to_string())
+        .and_then(|doc| engine::problem_from_json(&doc, None))
+    {
+        Ok(problem) => problem,
+        Err(e) => {
+            eprintln!("--problem: {e}");
+            std::process::exit(2);
+        }
+    };
     let shards: usize = flag_value(&args, "--shards")
         .and_then(|v| v.parse().ok())
         .unwrap_or(2);
     let timeout: f64 = flag_value(&args, "--timeout")
         .and_then(|v| v.parse().ok())
         .unwrap_or(60.0);
-    let problem = EncodingProblem::new(modes, Objective::MajoranaWeight);
     let config = EngineConfig {
         total_timeout: Some(Duration::from_secs_f64(timeout)),
         shards,
@@ -130,7 +141,7 @@ fn main() {
         compile_sharded_with(&problem, &config, cache.as_ref(), None, &options)
     };
     let doc = obj([
-        ("modes", Value::Num(modes as f64)),
+        ("modes", Value::Num(problem.num_modes() as f64)),
         ("shards", Value::Num(shards as f64)),
         (
             "weight",

@@ -2,14 +2,13 @@
 //! racing real `fermihedral-shard worker --connect` child processes
 //! over loopback TCP.
 //!
-//! * **Acceptance**: two TCP workers race the N = 4 full-SAT instance,
-//!   certify the known optimum (total Pauli weight 16), and demonstrably
-//!   trade learnt clauses across the wire.
+//! * **Acceptance**: two TCP workers race a full-SAT N = 5
+//!   Hamiltonian-dependent instance (`fixtures::short_race`), certify
+//!   it, and demonstrably trade learnt clauses across the wire.
 //! * **Fault injection**: one worker is SIGKILL'd mid-race and restarted
 //!   with its shard id; the coordinator must re-admit it to its old seat
 //!   (rejoin), hand it the incumbent bound, and still certify. This one
-//!   races N = 5 (optimum 22): seconds-long, so every kill delay lands
-//!   mid-race, where the N = 4 race is over in ~150 ms.
+//!   races `fixtures::long_race`, so a kill delay lands mid-race.
 //! * **Handshake and job refusals**, each against a raw socket: a peer
 //!   speaking another protocol version is refused at `Hello` and never
 //!   registers, and a worker handed a `Job` it cannot parse exits
@@ -18,8 +17,13 @@
 //!   real worker reports its encodings only as `Incumbent` frames that
 //!   pass the coordinator's check, never as a bare `Bound`, and flushes
 //!   its floor before its `Result`.
+//!
+//! The races are `fermihedral::fixtures` problems: a Hamiltonian-
+//! independent race at N ≤ 5 is decided by the engine's bound consult
+//! before any job is sent.
 
 use engine::{check_encoding, default_portfolio, EngineConfig};
+use fermihedral::fixtures::{chain, long_race, short_race};
 use fermihedral::{EncodingProblem, Objective};
 use shard::wire::{write_frame, Frame, FrameRead, FrameReader, HELLO_ANY_SHARD, PROTOCOL_VERSION};
 use shard::{
@@ -128,14 +132,14 @@ fn fleet_race_over_tcp_certifies_the_optimum() {
     let _w1 = Worker::spawn(&addr, None);
     wait_for_peers(&server, 2);
 
-    let problem = EncodingProblem::full_sat(4, Objective::MajoranaWeight);
+    let problem = short_race();
     let outcome = compile_fleet_with(&problem, &fleet_config(), None, None, &server);
 
-    assert_valid_optimum(&problem, &outcome, "fleet N=4");
+    assert_valid_optimum(&problem, &outcome, "fleet short race");
     assert_eq!(
         outcome.best.as_ref().unwrap().weight,
-        16,
-        "N=4 full-SAT optimum is 16"
+        9,
+        "the short race's optimum is 9"
     );
     let shards = &outcome.report.shards;
     assert_eq!(shards.len(), 2, "both TCP workers must hold seats");
@@ -153,6 +157,23 @@ fn fleet_race_over_tcp_certifies_the_optimum() {
     let sent: u64 = shards.iter().map(|s| s.clauses_sent).sum();
     let received: u64 = shards.iter().map(|s| s.clauses_received).sum();
     assert!(received <= sent, "received {received} > sent {sent}");
+
+    // The bound consult proves N=4's opening tree optimal before the
+    // race, so the same two workers are handed no `Job`.
+    let problem = EncodingProblem::full_sat(4, Objective::MajoranaWeight);
+    let outcome = compile_fleet_with(&problem, &fleet_config(), None, None, &server);
+    assert_valid_optimum(&problem, &outcome, "decided at open N=4");
+    assert_eq!(outcome.weight(), Some(16));
+    assert!(
+        outcome.report.shards.is_empty(),
+        "{:?}",
+        outcome.report.shards
+    );
+    assert!(
+        outcome.report.workers.is_empty(),
+        "{:?}",
+        outcome.report.workers
+    );
 }
 
 /// One attempt at catching the race mid-flight: kill shard 1 after
@@ -185,7 +206,7 @@ fn rejoin_attempt(delay_ms: u64) -> Result<(), String> {
         Worker::spawn(&killer_addr, Some(1))
     });
 
-    let problem = EncodingProblem::full_sat(5, Objective::MajoranaWeight);
+    let problem = long_race();
     let outcome = compile_fleet_with(&problem, &fleet_config(), None, None, &server);
     let _replacement = killer.join().expect("killer thread");
 
@@ -202,10 +223,10 @@ fn rejoin_attempt(delay_ms: u64) -> Result<(), String> {
     // From here on the run counts: a recorded rejoin with a bad outcome
     // is a real failure, not a timing miss.
     assert!(!seat.dead, "rejoined worker still marked dead: {shards:?}");
-    assert_valid_optimum(&problem, &outcome, "fleet N=5 with mid-race kill");
+    assert_valid_optimum(&problem, &outcome, "fleet long race with mid-race kill");
     assert_eq!(
         outcome.best.as_ref().unwrap().weight,
-        22,
+        11,
         "kill + rejoin must not cost the certificate"
     );
     Ok(())
@@ -213,7 +234,7 @@ fn rejoin_attempt(delay_ms: u64) -> Result<(), String> {
 
 #[test]
 fn killed_fleet_worker_rejoins_and_the_race_still_certifies() {
-    // Races on this instance take seconds; sweep kill delays until one
+    // The long race takes about a second; sweep kill delays until one
     // lands mid-race and the replacement re-registers in time.
     let mut misses = Vec::new();
     for delay_ms in [150, 300, 100, 450, 250, 600] {
@@ -312,7 +333,9 @@ fn a_worker_reports_encodings_only_as_checked_incumbents() {
         protocol: PROTOCOL_VERSION,
     };
     write_frame(&mut stream, &welcome).expect("send Welcome");
-    let problem = EncodingProblem::full_sat(3, Objective::MajoranaWeight);
+    // γ₀γ₁ + γ₂γ₃ + γ₀γ₃ at N=3: optimum 4, and a race the bound does not
+    // decide, so every lane runs.
+    let problem = chain(3);
     let job = Job {
         shard: 0,
         total_shards: 1,
@@ -347,8 +370,8 @@ fn a_worker_reports_encodings_only_as_checked_incumbents() {
         !kinds.contains(&"bound"),
         "a worker never sends Bound: {kinds:?}"
     );
-    assert_eq!(weights.iter().min(), Some(&11), "N=3 optimum: {weights:?}");
-    assert!(floors.contains(&11), "Floor(11) before Result: {kinds:?}");
+    assert_eq!(weights.iter().min(), Some(&4), "N=3 optimum: {weights:?}");
+    assert!(floors.contains(&4), "Floor(4) before Result: {kinds:?}");
     assert_eq!(
         result.workers.len(),
         job.strategies.len(),

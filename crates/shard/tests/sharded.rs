@@ -2,9 +2,8 @@
 //! children on a loopback fleet, real SIGKILL.
 //!
 //! * **Differential**: the 2-process sharded engine and the in-process
-//!   portfolio must certify the same optimal total Pauli weight on the
-//!   full-SAT instances (N = 3..=4 inline; N = 5 is hours-scale and
-//!   lives behind `#[ignore]`).
+//!   portfolio must certify the same optimal Pauli weight on full-SAT
+//!   Hamiltonian-dependent instances at N = 3, 4 and 5.
 //! * **Fault injection**: one worker is frozen at spawn (SIGSTOP — it
 //!   can never report a result) and SIGKILL'd 300 ms into the race; the
 //!   coordinator must still certify the optimum from the surviving
@@ -13,8 +12,13 @@
 //!   so a caller-chosen portfolio races in-process, with no worker.
 //! * **Partition**: workers seat search lanes only, so the shard count is
 //!   capped by them.
+//! * **Decided at the open**: a Hamiltonian-independent race at N ≤ 5 is
+//!   decided by the engine's bound consult before any worker is spawned.
+//!   Every other race here is a `fermihedral::fixtures` problem, which
+//!   the consult leaves to the lanes.
 
 use engine::{compile, EngineConfig, Strategy};
+use fermihedral::fixtures::{chain, long_race, short_race};
 use fermihedral::{EncodingProblem, Objective};
 use shard::{compile_sharded_with, measure_weight, ShardOptions};
 use std::path::PathBuf;
@@ -56,7 +60,7 @@ fn assert_valid_optimum(problem: &EncodingProblem, outcome: &engine::EngineOutco
 #[test]
 fn differential_sharded_matches_in_process_on_full_sat() {
     for modes in 3..=4usize {
-        let problem = EncodingProblem::full_sat(modes, Objective::MajoranaWeight);
+        let problem = chain(modes);
         let in_process = compile(&problem, &sharded_config(0, Duration::from_secs(120)));
         assert_valid_optimum(&problem, &in_process, &format!("in-process N={modes}"));
 
@@ -94,7 +98,7 @@ fn differential_sharded_matches_in_process_on_full_sat() {
 fn a_caller_chosen_portfolio_races_in_process() {
     // A worker builds only its own default lanes, so a one-lane custom
     // portfolio must never be shipped to one.
-    let problem = EncodingProblem::full_sat(3, Objective::MajoranaWeight);
+    let problem = chain(3);
     let config = EngineConfig {
         strategies: vec![Strategy::SatDescent {
             seed: 7,
@@ -107,7 +111,7 @@ fn a_caller_chosen_portfolio_races_in_process() {
     };
     let outcome = compile_sharded_with(&problem, &config, None, None, &options());
     assert_valid_optimum(&problem, &outcome, "custom portfolio N=3");
-    assert_eq!(outcome.weight(), Some(11));
+    assert_eq!(outcome.weight(), Some(4));
     let shards = &outcome.report.shards;
     assert!(shards.is_empty(), "no worker may race it: {shards:?}");
 }
@@ -115,9 +119,10 @@ fn a_caller_chosen_portfolio_races_in_process() {
 #[test]
 fn shards_are_capped_by_the_search_lanes() {
     // The classical constructions open every worker's race instead of
-    // taking a seat, so five requested shards over N=3's three descent
-    // lanes spawn three workers.
-    let problem = EncodingProblem::full_sat(3, Objective::MajoranaWeight);
+    // taking a seat, so five requested shards over the four search lanes
+    // of a Hamiltonian-dependent race (three descent lanes and the
+    // annealer) spawn four workers.
+    let problem = chain(3);
     let outcome = compile_sharded_with(
         &problem,
         &sharded_config(5, Duration::from_secs(120)),
@@ -126,16 +131,32 @@ fn shards_are_capped_by_the_search_lanes() {
         &options(),
     );
     assert_valid_optimum(&problem, &outcome, "5 shards requested at N=3");
-    assert_eq!(outcome.weight(), Some(11));
+    assert_eq!(outcome.weight(), Some(4));
     let shards = &outcome.report.shards;
-    assert_eq!(shards.len(), 3, "one worker per search lane: {shards:?}");
+    assert_eq!(shards.len(), 4, "one worker per search lane: {shards:?}");
+
+    // A Hamiltonian-independent race has no annealer: three descent
+    // lanes, three workers. N=6 is the smallest such race the bound
+    // consult leaves to the lanes; they cannot prove its floor in two
+    // seconds, but the opening tree's 29 is already the optimum.
+    let problem = EncodingProblem::full_sat(6, Objective::MajoranaWeight);
+    let outcome = compile_sharded_with(
+        &problem,
+        &sharded_config(5, Duration::from_secs(2)),
+        None,
+        None,
+        &options(),
+    );
+    assert_eq!(outcome.weight(), Some(29));
+    let shards = &outcome.report.shards;
+    assert_eq!(shards.len(), 3, "one worker per descent lane: {shards:?}");
 }
 
 #[test]
 fn sharded_race_exchanges_clauses_across_the_bridge() {
-    // N=4 is the acceptance instance: enough conflicts that both shards'
-    // descent lanes demonstrably trade clauses through the coordinator.
-    let problem = EncodingProblem::full_sat(4, Objective::MajoranaWeight);
+    // The short race has enough conflicts that both shards' descent
+    // lanes demonstrably trade clauses through the coordinator.
+    let problem = short_race();
     let outcome = compile_sharded_with(
         &problem,
         &sharded_config(2, Duration::from_secs(120)),
@@ -143,7 +164,7 @@ fn sharded_race_exchanges_clauses_across_the_bridge() {
         None,
         &options(),
     );
-    assert_valid_optimum(&problem, &outcome, "sharded N=4");
+    assert_valid_optimum(&problem, &outcome, "sharded short race");
     let shards = &outcome.report.shards;
     assert!(
         shards.iter().any(|s| s.clauses_sent > 0),
@@ -171,9 +192,9 @@ fn sharded_race_exchanges_clauses_across_the_bridge() {
 
 #[test]
 fn sigkilled_worker_degrades_the_race_not_the_result() {
-    // N=5: the race runs for seconds, so a kill 300 ms in is mid-race
-    // (the N=4 race is over in ~150 ms).
-    let problem = EncodingProblem::full_sat(5, Objective::MajoranaWeight);
+    // The long race runs for about a second, so a kill 300 ms in is
+    // mid-race.
+    let problem = long_race();
     // Freeze shard 2 the instant it spawns: SIGSTOP guarantees it never
     // reports a result, making the later SIGKILL deterministically
     // "mid-race" regardless of scheduling. 300 ms later — while the
@@ -207,7 +228,7 @@ fn sigkilled_worker_degrades_the_race_not_the_result() {
 
     // The survivors certify the true optimum…
     assert_valid_optimum(&problem, &outcome, "degraded race");
-    assert_eq!(outcome.weight(), Some(22), "the N=5 full-SAT optimum");
+    assert_eq!(outcome.weight(), Some(11), "the long race's optimum");
 
     // …and the corpse is flagged.
     let report = &outcome.report;
@@ -239,11 +260,11 @@ fn sigkilled_worker_degrades_the_race_not_the_result() {
 /// result) — the caller retries with a different delay.
 fn postmortem_attempt(dir: &std::path::Path, delay_ms: u64) -> Result<(), String> {
     let _ = std::fs::remove_dir_all(dir);
-    let problem = EncodingProblem::full_sat(5, Objective::MajoranaWeight);
+    let problem = long_race();
     let victim = 2usize;
     // No SIGSTOP here: the victim must *run* long enough to accept its
     // job and ship the immediate first checkpoint (~10 ms in), so the
-    // kill is delayed into the seconds-long N=5 race.
+    // kill is delayed into the second-long race.
     let hook = Arc::new(move |shard: usize, pid: u32| {
         if shard != victim {
             return;
@@ -347,8 +368,8 @@ fn sigkilled_worker_leaves_a_postmortem_bundle() {
     // checkpointed events, the job context, and the kill signal.
     //
     // The kill must land between job acceptance (~10 ms) and the
-    // victim's result (seconds at N=5); a miss on either side is
-    // detected and retried at a different delay.
+    // victim's result (about a second into the long race); a miss on
+    // either side is detected and retried at a different delay.
     let dir = std::env::temp_dir().join(format!(
         "fermihedral-shard-postmortem-test-{}",
         std::process::id()
@@ -378,7 +399,7 @@ fn killed_worker_partial_trace_merges_without_panicking() {
     let registry = telemetry::global();
     registry.enable();
 
-    let problem = EncodingProblem::full_sat(5, Objective::MajoranaWeight);
+    let problem = long_race();
     let victim = 2usize;
     let hook = Arc::new(move |shard: usize, pid: u32| {
         if shard != victim {
@@ -471,7 +492,7 @@ fn sharded_race_warm_starts_from_a_smaller_cached_optimum() {
     ));
     let _ = std::fs::remove_dir_all(&dir);
     let seed = compile(
-        &EncodingProblem::full_sat(3, Objective::MajoranaWeight),
+        &chain(3),
         &EngineConfig {
             cache_dir: Some(dir.clone()),
             total_timeout: Some(Duration::from_secs(120)),
@@ -480,7 +501,7 @@ fn sharded_race_warm_starts_from_a_smaller_cached_optimum() {
     );
     assert!(seed.optimal_proved, "seed N=3 must certify");
 
-    let problem = EncodingProblem::full_sat(4, Objective::MajoranaWeight);
+    let problem = chain(4);
     let cache = engine::SolutionCache::open(&dir).unwrap();
     let outcome = compile_sharded_with(
         &problem,
@@ -490,7 +511,7 @@ fn sharded_race_warm_starts_from_a_smaller_cached_optimum() {
         &options(),
     );
     assert_valid_optimum(&problem, &outcome, "warm sharded N=4");
-    assert_eq!(outcome.weight(), Some(16), "the N=4 full-SAT optimum");
+    assert_eq!(outcome.weight(), Some(4), "the N=4 optimum");
     assert_eq!(outcome.report.cache, engine::CacheStatus::HitCrossSize);
     let warm = outcome
         .report
@@ -502,7 +523,7 @@ fn sharded_race_warm_starts_from_a_smaller_cached_optimum() {
     assert_eq!(cache.counters().hit_cross_size, 1);
     // The N=4 result was stored and indexed, so an N=5 probe would now
     // see it as the largest smaller size.
-    let n5 = EncodingProblem::full_sat(5, Objective::MajoranaWeight);
+    let n5 = chain(5);
     assert_eq!(
         engine::cross_size_warm_start(&cache, &n5).map(|(_, m)| m),
         Some(4)
@@ -510,11 +531,10 @@ fn sharded_race_warm_starts_from_a_smaller_cached_optimum() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// The N=5 full-SAT certificate, in-process and across 2 shards: seconds
-/// over the symmetry-broken search formula (hours over the paper's).
+/// The long race's certificate, in-process and across 2 shards.
 #[test]
 fn differential_full_sat_n5() {
-    let problem = EncodingProblem::full_sat(5, Objective::MajoranaWeight);
+    let problem = long_race();
     let budget = Duration::from_secs(10 * 60);
     let in_process = compile(&problem, &sharded_config(0, budget));
     assert_valid_optimum(&problem, &in_process, "in-process N=5");
@@ -522,7 +542,7 @@ fn differential_full_sat_n5() {
         compile_sharded_with(&problem, &sharded_config(2, budget), None, None, &options());
     assert_valid_optimum(&problem, &sharded, "sharded N=5");
     assert_eq!(sharded.weight(), in_process.weight());
-    assert_eq!(sharded.weight(), Some(22), "the N=5 full-SAT optimum");
+    assert_eq!(sharded.weight(), Some(11), "the long race's optimum");
 }
 
 #[test]
@@ -533,6 +553,30 @@ fn no_worker_outlives_a_sharded_race() {
     let pids = Arc::new(std::sync::Mutex::new(Vec::new()));
     let seen = pids.clone();
     let hook = Arc::new(move |_shard: usize, pid: u32| seen.lock().unwrap().push(pid));
+    let problem = chain(4);
+    let outcome = compile_sharded_with(
+        &problem,
+        &sharded_config(2, Duration::from_secs(120)),
+        None,
+        None,
+        &ShardOptions {
+            worker_bin: Some(worker_bin()),
+            spawn_hook: Some(hook.clone()),
+            ..ShardOptions::default()
+        },
+    );
+    assert_valid_optimum(&problem, &outcome, "sharded N=4");
+    let spawned = pids.lock().unwrap().clone();
+    assert_eq!(spawned.len(), 2, "one child per shard");
+    for pid in spawned.iter() {
+        assert!(
+            !std::path::Path::new(&format!("/proc/{pid}")).exists(),
+            "worker {pid} outlived the race"
+        );
+    }
+
+    // The bound consult proves the Hamiltonian-independent N=4 opening
+    // optimal before the race, so that compile spawns no child at all.
     let problem = EncodingProblem::full_sat(4, Objective::MajoranaWeight);
     let outcome = compile_sharded_with(
         &problem,
@@ -545,15 +589,23 @@ fn no_worker_outlives_a_sharded_race() {
             ..ShardOptions::default()
         },
     );
-    assert_valid_optimum(&problem, &outcome, "sharded N=4");
-    let pids = pids.lock().unwrap();
-    assert_eq!(pids.len(), 2, "one child per shard");
-    for pid in pids.iter() {
-        assert!(
-            !std::path::Path::new(&format!("/proc/{pid}")).exists(),
-            "worker {pid} outlived the race"
-        );
-    }
+    assert_valid_optimum(&problem, &outcome, "decided at open N=4");
+    assert_eq!(outcome.weight(), Some(16));
+    assert!(
+        outcome.report.shards.is_empty(),
+        "{:?}",
+        outcome.report.shards
+    );
+    assert!(
+        outcome.report.workers.is_empty(),
+        "{:?}",
+        outcome.report.workers
+    );
+    assert_eq!(
+        pids.lock().unwrap().len(),
+        2,
+        "a decided race spawned a child"
+    );
 }
 
 #[test]
@@ -563,7 +615,7 @@ fn a_worker_that_exits_before_connecting_is_dead_at_once() {
     // without connecting: both seats die at once (not at the deadline),
     // the race falls back in-process, and the reaped status is reported.
     let started = std::time::Instant::now();
-    let problem = EncodingProblem::full_sat(2, Objective::MajoranaWeight);
+    let problem = chain(2);
     let outcome = compile_sharded_with(
         &problem,
         &sharded_config(2, Duration::from_secs(60)),
@@ -575,7 +627,7 @@ fn a_worker_that_exits_before_connecting_is_dead_at_once() {
         },
     );
     assert!(outcome.optimal_proved, "the fallback must still certify");
-    assert_eq!(outcome.weight(), Some(6)); // the N=2 optimum
+    assert_eq!(outcome.weight(), Some(4)); // the N=2 optimum
     let shards = &outcome.report.shards;
     assert_eq!(shards.len(), 2);
     assert!(shards.iter().all(|s| s.dead), "{shards:?}");
@@ -589,7 +641,7 @@ fn a_worker_that_exits_before_connecting_is_dead_at_once() {
 #[test]
 fn coordinator_survives_a_missing_worker_binary() {
     // Spawn failures must degrade to the in-process engine, not abort.
-    let problem = EncodingProblem::full_sat(2, Objective::MajoranaWeight);
+    let problem = chain(2);
     let outcome = compile_sharded_with(
         &problem,
         &sharded_config(2, Duration::from_secs(60)),
@@ -601,5 +653,5 @@ fn coordinator_survives_a_missing_worker_binary() {
         },
     );
     assert!(outcome.optimal_proved, "degraded run must still certify");
-    assert_eq!(outcome.weight(), Some(6)); // the N=2 optimum
+    assert_eq!(outcome.weight(), Some(4)); // the N=2 optimum
 }

@@ -1,17 +1,21 @@
 //! Multi-process sharded compilation: race the default portfolio across
 //! two `fermihedral-shard` worker processes bridged by the coordinator's
-//! clause/bound protocol, and compare against the in-process race.
+//! clause/bound protocol.
+//!
+//! The Hamiltonian-independent N=4 problem never reaches a worker: the
+//! engine's branch and bound proves the opening ternary tree optimal
+//! before the race, so it reports no shards. `fixtures::long_race`, a
+//! Hamiltonian-dependent N=5 problem, races across both workers.
 //!
 //! Run with: `cargo run --release --example sharded_compile`
 //! (build the worker first: `cargo build --release -p fermihedral-shard`)
 
 use fermihedral_repro::engine::EngineConfig;
-use fermihedral_repro::fermihedral::{EncodingProblem, Objective};
+use fermihedral_repro::fermihedral::{fixtures, EncodingProblem, Objective};
 use fermihedral_repro::shard::compile_sharded;
 use std::time::{Duration, Instant};
 
 fn main() {
-    let problem = EncodingProblem::full_sat(4, Objective::MajoranaWeight);
     let config = EngineConfig {
         shards: 2,
         total_timeout: Some(Duration::from_secs(120)),
@@ -19,9 +23,23 @@ fn main() {
     };
 
     let started = Instant::now();
+    let decided = compile_sharded(
+        &EncodingProblem::full_sat(4, Objective::MajoranaWeight),
+        &config,
+    );
+    println!(
+        "Hamiltonian-independent N=4: weight {:?}, optimal {}, {} shards, {:.4}s",
+        decided.weight(),
+        decided.optimal_proved,
+        decided.report.shards.len(),
+        started.elapsed().as_secs_f64()
+    );
+
+    let problem = fixtures::long_race();
+    let started = Instant::now();
     let outcome = compile_sharded(&problem, &config);
     println!(
-        "sharded N=4: weight {:?}, optimal {}, {:.3}s",
+        "sharded long race: weight {:?}, optimal {}, {:.3}s",
         outcome.weight(),
         outcome.optimal_proved,
         started.elapsed().as_secs_f64()
