@@ -4,7 +4,7 @@ use circuit::optimize::optimize;
 use circuit::{trotter_circuit, Circuit};
 use encodings::{Encoding, LinearEncoding, MajoranaEncoding, TernaryTreeEncoding};
 use fermihedral::anneal::{anneal_pairing, AnnealConfig};
-use fermihedral::descent::{solve_optimal, DescentConfig};
+use fermihedral::descent::{solve_optimal, DescentConfig, ImproveHook};
 use fermihedral::{EncodingProblem, Objective};
 use fermion::models::{FermiHubbard, Lattice, MolecularIntegrals, SykModel};
 use fermion::{FermionHamiltonian, MajoranaMonomial, MajoranaSum};
@@ -183,12 +183,32 @@ pub struct SatEncodingResult {
 /// *Full SAT*); without it the descent validates models by rank check
 /// instead (*SAT w/o Alg.*).
 ///
+/// `stop_at` is a weight already proved minimal: the descent is cancelled
+/// once its incumbent meets it, instead of spending its budget on an
+/// UNSAT proof of the same fact.
+///
 /// Falls back to Bravyi-Kitaev when the budget expires before any model is
 /// found (matching the paper's use of BK as the known-feasible warm start).
-pub fn sat_majorana_encoding(n: usize, full: bool, budget: Budget) -> SatEncodingResult {
+pub fn sat_majorana_encoding(
+    n: usize,
+    full: bool,
+    budget: Budget,
+    stop_at: Option<usize>,
+) -> SatEncodingResult {
     let problem =
         EncodingProblem::new(n, Objective::MajoranaWeight).with_algebraic_independence(full);
-    let outcome = solve_optimal(&problem, &budget.descent_config());
+    let mut config = budget.descent_config();
+    if let Some(floor) = stop_at {
+        let cancel = sat::CancelToken::new();
+        let stop = cancel.clone();
+        config.cancel = Some(cancel);
+        config.on_improve = Some(ImproveHook::new(move |best| {
+            if best.weight <= floor {
+                stop.cancel();
+            }
+        }));
+    }
+    let outcome = solve_optimal(&problem, &config);
     match outcome.best {
         Some(best) => SatEncodingResult {
             encoding: best.to_encoding(if full { "full-sat" } else { "sat-wo-alg" }),
@@ -324,7 +344,7 @@ pub fn sat_annealing_encoding_with_candidates(
     seed: u64,
     candidates: usize,
 ) -> SatEncodingResult {
-    let base = sat_majorana_encoding(n, false, budget);
+    let base = sat_majorana_encoding(n, false, budget, None);
 
     // Enumerate further near-optimal solutions to diversify: any Majorana
     // weight up to BK's qualifies (optimal-weight solutions are often all
@@ -435,7 +455,7 @@ mod tests {
 
     #[test]
     fn full_sat_one_mode() {
-        let r = sat_majorana_encoding(1, true, Budget::seconds(5.0));
+        let r = sat_majorana_encoding(1, true, Budget::seconds(5.0), None);
         assert_eq!(r.weight, 2);
         assert!(r.optimal);
     }

@@ -3,10 +3,12 @@
 //! Solved encodings are stored as one JSON file per problem fingerprint
 //! (`<sha256>.json` under the cache directory), so a repeated compilation
 //! of the same model is served in microseconds instead of re-running the
-//! SAT portfolio. Entries record their optimality status: an *optimal*
-//! entry is final, a *best-so-far* entry (budget-terminated run) is still
+//! SAT portfolio. Each entry records the strongest [`Floor`] proved for
+//! its problem, if any: an entry whose floor meets its weight is the
+//! optimum and final; any other (a budget-terminated best-so-far) is still
 //! useful as a warm start and upgraded in place when a later run does
-//! better.
+//! better. A file is a claim, not a fact: only [`SolutionCache::checked`],
+//! which re-validates and re-measures it, may answer a compilation.
 //!
 //! Writes go through a temp file + rename, so a crashed writer never
 //! leaves a torn entry; a corrupt or unreadable entry is treated as a miss.
@@ -18,23 +20,27 @@
 //! point ([`encodings::embed`]).
 
 use crate::fingerprint::Fingerprint;
+use crate::floor::Floor;
+use crate::portfolio::check_encoding;
 use crate::problemio::{strings_from_json, strings_to_json};
+use crate::report::CacheStatus;
+use fermihedral::EncodingProblem;
 use jsonkit::{obj, Value};
 use pauli::PauliString;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::SystemTime;
 
 /// Schema version; bump to invalidate all existing entries.
-const CACHE_VERSION: usize = 1;
+const CACHE_VERSION: usize = 2;
 
 /// Snapshot of a cache handle's traffic counters (cumulative over the
 /// handle's lifetime; clones share counters).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheCounters {
-    /// Lookups that found an optimal (final) entry.
+    /// Lookups that found an optimal entry (the engine's: a checked one).
     pub hit_optimal: u64,
     /// Lookups that found a best-so-far entry usable as a warm start.
     pub hit_warm_start: u64,
@@ -49,14 +55,19 @@ pub struct CacheCounters {
     pub evictions: u64,
 }
 
-#[derive(Debug, Default)]
-struct CounterCells {
-    hit_optimal: AtomicU64,
-    hit_warm_start: AtomicU64,
-    hit_cross_size: AtomicU64,
-    misses: AtomicU64,
-    stores: AtomicU64,
-    evictions: AtomicU64,
+impl CacheCounters {
+    /// The counters as one JSON object keyed by field name.
+    pub fn to_json(&self) -> Value {
+        let n = |count: u64| Value::Num(count as f64);
+        obj([
+            ("hit_optimal", n(self.hit_optimal)),
+            ("hit_warm_start", n(self.hit_warm_start)),
+            ("hit_cross_size", n(self.hit_cross_size)),
+            ("misses", n(self.misses)),
+            ("stores", n(self.stores)),
+            ("evictions", n(self.evictions)),
+        ])
+    }
 }
 
 /// A cached solution.
@@ -66,10 +77,17 @@ pub struct CacheEntry {
     pub strings: Vec<PauliString>,
     /// Objective weight of the encoding.
     pub weight: usize,
-    /// True when an UNSAT certificate proved this weight optimal.
-    pub optimal: bool,
+    /// The strongest floor proved for the problem, if any.
+    pub floor: Option<Floor>,
     /// Name of the strategy that produced the encoding (provenance only).
     pub strategy: String,
+}
+
+impl CacheEntry {
+    /// The entry's floor meets its weight.
+    pub fn is_optimal(&self) -> bool {
+        self.floor.is_some_and(|floor| floor.pins(self.weight))
+    }
 }
 
 /// A directory of cached solutions keyed by problem fingerprint.
@@ -77,7 +95,7 @@ pub struct CacheEntry {
 pub struct SolutionCache {
     dir: PathBuf,
     byte_cap: Option<u64>,
-    counters: Arc<CounterCells>,
+    counters: Arc<Mutex<CacheCounters>>,
 }
 
 impl SolutionCache {
@@ -92,7 +110,7 @@ impl SolutionCache {
         Ok(SolutionCache {
             dir,
             byte_cap: None,
-            counters: Arc::new(CounterCells::default()),
+            counters: Arc::default(),
         })
     }
 
@@ -113,72 +131,79 @@ impl SolutionCache {
 
     /// Traffic counters of this handle (and all of its clones).
     pub fn counters(&self) -> CacheCounters {
-        CacheCounters {
-            hit_optimal: self.counters.hit_optimal.load(Ordering::Relaxed),
-            hit_warm_start: self.counters.hit_warm_start.load(Ordering::Relaxed),
-            hit_cross_size: self.counters.hit_cross_size.load(Ordering::Relaxed),
-            misses: self.counters.misses.load(Ordering::Relaxed),
-            stores: self.counters.stores.load(Ordering::Relaxed),
-            evictions: self.counters.evictions.load(Ordering::Relaxed),
-        }
+        *self.counters.lock().unwrap()
     }
 
-    /// Records that a same-size miss was answered by embedding a smaller
-    /// cached solution. Counted by the engine (which owns the embedding),
-    /// surfaced alongside the other traffic counters.
-    pub fn note_cross_size_hit(&self) {
-        self.counters.hit_cross_size.fetch_add(1, Ordering::Relaxed);
+    /// Counts one lookup that ended as `status`.
+    pub(crate) fn count(&self, status: CacheStatus) {
+        let mut counters = self.counters.lock().unwrap();
+        match status {
+            CacheStatus::Disabled => {}
+            CacheStatus::Miss => counters.misses += 1,
+            CacheStatus::HitOptimal => counters.hit_optimal += 1,
+            CacheStatus::HitWarmStart => counters.hit_warm_start += 1,
+            CacheStatus::HitCrossSize => counters.hit_cross_size += 1,
+        }
     }
 
     fn path_for(&self, fp: &Fingerprint) -> PathBuf {
         self.dir.join(format!("{}.json", fp.to_hex()))
     }
 
-    /// Looks up a fingerprint. Missing, torn, or schema-mismatched entries
-    /// are all misses. Updates the hit/miss counters.
+    /// Raw counted read, for a caller with no problem to check the entry
+    /// against (`GET /v1/solution`): a hit counts as what the file claims.
+    /// Missing, torn, or schema-mismatched entries are all misses.
     pub fn lookup(&self, fp: &Fingerprint) -> Option<CacheEntry> {
-        match self.read_entry(fp) {
-            Some(entry) => {
-                if entry.optimal {
-                    self.counters.hit_optimal.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    self.counters.hit_warm_start.fetch_add(1, Ordering::Relaxed);
-                }
-                Some(entry)
-            }
-            None => {
-                self.counters.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let entry = self.peek(fp);
+        self.count(match &entry {
+            None => CacheStatus::Miss,
+            Some(entry) if entry.is_optimal() => CacheStatus::HitOptimal,
+            Some(_) => CacheStatus::HitWarmStart,
+        });
+        entry
     }
 
-    /// [`lookup`](Self::lookup) without touching the hit/miss counters —
-    /// for serving-path probes that would otherwise double-count a request
-    /// the engine's own cache probe already counts.
+    /// [`lookup`](Self::lookup) without touching the counters.
     pub fn peek(&self, fp: &Fingerprint) -> Option<CacheEntry> {
-        self.read_entry(fp)
-    }
-
-    /// `lookup` without touching the counters (internal compare paths).
-    fn read_entry(&self, fp: &Fingerprint) -> Option<CacheEntry> {
         let text = fs::read_to_string(self.path_for(fp)).ok()?;
         let doc = jsonkit::parse(&text).ok()?;
         if doc.get("version")?.as_usize()? != CACHE_VERSION {
             return None;
         }
-        let weight = doc.get("weight")?.as_usize()?;
-        let optimal = doc.get("optimal")?.as_bool()?;
-        let strategy = doc.get("strategy")?.as_str()?.to_string();
         let strings = strings_from_json(&doc, "strings").ok()??;
         if strings.is_empty() {
             return None;
         }
         Some(CacheEntry {
             strings,
+            weight: doc.get("weight")?.as_usize()?,
+            floor: Floor::from_json(&doc)?,
+            strategy: doc.get("strategy")?.as_str()?.to_string(),
+        })
+    }
+
+    /// The one uncounted read of `problem`'s entry (fingerprint `fp`) that
+    /// may answer a compilation or seed a race: its strings must pass
+    /// [`check_encoding`]. A file that lies is deleted — an understated
+    /// weight or an overstated floor would make
+    /// [`store_if_better`](Self::store_if_better) refuse every genuine
+    /// later result. Failing strings read as a miss; a wrong weight or a
+    /// floor above the measured weight demote the strings to a warm start
+    /// at the measured weight, with no floor.
+    pub fn checked(&self, problem: &EncodingProblem, fp: &Fingerprint) -> Option<CacheEntry> {
+        let entry = self.peek(fp)?;
+        let Some(weight) = check_encoding(problem, &entry.strings) else {
+            let _ = self.invalidate(fp);
+            return None;
+        };
+        if weight == entry.weight && entry.floor.is_none_or(|floor| floor.value <= weight) {
+            return Some(entry);
+        }
+        let _ = self.invalidate(fp);
+        Some(CacheEntry {
             weight,
-            optimal,
-            strategy,
+            floor: None,
+            ..entry
         })
     }
 
@@ -192,14 +217,14 @@ impl SolutionCache {
     ///
     /// Propagates filesystem failures.
     pub fn store(&self, fp: &Fingerprint, entry: &CacheEntry) -> io::Result<()> {
-        let doc = obj([
+        let fields = [
             ("version", Value::Num(CACHE_VERSION as f64)),
             ("fingerprint", Value::Str(fp.to_hex())),
             ("weight", Value::Num(entry.weight as f64)),
-            ("optimal", Value::Bool(entry.optimal)),
             ("strategy", Value::Str(entry.strategy.clone())),
             ("strings", strings_to_json(&entry.strings)),
-        ]);
+        ];
+        let doc = obj(fields.into_iter().chain(Floor::to_json(entry.floor)));
         // Writer-unique temp name: two concurrent writers of the same
         // fingerprint must never interleave writes into one file.
         let nonce = WRITE_NONCE.fetch_add(1, Ordering::Relaxed);
@@ -212,7 +237,7 @@ impl SolutionCache {
         fs::write(&tmp, doc.to_json())?;
         let dest = self.path_for(fp);
         fs::rename(&tmp, &dest)?;
-        self.counters.stores.fetch_add(1, Ordering::Relaxed);
+        self.counters.lock().unwrap().stores += 1;
         // Eviction failure must not fail the store.
         self.enforce_byte_cap(&dest);
         Ok(())
@@ -258,29 +283,17 @@ impl SolutionCache {
             }
             if fs::remove_file(path).is_ok() {
                 total = total.saturating_sub(*size);
-                self.counters.evictions.fetch_add(1, Ordering::Relaxed);
+                self.counters.lock().unwrap().evictions += 1;
             }
         }
     }
 
-    /// Deletes an entry the caller found to be invalid (strings failing
-    /// validation for the fingerprinted problem). Leaving such a file in
-    /// place would be worse than a plain miss: its — possibly understated
-    /// — weight makes [`store_if_better`](Self::store_if_better) refuse
-    /// every genuine later result, a permanent cache miss.
-    ///
-    /// Runs under the same per-fingerprint lock as the compare-and-store
-    /// path, so it never interleaves with a write in progress. A writer
-    /// that fully replaced the entry between the caller's read and this
-    /// call still loses its file — a benign race: deleting a good entry
-    /// only costs the next compile a re-solve, while keeping a poisoned
-    /// one costs every future compile, forever.
-    ///
-    /// # Errors
-    ///
-    /// Propagates lock-file failures; a missing entry file is not an
-    /// error.
-    pub fn invalidate(&self, fp: &Fingerprint) -> io::Result<()> {
+    /// Deletes a lying entry (see [`checked`](Self::checked)), under the
+    /// compare-and-store lock so it never interleaves with a write. A
+    /// writer that replaced the entry since the caller's read still loses
+    /// its file: a benign race, since a deleted good entry costs one
+    /// re-solve and a kept poisoned one costs every future compile.
+    fn invalidate(&self, fp: &Fingerprint) -> io::Result<()> {
         let _lock = LockFile::acquire(self.dir.join(format!(".{}.lock", fp.to_hex())))?;
         match fs::remove_file(self.path_for(fp)) {
             Ok(()) => Ok(()),
@@ -290,24 +303,26 @@ impl SolutionCache {
     }
 
     /// Stores only when `entry` improves on the current content: better
-    /// weight, or equal weight with optimality newly proved. Returns
-    /// whether a write happened.
+    /// weight, or equal weight with a stronger floor. Returns whether a
+    /// write happened.
     ///
     /// The compare-and-store runs under a per-fingerprint advisory file
     /// lock, so a concurrent writer cannot sneak a *better* entry in
     /// between the comparison and the rename (which would downgrade the
-    /// cache, e.g. losing an UNSAT certificate). Locks abandoned by a
-    /// crashed process are stolen after `LOCK_STALE`.
+    /// cache, e.g. losing a floor). On Unix the lock is an `flock` the
+    /// kernel releases when its holder exits, so a crashed writer leaves
+    /// nothing to wait out (see `LockFile`).
     ///
     /// # Errors
     ///
     /// Propagates filesystem failures from the write path.
     pub fn store_if_better(&self, fp: &Fingerprint, entry: &CacheEntry) -> io::Result<bool> {
         let _lock = LockFile::acquire(self.dir.join(format!(".{}.lock", fp.to_hex())))?;
-        match self.read_entry(fp) {
+        let value = |e: &CacheEntry| e.floor.map(|f| f.value);
+        match self.peek(fp) {
             Some(existing)
                 if existing.weight < entry.weight
-                    || (existing.weight == entry.weight && existing.optimal >= entry.optimal) =>
+                    || (existing.weight == entry.weight && value(&existing) >= value(entry)) =>
             {
                 Ok(false)
             }
@@ -578,6 +593,7 @@ impl Drop for LockFile {
 mod tests {
     use super::*;
     use crate::fingerprint::fingerprint;
+    use crate::floor::FloorSource;
     use fermihedral::{EncodingProblem, Objective};
     use std::str::FromStr;
 
@@ -590,14 +606,17 @@ mod tests {
         dir
     }
 
-    fn entry(weight: usize, optimal: bool) -> CacheEntry {
+    fn entry(weight: usize, proved: bool) -> CacheEntry {
         CacheEntry {
             strings: ["XZ", "YZ", "IX", "IY"]
                 .iter()
                 .map(|s| PauliString::from_str(s).unwrap())
                 .collect(),
             weight,
-            optimal,
+            floor: proved.then_some(Floor {
+                value: weight,
+                source: FloorSource::Unsat,
+            }),
             strategy: "test".into(),
         }
     }
@@ -668,7 +687,7 @@ mod tests {
         });
         let survivor = cache.lookup(&fp).expect("entry must parse (not torn)");
         assert_eq!(survivor.weight, 10);
-        assert!(survivor.optimal);
+        assert!(survivor.is_optimal());
         // No temp or lock litter left behind.
         let litter: Vec<_> = fs::read_dir(&dir)
             .unwrap()
@@ -729,10 +748,10 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(20));
         }
         // The two oldest entries were evicted, the two newest survive.
-        assert!(cache.read_entry(&fingerprints[0]).is_none());
-        assert!(cache.read_entry(&fingerprints[1]).is_none());
-        assert!(cache.read_entry(&fingerprints[2]).is_some());
-        assert!(cache.read_entry(&fingerprints[3]).is_some());
+        assert!(cache.peek(&fingerprints[0]).is_none());
+        assert!(cache.peek(&fingerprints[1]).is_none());
+        assert!(cache.peek(&fingerprints[2]).is_some());
+        assert!(cache.peek(&fingerprints[3]).is_some());
         assert_eq!(cache.counters().evictions, 2);
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -747,10 +766,10 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(20));
         cache.store(&b, &entry(9, true)).unwrap();
         assert!(
-            cache.read_entry(&b).is_some(),
+            cache.peek(&b).is_some(),
             "the just-written entry must survive any cap"
         );
-        assert!(cache.read_entry(&a).is_none());
+        assert!(cache.peek(&a).is_none());
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -808,9 +827,9 @@ mod tests {
                 });
             });
 
-            let survivor = cache.read_entry(&fp).expect("entry must exist");
+            let survivor = cache.peek(&fp).expect("entry must exist");
             assert_eq!(
-                (survivor.weight, survivor.optimal),
+                (survivor.weight, survivor.is_optimal()),
                 (10, true),
                 "round {round}: worse writer clobbered the optimal entry"
             );
@@ -956,10 +975,22 @@ mod tests {
         assert!(cache.store_if_better(&fp, &entry(20, false)).unwrap());
         // Worse weight: refused.
         assert!(!cache.store_if_better(&fp, &entry(22, false)).unwrap());
-        // Same weight, optimality proved: upgraded.
-        assert!(cache.store_if_better(&fp, &entry(20, true)).unwrap());
-        // Same again: refused (no downgrade of the optimal flag either).
-        assert!(!cache.store_if_better(&fp, &entry(20, false)).unwrap());
+        // Same weight: stored only with a stronger floor — not a weaker
+        // one, none, or an equal one from the other prover.
+        let floor = |value, source| CacheEntry {
+            floor: Some(Floor { value, source }),
+            ..entry(20, false)
+        };
+        for (entry, stored) in [
+            (floor(19, FloorSource::Unsat), true),
+            (floor(20, FloorSource::Bound), true),
+            (floor(19, FloorSource::Unsat), false),
+            (entry(20, false), false),
+            (entry(20, true), false),
+        ] {
+            assert_eq!(cache.store_if_better(&fp, &entry).unwrap(), stored);
+        }
+        assert_eq!(cache.peek(&fp), Some(floor(20, FloorSource::Bound)));
         // Strictly better weight: accepted.
         assert!(cache.store_if_better(&fp, &entry(18, true)).unwrap());
         assert_eq!(cache.lookup(&fp), Some(entry(18, true)));

@@ -15,7 +15,8 @@
 //!   the rest ([`sat::CancelToken`]), so wall clock tracks the fastest
 //!   lane. A Hamiltonian-independent race at N ≤ 5 is not run at all: a
 //!   branch and bound over anticommuting sets ([`fermihedral::bound`])
-//!   proves its opening optimal first.
+//!   proves its opening optimal first. Either proof is a [`Floor`], and
+//!   an encoding is optimal exactly when its floor meets its weight.
 //! * Descent lanes additionally exchange **learnt clauses** through a
 //!   [`sat::SharedContext`]: units, binaries, and low-LBD clauses one lane
 //!   paid conflicts for prune the same subtrees in every other lane.
@@ -50,6 +51,7 @@
 
 pub mod cache;
 pub mod fingerprint;
+pub mod floor;
 pub mod portfolio;
 pub mod problemio;
 pub mod report;
@@ -57,6 +59,7 @@ pub mod service;
 
 pub use cache::{CacheCounters, CacheEntry, SizeIndex, SolutionCache};
 pub use fingerprint::{fingerprint, size_key, Fingerprint};
+pub use floor::{Floor, FloorSource};
 pub use portfolio::{
     check_encoding, compile, compile_bridged, compile_cached, compile_with, cross_size_warm_start,
     default_portfolio, measure_weight, partition_strategies, race_lanes, EngineConfig,

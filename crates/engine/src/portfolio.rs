@@ -47,8 +47,9 @@
 //! cancel flag only if the deadline passes first. A race therefore
 //! returns as soon as its last lane does.
 
-use crate::cache::{CacheCounters, CacheEntry, SizeIndex, SolutionCache};
-use crate::fingerprint::{fingerprint, Fingerprint};
+use crate::cache::{CacheEntry, SizeIndex, SolutionCache};
+use crate::fingerprint::fingerprint;
+use crate::floor::{Floor, FloorSource};
 use crate::report::{
     CacheStatus, EngineReport, EventKind, ShardReport, WarmStartReport, WorkerEvent, WorkerReport,
 };
@@ -276,15 +277,13 @@ impl RaceSignal {
 pub struct EngineOutcome {
     /// The best encoding found across all lanes (and the cache).
     pub best: Option<BestEncoding>,
-    /// True when a floor proves `best` optimal: a lane's UNSAT
-    /// certificate, the branch-and-bound floor that decides a
+    /// The strongest floor proved for the problem: a lane's or a shard's
+    /// UNSAT certificate, the branch and bound that decides a
     /// Hamiltonian-independent race at its opening
-    /// ([`fermihedral::bound`]), or a cached entry that one of those
-    /// certified.
+    /// ([`fermihedral::bound`]), or a checked cache entry's.
+    pub floor: Option<Floor>,
+    /// `floor` meets `best`'s weight ([`Floor::pins`]).
     pub optimal_proved: bool,
-    /// True when the result was served from the cache without running any
-    /// solver.
-    pub from_cache: bool,
     /// What every worker did, and when.
     pub report: EngineReport,
 }
@@ -305,9 +304,9 @@ struct Incumbent {
     /// Shared with the [`RaceBridge`] so a cross-process pump can ship
     /// the incumbent *encoding* (not just its weight) to the coordinator.
     best: Arc<Mutex<Option<(BestEncoding, String)>>>,
-    /// Strongest UNSAT floor proved so far (0 = none: a weight-0 encoding
-    /// is impossible, so floor 0 carries no information). Shared with the
-    /// [`RaceBridge`] so a cross-process pump can forward floor proofs.
+    /// Strongest UNSAT floor proved so far, read through
+    /// [`floor`](Self::floor). Shared with the [`RaceBridge`] so a
+    /// cross-process pump can forward floor proofs.
     floor: Arc<AtomicUsize>,
     cancel: CancelToken,
     /// Lanes still running. Lets a lane that *waits* on the others (the
@@ -338,6 +337,15 @@ impl Incumbent {
     fn abort(&self) {
         self.cancel.cancel();
         self.signal.notify();
+    }
+
+    /// The strongest UNSAT floor proved so far (the atomic's 0: none).
+    fn floor(&self) -> Option<Floor> {
+        let value = self.floor.load(Ordering::Relaxed);
+        (value > 0).then_some(Floor {
+            value,
+            source: FloorSource::Unsat,
+        })
     }
 
     fn lanes_done(&self) -> bool {
@@ -374,17 +382,12 @@ impl Incumbent {
 
     /// Records an UNSAT floor and cancels the race when it pins the
     /// incumbent.
-    fn prove_floor(&self, floor: usize) {
-        self.floor.fetch_max(floor, Ordering::Relaxed);
-        if telemetry::global().is_enabled() {
-            telemetry::instant(
-                "engine.floor",
-                vec![
-                    telemetry::attr("floor", floor as u64),
-                    telemetry::attr("floor_source", "unsat"),
-                ],
-            );
-        }
+    fn prove_floor(&self, value: usize) {
+        self.floor.fetch_max(value, Ordering::Relaxed);
+        trace_floor(Floor {
+            value,
+            source: FloorSource::Unsat,
+        });
         if self.check_optimal() {
             self.signal.notify();
         }
@@ -395,14 +398,13 @@ impl Incumbent {
     /// incumbent's lock (a waiter tests the incumbent holding the
     /// signal's).
     fn check_optimal(&self) -> bool {
-        let floor = self.floor.load(Ordering::Relaxed);
-        if floor == 0 {
+        let Some(floor) = self.floor() else {
             return false;
-        }
+        };
         let slot = self.best.lock().unwrap();
-        // No encoding below `floor` exists, and we hold one *at* it: the
-        // race is decided.
-        let pinned = slot.as_ref().is_some_and(|(best, _)| best.weight == floor);
+        let pinned = slot
+            .as_ref()
+            .is_some_and(|(best, _)| floor.pins(best.weight));
         let decided = pinned && !self.cancel.is_cancelled();
         if pinned {
             self.cancel.cancel();
@@ -410,7 +412,7 @@ impl Incumbent {
         if decided && telemetry::global().is_enabled() {
             telemetry::instant(
                 "engine.race_decided",
-                vec![telemetry::attr("weight", floor as u64)],
+                vec![telemetry::attr("weight", floor.value as u64)],
             );
         }
         decided
@@ -427,11 +429,8 @@ impl Incumbent {
         }
     }
 
-    fn snapshot(&self) -> (Option<(BestEncoding, String)>, usize) {
-        (
-            self.best.lock().unwrap().clone(),
-            self.floor.load(Ordering::Relaxed),
-        )
+    fn snapshot(&self) -> (Option<(BestEncoding, String)>, Option<Floor>) {
+        (self.best.lock().unwrap().clone(), self.floor())
     }
 }
 
@@ -599,36 +598,24 @@ pub struct RaceInput<'a> {
 pub struct RaceOutcome {
     /// The lightest encoding the race holds, and the lane that found it.
     pub best: Option<(BestEncoding, String)>,
-    /// Strongest floor the race accepts (0 = none): no encoding weighs
-    /// less. A lane's or a shard's UNSAT certificate sets it, or, for a
-    /// race decided at its opening, the branch-and-bound search of
-    /// [`fermihedral::bound`].
-    pub floor: usize,
+    /// Strongest floor the race accepts: a lane's or a shard's UNSAT
+    /// certificate, or, for a race decided before it ran, the cache
+    /// entry's or [`fermihedral::bound`]'s.
+    pub floor: Option<Floor>,
     /// Per-lane timelines.
     pub workers: Vec<WorkerReport>,
     /// Per-shard bridge traffic; empty for an in-process race.
     pub shards: Vec<ShardReport>,
 }
 
-impl RaceOutcome {
-    /// No encoding below `floor` exists and the race holds one *at* it.
-    pub fn optimal_proved(&self) -> bool {
-        self.floor != 0
-            && self
-                .best
-                .as_ref()
-                .is_some_and(|(b, _)| b.weight == self.floor)
-    }
-}
-
 /// The cache-aware pipeline around *any* race — in-process lanes
 /// ([`compile_with`]) or a sharded one over local or remote workers
-/// (`fermihedral-shard`): probe the cache (checked optimal hit → early
-/// return; same-size entry, caller hint, or cross-size lift → warm
-/// start), skip `race` when the bound decides it at its opening (see the
-/// module docs), otherwise run `race` and keep the warm start if the race
-/// never beat it, then store the winner back. `root` names the span that
-/// covers it all.
+/// (`fermihedral-shard`): probe the cache through its checked read
+/// (same-size entry, caller hint, or cross-size lift → warm start), skip
+/// `race` when a checked optimal entry or the bound at the opening
+/// decides it (see the module docs), otherwise run `race` and keep the
+/// warm start if the race never beat it, then store the winner back.
+/// `root` names the span that covers it all.
 pub fn compile_cached(
     problem: &EncodingProblem,
     config: &EngineConfig,
@@ -649,85 +636,54 @@ pub fn compile_cached(
     );
 
     // ---- Cache probe -----------------------------------------------------
-    let mut cache_status = if cache.is_some() {
-        CacheStatus::Miss
-    } else {
-        CacheStatus::Disabled
-    };
+    // Only the checked read may answer: an entry whose floor pins its
+    // re-measured weight decides the race below; any other is a warm start.
+    let mut cache_status = CacheStatus::Disabled;
     let mut warm_start: Option<CacheEntry> = None;
-    let mut warm_report: Option<WarmStartReport> = None;
-    if let Some(cache) = &cache {
-        if let Some(entry) = cache.lookup(&fp) {
-            // Trust boundary: re-validate and re-measure before the entry
-            // may short-circuit the run or seed the shared bound — a
-            // torn-but-parsable (or lying) file that understates its
-            // weight could otherwise fake an optimality certificate at a
-            // weight its strings never had.
-            match checked_entry(problem, &entry.strings, &entry.strategy) {
-                // An optimal claim is served only when the strings also
-                // measure at the claimed weight; a weight mismatch means
-                // the file lies, and its (valid, feasible) strings are
-                // demoted to a warm start below.
-                Some(checked) if entry.optimal && checked.weight == entry.weight => {
-                    return serve_from_cache(fp, entry, started, cache.counters());
-                }
-                Some(checked) => {
-                    if checked.weight != entry.weight {
-                        // The file lies about its weight; an understated
-                        // one would make store_if_better refuse this
-                        // run's genuine result forever. Delete it — the
-                        // run's tail re-stores the corrected truth.
-                        let _ = cache.invalidate(&fp);
-                    }
-                    cache_status = CacheStatus::HitWarmStart;
-                    warm_report = Some(WarmStartReport {
-                        source: "cache-entry".into(),
-                        from_modes: None,
-                        weight: checked.weight,
-                    });
-                    warm_start = Some(checked);
-                }
-                // Invalid strings: a miss — and the poison file must go,
-                // for the same store_if_better reason.
-                None => {
-                    let _ = cache.invalidate(&fp);
-                }
-            }
-        }
+    let mut warm_source = ("cache-entry", None);
+    if let Some(cache) = cache {
+        warm_start = cache.checked(problem, &fp);
+        cache_status = match &warm_start {
+            None => CacheStatus::Miss,
+            Some(entry) if entry.is_optimal() => CacheStatus::HitOptimal,
+            Some(_) => CacheStatus::HitWarmStart,
+        };
+        cache.count(cache_status);
     }
     // A caller-supplied hint (the shard coordinator's broadcast) fills a
     // same-size miss; the exact entry above, when present, is at least as
     // good.
     if warm_start.is_none() {
-        let hint = config.warm_hint.as_deref();
-        if let Some(entry) = hint.and_then(|h| checked_entry(problem, h, "warm-hint")) {
-            warm_report = Some(WarmStartReport {
-                source: "config".into(),
-                from_modes: None,
-                weight: entry.weight,
-            });
-            warm_start = Some(entry);
-        }
+        warm_start = config.warm_hint.as_deref().and_then(|strings| {
+            Some(CacheEntry {
+                weight: check_encoding(problem, strings)?,
+                strings: strings.to_vec(),
+                floor: None,
+                strategy: "warm-hint".into(),
+            })
+        });
+        warm_source = ("config", None);
     }
     // Cross-size transfer (ROADMAP warm-start item): on a same-size miss,
     // look for the largest cached smaller-mode solution of the same
     // problem family and lift it into this search. The lifted encoding is
     // a *feasible* solution, so seeding the shared bound with its weight
     // is sound.
-    if warm_start.is_none() {
-        if let Some(cache) = &cache {
-            if let Some((entry, from_modes)) = cross_size_warm_start(cache, problem) {
-                cache.note_cross_size_hit();
-                cache_status = CacheStatus::HitCrossSize;
-                warm_report = Some(WarmStartReport {
-                    source: "cross-size".into(),
-                    from_modes: Some(from_modes),
-                    weight: entry.weight,
-                });
-                warm_start = Some(entry);
-            }
+    if let (None, Some(cache)) = (&warm_start, cache) {
+        if let Some((entry, from_modes)) = cross_size_warm_start(cache, problem) {
+            cache_status = CacheStatus::HitCrossSize;
+            cache.count(cache_status);
+            warm_source = ("cross-size", Some(from_modes));
+            warm_start = Some(entry);
         }
     }
+    let warm_report = (warm_start.as_ref())
+        .filter(|_| cache_status != CacheStatus::HitOptimal)
+        .map(|entry| WarmStartReport {
+            source: warm_source.0.into(),
+            from_modes: warm_source.1,
+            weight: entry.weight,
+        });
 
     // ---- Race ------------------------------------------------------------
     let strategies = if config.strategies.is_empty() {
@@ -736,34 +692,31 @@ pub fn compile_cached(
         config.strategies.clone()
     };
     let fp_hex = fp.to_hex();
-    let decided = decided_at_open(problem, warm_start.as_ref());
-    let decided_by_bound = decided.is_some();
-    let mut outcome = match decided {
-        Some(opening) => {
-            if telemetry::global().is_enabled() {
-                telemetry::instant(
-                    "engine.floor",
-                    vec![
-                        telemetry::attr("floor", opening.0.weight as u64),
-                        telemetry::attr("floor_source", "bound"),
-                    ],
-                );
-            }
-            RaceOutcome {
-                floor: opening.0.weight,
-                best: Some(opening),
-                ..RaceOutcome::default()
-            }
-        }
-        None => race(&RaceInput {
+    // A checked optimal entry, or the bound at the opening, decides the
+    // race before any lane runs.
+    let decided = match warm_start.as_ref().filter(|entry| entry.is_optimal()) {
+        Some(entry) => Some(RaceOutcome {
+            best: Some(cache_incumbent(entry.clone())),
+            floor: entry.floor,
+            ..RaceOutcome::default()
+        }),
+        None => decided_at_open(problem, warm_start.as_ref()),
+    };
+    let lanes = if decided.is_some() {
+        0
+    } else {
+        strategies.len()
+    };
+    let mut outcome = decided.unwrap_or_else(|| {
+        race(&RaceInput {
             problem,
             config,
             fingerprint: &fp_hex,
             strategies: &strategies,
             warm_start: warm_start.as_ref(),
             started,
-        }),
-    };
+        })
+    });
 
     // ---- Collect ---------------------------------------------------------
     // A race that never beat the warm start keeps it — and may even have
@@ -773,21 +726,14 @@ pub fn compile_cached(
     // race only ever sees its weight.)
     let lightest = outcome.best.as_ref().map_or(usize::MAX, |(b, _)| b.weight);
     if let Some(entry) = warm_start.filter(|entry| entry.weight < lightest) {
-        let winner = format!("cache[{}]", entry.strategy);
-        outcome.best = Some((entry.into(), winner));
+        outcome.best = Some(cache_incumbent(entry));
     }
-    let optimal_proved = outcome.optimal_proved();
-    let floor_source = match (outcome.floor, decided_by_bound) {
-        (0, _) => "none",
-        (_, true) => "bound",
-        (_, false) => "unsat",
-    };
-    let lanes = if decided_by_bound {
-        0
-    } else {
-        strategies.len()
-    };
     let (best, winner) = outcome.best.unzip();
+    let floor = outcome.floor;
+    let optimal_proved = floor
+        .zip(best.as_ref())
+        .is_some_and(|(floor, best)| floor.pins(best.weight));
+    let floor_source = floor.map_or("none", |f| f.source.as_str());
     let shards = outcome.shards;
     let dead_shards = shards.iter().filter(|s| s.dead).count();
 
@@ -813,7 +759,7 @@ pub fn compile_cached(
         weight = best.as_ref().map(|b| b.weight as u64).unwrap_or(0),
         winner = winner.clone().unwrap_or_default(),
         optimal = optimal_proved,
-        floor = outcome.floor,
+        floor = floor.map_or(0, |f| f.value),
         floor_source = floor_source,
         dead_shards = dead_shards,
         elapsed_ms = started.elapsed().as_millis() as u64,
@@ -821,11 +767,13 @@ pub fn compile_cached(
     drop(race_span);
     telemetry::flush();
 
-    if let (Some(cache), Some(best)) = (&cache, &best) {
+    // An optimal hit is already stored as well as it can be.
+    let store = cache.filter(|_| cache_status != CacheStatus::HitOptimal);
+    if let (Some(cache), Some(best)) = (store, &best) {
         let entry = CacheEntry {
             strings: best.strings.clone(),
             weight: best.weight,
-            optimal: optimal_proved,
+            floor,
             strategy: winner.clone().unwrap_or_default(),
         };
         // Cache write failure must not fail the compilation; the same
@@ -837,8 +785,8 @@ pub fn compile_cached(
 
     EngineOutcome {
         best,
+        floor,
         optimal_proved,
-        from_cache: false,
         report: EngineReport {
             fingerprint: fp_hex,
             total_elapsed: started.elapsed(),
@@ -1074,10 +1022,8 @@ fn openings(
     warm_start: Option<&CacheEntry>,
 ) -> Vec<(BestEncoding, String)> {
     let mut openings: Vec<(BestEncoding, String)> = warm_start
-        .map(|entry| {
-            let name = format!("cache[{}]", entry.strategy);
-            (entry.clone().into(), name)
-        })
+        .cloned()
+        .map(cache_incumbent)
         .into_iter()
         .collect();
     let n = problem.num_modes();
@@ -1113,7 +1059,7 @@ const MAX_DECIDED_MODES: usize = 5;
 fn decided_at_open(
     problem: &EncodingProblem,
     warm_start: Option<&CacheEntry>,
-) -> Option<(BestEncoding, String)> {
+) -> Option<RaceOutcome> {
     if !matches!(problem.objective(), Objective::MajoranaWeight)
         || problem.num_modes() > MAX_DECIDED_MODES
     {
@@ -1128,32 +1074,45 @@ fn decided_at_open(
                 first
             }
         })?;
-    let bound = lightest_below(problem.num_modes(), opening.0.weight);
-    bound.witness.is_none().then_some(opening)
+    let floor = Floor {
+        value: opening.0.weight,
+        source: FloorSource::Bound,
+    };
+    if lightest_below(problem.num_modes(), floor.value)
+        .witness
+        .is_some()
+    {
+        return None;
+    }
+    trace_floor(floor);
+    Some(RaceOutcome {
+        best: Some(opening),
+        floor: Some(floor),
+        ..RaceOutcome::default()
+    })
 }
 
-/// A cache entry's encoding, as the incumbent it stands for.
-impl From<CacheEntry> for BestEncoding {
-    fn from(entry: CacheEntry) -> BestEncoding {
-        BestEncoding {
-            strings: entry.strings,
-            weight: entry.weight,
-        }
+/// Marks a proved floor on the trace timeline.
+fn trace_floor(floor: Floor) {
+    if telemetry::global().is_enabled() {
+        telemetry::instant(
+            "engine.floor",
+            vec![
+                telemetry::attr("floor", floor.value as u64),
+                telemetry::attr("floor_source", floor.source.as_str()),
+            ],
+        );
     }
 }
 
-/// [`check_encoding`], wrapped as a cache-entry-shaped warm start.
-fn checked_entry(
-    problem: &EncodingProblem,
-    strings: &[PauliString],
-    strategy: &str,
-) -> Option<CacheEntry> {
-    check_encoding(problem, strings).map(|weight| CacheEntry {
-        strings: strings.to_vec(),
-        weight,
-        optimal: false,
-        strategy: strategy.to_string(),
-    })
+/// A cache entry's encoding, as the incumbent it stands for.
+fn cache_incumbent(entry: CacheEntry) -> (BestEncoding, String) {
+    let name = format!("cache[{}]", entry.strategy);
+    let encoding = BestEncoding {
+        strings: entry.strings,
+        weight: entry.weight,
+    };
+    (encoding, name)
 }
 
 /// Objective-aware weight of an encoding whose strings all share one
@@ -1185,18 +1144,16 @@ pub fn cross_size_warm_start(
         let Ok(lifted) = embed_to(&entry.strings, problem.num_modes()) else {
             continue; // torn or foreign entry: not a valid encoding
         };
-        let phased: Vec<PhasedString> = lifted.iter().cloned().map(PhasedString::from).collect();
-        if !satisfies_problem(problem, &phased) {
+        let Some(weight) = check_encoding(problem, &lifted) else {
             continue;
-        }
-        let weight = measure(problem, &phased);
+        };
         return Some((
             CacheEntry {
                 strings: lifted,
                 weight,
-                // The *embedded* encoding is feasible, not optimal: the
+                // The *embedded* encoding is feasible, with no floor: the
                 // larger problem usually admits lighter solutions.
-                optimal: false,
+                floor: None,
                 strategy: format!("embed[{}->{}]", from_modes, problem.num_modes()),
             },
             from_modes,
@@ -1227,30 +1184,6 @@ fn skipped_lane(name: String, engine_start: Instant) -> WorkerReport {
         imported_reasons: 0,
         adapted_export_lbd: 0,
         shard: None,
-    }
-}
-
-fn serve_from_cache(
-    fp: Fingerprint,
-    entry: CacheEntry,
-    started: Instant,
-    cache_counters: CacheCounters,
-) -> EngineOutcome {
-    let winner = Some(format!("cache[{}]", entry.strategy));
-    EngineOutcome {
-        best: Some(entry.into()),
-        optimal_proved: true,
-        from_cache: true,
-        report: EngineReport {
-            fingerprint: fp.to_hex(),
-            total_elapsed: started.elapsed(),
-            cache: CacheStatus::HitOptimal,
-            cache_counters,
-            winner,
-            warm_start: None,
-            workers: Vec::new(),
-            shards: Vec::new(),
-        },
     }
 }
 

@@ -248,29 +248,7 @@ impl EngineReport {
                 Value::Num(self.total_elapsed.as_secs_f64()),
             ),
             ("cache", Value::Str(self.cache.as_str().to_string())),
-            (
-                "cache_counters",
-                obj([
-                    (
-                        "hit_optimal",
-                        Value::Num(self.cache_counters.hit_optimal as f64),
-                    ),
-                    (
-                        "hit_warm_start",
-                        Value::Num(self.cache_counters.hit_warm_start as f64),
-                    ),
-                    (
-                        "hit_cross_size",
-                        Value::Num(self.cache_counters.hit_cross_size as f64),
-                    ),
-                    ("misses", Value::Num(self.cache_counters.misses as f64)),
-                    ("stores", Value::Num(self.cache_counters.stores as f64)),
-                    (
-                        "evictions",
-                        Value::Num(self.cache_counters.evictions as f64),
-                    ),
-                ]),
-            ),
+            ("cache_counters", self.cache_counters.to_json()),
             (
                 "winner",
                 self.winner.clone().map_or(Value::Null, Value::Str),

@@ -14,15 +14,12 @@
 //!   [`compile_with`](crate::compile_with) on [`Engine::cache`] with its
 //!   own [`CancelToken`](sat::CancelToken), so a shutdown (or an abandoned
 //!   request) cancels in-flight solver lanes promptly and still gets the
-//!   best-so-far encoding back;
-//! * [`Engine::lookup`] exposes the cache read path directly (the server's
-//!   `GET /v1/solution/<fingerprint>`).
+//!   best-so-far encoding back.
 //!
 //! `Engine` is `Sync`: one instance is shared by every worker thread of the
 //! compilation server.
 
-use crate::cache::{CacheCounters, CacheEntry, SolutionCache};
-use crate::fingerprint::Fingerprint;
+use crate::cache::{CacheCounters, SolutionCache};
 use crate::portfolio::EngineConfig;
 use std::io;
 use std::time::Duration;
@@ -69,19 +66,6 @@ impl Engine {
             .as_ref()
             .map(SolutionCache::counters)
             .unwrap_or_default()
-    }
-
-    /// Direct cache read, without running any solver. Counts as a cache
-    /// lookup in the traffic counters.
-    pub fn lookup(&self, fp: &Fingerprint) -> Option<CacheEntry> {
-        self.cache.as_ref().and_then(|c| c.lookup(fp))
-    }
-
-    /// [`lookup`](Self::lookup) that bypasses the traffic counters — for
-    /// fast-path probes made *in addition to* a counted lookup or solve,
-    /// which would otherwise double-count one request.
-    pub fn peek(&self, fp: &Fingerprint) -> Option<CacheEntry> {
-        self.cache.as_ref().and_then(|c| c.peek(fp))
     }
 
     /// The configuration one request races under: the template with
@@ -147,10 +131,10 @@ mod tests {
         let first = compile_with(&problem, &config, engine.cache(), None);
         assert_eq!(first.weight(), Some(6));
         assert!(first.optimal_proved);
-        assert!(!first.from_cache);
+        assert_eq!(first.report.cache, CacheStatus::Miss);
 
         let second = compile_with(&problem, &config, engine.cache(), None);
-        assert!(second.from_cache, "second request must hit the cache");
+        assert_eq!(second.report.cache, CacheStatus::HitOptimal);
         assert_eq!(second.weight(), Some(6));
 
         // Counters accumulate across requests on the shared handle.
@@ -160,9 +144,10 @@ mod tests {
         assert_eq!(counters.stores, 1);
 
         // The direct read path sees the stored entry.
-        let entry = engine.lookup(&fingerprint(&problem)).expect("cached");
+        let cache = engine.cache().expect("configured");
+        let entry = cache.lookup(&fingerprint(&problem)).expect("cached");
         assert_eq!(entry.weight, 6);
-        assert!(entry.optimal);
+        assert!(entry.is_optimal());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -2,7 +2,9 @@
 //! descent, incumbent sharing, cancellation, and the persistent cache.
 
 use encodings::{Encoding, TernaryTreeEncoding};
-use engine::{check_encoding, compile, compile_with, EngineConfig, EngineOutcome, Strategy};
+use engine::{
+    check_encoding, compile, compile_with, CacheStatus, EngineConfig, EngineOutcome, Strategy,
+};
 use fermihedral::descent::{solve_optimal, DescentConfig};
 use fermihedral::fixtures::{chain, short_race};
 use fermihedral::{AnnealConfig, EncodingProblem, Objective};
@@ -10,6 +12,11 @@ use fermion::MajoranaMonomial;
 use sat::{CancelToken, ExportLbd, RestartPolicyKind};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
+
+/// The outcome was a checked optimal cache entry: no lane ran.
+fn from_cache(outcome: &EngineOutcome) -> bool {
+    outcome.report.cache == CacheStatus::HitOptimal
+}
 
 fn tmp_cache(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -83,7 +90,7 @@ fn portfolio_matches_sequential_optimum_on_small_modes() {
             "{modes} modes: portfolio and sequential disagree"
         );
         assert!(parallel.optimal_proved, "{modes} modes: no certificate");
-        assert!(!parallel.from_cache);
+        assert!(!from_cache(&parallel));
         assert_eq!(parallel.report.workers.len(), 3);
         assert_valid(&parallel, &problem);
     }
@@ -196,13 +203,13 @@ fn second_run_is_served_from_cache_without_solving() {
     };
 
     let first = compile(&problem, &config);
-    assert!(!first.from_cache);
+    assert!(!from_cache(&first));
     assert!(first.optimal_proved);
 
     let started = Instant::now();
     let second = compile(&problem, &config);
     let elapsed = started.elapsed();
-    assert!(second.from_cache, "second run must hit the cache");
+    assert!(from_cache(&second), "second run must hit the cache");
     assert_eq!(second.weight(), first.weight());
     assert!(second.optimal_proved);
     assert!(
@@ -229,15 +236,15 @@ fn cache_misses_when_the_objective_changes() {
         2,
         Objective::HamiltonianWeight(vec![MajoranaMonomial::from_sorted(vec![0, 1])]),
     );
-    assert!(!compile(&maj, &config).from_cache);
+    assert!(!from_cache(&compile(&maj, &config)));
     let ham_run = compile(&ham, &config);
     assert!(
-        !ham_run.from_cache,
+        !from_cache(&ham_run),
         "different objective must not reuse the majorana entry"
     );
     // Both entries coexist afterwards.
-    assert!(compile(&maj, &config).from_cache);
-    assert!(compile(&ham, &config).from_cache);
+    assert!(from_cache(&compile(&maj, &config)));
+    assert!(from_cache(&compile(&ham, &config)));
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -253,14 +260,14 @@ fn cache_survives_process_restart_shape() {
             cache_dir: Some(dir.clone()),
             ..EngineConfig::default()
         };
-        assert!(!compile(&problem, &config).from_cache);
+        assert!(!from_cache(&compile(&problem, &config)));
     }
     let fresh_config = EngineConfig {
         strategies: three_descent_lanes(),
         cache_dir: Some(dir.clone()),
         ..EngineConfig::default()
     };
-    assert!(compile(&problem, &fresh_config).from_cache);
+    assert!(from_cache(&compile(&problem, &fresh_config)));
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -538,7 +545,7 @@ fn cache_counters_surface_in_the_report() {
     assert_eq!(first.report.cache_counters.misses, 1);
     assert_eq!(first.report.cache_counters.stores, 1);
     let second = compile(&problem, &config);
-    assert!(second.from_cache);
+    assert!(from_cache(&second));
     assert_eq!(second.report.cache_counters.hit_optimal, 1);
     assert_eq!(second.report.cache_counters.misses, 0);
     std::fs::remove_dir_all(&dir).unwrap();

@@ -10,7 +10,9 @@
 //! which already is the optimum at these sizes, so its lanes record no
 //! improving step for a warm start to save.
 
-use engine::{compile, CacheStatus, EngineConfig, EngineOutcome, EventKind, Strategy};
+use engine::{
+    compile, CacheStatus, EngineConfig, EngineOutcome, EventKind, Floor, FloorSource, Strategy,
+};
 use fermihedral::fixtures::hamiltonian;
 use fermihedral::{EncodingProblem, Objective};
 use pauli::PauliString;
@@ -316,7 +318,7 @@ fn corrupt_warm_entry_is_rejected_at_the_trust_boundary() {
         let poison = engine::CacheEntry {
             strings,
             weight: 5,
-            optimal: false,
+            floor: None,
             strategy: "corrupt".into(),
         };
         cache.store(&fp, &poison).unwrap();
@@ -341,8 +343,29 @@ fn corrupt_warm_entry_is_rejected_at_the_trust_boundary() {
         // its place — without the repair, store_if_better would refuse
         // the real optimum against the lying weight 5 forever.
         let repaired = cache.lookup(&fp).expect("cache repaired");
-        assert_eq!((repaired.weight, repaired.optimal), (6, true), "{what}");
+        assert_eq!(
+            (repaired.weight, repaired.is_optimal()),
+            (6, true),
+            "{what}"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+/// The N=2 optimum's strings in a cache entry that claims weight 5 and a
+/// floor meeting it — a liar about both.
+fn lying_optimal_entry() -> engine::CacheEntry {
+    engine::CacheEntry {
+        strings: ["IX", "IY", "XZ", "YZ"]
+            .iter()
+            .map(|s| PauliString::from_str(s).unwrap())
+            .collect(),
+        weight: 5,
+        floor: Some(Floor {
+            value: 5,
+            source: FloorSource::Unsat,
+        }),
+        strategy: "liar".into(),
     }
 }
 
@@ -356,20 +379,7 @@ fn lying_optimal_entry_is_demoted_and_repaired() {
     let problem = EncodingProblem::full_sat(2, Objective::MajoranaWeight);
     let cache = engine::SolutionCache::open(&dir).unwrap();
     let fp = engine::fingerprint(&problem);
-    cache
-        .store(
-            &fp,
-            &engine::CacheEntry {
-                strings: ["IX", "IY", "XZ", "YZ"]
-                    .iter()
-                    .map(|s| PauliString::from_str(s).unwrap())
-                    .collect(),
-                weight: 5,
-                optimal: true,
-                strategy: "liar".into(),
-            },
-        )
-        .unwrap();
+    cache.store(&fp, &lying_optimal_entry()).unwrap();
 
     let outcome = compile(
         &problem,
@@ -379,9 +389,28 @@ fn lying_optimal_entry_is_demoted_and_repaired() {
             ..EngineConfig::default()
         },
     );
-    assert!(!outcome.from_cache, "a lying optimal claim must not serve");
+    assert_eq!(
+        outcome.report.cache,
+        CacheStatus::HitWarmStart,
+        "a lying optimal claim must not serve"
+    );
     assert_eq!(outcome.weight(), Some(6));
     assert!(outcome.optimal_proved);
+    let bound = Floor {
+        value: 6,
+        source: FloorSource::Bound,
+    };
+    assert_eq!(outcome.floor, Some(bound));
+    // The probe is counted as what the check made of it.
+    let counters = outcome.report.cache_counters;
+    assert_eq!(
+        (
+            counters.hit_optimal,
+            counters.hit_warm_start,
+            counters.misses
+        ),
+        (0, 1, 0)
+    );
     let warm = outcome
         .report
         .warm_start
@@ -389,7 +418,7 @@ fn lying_optimal_entry_is_demoted_and_repaired() {
     assert_eq!(warm.source, "cache-entry");
     assert_eq!(warm.weight, 6, "re-measured, not the claimed 5");
     let repaired = cache.lookup(&fp).expect("cache repaired");
-    assert_eq!((repaired.weight, repaired.optimal), (6, true));
+    assert_eq!((repaired.weight, repaired.floor), (6, Some(bound)));
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

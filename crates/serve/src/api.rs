@@ -23,7 +23,7 @@
 //!
 //! Response: see [`compile_document`].
 
-use engine::{strings_to_json, CacheEntry, EngineOutcome};
+use engine::{strings_to_json, CacheEntry, CacheStatus, EngineOutcome, Floor};
 use fermihedral::EncodingProblem;
 use jsonkit::{obj, Value};
 use std::collections::BTreeMap;
@@ -153,7 +153,7 @@ pub fn parse_batch_request(body: &[u8], max_modes: usize) -> Result<BatchRequest
 /// the response.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CompileStatus {
-    /// An UNSAT certificate proves the returned encoding optimal.
+    /// The returned encoding's floor (UNSAT or bound) meets its weight.
     Optimal,
     /// The deadline fired first; the returned encoding is best-so-far.
     DeadlineExceeded,
@@ -234,16 +234,16 @@ pub enum Answer {
 
 /// The compile document: the `POST /v1/compile` response body and (with
 /// `modes` added) every `POST /v1/compile-batch` entry. Always the same
-/// ten keys, `null` where the outcome has nothing to report; a refused
+/// twelve keys, `null` where the outcome has nothing to report; a refused
 /// job adds `error` and `http_status`.
 pub fn compile_document(fingerprint_hex: &str, settled: &Settled, elapsed: Duration) -> Value {
-    // A cache entry records the lane that found it as its `strategy`, and
-    // has always been served under that name; a race reports its `winner`.
-    let (weight, strings, (lane_key, lane), from_cache, warm_start) = match &settled.answer {
+    // A cache entry is named as the engine names it: `cache[<its lane>]`.
+    let (weight, strings, winner, floor, from_cache, warm_start) = match &settled.answer {
         Answer::Cached(entry) => (
             Some(entry.weight),
             Some(&entry.strings),
-            ("strategy", Some(entry.strategy.clone())),
+            Some(format!("cache[{}]", entry.strategy)),
+            entry.floor,
             true,
             // No race ran, so no warm start.
             None,
@@ -251,13 +251,14 @@ pub fn compile_document(fingerprint_hex: &str, settled: &Settled, elapsed: Durat
         Answer::Raced(outcome) => (
             outcome.weight(),
             outcome.best.as_ref().map(|b| &b.strings),
-            ("winner", outcome.report.winner.clone()),
-            outcome.from_cache,
+            outcome.report.winner.clone(),
+            outcome.floor,
+            outcome.report.cache == CacheStatus::HitOptimal,
             outcome.report.warm_start.as_ref(),
         ),
-        Answer::Refused(..) | Answer::Nothing => (None, None, ("winner", None), false, None),
+        Answer::Refused(..) | Answer::Nothing => (None, None, None, None, false, None),
     };
-    let mut doc = obj([
+    let fields = [
         ("fingerprint", Value::Str(fingerprint_hex.to_string())),
         ("status", Value::Str(settled.status.as_str().to_string())),
         (
@@ -272,7 +273,7 @@ pub fn compile_document(fingerprint_hex: &str, settled: &Settled, elapsed: Durat
             "strings",
             strings.map_or(Value::Null, |s| strings_to_json(s)),
         ),
-        (lane_key, lane.map_or(Value::Null, Value::Str)),
+        ("winner", winner.map_or(Value::Null, Value::Str)),
         ("from_cache", Value::Bool(from_cache)),
         // How the race was warm-started (`null` for cold runs): source
         // ("cache-entry" | "cross-size" | "config"), the source's mode
@@ -283,7 +284,9 @@ pub fn compile_document(fingerprint_hex: &str, settled: &Settled, elapsed: Durat
         ),
         ("coalesced", Value::Bool(settled.coalesced)),
         ("elapsed_ms", Value::Num(millis(elapsed))),
-    ]);
+    ];
+    // Plus the proved lower bound and its prover ("unsat" | "bound").
+    let mut doc = obj(fields.into_iter().chain(Floor::to_json(floor)));
     if let (Answer::Refused(status, reason), Value::Obj(fields)) = (&settled.answer, &mut doc) {
         fields.insert("error".into(), Value::Str(reason.clone()));
         fields.insert("http_status".into(), Value::Num(*status as f64));
@@ -301,7 +304,7 @@ pub fn solution_response(fingerprint_hex: &str, entry: &CacheEntry) -> Value {
     obj([
         ("fingerprint", Value::Str(fingerprint_hex.to_string())),
         ("weight", Value::Num(entry.weight as f64)),
-        ("optimal", Value::Bool(entry.optimal)),
+        ("optimal", Value::Bool(entry.is_optimal())),
         ("strings", strings_to_json(&entry.strings)),
         ("strategy", Value::Str(entry.strategy.clone())),
     ])

@@ -18,7 +18,7 @@ use crate::journal::{self, PendingJob, Record};
 use crate::queue::{Job, PushError};
 use crate::tenant::Tenant;
 use crate::Shared;
-use engine::{fingerprint, Fingerprint};
+use engine::{fingerprint, CacheEntry, Fingerprint};
 use fermihedral::EncodingProblem;
 use jsonkit::{obj, Value};
 use pauli::PauliString;
@@ -190,15 +190,21 @@ fn admit(shared: &Shared, admission: Admission) -> (Arc<InFlight>, bool) {
     (cell, true)
 }
 
+/// The admission's entry through the engine's checked cache read
+/// ([`engine::SolutionCache::checked`]), uncounted: a fast-path probe is
+/// made in addition to the counted one of any compilation that follows.
+fn checked(shared: &Shared, problem: &EncodingProblem, fp: &Fingerprint) -> Option<CacheEntry> {
+    shared.engine.cache().and_then(|c| c.checked(problem, fp))
+}
+
 /// Carries one admission to its answer.
 fn settle(shared: &Shared, admission: Admission) -> Settled {
-    // Fast path: a proven-optimal cache entry answers without queueing —
+    // Fast path: a checked optimal cache entry answers without queueing —
     // this is what keeps repeat traffic in the sub-millisecond range even
-    // while every solve worker is busy. `peek` (not `lookup`): the cache
-    // traffic counters track the engine's own probes, and counting this
-    // pre-probe too would double-count every request that goes on to
-    // solve. Fast-path hits are surfaced as `solves.cache_fast_path`.
-    let unqueued = match shared.engine.peek(&admission.fp).filter(|e| e.optimal) {
+    // while every solve worker is busy. Fast-path hits are surfaced as
+    // `solves.cache_fast_path`.
+    let cached = checked(shared, &admission.problem, &admission.fp);
+    let unqueued = match cached.filter(CacheEntry::is_optimal) {
         Some(entry) => {
             shared.metrics.cache_fast_path.inc();
             Some(Settled::new(CompileStatus::Optimal, Answer::Cached(entry)))
@@ -212,7 +218,8 @@ fn settle(shared: &Shared, admission: Admission) -> Settled {
         }
         return settled;
     }
-    let (fp, deadline_at) = (admission.fp, admission.deadline_at);
+    let (problem, fp) = (admission.problem.clone(), admission.fp);
+    let deadline_at = admission.deadline_at;
     let (cell, leader) = admit(shared, admission);
     // Own deadline passed while the (longer-deadlined) solve is still
     // running: answer timeout now with whatever the cache holds as
@@ -220,7 +227,7 @@ fn settle(shared: &Shared, admission: Admission) -> Settled {
     let mut settled = cell
         .wait_until(deadline_at + RESULT_GRACE)
         .unwrap_or_else(|| {
-            let best = shared.engine.peek(&fp);
+            let best = checked(shared, &problem, &fp);
             Settled::new(
                 CompileStatus::DeadlineExceeded,
                 best.map_or(Answer::Nothing, Answer::Cached),
@@ -450,7 +457,8 @@ pub(crate) fn replay_pending(shared: &Shared, report: journal::ReplayReport) {
         let admissible = engine::problem_from_json(&job.problem, Some(shared.config.max_modes))
             .ok()
             .map(|p| Admission::new(p, Instant::now(), deadline, tenant, AdmitRecord::Replayed))
-            .filter(|a| a.key == job.key && !shared.engine.peek(&a.fp).is_some_and(|e| e.optimal));
+            .filter(|a| a.key == job.key)
+            .filter(|a| !checked(shared, &a.problem, &a.fp).is_some_and(|e| e.is_optimal()));
         match admissible {
             Some(admission) => drop(admit(shared, admission)),
             None => journal_done(shared, &job.key),

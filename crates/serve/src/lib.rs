@@ -18,8 +18,9 @@
 //! 2. **Authenticate.** With [`tenant`]s configured, the API key picks the
 //!    tenant the job is accounted to (`401` without one); open mode maps
 //!    everyone to the anonymous tenant.
-//! 3. **Admit.** A proven-optimal cache entry answers on the spot — repeat
-//!    traffic never queues. Otherwise the request joins the one in-flight
+//! 3. **Admit.** A cache entry that passes the engine's check
+//!    ([`engine::SolutionCache::checked`]) with its floor meeting its
+//!    weight answers on the spot — repeat traffic never queues. Otherwise the request joins the one in-flight
 //!    solve per fingerprint ([`coalesce::Coalescer`]): the first arrival
 //!    leads, journals an admit record when a [`journal`] is configured, and
 //!    pushes the one job; later arrivals attach to its cell.
@@ -611,7 +612,7 @@ fn handle_solution(shared: &Arc<Shared>, fingerprint_hex: &str) -> Response {
     let Some(fp) = Fingerprint::from_hex(fingerprint_hex) else {
         return Response::error(400, "fingerprint must be 64 hex characters");
     };
-    let response = match shared.engine.lookup(&fp) {
+    let response = match shared.engine.cache().and_then(|c| c.lookup(&fp)) {
         Some(entry) => Response::json(200, &api::solution_response(&fp.to_hex(), &entry)),
         None => Response::error(404, "no cached solution for this fingerprint"),
     };

@@ -190,9 +190,6 @@ impl Flags {
 
 fn main() {
     install_signal_handlers();
-    // Early init so flag-parse errors already go through the structured
-    // logger; re-initialised below once --log-level/--log-json are known.
-    telemetry::log::init_from_env();
     let flags = parse_flags();
     let log_level = flags.get("log-level").map(|v| {
         v.parse::<telemetry::log::Level>().unwrap_or_else(|()| {

@@ -256,17 +256,7 @@ impl Metrics {
                     ("cache_fast_path", n(&self.cache_fast_path)),
                 ]),
             ),
-            (
-                "cache",
-                obj([
-                    ("hit_optimal", Value::Num(cache.hit_optimal as f64)),
-                    ("hit_warm_start", Value::Num(cache.hit_warm_start as f64)),
-                    ("hit_cross_size", Value::Num(cache.hit_cross_size as f64)),
-                    ("misses", Value::Num(cache.misses as f64)),
-                    ("stores", Value::Num(cache.stores as f64)),
-                    ("evictions", Value::Num(cache.evictions as f64)),
-                ]),
-            ),
+            ("cache", cache.to_json()),
             (
                 "batch",
                 obj([

@@ -55,12 +55,14 @@ fn shutdown(handle: &ServerHandle) {
     assert!(t0.elapsed() < Duration::from_secs(15), "join hung");
 }
 
-/// The solo `/v1/compile` response schema as shipped before batching —
-/// exactly these keys, no more, no fewer.
-const LEGACY_KEYS: [&str; 10] = [
+/// The solo `/v1/compile` response schema — exactly these keys, no more,
+/// no fewer, whatever answered it.
+const COMPILE_KEYS: [&str; 12] = [
     "coalesced",
     "elapsed_ms",
     "fingerprint",
+    "floor",
+    "floor_source",
     "from_cache",
     "optimal",
     "status",
@@ -107,13 +109,13 @@ fn batch_certifies_the_same_weights_as_sequential_solo_compiles() {
             "solo size {modes} must certify: {}",
             doc.to_json()
         );
-        // The fresh-solve solo schema is locked to exactly the legacy
-        // keys — batching must not perturb the single-compile contract.
+        // The fresh-solve solo schema is locked to exactly these keys —
+        // batching must not perturb the single-compile contract.
         let Value::Obj(fields) = &doc else {
             panic!("compile response must be an object")
         };
         let keys: Vec<&str> = fields.keys().map(String::as_str).collect();
-        assert_eq!(keys, LEGACY_KEYS, "solo response schema changed");
+        assert_eq!(keys, COMPILE_KEYS, "solo response schema changed");
         solo_weights.push(doc.get("weight").unwrap().as_usize().unwrap());
     }
 
@@ -329,20 +331,14 @@ fn batch_of_one_answers_the_solo_document() {
     let _ = std::fs::remove_dir_all(&batch_cache);
 }
 
-/// Asserts `entry` carries exactly the legacy compile keys plus `modes`
-/// (and `extra`), and the given status. An entry answered from the cache
-/// names the lane that found it `strategy` (the cache entry's field, as
-/// `GET /v1/solution` serves it) where a race names its `winner`.
+/// Asserts `entry` carries exactly the compile keys plus `modes` (and
+/// `extra`), and the given status. A cached answer names its lane
+/// `winner` too.
 fn assert_entry_schema(entry: &Value, status: &str, cached: bool, extra: &[&str]) {
     let Value::Obj(fields) = entry else {
         panic!("batch entry must be an object")
     };
-    let mut expected: Vec<&str> = LEGACY_KEYS
-        .iter()
-        .map(|&key| match key {
-            "winner" if cached => "strategy",
-            key => key,
-        })
+    let mut expected: Vec<&str> = (COMPILE_KEYS.iter().copied())
         .chain(["modes"])
         .chain(extra.iter().copied())
         .collect();

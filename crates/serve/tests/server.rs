@@ -461,6 +461,60 @@ fn independence_flag_shares_one_cache_entry() {
     let _ = std::fs::remove_dir_all(&cache_dir);
 }
 
+#[test]
+fn a_cache_file_that_lies_is_never_served() {
+    // The N=2 optimum's strings in a file that claims weight 5 and a floor
+    // meeting it. The fast path must check the strings like the engine
+    // does: the answer is the real weight 6, proved by the bound, from a
+    // race rather than the file — and the file is repaired.
+    let cache_dir = tmp_cache("liar");
+    let problem = fermihedral::EncodingProblem::new(2, fermihedral::Objective::MajoranaWeight);
+    let fp = engine::fingerprint(&problem);
+    let cache = engine::SolutionCache::open(&cache_dir).unwrap();
+    let liar = engine::CacheEntry {
+        strings: ["IX", "IY", "XZ", "YZ"]
+            .iter()
+            .map(|s| s.parse().unwrap())
+            .collect(),
+        weight: 5,
+        floor: Some(engine::Floor {
+            value: 5,
+            source: engine::FloorSource::Unsat,
+        }),
+        strategy: "liar".into(),
+    };
+    cache.store(&fp, &liar).unwrap();
+    let handle = start(ServeConfig {
+        engine: engine::EngineConfig {
+            cache_dir: Some(cache_dir.clone()),
+            ..engine::EngineConfig::default()
+        },
+        ..ServeConfig::default()
+    })
+    .expect("server starts");
+
+    let (status, doc) = post_compile(handle.local_addr(), r#"{"modes": 2}"#);
+    assert_eq!(status, 200, "{}", doc.to_json());
+    let field = |key: &str| doc.get(key).cloned().unwrap_or(Value::Null);
+    assert_eq!(
+        field("status").as_str(),
+        Some("optimal"),
+        "{}",
+        doc.to_json()
+    );
+    assert_eq!(field("weight").as_usize(), Some(6));
+    assert_eq!(field("floor").as_usize(), Some(6));
+    assert_eq!(field("floor_source").as_str(), Some("bound"));
+    assert_eq!(field("from_cache").as_bool(), Some(false));
+    assert_valid_encoding(&doc, 2);
+    let repaired = cache.peek(&fp).expect("the race stored its answer");
+    assert_eq!(repaired.weight, 6);
+    assert!(repaired.is_optimal());
+
+    shutdown_and_join(&handle);
+    let _ = std::fs::remove_dir_all(&cache_dir);
+}
+
 // ---------------------------------------------------------------------------
 // Observability: Prometheus exposition, per-request traces, trace files
 // ---------------------------------------------------------------------------

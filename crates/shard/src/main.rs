@@ -13,7 +13,7 @@
 //! * `fermihedral-shard --problem JSON [OPTIONS]` — a coordinator CLI
 //!   that compiles one problem sharded over local loopback workers.
 
-use engine::{EngineConfig, SolutionCache};
+use engine::{CacheStatus, EngineConfig, SolutionCache};
 use jsonkit::{obj, Value};
 use shard::{
     compile_fleet_with, compile_sharded_with, run_worker_fleet, FleetOptions, FleetServer,
@@ -47,7 +47,6 @@ Structured log verbosity/format come from FERMIHEDRAL_LOG (see README).
 ";
 
 fn main() {
-    telemetry::log::init_from_env();
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.first().map(String::as_str) == Some("worker") {
         let Some(addr) = flag_value(&args, "--connect") else {
@@ -140,6 +139,7 @@ fn main() {
         };
         compile_sharded_with(&problem, &config, cache.as_ref(), None, &options)
     };
+    let from_cache = outcome.report.cache == CacheStatus::HitOptimal;
     let doc = obj([
         ("modes", Value::Num(problem.num_modes() as f64)),
         ("shards", Value::Num(shards as f64)),
@@ -150,11 +150,11 @@ fn main() {
                 .map_or(Value::Null, |w| Value::Num(w as f64)),
         ),
         ("optimal", Value::Bool(outcome.optimal_proved)),
-        ("from_cache", Value::Bool(outcome.from_cache)),
+        ("from_cache", Value::Bool(from_cache)),
         ("report", outcome.report.to_json()),
     ]);
     println!("{}", doc.to_json());
-    if !outcome.optimal_proved && !outcome.from_cache {
+    if !outcome.optimal_proved {
         std::process::exit(1);
     }
 }

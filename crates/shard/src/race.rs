@@ -45,8 +45,8 @@ use crate::link::{Event, Link, Sent};
 use crate::proto::{IncumbentUpdate, Job, ShardResult};
 use crate::wire::{Frame, RemoteClause, PROTOCOL_VERSION};
 use engine::{
-    check_encoding, partition_strategies, RaceInput, RaceOutcome, ShardReport, Strategy,
-    WorkerReport,
+    check_encoding, partition_strategies, Floor, FloorSource, RaceInput, RaceOutcome, ShardReport,
+    Strategy, WorkerReport,
 };
 use fermihedral::descent::BestEncoding;
 use jsonkit::{obj, Value};
@@ -125,9 +125,8 @@ struct Race<'a> {
     /// Lightest checked weight off a current connection (or the warm
     /// start's); strictly better ones are forwarded to peers as `Bound`.
     best_bound: usize,
-    /// Raw floor claims steer the race (early cancel); the *final*
-    /// certificate only trusts claims consistent with a checked
-    /// encoding — see [`merge_results`].
+    /// Every shard's floor claim; only those a known-feasible weight does
+    /// not contradict are trusted ([`accepted_floor`]).
     floor_claims: Vec<usize>,
     /// Lightest checked `Incumbent`, with the lane that found it — the
     /// race's witness, which survives its finder's death.
@@ -346,9 +345,10 @@ impl Race<'_> {
         self.cancel_sent_at = Some(Instant::now());
     }
 
-    /// The incumbent meets a claimed floor: decided.
+    /// The accepted floor pins the race's bound: decided.
     fn cancel_if_decided(&mut self) {
-        if self.floor_claims.iter().any(|&f| self.best_bound <= f) {
+        let floor = accepted_floor(&self.floor_claims, self.best_bound);
+        if floor.is_some_and(|floor| floor.pins(self.best_bound)) {
             self.cancel();
         }
     }
@@ -656,15 +656,25 @@ impl Race<'_> {
     }
 }
 
+/// The strongest UNSAT floor claim at or below `weight`, a known-feasible
+/// weight. A claim above it says a real encoding is impossible — a
+/// provable lie, so a corrupt worker can poison neither the cache nor the
+/// caller. (A floor *equal* to the checked optimum is accepted on the
+/// worker's word: an UNSAT proof cannot be cheaply re-checked, and workers
+/// are this repository's own binary — the same trust extended to an
+/// in-process thread. The defense here is against corruption and provable
+/// lies, not a fully Byzantine peer.)
+fn accepted_floor(claims: &[usize], weight: usize) -> Option<Floor> {
+    let value = claims.iter().copied().filter(|&f| f <= weight).max()?;
+    Some(Floor {
+        value,
+        source: FloorSource::Unsat,
+    })
+}
+
 /// Merges the seats' results into one race outcome: the lightest
-/// checked incumbent, every seat's lane timelines, and the *accepted*
-/// floor — only floor claims consistent with the best are trusted, so a
-/// corrupt worker can poison neither the cache nor the caller. (A floor
-/// *equal* to the checked optimum is accepted on the worker's word: an
-/// UNSAT proof cannot be cheaply re-checked, and workers are this
-/// repository's own binary — the same trust extended to an in-process
-/// thread. The defense here is against corruption and provable lies, not
-/// a fully Byzantine peer.)
+/// checked incumbent, every seat's lane timelines, and the floor accepted
+/// against it — failing a checked incumbent, against the warm start.
 fn merge_results(
     initial_bound: Option<usize>,
     floor_claims: &[usize],
@@ -682,14 +692,8 @@ fn merge_results(
         }));
         shards.push(seat.report);
     }
-    // A floor strictly above a known-feasible weight — the race's
-    // checked best, or failing that the warm start — claims a real
-    // encoding is impossible: a provable lie; discard it. The strongest
-    // remaining claim is the accepted floor.
     let reference = best.as_ref().map(|(b, _)| b.weight).or(initial_bound);
-    let floor = reference
-        .and_then(|r| floor_claims.iter().copied().filter(|&f| f <= r).max())
-        .unwrap_or(0);
+    let floor = reference.and_then(|r| accepted_floor(floor_claims, r));
     RaceOutcome {
         best,
         floor,

@@ -4,7 +4,9 @@
 //! microseconds and fails the same way every time. The races are N = 2
 //! (optimum 6), small enough to write the encodings by hand.
 
-use engine::{default_portfolio, EngineConfig, RaceInput, RaceOutcome, WorkerReport};
+use engine::{
+    default_portfolio, EngineConfig, Floor, FloorSource, RaceInput, RaceOutcome, WorkerReport,
+};
 use fermihedral::{EncodingProblem, Objective};
 use pauli::PauliString;
 use sat::{SharedClause, Var};
@@ -14,6 +16,23 @@ use shard::{IncumbentUpdate, Job, ShardResult};
 use std::collections::VecDeque;
 use std::sync::mpsc::RecvTimeoutError;
 use std::time::{Duration, Instant};
+
+/// A shard's UNSAT floor of `value`, as the race accepts it.
+fn unsat(value: usize) -> Option<Floor> {
+    Some(Floor {
+        value,
+        source: FloorSource::Unsat,
+    })
+}
+
+/// The race's accepted floor meets its witness's weight.
+fn optimal(outcome: &RaceOutcome) -> bool {
+    let weight = outcome.best.as_ref().map(|(best, _)| best.weight);
+    outcome
+        .floor
+        .zip(weight)
+        .is_some_and(|(floor, weight)| floor.pins(weight))
+}
 
 /// A link that replays `script` and records what the race does to it.
 #[derive(Default)]
@@ -214,8 +233,8 @@ fn an_incumbent_outlives_the_shard_that_found_it() {
     let (best, winner) = outcome.best.as_ref().expect("the wire incumbent");
     assert_eq!((best.weight, winner.as_str()), (6, "lane-x"));
     assert_eq!(best.strings, optimum());
-    assert_eq!(outcome.floor, 6);
-    assert!(outcome.optimal_proved());
+    assert_eq!(outcome.floor, unsat(6));
+    assert!(optimal(&outcome));
     assert!(outcome.shards[1].dead, "a pipe-like link cannot rejoin");
     assert!(!outcome.shards[0].dead);
     // The floor met the bound: shard 0 was told to stop.
@@ -227,8 +246,8 @@ fn a_bound_without_its_witness_steers_nothing() {
     let mut link = ScriptLink::new(&[0, 1], incumbent_loss_script(false));
     let outcome = run(&mut link);
     assert_eq!(outcome.best.as_ref().map(|(b, _)| b.weight), Some(7));
-    assert_eq!(outcome.floor, 6);
-    assert!(!outcome.optimal_proved(), "a bound nobody can witness");
+    assert_eq!(outcome.floor, unsat(6));
+    assert!(!optimal(&outcome), "a bound nobody can witness");
     assert!(
         !link.sent.contains(&(0, Frame::Bound(6))),
         "a worker's bare Bound is never forwarded"
@@ -265,7 +284,7 @@ fn a_stale_generation_is_dropped_but_its_incumbent_is_kept() {
         "and was never forwarded"
     );
     assert_eq!(outcome.best.as_ref().map(|(b, _)| b.weight), Some(6));
-    assert!(outcome.optimal_proved(), "shard 0's own floor claim stands");
+    assert!(optimal(&outcome), "shard 0's own floor claim stands");
     assert!(
         !outcome.shards[1].dead,
         "the stale Gone did not count either"
@@ -363,8 +382,8 @@ fn a_floor_claim_above_a_validated_weight_is_discarded_at_merge() {
     );
     let outcome = run(&mut link);
     assert_eq!(outcome.best.as_ref().map(|(b, _)| b.weight), Some(6));
-    assert_eq!(outcome.floor, 5, "9 > 6 is a provable lie; 5 stands");
-    assert!(!outcome.optimal_proved());
+    assert_eq!(outcome.floor, unsat(5), "9 > 6 is a provable lie; 5 stands");
+    assert!(!optimal(&outcome));
 }
 
 // ---- (g) hanging up after Cancel -----------------------------------------
@@ -387,7 +406,7 @@ fn gone_after_cancel_is_wind_down_on_a_link_that_can_rejoin() {
     link.patience = Some(Duration::from_secs(3600));
     let outcome = run(&mut link);
     assert!(link.kinds_to(1).contains(&"cancel"));
-    assert!(outcome.optimal_proved());
+    assert!(optimal(&outcome));
     assert!(
         !outcome.shards[1].dead,
         "resultless after Cancel: by design"
@@ -401,7 +420,7 @@ fn gone_after_cancel_is_settled_by_the_exit_status_on_a_link_that_cannot() {
         let status = status.to_string();
         link.exits = vec![None, Some(PeerExit { clean, status })];
         let outcome = run(&mut link);
-        assert!(outcome.optimal_proved());
+        assert!(optimal(&outcome));
         assert_eq!(outcome.shards[1].dead, !clean);
     }
 }
@@ -436,7 +455,7 @@ fn a_malformed_wire_incumbent_is_dropped_not_a_panic() {
             Some(7),
             "{what}"
         );
-        assert!(!outcome.optimal_proved(), "{what}");
+        assert!(!optimal(&outcome), "{what}");
     }
 }
 
@@ -464,7 +483,7 @@ fn a_malformed_shard_result_marks_the_seat_dead_not_a_panic() {
             Some(7),
             "{what}"
         );
-        assert!(!outcome.optimal_proved(), "{what}");
+        assert!(!optimal(&outcome), "{what}");
     }
 }
 

@@ -198,12 +198,22 @@ struct LogState {
 
 static STATE: OnceLock<LogState> = OnceLock::new();
 
+/// The logger, on first use set up from `FERMIHEDRAL_LOG`: a binary logs
+/// at the level the environment asks for without calling anything first.
 fn state() -> &'static LogState {
-    STATE.get_or_init(|| LogState {
-        json: AtomicBool::new(false),
-        sink_floor: AtomicU8::new(Level::Info as u8),
-        filter: Mutex::new(Filter::default()),
+    STATE.get_or_init(|| {
+        let filter = env_filter();
+        LogState {
+            json: AtomicBool::new(false),
+            sink_floor: AtomicU8::new(filter.floor() as u8),
+            filter: Mutex::new(filter),
+        }
     })
+}
+
+/// The filter `FERMIHEDRAL_LOG` names (unset = `info`).
+fn env_filter() -> Filter {
+    Filter::parse(&std::env::var("FERMIHEDRAL_LOG").unwrap_or_default())
 }
 
 /// Installs a filter (replacing the current one).
@@ -220,22 +230,16 @@ pub fn set_json(json: bool) {
     state().json.store(json, Ordering::Relaxed);
 }
 
-/// Initializes the filter from `FERMIHEDRAL_LOG` (unset = `info`).
-/// `default_override` (e.g. `serve --log-level`) replaces the spec's
-/// default level but keeps its per-target directives.
+/// Re-reads the filter from `FERMIHEDRAL_LOG` (unset = `info`) with
+/// command-line overrides: `default_override` (e.g. `serve --log-level`)
+/// replaces the spec's default level but keeps its per-target directives.
 pub fn init(default_override: Option<Level>, json: bool) {
-    let spec = std::env::var("FERMIHEDRAL_LOG").unwrap_or_default();
-    let mut filter = Filter::parse(&spec);
+    let mut filter = env_filter();
     if let Some(level) = default_override {
         filter = filter.with_default(level);
     }
     set_filter(filter);
     set_json(json);
-}
-
-/// [`init`] with no overrides — the one-liner for binaries.
-pub fn init_from_env() {
-    init(None, false);
 }
 
 /// Whether an event at `level` for `target` would go anywhere (sink or

@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example portfolio_compile`
 
-use fermihedral_repro::engine::{compile, EngineConfig};
+use fermihedral_repro::engine::{compile, CacheStatus, EngineConfig};
 use fermihedral_repro::fermihedral::{EncodingProblem, Objective};
 use fermihedral_repro::fermion::models::{FermiHubbard, Lattice};
 use fermihedral_repro::fermion::{MajoranaMonomial, MajoranaSum};
@@ -87,7 +87,7 @@ fn main() {
     println!("\nsecond compilation: {:?}", t1.elapsed());
     println!(
         "  from_cache={} weight={:?} (no solver ran: {} workers)",
-        second.from_cache,
+        second.report.cache == CacheStatus::HitOptimal,
         second.weight(),
         second.report.workers.len(),
     );
