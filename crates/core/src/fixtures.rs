@@ -1,11 +1,15 @@
 //! Named Hamiltonian-dependent problems whose races run.
 //!
-//! The engine decides a Hamiltonian-independent race at `N ≤ 5` before
-//! any lane starts ([`crate::bound`] proves the opening ternary tree
-//! optimal). Tests, examples and docs that need the lanes themselves to
-//! race — clause sharing, cancellation, shards killed mid-race — use these
-//! full-SAT `HamiltonianWeight` problems instead, by name. Times are the
-//! default in-process race on a 2-core VM, release build.
+//! The engine decides a race before any lane starts when [`crate::bound`]
+//! can prove it: a Hamiltonian-independent one at `N ≤ 5` (the opening
+//! ternary tree is optimal) and a Hamiltonian-dependent one at `N ≤ 3`
+//! (the exact search over ordered assignments). Tests, examples and docs
+//! that need the lanes themselves to race — clause sharing, cancellation,
+//! shards killed mid-race — use these full-SAT `HamiltonianWeight`
+//! problems instead, by name, at `N ≥ 4`: [`chain`]`(4)`, [`short_race`]
+//! and [`long_race`]. At `N ≤ 3`, [`chain`] is the smallest problem the
+//! search decides. Times are the default in-process race on a 2-core VM,
+//! release build.
 //!
 //! # Example
 //!
@@ -29,7 +33,8 @@ pub fn hamiltonian(terms: &[[u32; 2]]) -> Objective {
 }
 
 /// γ₀γ₁ + γ₂γ₃ + γ₀γ₃ on `n ≥ 2` modes: optimum 4 at `N = 2 … 4`,
-/// certified in milliseconds.
+/// certified in milliseconds; at `N ≤ 3` the engine decides it at the
+/// open, so only `chain(4)` races lanes.
 pub fn chain(n: usize) -> EncodingProblem {
     EncodingProblem::full_sat(n, hamiltonian(&[[0, 1], [2, 3], [0, 3]]))
 }

@@ -12,9 +12,11 @@
 //!   Hamiltonian-dependent Pauli-weight objective through a totalizer;
 //!   and the *search* formula Algorithm 1 solves, which leaves the
 //!   independence family out because anticommutation implies it.
-//! * [`bound`] — a second floor with no CNF: branch and bound over sets
-//!   of `2N` pairwise-anticommuting Pauli strings, the Hamiltonian-
-//!   independent problem with the vacuum condition relaxed.
+//! * [`bound`] — a second floor with no CNF: branch and bound over `2N`
+//!   pairwise-anticommuting Pauli strings — unordered sets for the
+//!   Hamiltonian-independent problem with the vacuum condition relaxed,
+//!   ordered assignments (exact, vacuum condition included) for the
+//!   Hamiltonian-dependent one.
 //! * [`symmetry`] — the qubit-order lex-leader block that the search
 //!   formula of `MajoranaWeight` instances carries, its soundness
 //!   argument, and the canonical form of warm-start hints.
@@ -24,7 +26,7 @@
 //! * [`enumerate`] — enumerating distinct optimal solutions with blocking
 //!   clauses (used by the paper's Figure 4 independence study).
 //! * [`fixtures`] — named Hamiltonian-dependent problems whose races the
-//!   bound does not decide, for tests, examples and docs.
+//!   bound does not decide at `N ≥ 4`, for tests, examples and docs.
 //! * [`anneal`] — Algorithm 2: simulated-annealing assignment of Majorana
 //!   pairs to modes, replacing the exponential Hamiltonian-dependent clause
 //!   set at scale (Section 4.2).

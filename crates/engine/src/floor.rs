@@ -10,7 +10,7 @@ pub enum FloorSource {
     /// stop), in this process or in a shard worker.
     Unsat,
     /// The branch and bound of [`fermihedral::bound`], which decides a
-    /// Hamiltonian-independent race at its opening.
+    /// small race at its opening.
     Bound,
 }
 

@@ -13,10 +13,12 @@
 //!   lane's improvement immediately tightens every other lane's bound;
 //!   the first UNSAT certificate proves the incumbent optimal and cancels
 //!   the rest ([`sat::CancelToken`]), so wall clock tracks the fastest
-//!   lane. A Hamiltonian-independent race at N ≤ 5 is not run at all: a
-//!   branch and bound over anticommuting sets ([`fermihedral::bound`])
-//!   proves its opening optimal first. Either proof is a [`Floor`], and
-//!   an encoding is optimal exactly when its floor meets its weight.
+//!   lane. A Hamiltonian-independent race at N ≤ 5 and a Hamiltonian-
+//!   dependent one at N ≤ 3 are not run at all: a branch and bound over
+//!   anticommuting strings ([`fermihedral::bound`]) proves the opening,
+//!   or its own checked witness, optimal first. Either proof is a
+//!   [`Floor`], and an encoding is optimal exactly when its floor meets
+//!   its weight.
 //! * Descent lanes additionally exchange **learnt clauses** through a
 //!   [`sat::SharedContext`]: units, binaries, and low-LBD clauses one lane
 //!   paid conflicts for prune the same subtrees in every other lane.

@@ -17,14 +17,17 @@
 //! opening bound), and no race returns worse than the best valid
 //! construction.
 //!
-//! For the Hamiltonian-independent weight the tree is the optimum at
-//! every N ≤ 5, and no race is run there: [`compile_cached`] asks
-//! [`fermihedral::bound`] whether any `2N` pairwise-anticommuting strings
-//! weigh less than the opening, and when none do, the opening is the
-//! answer and its floor is that search's. No lane thread starts and no
-//! CNF is built. The search drops the vacuum condition, so its floor is
-//! a lower bound with the condition on or off; it shares no code with the
-//! clause generator.
+//! Small races are not run at all: [`compile_cached`] asks
+//! [`fermihedral::bound`] for anything lighter than the opening, for the
+//! Hamiltonian-independent weight at N ≤ 5 and the Hamiltonian-dependent
+//! one at N ≤ 3. When the search finds nothing, the opening is the answer;
+//! when it finds a witness that passes [`check_encoding`], the witness is.
+//! Either way the floor is the search's, no lane thread starts and no CNF
+//! is built. For the Hamiltonian-independent weight the search drops the
+//! vacuum condition, so its floor is a lower bound with the condition on
+//! or off, and the vacuum-paired tree meets it at every N ≤ 5; for the
+//! Hamiltonian-dependent weight it searches ordered assignments and its
+//! floor is exact. It shares no code with the clause generator.
 //!
 //! Every worker publishes improvements to a [`SharedBound`], so any
 //! worker's find immediately tightens every other worker's next
@@ -57,7 +60,7 @@ use encodings::embed::embed_to;
 use encodings::validate::validate_strings;
 use encodings::weight::structure_weight;
 use encodings::{Encoding, LinearEncoding, MajoranaEncoding, TernaryTreeEncoding};
-use fermihedral::bound::lightest_below;
+use fermihedral::bound;
 use fermihedral::descent::{
     bravyi_kitaev_bound, solve_optimal_instance, BestEncoding, DescentConfig, ImproveHook,
     SharedBound, StepResult,
@@ -507,7 +510,7 @@ pub fn compile_bridged(
         let decided = Incumbent::new(CancelToken::new(), 0, 1);
         let weight = outcome
             .weight()
-            .expect("a race decided at open holds its opening");
+            .expect("a race decided at open holds its answer");
         decided.bound.tighten(weight);
         decided.floor.store(weight, Ordering::Relaxed);
         *decided.best.lock().expect("a fresh race holds no lock") =
@@ -1042,27 +1045,41 @@ fn openings(
     openings
 }
 
-/// The largest `N` at which [`decided_at_open`] consults the bound. The
-/// search proves the floor in 1.5 ms at `N = 5` and would in 14 ms at
-/// `N = 6`, but the compilation server's tests use the `N = 6`
-/// Hamiltonian-independent race as their slow, deadline-bound problem;
-/// deciding it at the open would leave them nothing slow to race. The
-/// search is not cancellable either, and at `N = 7` (0.24 s) and `N = 8`
-/// (38 s) it would outlast short deadlines.
-const MAX_DECIDED_MODES: usize = 5;
+/// The largest `N` at which [`decided_at_open`] searches a
+/// `MajoranaWeight` problem. The search proves the floor in 1.5 ms at
+/// `N = 5` and would in 14 ms at `N = 6`, but the compilation server's
+/// tests use the `N = 6` Hamiltonian-independent race as their slow,
+/// deadline-bound problem; deciding it at the open would leave them
+/// nothing slow to race. The search is not cancellable either, and at
+/// `N = 7` (0.24 s) and `N = 8` (38 s) it would outlast short deadlines.
+const MAX_DECIDED_MAJORANA_MODES: usize = 5;
 
-/// The race [`compile_cached`] need not run: for the Hamiltonian-
-/// independent weight at `N ≤` [`MAX_DECIDED_MODES`], the lightest
-/// opening when `fermihedral::bound` proves that no set of `2N` pairwise-
-/// anticommuting strings weighs less — it is then optimal, and the race is
-/// decided before any lane starts.
+/// The largest `N` at which [`decided_at_open`] searches a
+/// `HamiltonianWeight` problem. At `N = 3` the exact search takes 0.1 ms
+/// in the median and under 1 ms at most over the 455 three-pair
+/// Hamiltonians; at `N = 4` it takes 0.19 s on the 2-site Hubbard model
+/// and 2.6 s on H₂ (one core, release build), and it is not cancellable.
+const MAX_DECIDED_HAMILTONIAN_MODES: usize = 3;
+
+/// The race [`compile_cached`] need not run. At `N ≤`
+/// [`MAX_DECIDED_MAJORANA_MODES`] for the Hamiltonian-independent weight
+/// and `N ≤` [`MAX_DECIDED_HAMILTONIAN_MODES`] for the Hamiltonian-
+/// dependent one, `fermihedral::bound` searches below the lightest
+/// opening. When it finds nothing, the opening is optimal; when its
+/// witness passes [`check_encoding`] at the search's floor, the witness is
+/// optimal and the incumbent is named `bound`. Either way the floor is the
+/// search's and the race is decided before any lane starts. A witness that
+/// fails the check (a `MajoranaWeight` set that misses the vacuum
+/// condition) leaves the race to run.
 fn decided_at_open(
     problem: &EncodingProblem,
     warm_start: Option<&CacheEntry>,
 ) -> Option<RaceOutcome> {
-    if !matches!(problem.objective(), Objective::MajoranaWeight)
-        || problem.num_modes() > MAX_DECIDED_MODES
-    {
+    let limit = match problem.objective() {
+        Objective::MajoranaWeight => MAX_DECIDED_MAJORANA_MODES,
+        Objective::HamiltonianWeight(_) => MAX_DECIDED_HAMILTONIAN_MODES,
+    };
+    if problem.num_modes() > limit {
         return None;
     }
     let opening = openings(problem, warm_start)
@@ -1074,19 +1091,21 @@ fn decided_at_open(
                 first
             }
         })?;
+    let outcome = bound::search(problem, opening.0.weight);
+    let best = match outcome.witness {
+        None => opening,
+        Some(strings) => {
+            let weight = check_encoding(problem, &strings).filter(|&w| w == outcome.floor)?;
+            (BestEncoding { strings, weight }, "bound".to_string())
+        }
+    };
     let floor = Floor {
-        value: opening.0.weight,
+        value: outcome.floor,
         source: FloorSource::Bound,
     };
-    if lightest_below(problem.num_modes(), floor.value)
-        .witness
-        .is_some()
-    {
-        return None;
-    }
     trace_floor(floor);
     Some(RaceOutcome {
-        best: Some(opening),
+        best: Some(best),
         floor: Some(floor),
         ..RaceOutcome::default()
     })

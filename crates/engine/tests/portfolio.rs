@@ -3,7 +3,8 @@
 
 use encodings::{Encoding, TernaryTreeEncoding};
 use engine::{
-    check_encoding, compile, compile_with, CacheStatus, EngineConfig, EngineOutcome, Strategy,
+    check_encoding, compile, compile_with, CacheStatus, EngineConfig, EngineOutcome, FloorSource,
+    Strategy,
 };
 use fermihedral::descent::{solve_optimal, DescentConfig};
 use fermihedral::fixtures::{chain, short_race};
@@ -74,8 +75,9 @@ fn assert_valid(outcome: &EngineOutcome, problem: &EncodingProblem) {
 
 #[test]
 fn portfolio_matches_sequential_optimum_on_small_modes() {
-    // The acceptance bar: ≥ 3 workers, identical optimal weights to the
-    // sequential solve_optimal on 2–4 modes.
+    // The acceptance bar: identical optimal weights to the sequential
+    // solve_optimal on 2–4 modes. At N ≤ 3 the bound decides the race at
+    // its opening; at N = 4 ≥ 3 workers race.
     for modes in 2..=4usize {
         let problem = chain(modes);
         let sequential = solve_optimal(&problem, &DescentConfig::default());
@@ -91,14 +93,23 @@ fn portfolio_matches_sequential_optimum_on_small_modes() {
         );
         assert!(parallel.optimal_proved, "{modes} modes: no certificate");
         assert!(!from_cache(&parallel));
-        assert_eq!(parallel.report.workers.len(), 3);
+        let (lanes, source) = match modes {
+            2 | 3 => (0, FloorSource::Bound),
+            _ => (3, FloorSource::Unsat),
+        };
+        assert_eq!(parallel.report.workers.len(), lanes, "{modes} modes");
+        assert_eq!(
+            parallel.floor.map(|f| f.source),
+            Some(source),
+            "{modes} modes"
+        );
         assert_valid(&parallel, &problem);
     }
 }
 
 #[test]
 fn default_portfolio_races_search_lanes_and_wins() {
-    let problem = chain(3);
+    let problem = chain(4);
     let outcome = compile(&problem, &EngineConfig::default());
     let sequential = solve_optimal(&problem, &DescentConfig::default());
     assert_eq!(outcome.weight(), sequential.weight());
@@ -172,12 +183,7 @@ fn every_race_opens_at_the_classical_constructions() {
 
 #[test]
 fn hamiltonian_objective_runs_annealing_lane() {
-    let monomials = vec![
-        MajoranaMonomial::from_sorted(vec![0, 1]),
-        MajoranaMonomial::from_sorted(vec![2, 3]),
-        MajoranaMonomial::from_sorted(vec![0, 1, 2, 3]),
-    ];
-    let problem = EncodingProblem::full_sat(2, Objective::HamiltonianWeight(monomials));
+    let problem = chain(4);
     let sequential = solve_optimal(&problem, &DescentConfig::default());
     let outcome = compile(&problem, &EngineConfig::default());
     assert_eq!(outcome.weight(), sequential.weight());
@@ -591,7 +597,7 @@ fn compile_bridged_exposes_live_race_handles() {
     // The shard worker attaches to a race through these handles; assert
     // they observe the real shared state: the final incumbent weight,
     // the proved floor, the decided cancel, and a live clause bridge.
-    let problem = chain(2);
+    let problem = chain(4);
     let captured: std::sync::Mutex<Option<engine::RaceBridge>> = std::sync::Mutex::new(None);
     let outcome = engine::compile_bridged(&problem, &EngineConfig::default(), |bridge| {
         *captured.lock().unwrap() = Some(bridge);
@@ -675,6 +681,30 @@ fn races_decided_at_open_match_the_single_lane_certificate() {
     // about a minute (581,593 conflicts); it runs in the ignored test below.
     for n in 1..=4 {
         assert_decided_at_open_as_one_lane_certifies(n, false);
+    }
+}
+
+#[test]
+fn hamiltonian_races_at_n3_are_decided_at_open_by_the_search() {
+    // γ₀γ₁ + γ₂γ₃ + γ₀γ₃: at N=2 the tree meets the search's floor; at
+    // N=3 the search's own witness is lighter than every opening, and it
+    // wins as `bound` once it passes the engine's trust check.
+    for (n, winner) in [(2, "baseline[ternary-tree]"), (3, "bound")] {
+        for vacuum in [true, false] {
+            let problem = chain(n).with_vacuum_condition(vacuum);
+            let label = format!("N={n}, vacuum {vacuum}");
+            let outcome = compile(&problem, &EngineConfig::default());
+            let sequential = solve_optimal(&problem, &DescentConfig::default());
+            assert_eq!(outcome.weight(), sequential.weight(), "{label}");
+            assert!(outcome.optimal_proved, "{label}");
+            assert!(outcome.report.workers.is_empty(), "{label}: a lane ran");
+            assert_eq!(outcome.floor.map(|f| f.source), Some(FloorSource::Bound));
+            if vacuum {
+                assert_eq!(outcome.report.winner.as_deref(), Some(winner), "{label}");
+            }
+            let best = outcome.best.as_ref().expect("decided with an encoding");
+            assert_eq!(check_encoding(&problem, &best.strings), outcome.weight());
+        }
     }
 }
 

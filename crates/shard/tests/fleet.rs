@@ -333,9 +333,9 @@ fn a_worker_reports_encodings_only_as_checked_incumbents() {
         protocol: PROTOCOL_VERSION,
     };
     write_frame(&mut stream, &welcome).expect("send Welcome");
-    // γ₀γ₁ + γ₂γ₃ + γ₀γ₃ at N=3: optimum 4, and a race the bound does not
+    // γ₀γ₁ + γ₂γ₃ + γ₀γ₃ at N=4: optimum 4, and a race the bound does not
     // decide, so every lane runs.
-    let problem = chain(3);
+    let problem = chain(4);
     let job = Job {
         shard: 0,
         total_shards: 1,
@@ -370,7 +370,7 @@ fn a_worker_reports_encodings_only_as_checked_incumbents() {
         !kinds.contains(&"bound"),
         "a worker never sends Bound: {kinds:?}"
     );
-    assert_eq!(weights.iter().min(), Some(&4), "N=3 optimum: {weights:?}");
+    assert_eq!(weights.iter().min(), Some(&4), "N=4 optimum: {weights:?}");
     assert!(floors.contains(&4), "Floor(4) before Result: {kinds:?}");
     assert_eq!(
         result.workers.len(),

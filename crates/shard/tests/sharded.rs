@@ -3,7 +3,8 @@
 //!
 //! * **Differential**: the 2-process sharded engine and the in-process
 //!   portfolio must certify the same optimal Pauli weight on full-SAT
-//!   Hamiltonian-dependent instances at N = 3, 4 and 5.
+//!   Hamiltonian-dependent instances at N = 4 and 5, and decide the same
+//!   N = 3 one at the open.
 //! * **Fault injection**: one worker is frozen at spawn (SIGSTOP — it
 //!   can never report a result) and SIGKILL'd 300 ms into the race; the
 //!   coordinator must still certify the optimum from the surviving
@@ -12,12 +13,14 @@
 //!   so a caller-chosen portfolio races in-process, with no worker.
 //! * **Partition**: workers seat search lanes only, so the shard count is
 //!   capped by them.
-//! * **Decided at the open**: a Hamiltonian-independent race at N ≤ 5 is
-//!   decided by the engine's bound consult before any worker is spawned.
-//!   Every other race here is a `fermihedral::fixtures` problem, which
-//!   the consult leaves to the lanes.
+//! * **Decided at the open**: a Hamiltonian-independent race at N ≤ 5,
+//!   and a Hamiltonian-dependent one at N ≤ 3, is decided by the engine's
+//!   bound consult before any worker is spawned. Every race here that
+//!   must run is a `fermihedral::fixtures` problem at N ≥ 4, which the
+//!   consult leaves to the lanes.
 
-use engine::{compile, EngineConfig, Strategy};
+use engine::{compile, EngineConfig, FloorSource, Strategy};
+use fermihedral::descent::{solve_optimal, DescentConfig};
 use fermihedral::fixtures::{chain, long_race, short_race};
 use fermihedral::{EncodingProblem, Objective};
 use shard::{compile_sharded_with, measure_weight, ShardOptions};
@@ -77,6 +80,17 @@ fn differential_sharded_matches_in_process_on_full_sat() {
             in_process.weight(),
             "N={modes}: sharded and in-process optima disagree"
         );
+        if modes == 3 {
+            // Decided at the open: no lane, no worker, the search's floor.
+            let sequential = solve_optimal(&problem, &DescentConfig::default());
+            for outcome in [&in_process, &sharded] {
+                assert_eq!(outcome.weight(), sequential.weight(), "N={modes}");
+                assert_eq!(outcome.floor.map(|f| f.source), Some(FloorSource::Bound));
+                assert!(outcome.report.workers.is_empty(), "N={modes}: a lane ran");
+                assert!(outcome.report.shards.is_empty(), "N={modes}: a worker ran");
+            }
+            continue;
+        }
 
         // Two real worker processes participated and stayed alive.
         let report = &sharded.report;
@@ -98,7 +112,7 @@ fn differential_sharded_matches_in_process_on_full_sat() {
 fn a_caller_chosen_portfolio_races_in_process() {
     // A worker builds only its own default lanes, so a one-lane custom
     // portfolio must never be shipped to one.
-    let problem = chain(3);
+    let problem = chain(4);
     let config = EngineConfig {
         strategies: vec![Strategy::SatDescent {
             seed: 7,
@@ -110,7 +124,7 @@ fn a_caller_chosen_portfolio_races_in_process() {
         ..sharded_config(2, Duration::from_secs(120))
     };
     let outcome = compile_sharded_with(&problem, &config, None, None, &options());
-    assert_valid_optimum(&problem, &outcome, "custom portfolio N=3");
+    assert_valid_optimum(&problem, &outcome, "custom portfolio N=4");
     assert_eq!(outcome.weight(), Some(4));
     let shards = &outcome.report.shards;
     assert!(shards.is_empty(), "no worker may race it: {shards:?}");
@@ -122,7 +136,7 @@ fn shards_are_capped_by_the_search_lanes() {
     // taking a seat, so five requested shards over the four search lanes
     // of a Hamiltonian-dependent race (three descent lanes and the
     // annealer) spawn four workers.
-    let problem = chain(3);
+    let problem = chain(4);
     let outcome = compile_sharded_with(
         &problem,
         &sharded_config(5, Duration::from_secs(120)),
@@ -130,7 +144,7 @@ fn shards_are_capped_by_the_search_lanes() {
         None,
         &options(),
     );
-    assert_valid_optimum(&problem, &outcome, "5 shards requested at N=3");
+    assert_valid_optimum(&problem, &outcome, "5 shards requested at N=4");
     assert_eq!(outcome.weight(), Some(4));
     let shards = &outcome.report.shards;
     assert_eq!(shards.len(), 4, "one worker per search lane: {shards:?}");
@@ -615,7 +629,7 @@ fn a_worker_that_exits_before_connecting_is_dead_at_once() {
     // without connecting: both seats die at once (not at the deadline),
     // the race falls back in-process, and the reaped status is reported.
     let started = std::time::Instant::now();
-    let problem = chain(2);
+    let problem = chain(4);
     let outcome = compile_sharded_with(
         &problem,
         &sharded_config(2, Duration::from_secs(60)),
@@ -627,7 +641,7 @@ fn a_worker_that_exits_before_connecting_is_dead_at_once() {
         },
     );
     assert!(outcome.optimal_proved, "the fallback must still certify");
-    assert_eq!(outcome.weight(), Some(4)); // the N=2 optimum
+    assert_eq!(outcome.weight(), Some(4)); // the N=4 optimum
     let shards = &outcome.report.shards;
     assert_eq!(shards.len(), 2);
     assert!(shards.iter().all(|s| s.dead), "{shards:?}");
@@ -641,7 +655,7 @@ fn a_worker_that_exits_before_connecting_is_dead_at_once() {
 #[test]
 fn coordinator_survives_a_missing_worker_binary() {
     // Spawn failures must degrade to the in-process engine, not abort.
-    let problem = chain(2);
+    let problem = chain(4);
     let outcome = compile_sharded_with(
         &problem,
         &sharded_config(2, Duration::from_secs(60)),
@@ -653,5 +667,5 @@ fn coordinator_survives_a_missing_worker_binary() {
         },
     );
     assert!(outcome.optimal_proved, "degraded run must still certify");
-    assert_eq!(outcome.weight(), Some(4)); // the N=2 optimum
+    assert_eq!(outcome.weight(), Some(4)); // the N=4 optimum
 }
