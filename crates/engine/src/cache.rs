@@ -12,29 +12,39 @@
 //!
 //! Writes go through a temp file + rename, so a crashed writer never
 //! leaves a torn entry; a corrupt or unreadable entry is treated as a miss.
+//! Every compare-and-store and every deletion of a lying entry runs under
+//! one `flock` on the cache directory itself (see `DirLock`), so a stored
+//! answer leaves exactly one file behind: its entry. The directory lock
+//! needs a local filesystem; NFS and other network mounts may not honour
+//! `flock` across hosts.
 //!
-//! A companion [`SizeIndex`] groups entries *across mode counts* by their
-//! problem family (same objective, constraints, and Hamiltonian shape),
-//! powering the engine's cross-size warm-start transfer: a cached `M`-mode
-//! optimum embeds into the `N > M`-mode search as a feasible starting
-//! point ([`encodings::embed`]).
+//! [`SizeIndex`] finds entries *across mode counts* of one problem family
+//! (same objective, constraints, and Hamiltonian shape) by computing each
+//! smaller member's fingerprint ([`fingerprint_at`]) and looking for its
+//! entry file. It powers the engine's cross-size warm-start transfer: a
+//! cached `M`-mode optimum embeds into the `N > M`-mode search as a
+//! feasible starting point ([`encodings::embed`]).
 
-use crate::fingerprint::Fingerprint;
+use crate::fingerprint::{fingerprint_at, Fingerprint};
 use crate::floor::Floor;
 use crate::portfolio::check_encoding;
 use crate::problemio::{strings_from_json, strings_to_json};
 use crate::report::CacheStatus;
-use fermihedral::EncodingProblem;
+use fermihedral::{EncodingProblem, Objective};
 use jsonkit::{obj, Value};
 use pauli::PauliString;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::SystemTime;
 
 /// Schema version; bump to invalidate all existing entries.
 const CACHE_VERSION: usize = 2;
+
+/// Makes temp file names unique among this process's writers.
+static WRITE_NONCE: AtomicU64 = AtomicU64::new(0);
 
 /// Snapshot of a cache handle's traffic counters (cumulative over the
 /// handle's lifetime; clones share counters).
@@ -147,7 +157,7 @@ impl SolutionCache {
     }
 
     fn path_for(&self, fp: &Fingerprint) -> PathBuf {
-        self.dir.join(format!("{}.json", fp.to_hex()))
+        entry_path(&self.dir, fp)
     }
 
     /// Raw counted read, for a caller with no problem to check the entry
@@ -259,7 +269,7 @@ impl SolutionCache {
         for item in listing.flatten() {
             let path = item.path();
             if path.extension().and_then(|e| e.to_str()) != Some("json") {
-                continue; // locks and temp files are not entries
+                continue; // temp files are not entries
             }
             let Ok(meta) = item.metadata() else {
                 continue;
@@ -294,7 +304,7 @@ impl SolutionCache {
     /// its file: a benign race, since a deleted good entry costs one
     /// re-solve and a kept poisoned one costs every future compile.
     fn invalidate(&self, fp: &Fingerprint) -> io::Result<()> {
-        let _lock = LockFile::acquire(self.dir.join(format!(".{}.lock", fp.to_hex())))?;
+        let _lock = DirLock::acquire(&self.dir)?;
         match fs::remove_file(self.path_for(fp)) {
             Ok(()) => Ok(()),
             Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
@@ -306,18 +316,19 @@ impl SolutionCache {
     /// weight, or equal weight with a stronger floor. Returns whether a
     /// write happened.
     ///
-    /// The compare-and-store runs under a per-fingerprint advisory file
-    /// lock, so a concurrent writer cannot sneak a *better* entry in
-    /// between the comparison and the rename (which would downgrade the
-    /// cache, e.g. losing a floor). On Unix the lock is an `flock` the
-    /// kernel releases when its holder exits, so a crashed writer leaves
-    /// nothing to wait out (see `LockFile`).
+    /// The compare-and-store (read, temp write, rename, byte cap) runs
+    /// under the cache directory's advisory lock, so a concurrent writer
+    /// cannot sneak a *better* entry in between the comparison and the
+    /// rename (which would downgrade the cache, e.g. losing a floor). On
+    /// Unix the lock is an `flock` the kernel releases when its holder
+    /// exits, so a crashed writer leaves nothing to wait out (see
+    /// `DirLock`).
     ///
     /// # Errors
     ///
     /// Propagates filesystem failures from the write path.
     pub fn store_if_better(&self, fp: &Fingerprint, entry: &CacheEntry) -> io::Result<bool> {
-        let _lock = LockFile::acquire(self.dir.join(format!(".{}.lock", fp.to_hex())))?;
+        let _lock = DirLock::acquire(&self.dir)?;
         let value = |e: &CacheEntry| e.floor.map(|f| f.value);
         match self.peek(fp) {
             Some(existing)
@@ -334,170 +345,95 @@ impl SolutionCache {
     }
 }
 
-/// Schema version of the size-index files; bump to invalidate them.
-const INDEX_VERSION: usize = 1;
+/// The entry file of fingerprint `fp` in cache directory `dir`.
+fn entry_path(dir: &Path, fp: &Fingerprint) -> PathBuf {
+    dir.join(format!("{}.json", fp.to_hex()))
+}
 
-/// Cross-fingerprint index of the cache by mode count.
+/// Cross-size view of the cache by mode count.
 ///
 /// A solution-cache lookup is exact: a 5-mode problem misses even when
 /// the 4-mode instance of the *same family* (same objective, constraint
 /// toggles, Hamiltonian shape — the [`size_key`](crate::fingerprint::size_key))
-/// sits fully solved next to it. This index closes that gap: one file
-/// per size-key (`size-<sha256>.index` in the cache directory, an
-/// extension the byte-cap eviction ignores) mapping mode counts to entry
-/// fingerprints, so the engine can find the largest cached `M < N`
-/// solution and lift it into the `N`-mode search
+/// sits fully solved next to it. This view closes that gap without a file
+/// of its own: a family member at `M` modes has the problem's canonical
+/// form with `modes=M`, so its fingerprint is computed
+/// ([`fingerprint_at`]) and its entry file looked up, and the engine can
+/// lift the largest cached `M < N` solution into the `N`-mode search
 /// ([`encodings::embed`]) as a warm start.
 ///
-/// Index entries are hints, not truths: an entry may point at an evicted
-/// or torn cache file (eviction does not rewrite indexes), so consumers
-/// re-resolve through [`SolutionCache::peek`] and skip dangling entries.
-/// Writes use the same temp-file + rename + per-key flock discipline as
-/// the cache itself.
+/// A listed entry may still be evicted, torn, or foreign by the time it is
+/// read, so consumers re-resolve through [`SolutionCache::peek`] and skip
+/// what does not parse. `size-*.index` files that older versions wrote
+/// are ignored.
 #[derive(Debug, Clone)]
 pub struct SizeIndex {
     dir: PathBuf,
 }
 
 impl SizeIndex {
-    /// An index over a cache directory (typically
-    /// [`SolutionCache::dir`]). No I/O happens until the first record or
-    /// lookup.
+    /// The view over a cache directory (typically [`SolutionCache::dir`]).
+    /// No I/O happens until the first lookup.
     pub fn open(dir: impl Into<PathBuf>) -> SizeIndex {
         SizeIndex { dir: dir.into() }
     }
 
-    fn path_for(&self, key: &str) -> PathBuf {
-        let digest = crate::fingerprint::sha256(key.as_bytes());
-        let hex: String = digest.iter().map(|b| format!("{b:02x}")).collect();
-        self.dir.join(format!("size-{hex}.index"))
-    }
-
-    fn lock_path_for(&self, key: &str) -> PathBuf {
-        let digest = crate::fingerprint::sha256(key.as_bytes());
-        let hex: String = digest.iter().map(|b| format!("{b:02x}")).collect();
-        self.dir.join(format!(".size-{hex}.lock"))
-    }
-
-    /// Parses an index file into its `(modes, fingerprint)` entries.
-    /// Missing, torn, or schema-mismatched files — and individual
-    /// malformed entries — read as empty/absent.
-    fn read_entries(&self, key: &str) -> Vec<(usize, Fingerprint)> {
-        let Ok(text) = fs::read_to_string(self.path_for(key)) else {
-            return Vec::new();
-        };
-        let Ok(doc) = jsonkit::parse(&text) else {
-            return Vec::new();
-        };
-        if doc.get("version").and_then(Value::as_usize) != Some(INDEX_VERSION) {
-            return Vec::new();
-        }
-        let Some(Value::Obj(entries)) = doc.get("entries") else {
-            return Vec::new();
-        };
-        let mut out: Vec<(usize, Fingerprint)> = entries
-            .iter()
-            .filter_map(|(modes, fp)| {
-                Some((
-                    modes.parse::<usize>().ok().filter(|&m| m > 0)?,
-                    Fingerprint::from_hex(fp.as_str()?)?,
-                ))
-            })
-            .collect();
-        out.sort_unstable_by_key(|(modes, _)| *modes);
-        out
-    }
-
-    /// Records that `problem`'s solution is cached under `fp`.
-    /// Read-modify-write under a per-key advisory lock; a no-op when the
-    /// entry is already present and identical.
+    /// Writes nothing and returns `Ok(false)`: an entry file is its own
+    /// record, found by [`fingerprints_below`](Self::fingerprints_below).
+    /// Kept only because the benchmark's `serve_miss` probe
+    /// (`crates/ledger`) still times it; it goes with the next change to
+    /// the benchmark.
     ///
     /// # Errors
     ///
-    /// Propagates filesystem failures from the write path (a missing or
-    /// torn existing index is *not* an error — it is rebuilt).
-    pub fn record(
-        &self,
-        problem: &fermihedral::EncodingProblem,
-        fp: &Fingerprint,
-    ) -> io::Result<bool> {
-        let key = crate::fingerprint::size_key(problem);
-        let modes = problem.num_modes();
-        let _lock = LockFile::acquire(self.lock_path_for(&key))?;
-        let mut entries = self.read_entries(&key);
-        match entries.iter_mut().find(|(m, _)| *m == modes) {
-            Some((_, existing)) if existing == fp => return Ok(false),
-            Some((_, existing)) => *existing = *fp,
-            None => entries.push((modes, *fp)),
-        }
-        entries.sort_unstable_by_key(|(m, _)| *m);
-        let doc = obj([
-            ("version", Value::Num(INDEX_VERSION as f64)),
-            ("key", Value::Str(key.clone())),
-            (
-                "entries",
-                Value::Obj(
-                    entries
-                        .iter()
-                        .map(|(m, f)| (m.to_string(), Value::Str(f.to_hex())))
-                        .collect(),
-                ),
-            ),
-        ]);
-        let nonce = WRITE_NONCE.fetch_add(1, Ordering::Relaxed);
-        let tmp = self
-            .dir
-            .join(format!(".size.{}.{}.tmp", std::process::id(), nonce));
-        fs::write(&tmp, doc.to_json())?;
-        fs::rename(&tmp, self.path_for(&key))?;
-        Ok(true)
+    /// None; the `Result` keeps the signature callers compile against.
+    pub fn record(&self, _problem: &EncodingProblem, _fp: &Fingerprint) -> io::Result<bool> {
+        Ok(false)
     }
 
-    /// The indexed fingerprints of the problem's family with mode count
-    /// strictly below the problem's, **largest first** — the order a
-    /// warm-start probe wants to try embeddings in. Entries may dangle
-    /// (point at evicted files); resolve each via
+    /// The fingerprints of the problem's family members with mode count
+    /// strictly below the problem's whose entry file exists, **largest
+    /// first** — the order a warm-start probe wants to try embeddings in.
+    /// The walk starts no lower than the smallest mode count at which
+    /// every monomial index is legal. Resolve each via
     /// [`SolutionCache::peek`].
-    pub fn fingerprints_below(
-        &self,
-        problem: &fermihedral::EncodingProblem,
-    ) -> Vec<(usize, Fingerprint)> {
-        let key = crate::fingerprint::size_key(problem);
-        let mut entries = self.read_entries(&key);
-        entries.retain(|(m, _)| *m < problem.num_modes());
-        entries.reverse();
-        entries
+    pub fn fingerprints_below(&self, problem: &EncodingProblem) -> Vec<(usize, Fingerprint)> {
+        let smallest = match problem.objective() {
+            Objective::MajoranaWeight => 1,
+            Objective::HamiltonianWeight(monomials) => monomials
+                .iter()
+                .flat_map(|m| m.indices())
+                .max()
+                .map_or(1, |&top| top as usize / 2 + 1),
+        };
+        (smallest..problem.num_modes())
+            .rev()
+            .map(|modes| (modes, fingerprint_at(problem, modes)))
+            .filter(|(_, fp)| entry_path(&self.dir, fp).exists())
+            .collect()
     }
 }
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-static WRITE_NONCE: AtomicU64 = AtomicU64::new(0);
-
-/// Advisory per-fingerprint file lock, released on drop.
+/// The cache directory's advisory lock, released on drop.
 ///
-/// On Unix this is a kernel `flock(2)` on the lock file's open descriptor.
-/// That closes every hole the earlier create-exclusive scheme had:
+/// On Unix this is a kernel `flock(2)` on a descriptor of the directory
+/// itself, opened afresh by every acquisition: `flock` excludes open file
+/// descriptions, so two threads of one process exclude each other just as
+/// two processes do. Nothing is created or unlinked, and:
 ///
 /// * **No staleness.** The kernel drops the lock when the holder's
-///   descriptor closes — including on crash — so a leftover lock *file*
-///   is inert litter, not a held lock. The old scheme had to age-out
-///   "stale" files, which (a) made every writer behind a crashed one wait
-///   out the staleness window, and (b) let two stealers both remove-and-
-///   recreate the file and *both* enter the critical section, so a slower
-///   writer could clobber a just-stored optimal entry with a worse one.
-/// * **Atomic handoff.** Release is the kernel's, not an `unlink` by path
-///   that could delete a lock file some third writer had just created.
+///   descriptor closes — including on crash — so nothing is left to age
+///   out, and a `.lock` file some older version left behind is inert.
+/// * **Atomic handoff.** Release is the kernel's, not an `unlink` by path.
 ///
-/// One subtlety remains because `Drop` unlinks the lock file (the
-/// concurrency tests assert the directory ends clean): a waiter may have
-/// opened the old inode before it was unlinked and then acquire a lock
-/// that guards nothing. [`acquire`](LockFile::acquire) therefore re-checks
-/// after locking that the path still names its inode, and retries if not.
-struct LockFile {
-    path: PathBuf,
-    // Held for the flock; dropped (= unlocked) after the unlink in `Drop`.
+/// One lock per directory serialises stores of different fingerprints
+/// too; a store holds it for one small write and a rename. `flock` is
+/// only as good as the filesystem: keep the cache directory local.
+struct DirLock {
+    // Held for the lock; dropping it unlocks.
     _file: fs::File,
+    #[cfg(not(unix))]
+    path: PathBuf,
 }
 
 #[cfg(unix)]
@@ -506,8 +442,8 @@ mod lock_sys {
     use std::io;
     use std::os::fd::AsRawFd;
 
-    // Directly against the libc std already links; the container has no
-    // crates.io access for the `libc` crate.
+    // Directly against the libc std already links: the workspace builds
+    // offline, without the `libc` crate.
     extern "C" {
         fn flock(fd: i32, operation: i32) -> i32;
     }
@@ -515,6 +451,8 @@ mod lock_sys {
 
     pub fn lock_exclusive(file: &File) -> io::Result<()> {
         loop {
+            // SAFETY: `flock` reads only the descriptor number, and `file`
+            // keeps that descriptor open for the whole call.
             if unsafe { flock(file.as_raw_fd(), LOCK_EX) } == 0 {
                 return Ok(());
             }
@@ -526,43 +464,28 @@ mod lock_sys {
     }
 }
 
-impl LockFile {
+impl DirLock {
     #[cfg(unix)]
-    fn acquire(path: PathBuf) -> io::Result<LockFile> {
-        use std::os::unix::fs::MetadataExt;
-        loop {
-            let file = fs::OpenOptions::new()
-                .write(true)
-                .create(true)
-                .truncate(false)
-                .open(&path)?;
-            lock_sys::lock_exclusive(&file)?;
-            // The previous holder may have unlinked the path between our
-            // open and our lock; a lock on an unlinked inode excludes
-            // nobody who opens the path afresh. Re-verify and retry.
-            let held = file.metadata()?;
-            match fs::metadata(&path) {
-                Ok(cur) if cur.ino() == held.ino() && cur.dev() == held.dev() => {
-                    return Ok(LockFile { path, _file: file });
-                }
-                _ => continue,
-            }
-        }
+    fn acquire(dir: &Path) -> io::Result<DirLock> {
+        let file = fs::File::open(dir)?;
+        lock_sys::lock_exclusive(&file)?;
+        Ok(DirLock { _file: file })
     }
 
-    /// Portable fallback: create-exclusive spin lock. Weaker than the Unix
-    /// path (a crashed holder blocks successors until the stale age-out),
-    /// kept only for non-Unix builds.
+    /// Portable fallback: a create-exclusive spin on `dir/.lock`. Weaker
+    /// than the Unix path (a crashed holder blocks successors until the
+    /// stale age-out), kept only for non-Unix builds.
     #[cfg(not(unix))]
-    fn acquire(path: PathBuf) -> io::Result<LockFile> {
+    fn acquire(dir: &Path) -> io::Result<DirLock> {
         const LOCK_STALE: std::time::Duration = std::time::Duration::from_secs(5);
+        let path = dir.join(".lock");
         loop {
             match fs::OpenOptions::new()
                 .write(true)
                 .create_new(true)
                 .open(&path)
             {
-                Ok(file) => return Ok(LockFile { path, _file: file }),
+                Ok(file) => return Ok(DirLock { _file: file, path }),
                 Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {
                     let stale = fs::metadata(&path)
                         .and_then(|m| m.modified())
@@ -580,11 +503,9 @@ impl LockFile {
     }
 }
 
-impl Drop for LockFile {
+#[cfg(not(unix))]
+impl Drop for DirLock {
     fn drop(&mut self) {
-        // Unlink *while still holding* the lock: a waiter blocked on our
-        // inode will acquire it, notice the path no longer matches, and
-        // retry on the fresh path (see `acquire`).
         let _ = fs::remove_file(&self.path);
     }
 }
@@ -842,127 +763,143 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Every file name in `dir`, sorted.
+    fn listing(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
     #[test]
-    fn size_index_records_and_looks_up_below() {
+    fn fingerprints_below_finds_the_family_by_entry_file() {
         let dir = tmp_dir("size-index");
-        fs::create_dir_all(&dir).unwrap();
-        let index = SizeIndex::open(&dir);
-        let problems: Vec<_> = (2..=5usize)
-            .map(|n| EncodingProblem::full_sat(n, Objective::MajoranaWeight))
-            .collect();
-        for p in &problems {
-            assert!(index.record(p, &fingerprint(p)).unwrap());
-            // Idempotent: identical re-record writes nothing.
-            assert!(!index.record(p, &fingerprint(p)).unwrap());
+        let majorana = |n| EncodingProblem::full_sat(n, Objective::MajoranaWeight);
+        // Each size stored through its own handle, as separate processes
+        // would; nothing but the entry files is shared.
+        for n in 2..=4 {
+            let fp = fingerprint(&majorana(n));
+            SolutionCache::open(&dir)
+                .unwrap()
+                .store(&fp, &entry(9, true))
+                .unwrap();
         }
-        // Largest-first, strictly below.
-        let below = index.fingerprints_below(&problems[3]); // N=5
-        assert_eq!(
-            below.iter().map(|(m, _)| *m).collect::<Vec<_>>(),
-            vec![4, 3, 2]
-        );
-        assert_eq!(below[0].1, fingerprint(&problems[2]));
-        // Nothing below the smallest.
-        assert!(index.fingerprints_below(&problems[0]).is_empty());
-        // A different family (constraint toggle) sees none of these.
-        let other =
-            EncodingProblem::full_sat(5, Objective::MajoranaWeight).with_vacuum_condition(false);
-        assert!(index.fingerprints_below(&other).is_empty());
-        // No lock or temp litter.
-        let litter: Vec<_> = fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .filter(|e| {
-                let name = e.file_name().to_string_lossy().to_string();
-                name.ends_with(".tmp") || name.ends_with(".lock")
-            })
+        let index = SizeIndex::open(&dir);
+        // An index file an older version wrote is ignored, and `record`
+        // writes nothing.
+        fs::write(dir.join(format!("size-{}.index", "ab".repeat(32))), "{}").unwrap();
+        let before = listing(&dir);
+        assert!(!index
+            .record(&majorana(5), &fingerprint(&majorana(5)))
+            .unwrap());
+        assert_eq!(listing(&dir), before);
+
+        // Largest first, strictly below.
+        let below = index.fingerprints_below(&majorana(5));
+        let expected: Vec<_> = [4, 3, 2]
+            .into_iter()
+            .map(|m| (m, fingerprint(&majorana(m))))
             .collect();
-        assert!(litter.is_empty(), "leftover files: {litter:?}");
-        fs::remove_dir_all(&dir).unwrap();
-    }
+        assert_eq!(below, expected);
+        assert_eq!(index.fingerprints_below(&majorana(4)), expected[1..]);
+        assert!(index.fingerprints_below(&majorana(2)).is_empty());
+        // A different family (constraint toggle) sees none of these.
+        let other = majorana(5).with_vacuum_condition(false);
+        assert!(index.fingerprints_below(&other).is_empty());
 
-    #[test]
-    fn size_index_tolerates_missing_torn_and_mismatched_files() {
-        let dir = tmp_dir("size-index-torn");
-        fs::create_dir_all(&dir).unwrap();
-        let index = SizeIndex::open(&dir);
-        let problem = EncodingProblem::full_sat(4, Objective::MajoranaWeight);
-        let key = crate::fingerprint::size_key(&problem);
-
-        // Missing: empty, not an error.
-        assert!(index.fingerprints_below(&problem).is_empty());
-
-        // Torn (half-written JSON): read as empty, and `record` rebuilds it.
-        fs::write(index.path_for(&key), "{\"version\": 1, \"entr").unwrap();
-        assert!(index.fingerprints_below(&problem).is_empty());
-        let small = EncodingProblem::full_sat(3, Objective::MajoranaWeight);
-        assert!(index.record(&small, &fingerprint(&small)).unwrap());
-        assert_eq!(index.fingerprints_below(&problem).len(), 1);
-
-        // Schema mismatch (future version): whole file reads as empty.
-        let current = fs::read_to_string(index.path_for(&key)).unwrap();
-        fs::write(
-            index.path_for(&key),
-            current.replace("\"version\": 1", "\"version\": 99"),
-        )
-        .unwrap();
-        assert!(index.fingerprints_below(&problem).is_empty());
-
-        // Individually malformed entries are skipped, valid ones survive.
-        let doc = obj([
-            ("version", Value::Num(INDEX_VERSION as f64)),
-            (
-                "entries",
-                Value::Obj(
-                    [
-                        ("3".to_string(), Value::Str(fingerprint(&small).to_hex())),
-                        ("zero".to_string(), Value::Str("ab".repeat(32))),
-                        ("0".to_string(), Value::Str("ab".repeat(32))),
-                        ("2".to_string(), Value::Str("not-hex".into())),
-                        ("1".to_string(), Value::Num(7.0)),
-                    ]
-                    .into_iter()
-                    .collect(),
-                ),
-            ),
-        ]);
-        fs::write(index.path_for(&key), doc.to_json()).unwrap();
-        let below = index.fingerprints_below(&problem);
-        assert_eq!(below, vec![(3, fingerprint(&small))]);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn size_index_entries_may_dangle_after_eviction() {
-        // Eviction deletes cache entry files without rewriting indexes;
-        // the index keeps listing the fingerprint, and resolving it
-        // through the cache simply misses. Consumers (the engine's
-        // warm-start probe) skip such dangling entries.
-        let dir = tmp_dir("size-index-dangle");
-        let cache = SolutionCache::open(&dir).unwrap();
-        let index = SizeIndex::open(&dir);
-        let small = EncodingProblem::full_sat(2, Objective::MajoranaWeight);
-        let fp = fingerprint(&small);
-        cache.store(&fp, &entry(6, true)).unwrap();
-        index.record(&small, &fp).unwrap();
-
-        // Evict by hand (what the byte cap does).
-        fs::remove_file(cache.path_for(&fp)).unwrap();
-
-        let larger = EncodingProblem::full_sat(3, Objective::MajoranaWeight);
-        let below = index.fingerprints_below(&larger);
-        assert_eq!(below, vec![(2, fp)], "index still lists the entry");
-        assert!(
-            cache.peek(&below[0].1).is_none(),
-            "resolution through the cache misses"
+        // An evicted entry is no longer listed.
+        fs::remove_file(entry_path(&dir, &expected[1].1)).unwrap();
+        assert_eq!(
+            index.fingerprints_below(&majorana(5)),
+            vec![expected[0], expected[2]]
         );
-        // Index files themselves are never byte-cap eviction fodder:
-        // they don't carry the .json entry extension.
-        let survives = fs::read_dir(&dir)
+
+        // A Hamiltonian family starts where every index is legal: γ₄
+        // needs three modes, so an entry under the two-mode fingerprint
+        // is not a member.
+        let chain =
+            |n| EncodingProblem::new(n, fermihedral::fixtures::hamiltonian(&[[0, 1], [0, 4]]));
+        for m in [2, 3] {
+            let fp = crate::fingerprint::fingerprint_at(&chain(5), m);
+            SolutionCache::open(&dir)
+                .unwrap()
+                .store(&fp, &entry(2, true))
+                .unwrap();
+        }
+        assert_eq!(
+            index.fingerprints_below(&chain(5)),
+            vec![(3, fingerprint(&chain(3)))]
+        );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_cross_size_hit_finds_an_entry_another_handle_wrote() {
+        let dir = tmp_dir("cross-size");
+        let small = EncodingProblem::new(2, Objective::MajoranaWeight);
+        let solved = crate::compile(
+            &small,
+            &crate::EngineConfig {
+                cache_dir: Some(dir.clone()),
+                ..crate::EngineConfig::default()
+            },
+        );
+        assert!(solved.optimal_proved);
+        let reader = SolutionCache::open(&dir).unwrap();
+        let larger = EncodingProblem::new(3, Objective::MajoranaWeight);
+        let (lifted, from_modes) =
+            crate::portfolio::cross_size_warm_start(&reader, &larger).expect("a cross-size hit");
+        assert_eq!(from_modes, 2);
+        assert_eq!(lifted.strings.len(), 6);
+        assert_eq!(lifted.floor, None);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn separately_opened_handles_exclude_each_other() {
+        // Like `concurrent_writers_never_downgrade_the_entry`, but every
+        // thread opens its own handle: the exclusion is the directory's
+        // kernel lock, not anything a handle shares in memory. While the
+        // test holds that lock, no writer may get as far as a file.
+        let dir = tmp_dir("handles");
+        let fp = fingerprint(&EncodingProblem::new(5, Objective::MajoranaWeight));
+        fs::create_dir_all(&dir).unwrap();
+        let held = DirLock::acquire(&dir).unwrap();
+        let (ready, waiting) = std::sync::mpsc::channel();
+        let while_held = std::thread::scope(|scope| {
+            for t in 0..6u64 {
+                let (dir, ready) = (&dir, ready.clone());
+                scope.spawn(move || {
+                    let cache = SolutionCache::open(dir).unwrap();
+                    ready.send(()).unwrap();
+                    for round in 0..30u64 {
+                        let weight = 10 + ((t + round) % 4) as usize;
+                        cache
+                            .store_if_better(&fp, &entry(weight, weight == 10))
+                            .unwrap();
+                    }
+                });
+            }
+            for _ in 0..6 {
+                waiting.recv().unwrap();
+            }
+            std::thread::sleep(std::time::Duration::from_millis(50));
+            let while_held = listing(&dir);
+            drop(held);
+            while_held
+        });
+        assert!(
+            while_held.is_empty(),
+            "written under a held lock: {while_held:?}"
+        );
+        let survivor = SolutionCache::open(&dir)
             .unwrap()
-            .filter_map(|e| e.ok())
-            .any(|e| e.file_name().to_string_lossy().ends_with(".index"));
-        assert!(survives);
+            .peek(&fp)
+            .expect("not torn");
+        assert_eq!((survivor.weight, survivor.is_optimal()), (10, true));
+        assert_eq!(listing(&dir), vec![format!("{}.json", fp.to_hex())]);
         fs::remove_dir_all(&dir).unwrap();
     }
 

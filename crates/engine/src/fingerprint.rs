@@ -83,14 +83,28 @@ pub fn fingerprint(problem: &EncodingProblem) -> Fingerprint {
     Fingerprint(sha256(canonical_form(problem).as_bytes()))
 }
 
+/// The fingerprint of the problem's family member at `modes` modes: its
+/// [`canonical_form`] with the mode count replaced, which is the
+/// [`fingerprint`] of the same problem rebuilt at `modes` modes. The
+/// solution cache finds a smaller cached member by this fingerprint
+/// ([`SizeIndex::fingerprints_below`](crate::cache::SizeIndex::fingerprints_below)).
+/// It names a real problem only where every monomial index is below
+/// `2 * modes`.
+pub fn fingerprint_at(problem: &EncodingProblem, modes: usize) -> Fingerprint {
+    let field = |m: usize| format!("|modes={m}|");
+    let canonical = canonical_form(problem).replacen(&field(problem.num_modes()), &field(modes), 1);
+    Fingerprint(sha256(canonical.as_bytes()))
+}
+
 /// The problem's *size-key*: its [`canonical_form`] with the mode count
 /// stripped. Two problems share a size-key exactly when they differ only
 /// in mode count — the condition under which a cached smaller solution
 /// embeds into the larger problem ([`encodings::embed`]) as a feasible
-/// warm start. The vacuum condition stays in the key (a vacuum-free
-/// solution need not satisfy a vacuum-constrained problem), and so does
-/// the Hamiltonian-dependent monomial multiset (its indices must be legal
-/// in both sizes *and* describe the same objective).
+/// warm start, and the family [`fingerprint_at`] walks. The vacuum
+/// condition stays in the key (a vacuum-free solution need not satisfy a
+/// vacuum-constrained problem), and so does the Hamiltonian-dependent
+/// monomial multiset (its indices must be legal in both sizes *and*
+/// describe the same objective).
 pub fn size_key(problem: &EncodingProblem) -> String {
     let canonical = canonical_form(problem);
     let mut out = String::with_capacity(canonical.len());
@@ -290,6 +304,34 @@ mod tests {
                 )])
             ))
         );
+    }
+
+    #[test]
+    fn fingerprint_at_is_the_fingerprint_of_the_rebuilt_problem() {
+        use fermihedral::fixtures::hamiltonian;
+        let objectives = [
+            (fermihedral::Objective::MajoranaWeight, 1),
+            (hamiltonian(&[[0, 1], [0, 4]]), 3),
+            (hamiltonian(&[[0, 1], [2, 3], [0, 3]]), 2),
+        ];
+        for (objective, smallest) in objectives {
+            for vacuum in [true, false] {
+                let at = |m: usize| {
+                    EncodingProblem::new(m, objective.clone()).with_vacuum_condition(vacuum)
+                };
+                let problem = at(6);
+                for m in smallest..=7 {
+                    assert_eq!(
+                        fingerprint_at(&problem, m),
+                        fingerprint(&at(m)),
+                        "{objective:?}, vacuum {vacuum}, modes {m}"
+                    );
+                    assert_eq!(size_key(&at(m)), size_key(&problem));
+                }
+                let other = at(6).with_vacuum_condition(!vacuum);
+                assert_ne!(fingerprint_at(&other, 4), fingerprint(&at(4)));
+            }
+        }
     }
 
     #[test]

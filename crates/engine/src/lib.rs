@@ -29,8 +29,10 @@
 //!   (modes, constraints, objective, Hamiltonian-term multiset). Repeat
 //!   compilations of the same model are served in microseconds; budget-
 //!   terminated best-so-far entries warm-start the next attempt; and a
-//!   cross-size index ([`cache::SizeIndex`]) transfers cached *smaller*
-//!   optima into larger searches by lifting them one mode at a time
+//!   cross-size probe ([`cache::SizeIndex`]: each smaller member of the
+//!   problem's family has a computed fingerprint, and is cached when its
+//!   entry file exists) transfers cached *smaller* optima into larger
+//!   searches by lifting them one mode at a time
 //!   (`encodings::embed`) — a feasible opening incumbent plus solver
 //!   phase hints, so repeat traffic on growing systems stops paying the
 //!   full SAT price.
@@ -60,7 +62,7 @@ pub mod report;
 pub mod service;
 
 pub use cache::{CacheCounters, CacheEntry, SizeIndex, SolutionCache};
-pub use fingerprint::{fingerprint, size_key, Fingerprint};
+pub use fingerprint::{fingerprint, fingerprint_at, size_key, Fingerprint};
 pub use floor::{Floor, FloorSource};
 pub use portfolio::{
     check_encoding, compile, compile_bridged, compile_cached, compile_with, cross_size_warm_start,

@@ -779,11 +779,8 @@ pub fn compile_cached(
             floor,
             strategy: winner.clone().unwrap_or_default(),
         };
-        // Cache write failure must not fail the compilation; the same
-        // goes for the cross-size index (it is a hint layer over the
-        // entries, rebuilt on the next successful record).
+        // Cache write failure must not fail the compilation.
         let _ = cache.store_if_better(&fp, &entry);
-        let _ = SizeIndex::open(cache.dir()).record(problem, &fp);
     }
 
     EngineOutcome {
@@ -1141,12 +1138,13 @@ pub fn measure_weight(problem: &EncodingProblem, strings: &[PauliString]) -> usi
     measure(problem, &phased)
 }
 
-/// Probes the cross-size index for the largest cached `M < N` solution of
-/// the problem's family and lifts it to `N` modes. Dangling index entries
-/// (evicted files), failed lifts, and lifted encodings that violate the
-/// problem's constraints are all skipped — the next-smaller size gets its
-/// chance. Returns the lifted entry (weight re-measured under the
-/// problem's objective, never marked optimal) and the source mode count.
+/// Probes the cache ([`SizeIndex`]) for the largest cached `M < N`
+/// solution of the problem's family and lifts it to `N` modes. Entries
+/// evicted since the probe, failed lifts, and lifted encodings that
+/// violate the problem's constraints are all skipped — the next-smaller
+/// size gets its chance. Returns the lifted entry (weight re-measured
+/// under the problem's objective, never marked optimal) and the source
+/// mode count.
 ///
 /// [`compile_cached`] runs this on a same-size miss, for in-process and
 /// sharded races alike (a shard coordinator broadcasts the lifted strings
@@ -1158,7 +1156,7 @@ pub fn cross_size_warm_start(
     let index = SizeIndex::open(cache.dir());
     for (from_modes, fp) in index.fingerprints_below(problem) {
         let Some(entry) = cache.peek(&fp) else {
-            continue; // evicted since it was indexed
+            continue; // evicted or torn since it was listed
         };
         let Ok(lifted) = embed_to(&entry.strings, problem.num_modes()) else {
             continue; // torn or foreign entry: not a valid encoding

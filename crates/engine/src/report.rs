@@ -17,8 +17,9 @@ pub enum CacheStatus {
     /// portfolio's warm start; the solvers still ran.
     HitWarmStart,
     /// The same-size lookup missed, but a *smaller*-mode solution of the
-    /// same family was found through the [`crate::cache::SizeIndex`] and
-    /// embedded as the warm start; the solvers still ran.
+    /// same family was found by the cache's cross-size probe
+    /// ([`crate::cache::SizeIndex`]) and embedded as the warm start; the
+    /// solvers still ran.
     HitCrossSize,
 }
 

@@ -79,8 +79,8 @@ impl Engine {
     /// Note the engine's warm-start precedence: a same-size cache entry
     /// wins over the hint, and the hint wins over the cache's own
     /// cross-size probe — so on a cache-backed engine callers chasing
-    /// `HitCrossSize` provenance should pass `None` and let the
-    /// [`SizeIndex`](crate::cache::SizeIndex) path run.
+    /// `HitCrossSize` provenance should pass `None` and let the cache's
+    /// cross-size probe ([`SizeIndex`](crate::cache::SizeIndex)) run.
     pub fn request_config(
         &self,
         deadline: Option<Duration>,

@@ -127,12 +127,29 @@ pub(crate) fn journal_done(shared: &Shared, key: &str) {
 /// deadline to cover its own). A leader the queue refuses completes the
 /// cell as shed — failing any follower that joined in the window, since
 /// they asked for the same overloaded queue.
+///
+/// A leader first probes the cache again: an identical solve may have
+/// stored its optimum and left the coalescer since the caller's probe
+/// missed. Such a leader completes the cell from the cache (counted as
+/// `cache_fast_path`) and starts no solve.
 fn admit(shared: &Shared, admission: Admission) -> (Arc<InFlight>, bool) {
     let metrics = &shared.metrics;
     let (cell, leader) = shared.coalescer.join(&admission.key, admission.deadline_at);
     if !leader {
         metrics.coalesced_requests.inc();
         return (cell, false);
+    }
+    if let Some(entry) =
+        checked(shared, &admission.problem, &admission.fp).filter(CacheEntry::is_optimal)
+    {
+        metrics.cache_fast_path.inc();
+        if admission.record != AdmitRecord::Unwritten {
+            journal_done(shared, &admission.key);
+        }
+        let settled = Settled::new(CompileStatus::Optimal, Answer::Cached(entry));
+        shared.coalescer.finish(&admission.key, settled);
+        metrics.bump();
+        return (cell, true);
     }
     // The admit record is journaled *before* the push: a crash in the
     // window between them replays a job the queue never held, which the
@@ -310,8 +327,10 @@ pub(crate) fn handle_compile(
 
 /// `POST /v1/compile-batch`: one problem family at many sizes, solved
 /// small→large so every entry warm-starts from its smaller sibling — on a
-/// cache-backed engine through the [`engine::SizeIndex`] (cross-size
-/// provenance in each entry's `warm_start` field), on a cache-less engine
+/// cache-backed engine through the cache's cross-size probe
+/// ([`engine::SizeIndex`]: the sibling's entry file, found by its
+/// computed fingerprint; cross-size provenance in each entry's
+/// `warm_start` field), on a cache-less engine
 /// through an explicitly chained, [`encodings::embed`]-lifted hint from
 /// the previous entry's best encoding.
 ///
@@ -372,8 +391,8 @@ pub(crate) fn handle_batch(
     let mut complete = true;
     // The chain link for cache-less engines: the previous (smaller)
     // entry's best strings, lifted to the next size at use. With a cache,
-    // the engine's own SizeIndex probe supplies the (provenance-carrying)
-    // cross-size warm start, and a hint would mask it.
+    // the engine's own cross-size probe finds the smaller entry's file and
+    // supplies the (provenance-carrying) warm start; a hint would mask it.
     let chained = shared.engine.cache().is_none();
     let mut prev_best: Option<Vec<PauliString>> = None;
     for mut admission in entries {
@@ -475,4 +494,104 @@ pub(crate) fn replay_pending(shared: &Shared, report: journal::ReplayReport) {
         );
     }
     metrics.bump();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::coalesce::Coalescer;
+    use crate::journal::Journal;
+    use crate::metrics::Metrics;
+    use crate::queue::FairQueue;
+    use crate::tenant::TenantRegistry;
+    use crate::{ServeConfig, TRACE_STORE_CAPACITY};
+    use engine::{Engine, EngineConfig};
+    use fermihedral::Objective;
+    use std::path::Path;
+    use std::sync::atomic::AtomicBool;
+    use telemetry::TraceStore;
+
+    /// A server's shared state with a cache and a journal under `dir`, and
+    /// no thread: nothing pops the queue.
+    fn shared(dir: &Path) -> Shared {
+        let config = ServeConfig {
+            engine: EngineConfig {
+                cache_dir: Some(dir.join("cache")),
+                ..EngineConfig::default()
+            },
+            journal_dir: Some(dir.join("journal")),
+            ..ServeConfig::default()
+        };
+        Shared {
+            engine: Engine::new(config.engine.clone()).unwrap(),
+            metrics: Metrics::default(),
+            queue: FairQueue::new(config.queue_capacity),
+            coalescer: Coalescer::default(),
+            tenants: TenantRegistry::new(&[]).unwrap(),
+            journal: Some(Journal::open(dir.join("journal")).unwrap().0),
+            trace_store: TraceStore::new(TRACE_STORE_CAPACITY),
+            shutdown: AtomicBool::new(false),
+            started: Instant::now(),
+            local_addr: "127.0.0.1:0".parse().unwrap(),
+            fleet: None,
+            config,
+        }
+    }
+
+    #[test]
+    fn a_leader_that_finds_a_stored_optimum_starts_no_solve() {
+        // The window: a request probes the cache and misses, the identical
+        // solve stores its optimum and leaves the coalescer, and only then
+        // does the request join it — as the leader of a fresh cell.
+        let dir = std::env::temp_dir().join(format!(
+            "fermihedral-flow-test-leader-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let shared = shared(&dir);
+        let tenant = shared.tenants.anonymous().clone();
+        let admission = |modes: usize| {
+            let problem = EncodingProblem::new(modes, Objective::MajoranaWeight);
+            let deadline = Duration::from_secs(10);
+            Admission::new(
+                problem,
+                Instant::now(),
+                deadline,
+                &tenant,
+                AdmitRecord::Written,
+            )
+        };
+
+        // Control: a problem the cache lacks is journaled and enqueued.
+        let fresh = admission(3);
+        journal_admit(&shared, &fresh, Some("batch-test"));
+        let (_, leader) = admit(&shared, fresh);
+        assert!(leader);
+        assert_eq!(shared.queue.len(), 1);
+
+        // Plant the optimum the other solve stored.
+        let solved = admission(2);
+        let stored = engine::compile(&solved.problem, shared.engine.config());
+        assert!(stored.optimal_proved);
+        journal_admit(&shared, &solved, Some("batch-test"));
+        let key = solved.key.clone();
+        let (cell, leader) = admit(&shared, solved);
+        assert!(leader);
+        let settled = cell.wait_until(Instant::now()).expect("completed at once");
+        assert_eq!(settled.status, CompileStatus::Optimal);
+        assert!(matches!(settled.answer, Answer::Cached(ref e) if e.is_optimal()));
+        assert_eq!(shared.queue.len(), 1, "nothing more was enqueued");
+        assert_eq!(shared.metrics.jobs_enqueued.get(), 1);
+        assert_eq!(shared.metrics.cache_fast_path.get(), 1);
+        assert_eq!(shared.coalescer.len(), 1, "only the control's cell");
+
+        // The planted admission's journal record is retired; the control's
+        // is still pending.
+        drop(shared);
+        let (_, replay) = Journal::open(dir.join("journal")).unwrap();
+        let pending: Vec<_> = replay.pending.iter().map(|job| job.key.as_str()).collect();
+        assert!(!pending.contains(&key.as_str()));
+        assert_eq!(pending.len(), 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }

@@ -54,8 +54,10 @@ pub struct Job {
     pub tenant: Arc<Tenant>,
     /// Chained warm-start hint (batch scheduling on a cache-less engine:
     /// the previous, smaller entry's best encoding). `None` lets the
-    /// engine's own cache/SizeIndex path find its warm start — which is
-    /// preferred when a cache exists, because it carries provenance.
+    /// engine find its warm start in the cache — the same-size entry, or
+    /// a smaller family member's entry file by its computed fingerprint
+    /// (`engine::SizeIndex`) — which is preferred when a cache exists,
+    /// because it carries provenance.
     pub warm_hint: Option<Vec<PauliString>>,
 }
 
